@@ -469,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory (default $MWPHOTON_OUTPUT_ROOT/<experiment> or runs/<experiment>)",
     )
     run.add_argument("--seed", type=int, help="override the random seed")
-    run.add_argument("--threads", type=int, default=1, help="parallelism cap (results are scheduling-independent)")
     run.add_argument("--state", help="field kind for ramsey_sweep")
     run.add_argument("--n-points", type=int, dest="n_points")
     run.add_argument("--shots", type=int)

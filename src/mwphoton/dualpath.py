@@ -16,6 +16,15 @@ record generation and moment accumulation, work is split into fixed-size
 batches with seeds keyed by (seed, stream, batch); results are therefore
 identical no matter how batches are scheduled, and batch totals are
 combined with compensated summation.
+
+The reconstruction needs only the 15 complex cross-path products
+E[z1^m conj(z2)^n], n + m <= 4.  The sweep pipelines take one pass over a
+record that sums them per error block (:func:`_product_block_sums`); the
+point estimates invert the compensated total of those block sums and the
+error bars come from the scatter of the per-block inversions, so both rest
+on one set of sums.  The 70-entry I/Q table of :func:`cross_moments` stays
+as the export and diagnostic form and reaches the same inversion through
+:func:`reconstruct_signal_moments`.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .states import (
     Ordering,
     _batch_layout,
     _batch_seed,
+    _complex_normal,
     moment_keys,
     ordering_convert,
     sample_envelopes,
@@ -167,16 +177,30 @@ def hybrid_split(signal: np.ndarray, vacuum: np.ndarray) -> Tuple[np.ndarray, np
 
     Energy is conserved sample by sample: |out1|^2 + |out2|^2 = |s|^2 + |v|^2.
     """
-    s = np.asarray(signal, dtype=complex)
-    v = np.asarray(vacuum, dtype=complex)
+    s = np.array(signal, dtype=complex, order="C")
+    v = np.array(vacuum, dtype=complex, order="C")
     if s.shape != v.shape:
         raise ValueError("signal and vacuum-port sequences must have equal length")
+    _split_in_place(s.reshape(-1), v.reshape(-1))
+    return s, v
+
+
+def _split_in_place(s: np.ndarray, v: np.ndarray) -> None:
+    """Overwrite 1-d ``s`` with (s + v)/sqrt(2) and ``v`` with (s - v)/sqrt(2).
+
+    Works batch by batch, so the only temporary is one batch long.
+    """
     root_half = 1.0 / math.sqrt(2.0)
-    return (s + v) * root_half, (s - v) * root_half
+    for _, lo, size in _batch_layout(s.size):
+        hi = lo + size
+        total = s[lo:hi] + v[lo:hi]
+        np.subtract(s[lo:hi], v[lo:hi], out=v[lo:hi])
+        v[lo:hi] *= root_half
+        np.multiply(total, root_half, out=s[lo:hi])
 
 
-def _chain_noise(n_photons: float, count: int, seed) -> np.ndarray:
-    """Circular Gaussian chain noise adding ``n_photons`` of envelope power.
+def _add_chain_noise(z: np.ndarray, n_photons: float, seed) -> None:
+    """Add, in place, circular Gaussian chain noise of ``n_photons`` envelope power.
 
     The per-quadrature variance is n/2, i.e. the noise photons referred to
     the chain input on top of the signal's own (already sampled) vacuum;
@@ -184,14 +208,11 @@ def _chain_noise(n_photons: float, count: int, seed) -> np.ndarray:
     (2 n + 1)/4.
     """
     if n_photons == 0.0:
-        return np.zeros(count, dtype=complex)
+        return
     sigma = math.sqrt(n_photons / 2.0)
-    parts = []
-    for index, size in _batch_layout(count):
+    for index, start, size in _batch_layout(z.size):
         rng = np.random.default_rng(_batch_seed(seed, index))
-        quads = rng.normal(0.0, sigma, size=(size, 2))
-        parts.append(quads[:, 0] + 1j * quads[:, 1])
-    return np.concatenate(parts)
+        z[start : start + size] += _complex_normal(rng, sigma, size)
 
 
 def simulate_detection(
@@ -230,10 +251,19 @@ def simulate_detection(
         else MicrowaveState.thermal(vacuum_port_photons)
     )
     port = sample_envelopes(port_state, count, streams[1])
-    out1, out2 = hybrid_split(signal, port)
-    z1 = math.sqrt(gains[0]) * (out1 + _chain_noise(n1, count, streams[2]))
-    z2 = math.sqrt(gains[1]) * (out2 + _chain_noise(n2, count, streams[3]))
-    return DetectionRecord(z1, z2, tuple(gains), if_frequency, seed)
+    # the hybrid outputs overwrite the two sampled buffers, and chain noise
+    # and gain act on them in place, so the record costs two allocations
+    _split_in_place(signal, port)
+    for z, n_chain, stream, gain in zip((signal, port), (n1, n2), streams[2:], gains):
+        _add_chain_noise(z, n_chain, stream)
+        z *= math.sqrt(gain)
+    return DetectionRecord(signal, port, tuple(gains), if_frequency, seed)
+
+
+def _error_blocks(count: int):
+    """(lo, hi) bounds of the non-empty ERROR_BATCHES contiguous blocks of a record."""
+    bounds = np.linspace(0, count, ERROR_BATCHES + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
@@ -249,12 +279,9 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     q1 = rec.envelopes_1.imag
     i2 = rec.envelopes_2.real
     q2 = rec.envelopes_2.imag
-    bounds = np.linspace(0, count, ERROR_BATCHES + 1).astype(int)
     batch_sums = {key: [] for key in CROSS_MOMENT_KEYS}
     batch_sizes = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
+    for lo, hi in _error_blocks(count):
         batch_sizes.append(hi - lo)
         powers = {}
         for name, arr in (("i1", i1[lo:hi]), ("i2", i2[lo:hi]), ("q1", q1[lo:hi]), ("q2", q2[lo:hi])):
@@ -279,6 +306,37 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     entries[(0, 0, 0, 0)] = 1.0
     std_errors[(0, 0, 0, 0)] = 0.0
     return CrossMomentSet(entries, std_errors, count)
+
+
+def _product_block_sums(rec: DetectionRecord):
+    """Block sums of the 15 cross-path products z1^m conj(z2)^n, n + m <= 4.
+
+    The blocks are those of :func:`cross_moments`.  Returns one
+    ``(size, sums)`` pair per block, with ``sums[(n, m)]`` the complex sum
+    of z1^m conj(z2)^n over the block; every product is built from shared
+    powers of z1 and conj(z2).
+    """
+    blocks = []
+    for lo, hi in _error_blocks(rec.sample_count):
+        z1 = rec.envelopes_1[lo:hi]
+        z2_bar = np.conj(rec.envelopes_2[lo:hi])
+        pow1 = [None, z1]
+        pow2 = [None, z2_bar]
+        for _ in range(MAX_MOMENT_ORDER - 1):
+            pow1.append(pow1[-1] * z1)
+            pow2.append(pow2[-1] * z2_bar)
+        sums = {}
+        for n, m in moment_keys():
+            if n == 0 and m == 0:
+                sums[(n, m)] = complex(hi - lo)
+            elif n == 0:
+                sums[(n, m)] = complex(pow1[m].sum())
+            elif m == 0:
+                sums[(n, m)] = complex(pow2[n].sum())
+            else:
+                sums[(n, m)] = complex((pow1[m] * pow2[n]).sum())
+        blocks.append((hi - lo, sums))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +375,35 @@ def reconstruct_signal_moments(
 ) -> MomentSet:
     """Normally ordered signal moments at the beam-splitter input.
 
-    Only cross-path products z1^m conj(z2)^n enter, so the independent,
-    zero-mean, circular chain noise of both paths drops out of every
-    estimator.  Writing the hybrid input as s and the fourth port as v
-    (circular with <|v|^2> = n_v + 1/2), the products obey
+    The I/Q table is first recombined into the complex cross-path products
+    E[z1^m conj(z2)^n] through the binomial expansion of
+    (I1 + iQ1)^m (I2 - iQ2)^n, then inverted as described in
+    :func:`_moments_from_products`.
+    """
+    if not cm.is_complete():
+        missing = [key for key in CROSS_MOMENT_KEYS if key not in cm.entries]
+        raise ValueError(f"cross-moment set incomplete; missing {missing[:5]}...")
+    products = {}
+    for n, m in moment_keys():
+        total = 0j
+        for key, coeff in _CROSS_EXPANSION[(n, m)]:
+            total += coeff * cm.entries[key]
+        products[(n, m)] = total
+    return _moments_from_products(products, gains, vacuum_port_photons, cm.sample_count)
+
+
+def _moments_from_products(
+    products: Dict[Tuple[int, int], complex],
+    gains: Tuple[float, float],
+    vacuum_port_photons: float,
+    sample_count: int,
+) -> MomentSet:
+    """Invert the averaged cross-path products ``products[(n, m)]`` = E[z1^m conj(z2)^n].
+
+    Only cross-path products enter, so the independent, zero-mean, circular
+    chain noise of both paths drops out of every estimator.  Writing the
+    hybrid input as s and the fourth port as v (circular with
+    <|v|^2> = n_v + 1/2), the products obey
 
         E[A^m B_bar^n] = 2^-(m+n)/2 * sum_p C(m,p) C(n,p) p! (-s_v)^p M(n-p, m-p)
 
@@ -332,19 +415,13 @@ def reconstruct_signal_moments(
     g1, g2 = gains
     if g1 <= 0 or g2 <= 0:
         raise ValueError("reconstruction is singular for non-positive chain gains")
-    if not cm.is_complete():
-        missing = [key for key in CROSS_MOMENT_KEYS if key not in cm.entries]
-        raise ValueError(f"cross-moment set incomplete; missing {missing[:5]}...")
     if vacuum_port_photons < 0:
         raise ValueError("vacuum-port occupation must be >= 0")
     s_v = vacuum_port_photons + 0.5
 
     raw = {}
     for n, m in moment_keys():
-        total = 0j
-        for key, coeff in _CROSS_EXPANSION[(n, m)]:
-            total += coeff * cm.entries[key]
-        total /= g1 ** (m / 2.0) * g2 ** (n / 2.0)
+        total = products[(n, m)] / (g1 ** (m / 2.0) * g2 ** (n / 2.0))
         raw[(n, m)] = total * 2.0 ** ((n + m) / 2.0)
 
     sym: Dict[Tuple[int, int], complex] = {}
@@ -370,7 +447,7 @@ def reconstruct_signal_moments(
                 sym[(n, m)] = complex(sym[(n, m)].real)
     sym[(0, 0)] = 1.0 + 0j
 
-    tolerance = 1e-9 if cm.sample_count == 0 else 50.0 / math.sqrt(cm.sample_count)
+    tolerance = 1e-9 if sample_count == 0 else 50.0 / math.sqrt(sample_count)
     symmetrized = MomentSet(Ordering.SYMMETRIZED, sym, tolerance)
     return ordering_convert(symmetrized, Ordering.NORMAL)
 

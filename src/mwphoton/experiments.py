@@ -41,15 +41,14 @@ from .defaults import (
     SAMPLE_SYSTEM,
 )
 from .dualpath import (
-    DetectionRecord,
     PlanckSweep,
-    cross_moments,
+    _moments_from_products,
+    _product_block_sums,
     jpa_planck_fit,
     jpa_planck_power,
     planck_fit,
     planck_power,
     quadrature_variances,
-    reconstruct_signal_moments,
     saturation_power_for_t1db,
     simulate_detection,
     wigner_gaussian_contour,
@@ -61,6 +60,7 @@ from .states import (
     StateKind,
     bose_einstein,
     effective_temperature,
+    moment_keys,
     photon_variance,
 )
 
@@ -81,16 +81,6 @@ _KIND_BY_NAME = {
     "shot_noise": StateKind.SHOT_NOISE,
     "vacuum": StateKind.VACUUM,
 }
-
-
-def _state_for(kind: StateKind, n: float) -> MicrowaveState:
-    if kind is StateKind.THERMAL:
-        return MicrowaveState.thermal(n)
-    if kind is StateKind.COHERENT:
-        return MicrowaveState.coherent(math.sqrt(n))
-    if kind is StateKind.SHOT_NOISE:
-        return MicrowaveState.shot_noise(n)
-    return MicrowaveState.vacuum()
 
 
 def _geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -227,45 +217,46 @@ def ramsey_sweep(
 # dualpath_sweep
 # ---------------------------------------------------------------------------
 
-def _reconstruct_with_errors(record, gains, block_count: int = 20):
-    """Full-record reconstruction plus block-scatter standard errors."""
-    full_cm = cross_moments(record)
-    moments = reconstruct_signal_moments(full_cm, gains)
+def _point_values(moments) -> Dict[str, float]:
+    """Photon number, unnormalized g2 and quadrature variances of one estimate."""
+    n = moments.entry(1, 1).real
+    fourth = moments.entry(2, 2).real
+    variance = fourth + n - n * n
+    point = {"n": n, "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0))}
+    point["var_p"], point["var_q"] = quadrature_variances(moments)
+    return point
+
+
+def _reconstruct_with_errors(record, gains):
+    """Full-record reconstruction plus block-scatter standard errors.
+
+    One pass over the record yields the block sums of the cross-path
+    products; the full estimate inverts their compensated total and each
+    block of at least 2 samples inverts its own mean.
+    """
+    blocks = _product_block_sums(record)
     count = record.sample_count
-    bounds = np.linspace(0, count, block_count + 1).astype(int)
-    block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 2:
-            continue
-        block = DetectionRecord(
-            record.envelopes_1[lo:hi],
-            record.envelopes_2[lo:hi],
-            record.chain_gains,
-            record.if_frequency,
-            record.seed,
+    full = {
+        key: complex(
+            math.fsum(sums[key].real for _, sums in blocks),
+            math.fsum(sums[key].imag for _, sums in blocks),
         )
-        bm = reconstruct_signal_moments(cross_moments(block), gains)
-        n = bm.entry(1, 1).real
-        fourth = bm.entry(2, 2).real
-        variance = fourth + n - n * n
-        block_values["n"].append(n)
-        block_values["g2"].append(g2_unnormalized(max(n, 0.0), max(variance, 0.0)))
-        var_p, var_q = quadrature_variances(bm)
-        block_values["var_p"].append(var_p)
-        block_values["var_q"].append(var_q)
+        / count
+        for key in moment_keys()
+    }
+    moments = _moments_from_products(full, gains, 0.0, count)
+    block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
+    for size, sums in blocks:
+        if size < 2:
+            continue
+        means = {key: value / size for key, value in sums.items()}
+        for key, value in _point_values(_moments_from_products(means, gains, 0.0, size)).items():
+            block_values[key].append(value)
     errors = {
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         for key, vals in block_values.items()
     }
-    n = moments.entry(1, 1).real
-    fourth = moments.entry(2, 2).real
-    variance = fourth + n - n * n
-    point = {
-        "n": n,
-        "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0)),
-    }
-    point["var_p"], point["var_q"] = quadrature_variances(moments)
-    return moments, point, errors
+    return moments, _point_values(moments), errors
 
 
 def dualpath_sweep(
@@ -293,7 +284,7 @@ def dualpath_sweep(
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
         record = simulate_detection(
-            _state_for(StateKind.THERMAL, n_true),
+            MicrowaveState.thermal(n_true),
             chain_noise_photons=chain_noise_photons,
             gains=gains,
             count=count,
@@ -537,7 +528,7 @@ def quadrature_check(
     for index, n in enumerate(occupations):
         n = float(n)
         record = simulate_detection(
-            _state_for(StateKind.THERMAL, n), count=count, seed=seed + 104729 * index
+            MicrowaveState.thermal(n), count=count, seed=seed + 104729 * index
         )
         _, point, errors = _reconstruct_with_errors(record, record.chain_gains)
         rows.append(

@@ -281,14 +281,9 @@ def analytic_moments(state: MicrowaveState) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 def _batch_layout(count: int):
-    """Deterministic batch layout: fixed SAMPLE_BATCH-sized slices."""
-    start = 0
-    index = 0
-    while start < count:
-        size = min(SAMPLE_BATCH, count - start)
-        yield index, size
-        start += size
-        index += 1
+    """Deterministic batch layout: (index, start, size) of SAMPLE_BATCH-sized slices."""
+    for index, start in enumerate(range(0, count, SAMPLE_BATCH)):
+        yield index, start, min(SAMPLE_BATCH, count - start)
 
 
 def _batch_seed(seed: Union[int, np.random.SeedSequence], index: int) -> np.random.SeedSequence:
@@ -312,28 +307,30 @@ def sample_envelopes(
     """
     if count < 0:
         raise ValueError("sample count must be >= 0")
-    if count == 0:
-        return np.empty(0, dtype=complex)
-    parts = []
+    out = np.empty(count, dtype=complex)
     n = state.mean_photons
-    for index, size in _batch_layout(count):
+    for index, start, size in _batch_layout(count):
         rng = np.random.default_rng(_batch_seed(seed, index))
-        # quadratures drawn interleaved so a short final batch is a prefix of
-        # the full batch it replaces
+        z = out[start : start + size]
+        # quadratures drawn interleaved (I, Q pairs viewed as complex) so a
+        # short final batch is a prefix of the full batch it replaces
         if state.kind in (StateKind.THERMAL, StateKind.VACUUM):
             sigma = math.sqrt((2.0 * n + 1.0) / 4.0)
-            quads = rng.normal(0.0, sigma, size=(size, 2))
-            z = quads[:, 0] + 1j * quads[:, 1]
+            z[:] = _complex_normal(rng, sigma, size)
         elif state.kind is StateKind.COHERENT:
-            quads = rng.normal(0.0, 0.5, size=(size, 2))
-            z = state.amplitude + quads[:, 0] + 1j * quads[:, 1]
+            z[:] = _complex_normal(rng, 0.5, size)
+            z += state.amplitude
         else:  # shot noise: fixed modulus, batch-random global phase
             phase = rng.uniform(0.0, 2.0 * math.pi)
             carrier = math.sqrt(n) * np.exp(1j * phase)
-            quads = rng.normal(0.0, 0.5, size=(size, 2))
-            z = carrier + quads[:, 0] + 1j * quads[:, 1]
-        parts.append(z)
-    return np.concatenate(parts)
+            z[:] = _complex_normal(rng, 0.5, size)
+            z += carrier
+    return out
+
+
+def _complex_normal(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    """``size`` circular Gaussian samples with per-quadrature deviation ``sigma``."""
+    return rng.normal(0.0, sigma, size=(size, 2)).view(complex)[:, 0]
 
 
 def empirical_moments(samples: np.ndarray) -> MomentSet:
