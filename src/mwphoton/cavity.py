@@ -25,7 +25,7 @@ from typing import Union
 
 from scipy.integrate import quad
 
-from .states import MicrowaveState, StateKind
+from .states import MicrowaveState, StateKind, _kind_of
 
 __all__ = [
     "Resonator",
@@ -85,10 +85,6 @@ class Correlator:
 class QubitState(Enum):
     GROUND = "ground"
     EXCITED = "excited"
-
-
-def _kind_of(state: Union[MicrowaveState, StateKind]) -> StateKind:
-    return state.kind if isinstance(state, MicrowaveState) else state
 
 
 def correlator(

@@ -28,7 +28,7 @@ from typing import Tuple, Union
 
 from scipy.constants import k as k_B
 
-from .states import MicrowaveState, StateKind
+from .states import MicrowaveState, StateKind, _kind_of
 
 __all__ = [
     "BeamSplitterStage",
@@ -159,10 +159,6 @@ class CompressionPoint:
 # ---------------------------------------------------------------------------
 # Stage transformations
 # ---------------------------------------------------------------------------
-
-def _kind_of(state) -> StateKind:
-    return state.kind if isinstance(state, MicrowaveState) else state
-
 
 def attenuate(
     kind: Union[MicrowaveState, StateKind], n_b: float, stage: BeamSplitterStage

@@ -13,28 +13,40 @@ Subcommands:
 
 Configuration comes from an optional JSON file plus command-line
 overrides; overrides win.  Keys carry their units explicitly
-(``kappa_x_mhz``, ``t_chain_k``, ...).  Output defaults to
-``$MWPHOTON_OUTPUT_ROOT/<experiment>`` (``runs/<experiment>`` when the
-variable is unset) unless ``--out`` is given.  Exit codes: 0 success, 1
-configuration error, 2 numerical failure.
+(``kappa_x_mhz``, ``t_chain_k``, ...).  One table, ``_TABLE``, holds
+every key: the pipeline argument it feeds, its unit scale and its JSON
+schema; defaults are read from the pipeline signatures.  ``run`` checks
+every value against that table (a mistyped or out-of-range value exits 1
+naming the field), and ``config.schema.json`` is generated from the same
+table, so the schema ``schema`` emits is the one ``run`` enforces.
+
+Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
+(``runs/<experiment>`` when the variable is unset) unless ``--out`` is
+given.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
+import operator
 import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
+
+import numpy as np
 
 from . import __version__
-from .cavity import Resonator
-from .experiments import EXPERIMENTS, run_experiment
-from .qubit import DispersiveSystem, QubitParams
-from .states import ModeSpec, StateKind
+from .defaults import JPA_OPERATING_POINTS
+from .dualpath import ERROR_BATCHES
+from .experiments import EXPERIMENTS, PLANCK_TEMPERATURE_GRID, run_experiment
+from .qubit import DispersiveSystem
+from .states import StateKind
 
 __all__ = ["main", "build_parser", "ConfigError", "NumericalError"]
 
@@ -51,193 +63,240 @@ class NumericalError(Exception):
 # Configuration handling
 # ---------------------------------------------------------------------------
 
-_SYSTEM_KEYS = {
-    "omega_q_ghz": 6.92,
-    "omega_r_ghz": 6.07,
-    "g_mhz": 67.0,
-    "alpha_mhz": -315.0,
-    "kappa_x_mhz": 8.5,
-    "kappa_i_khz": 50.0,
-    "gamma1_mhz": 3.9,
-    "gamma1_d_thermal_khz": 800.0,
-    "gamma1_d_coherent_khz": -30.0,
-    "gamma_phi0_mhz": 0.05,
+class _Key(NamedTuple):
+    """One config key.
+
+    ``arg`` is the pipeline argument the key feeds and ``part`` the entry
+    of that argument it sets (attribute names, tuple indices or mapping
+    keys; empty for the whole argument).  ``scale`` is the pipeline's unit
+    in config units (1e9 for a ``_ghz`` key), ``schema`` the key's JSON
+    schema, and ``pipelines`` limits the key to some of the pipelines that
+    take ``arg``.  Defaults are not restated: they are read from the
+    pipeline signatures.
+    """
+
+    arg: str
+    schema: dict
+    part: tuple = ()
+    scale: float = 1.0
+    pipelines: tuple = ()
+
+
+def _number(**bounds) -> dict:
+    return {"type": "number", **bounds}
+
+
+def _integer(**bounds) -> dict:
+    return {"type": "integer", **bounds}
+
+
+_POSITIVE = _number(exclusiveMinimum=0)
+_NON_NEGATIVE = _number(minimum=0)
+_RATES = ("qubit", "relaxation_per_photon")
+
+_TABLE = {
+    "seed": _Key("seed", _integer(minimum=0)),
+    "state": _Key("state", {"enum": [k.value for k in StateKind if k is not StateKind.VACUUM]}),
+    "n_points": _Key("n_points", _integer(minimum=2)),
+    "n_min": _Key("n_min", _POSITIVE),
+    "n_max": _Key("n_max", _POSITIVE),
+    "shots": _Key("shots", _integer(minimum=1)),
+    "tau_points": _Key("tau_points", _integer(minimum=8)),
+    "decay_spans": _Key("decay_spans", _POSITIVE),
+    "omega_q_ghz": _Key("system", _POSITIVE, ("qubit", "max_frequency"), 1e9),
+    "omega_r_ghz": _Key("system", _POSITIVE, ("resonator", "resonance_frequency"), 1e9),
+    "g_mhz": _Key("system", _POSITIVE, ("qubit", "coupling"), 1e6),
+    "alpha_mhz": _Key("system", _number(exclusiveMaximum=0), ("qubit", "anharmonicity"), 1e6),
+    "kappa_x_mhz": _Key("system", _POSITIVE, ("resonator", "external_rate"), 1e6),
+    "kappa_i_khz": _Key("system", _NON_NEGATIVE, ("resonator", "internal_rate"), 1e3),
+    "gamma1_mhz": _Key("system", _NON_NEGATIVE, ("qubit", "intrinsic_relaxation"), 1e6),
+    "gamma1_d_thermal_khz": _Key("system", _number(), (*_RATES, StateKind.THERMAL), 1e3),
+    # also sets the shot-noise rate, see _derive_system
+    "gamma1_d_coherent_khz": _Key("system", _number(), (*_RATES, StateKind.COHERENT), 1e3),
+    "gamma_phi0_mhz": _Key("system", _NON_NEGATIVE, ("qubit", "intrinsic_dephasing"), 1e6),
+    # every error block needs two samples
+    "count": _Key("count", _integer(minimum=2 * ERROR_BATCHES)),
+    "n_chain_1": _Key("chain_noise_photons", _NON_NEGATIVE, (0,)),
+    "n_chain_2": _Key("chain_noise_photons", _NON_NEGATIVE, (1,)),
+    "gain_1": _Key("gains", _POSITIVE, (0,)),
+    "gain_2": _Key("gains", _POSITIVE, (1,)),
+    "mode_ghz": _Key("mode", _POSITIVE, ("frequency",), 1e9),
+    "temperatures_k": _Key(
+        "temperatures",
+        {"type": ["array", "null"], "items": _POSITIVE, "minItems": 1},
+        pipelines=("dualpath_sweep",),
+    ),
+    "noise_statistics": _Key(
+        "noise_statistics", {"enum": ["thermal", "quantum_thermal", "classical"]}
+    ),
+    "n_n": _Key("n_n", _NON_NEGATIVE),
+    "gain_db": _Key("gain_db", _number(minimum=0)),
+    "operating_point": _Key("operating_point", {"enum": [*JPA_OPERATING_POINTS, None]}),
+    "chain_gain_db": _Key("chain_gain_db", _number()),
+    "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
+    "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
+    "power_noise_fraction": _Key("power_noise_fraction", _NON_NEGATIVE),
+    "t_min_k": _Key("temperatures", _POSITIVE, (0,), pipelines=("planck_calibration",)),
+    "t_max_k": _Key("temperatures", _POSITIVE, (1,), pipelines=("planck_calibration",)),
+    "n_temperatures": _Key(
+        "temperatures", _integer(minimum=4), (2,), pipelines=("planck_calibration",)
+    ),
+    "occupations": _Key("occupations", {"type": "array", "items": _NON_NEGATIVE, "minItems": 1}),
 }
 
-_EXPERIMENT_DEFAULTS: Dict[str, Dict] = {
-    "variance_curves": {"n_max": 10.0, "n_points": 201},
-    "ramsey_sweep": {
-        "state": "thermal",
-        "n_points": 12,
-        "n_min": 0.05,
-        "n_max": 1.5,
-        "shots": 10_000,
-        "tau_points": 161,
-        "decay_spans": 3.0,
-        "seed": 0,
-        **_SYSTEM_KEYS,
-    },
-    "dualpath_sweep": {
-        "count": 1_000_000,
-        "n_chain_1": 1.0,
-        "n_chain_2": 1.0,
-        "gain_1": 1.0,
-        "gain_2": 1.0,
-        "mode_ghz": 5.4,
-        "temperatures_k": None,
-        "seed": 0,
-    },
-    "jpa_sweep": {
-        "noise_statistics": "thermal",
-        "n_n": 0.66,
-        "gain_db": 15.8,
-        "n_max": 1.5,
-        "n_points": 16,
-        "operating_point": None,
-    },
-    "planck_calibration": {
-        "chain_gain_db": 145.0,
-        "t_chain_k": 3.0,
-        "bandwidth_khz": 400.0,
-        "power_noise_fraction": 0.0,
-        "mode_ghz": 5.4,
-        "t_min_k": 0.05,
-        "t_max_k": 1.5,
-        "n_temperatures": 30,
-        "seed": 0,
-    },
-    "quadrature_check": {"occupations": [0.1, 1.0], "count": 400_000, "seed": 0},
+#: Keys that also have a ``run`` flag of their own (``--n-points`` for ``n_points``).
+_FLAGS = ("seed", "state", "n_points", "shots", "count", "n_n", "noise_statistics")
+
+
+def _derive_system(system: DispersiveSystem) -> DispersiveSystem:
+    """Re-derive detuning and chi; shot noise relaxes like a coherent tone."""
+    rates = dict(system.qubit.relaxation_per_photon)
+    rates[StateKind.SHOT_NOISE] = rates[StateKind.COHERENT]
+    qubit = dataclasses.replace(system.qubit, relaxation_per_photon=rates)
+    return DispersiveSystem.derive(qubit, system.resonator)
+
+
+#: Parts of an argument whose pipeline default is None start from here: the
+#: Planck grid keys fill (first, last, count) of ``np.linspace``.
+_PART_STARTS = {"temperatures": PLANCK_TEMPERATURE_GRID}
+
+#: What turns an argument filled part by part into the pipeline argument.
+_FINISH = {"system": _derive_system, "temperatures": lambda grid: np.linspace(*grid)}
+
+# Read once at import: a tracing wrapper installed later around a pipeline
+# (benchmarks/tracing.py) has no defaults in its signature.
+_PIPELINE_DEFAULTS = {
+    name: {arg: param.default for arg, param in inspect.signature(fn).parameters.items()}
+    for name, fn in EXPERIMENTS.items()
 }
 
 
-def _coerce(key: str, value, reference):
-    if reference is None or isinstance(reference, str) or value is None:
-        return value
-    if isinstance(reference, bool):
-        return bool(value)
-    if isinstance(reference, int) and not isinstance(reference, bool):
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config field {key!r} must be an integer, got {value}")
-        return int(value)
-    if isinstance(reference, float):
-        return float(value)
-    if isinstance(reference, list):
-        return list(value)
+def _rows(experiment: str) -> Dict[str, _Key]:
+    """The table rows the experiment accepts."""
+    args = _PIPELINE_DEFAULTS[experiment]
+    return {
+        key: row
+        for key, row in _TABLE.items()
+        if row.arg in args and (not row.pipelines or experiment in row.pipelines)
+    }
+
+
+def _start(experiment: str, row: _Key):
+    """The value the row's part is read from and written into."""
+    if row.part and row.arg in _PART_STARTS:
+        return _PART_STARTS[row.arg]
+    return _PIPELINE_DEFAULTS[experiment][row.arg]
+
+
+def _get(value, part: tuple):
+    for step in part:
+        value = getattr(value, step) if isinstance(step, str) else value[step]
     return value
 
 
-_ENUM_FIELDS = {
-    "state": ("thermal", "coherent", "shot_noise"),
-    "noise_statistics": ("thermal", "quantum_thermal", "classical"),
-    "operating_point": ("jpa1", "jpa2a", "jpa2b", None),
-}
+def _put(value, part: tuple, item):
+    """A copy of ``value`` with its entry at ``part`` replaced by ``item``."""
+    if not part:
+        return item
+    step, rest = part[0], part[1:]
+    if isinstance(step, str):
+        return dataclasses.replace(value, **{step: _put(getattr(value, step), rest, item)})
+    if isinstance(value, tuple):
+        return value[:step] + (_put(value[step], rest, item),) + value[step + 1 :]
+    return {**value, step: _put(value[step], rest, item)}
+
+
+_BOUNDS = (
+    ("minimum", operator.ge, ">="),
+    ("exclusiveMinimum", operator.gt, ">"),
+    ("exclusiveMaximum", operator.lt, "<"),
+)
+
+
+def _conform(key: str, value, schema: dict):
+    """``value`` in the schema's type; ConfigError naming ``key`` if it does not conform."""
+    if "enum" in schema:
+        if value not in schema["enum"]:
+            raise ConfigError(
+                f"config field {key!r} must be one of {tuple(schema['enum'])}, got {value!r}"
+            )
+        return value
+    kind = schema["type"]
+    if "array" in kind:
+        if value is None and "null" in kind:
+            return None
+        least = schema.get("minItems", 0)
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise ConfigError(
+                f"config field {key!r} must be an array of at least {least} items, got {value!r}"
+            )
+        return [_conform(key, item, schema["items"]) for item in value]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (kind == "integer" and value != int(value))
+    ):
+        raise ConfigError(f"config field {key!r} must be a finite {kind}, got {value!r}")
+    value = int(value) if kind == "integer" else float(value)
+    for bound, holds, sign in _BOUNDS:
+        if bound in schema and not holds(value, schema[bound]):
+            raise ConfigError(f"config field {key!r} must be {sign} {schema[bound]}, got {value!r}")
+    return value
 
 
 def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict) -> dict:
-    """Merge defaults <- config file <- flag overrides, validating keys."""
-    if experiment not in _EXPERIMENT_DEFAULTS:
+    """Merge defaults <- config file <- flag overrides, checking every value."""
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose one of {sorted(EXPERIMENTS)}"
         )
-    config = dict(_EXPERIMENT_DEFAULTS[experiment])
+    rows = _rows(experiment)
+    config = {}
+    for key, row in rows.items():
+        value = _get(_start(experiment, row), row.part)
+        config[key] = value / row.scale if row.scale != 1 else _plain(value)
     for source_name, source in (("config file", file_config), ("override", overrides)):
-        if not source:
-            continue
-        for key, value in source.items():
-            if key not in config:
+        for key, value in (source or {}).items():
+            if key not in rows:
                 raise ConfigError(
                     f"unknown {source_name} field {key!r} for experiment "
-                    f"{experiment!r}; allowed: {sorted(config)}"
+                    f"{experiment!r}; allowed: {sorted(rows)}"
                 )
-            try:
-                config[key] = _coerce(key, value, _EXPERIMENT_DEFAULTS[experiment][key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config field {key!r}: {exc}") from exc
-    for key, allowed in _ENUM_FIELDS.items():
-        if key in config and config[key] not in allowed:
-            raise ConfigError(
-                f"config field {key!r} must be one of {allowed}, got {config[key]!r}"
-            )
+            config[key] = _conform(key, value, rows[key].schema)
     return config
 
 
-def _system_from_config(config: dict) -> DispersiveSystem:
-    qubit = QubitParams(
-        max_frequency=config["omega_q_ghz"] * 1e9,
-        coupling=config["g_mhz"] * 1e6,
-        anharmonicity=config["alpha_mhz"] * 1e6,
-        intrinsic_relaxation=config["gamma1_mhz"] * 1e6,
-        relaxation_per_photon={
-            StateKind.THERMAL: config["gamma1_d_thermal_khz"] * 1e3,
-            StateKind.COHERENT: config["gamma1_d_coherent_khz"] * 1e3,
-            StateKind.SHOT_NOISE: config["gamma1_d_coherent_khz"] * 1e3,
-            StateKind.VACUUM: 0.0,
-        },
-        intrinsic_dephasing=config["gamma_phi0_mhz"] * 1e6,
-    )
-    resonator = Resonator(
-        resonance_frequency=config["omega_r_ghz"] * 1e9,
-        external_rate=config["kappa_x_mhz"] * 1e6,
-        internal_rate=config["kappa_i_khz"] * 1e3,
-    )
-    return DispersiveSystem.derive(qubit, resonator)
+def _config_schema() -> dict:
+    """The JSON schema of the configuration, generated from the table."""
+    return {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "$id": "mwphoton/config.schema.json",
+        "title": "Experiment configuration",
+        "description": (
+            "JSON configuration accepted by `mwphoton run --config`. Keys carry explicit "
+            "units in their names; any subset may be given and flag overrides win. "
+            "`run` enforces exactly these types and bounds."
+        ),
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {key: row.schema for key, row in _TABLE.items()},
+    }
 
 
 def _experiment_kwargs(experiment: str, config: dict) -> dict:
     """Translate unit-suffixed config keys into pipeline arguments."""
-    if experiment == "variance_curves":
-        return {"n_max": config["n_max"], "n_points": config["n_points"]}
-    if experiment == "ramsey_sweep":
-        return {
-            "state": config["state"],
-            "n_points": config["n_points"],
-            "n_min": config["n_min"],
-            "n_max": config["n_max"],
-            "shots": config["shots"],
-            "seed": config["seed"],
-            "system": _system_from_config(config),
-            "tau_points": config["tau_points"],
-            "decay_spans": config["decay_spans"],
-        }
-    if experiment == "dualpath_sweep":
-        return {
-            "temperatures": config["temperatures_k"],
-            "count": config["count"],
-            "chain_noise_photons": (config["n_chain_1"], config["n_chain_2"]),
-            "gains": (config["gain_1"], config["gain_2"]),
-            "seed": config["seed"],
-            "mode": ModeSpec(config["mode_ghz"] * 1e9),
-        }
-    if experiment == "jpa_sweep":
-        return {
-            "noise_statistics": config["noise_statistics"],
-            "n_n": config["n_n"],
-            "gain_db": config["gain_db"],
-            "n_max": config["n_max"],
-            "n_points": config["n_points"],
-            "operating_point": config["operating_point"],
-        }
-    if experiment == "planck_calibration":
-        import numpy as np
-
-        return {
-            "temperatures": np.linspace(
-                config["t_min_k"], config["t_max_k"], config["n_temperatures"]
-            ),
-            "mode": ModeSpec(config["mode_ghz"] * 1e9),
-            "bandwidth": config["bandwidth_khz"] * 1e3,
-            "chain_gain_db": config["chain_gain_db"],
-            "chain_noise_temperature": config["t_chain_k"],
-            "power_noise_fraction": config["power_noise_fraction"],
-            "seed": config["seed"],
-        }
-    if experiment == "quadrature_check":
-        return {
-            "occupations": config["occupations"],
-            "count": config["count"],
-            "seed": config["seed"],
-        }
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    rows = _rows(experiment)
+    kwargs = {}
+    for key, value in config.items():
+        row = rows[key]
+        if row.scale != 1:
+            value = value * row.scale
+        start = kwargs[row.arg] if row.arg in kwargs else _start(experiment, row)
+        kwargs[row.arg] = _put(start, row.part, value)
+    for arg in {row.arg for row in rows.values() if row.part} & _FINISH.keys():
+        kwargs[arg] = _FINISH[arg](kwargs[arg])
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +304,6 @@ def _experiment_kwargs(experiment: str, config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
-    import numpy as np
-
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.integer):
@@ -256,8 +313,6 @@ def _format_cell(value) -> str:
 
 def _plain(value):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -432,12 +487,14 @@ def _print_report(report: dict) -> None:
 # Schemas
 # ---------------------------------------------------------------------------
 
-_SCHEMA_FILES = ("config.schema.json", "fits.schema.json", "manifest.schema.json", "report.schema.json")
+_SCHEMA_FILES = ("fits.schema.json", "manifest.schema.json", "report.schema.json")
 
 
 def _emit_schemas(out_dir: Optional[Path]) -> None:
+    texts = {"config.schema.json": json.dumps(_config_schema(), indent=2) + "\n"}
     for name in _SCHEMA_FILES:
-        text = resources.files("mwphoton.schemas").joinpath(name).read_text()
+        texts[name] = resources.files("mwphoton.schemas").joinpath(name).read_text()
+    for name, text in texts.items():
         if out_dir is None:
             print(f"--- {name} ---")
             print(text, end="")
@@ -468,13 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         help="output directory (default $MWPHOTON_OUTPUT_ROOT/<experiment> or runs/<experiment>)",
     )
-    run.add_argument("--seed", type=int, help="override the random seed")
-    run.add_argument("--state", help="field kind for ramsey_sweep")
-    run.add_argument("--n-points", type=int, dest="n_points")
-    run.add_argument("--shots", type=int)
-    run.add_argument("--count", type=int)
-    run.add_argument("--n-n", type=float, dest="n_n")
-    run.add_argument("--noise-statistics", dest="noise_statistics", choices=["thermal", "classical"])
+    for key in _FLAGS:
+        schema = _TABLE[key].schema
+        run.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type={"integer": int, "number": float}.get(schema.get("type")),
+            choices=schema.get("enum"),
+            help=f"set config field {key}",
+        )
     run.add_argument(
         "--set",
         action="append",
@@ -493,11 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in ("seed", "state", "n_points", "shots", "count", "n_n", "noise_statistics"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -523,7 +578,10 @@ def _command_run(args: argparse.Namespace) -> int:
             raise ConfigError("config file must hold a JSON object")
     overrides = _collect_overrides(args)
     config = resolve_config(args.experiment, file_config, overrides)
-    kwargs = _experiment_kwargs(args.experiment, config)
+    try:
+        kwargs = _experiment_kwargs(args.experiment, config)
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. a qubit on resonance
+        raise ConfigError(str(exc)) from exc
     try:
         result = run_experiment(args.experiment, **kwargs)
     except ConfigError:

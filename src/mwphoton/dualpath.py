@@ -42,6 +42,7 @@ from scipy.constants import h as PLANCK_H, k as k_B
 from .chains import CompressionPoint, compression_power, linear_to_db
 from .states import (
     MAX_MOMENT_ORDER,
+    SAMPLE_BATCH,
     MicrowaveState,
     ModeSpec,
     MomentSet,
@@ -750,34 +751,33 @@ def load_record_binary(data_path, sidecar_path=None) -> DetectionRecord:
     )
 
 
+_CSV_HEADER = ["index", "I1", "Q1", "I2", "Q2"]
+
+
 def save_record_csv(rec: DetectionRecord, path) -> None:
+    """Write one ``index,I1,Q1,I2,Q2`` row per sample, floats in ``repr`` form."""
+    table = np.stack(
+        (rec.envelopes_1.real, rec.envelopes_1.imag, rec.envelopes_2.real, rec.envelopes_2.imag),
+        axis=1,
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "I1", "Q1", "I2", "Q2"])
-        for i in range(rec.sample_count):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(rec.envelopes_1[i].real)),
-                    repr(float(rec.envelopes_1[i].imag)),
-                    repr(float(rec.envelopes_2[i].real)),
-                    repr(float(rec.envelopes_2[i].imag)),
-                ]
+        handle.write(",".join(_CSV_HEADER) + "\r\n")
+        # rows go through Python floats (~220 B per row), so convert a batch at a time
+        for start in range(0, rec.sample_count, SAMPLE_BATCH):
+            rows = table[start : start + SAMPLE_BATCH].tolist()
+            handle.writelines(
+                f"{i},{i1!r},{q1!r},{i2!r},{q2!r}\r\n"
+                for i, (i1, q1, i2, q2) in enumerate(rows, start)
             )
 
 
 def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUENCY, seed=0) -> DetectionRecord:
-    i1, q1, i2, q2 = [], [], [], []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        expected = ["index", "I1", "Q1", "I2", "Q2"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"CSV header must be {expected}, got {reader.fieldnames}")
-        for row in reader:
-            i1.append(float(row["I1"]))
-            q1.append(float(row["Q1"]))
-            i2.append(float(row["I2"]))
-            q2.append(float(row["Q2"]))
-    z1 = np.asarray(i1) + 1j * np.asarray(q1)
-    z2 = np.asarray(i2) + 1j * np.asarray(q2)
+        header = next(csv.reader([handle.readline()]), None)
+        if header != _CSV_HEADER:
+            raise ValueError(f"CSV header must be {_CSV_HEADER}, got {header}")
+        # a header-only file loads as shape (0, 1)
+        table = np.loadtxt(handle, delimiter=",", ndmin=2).reshape(-1, len(_CSV_HEADER))
+    z1 = table[:, 1] + 1j * table[:, 2]
+    z2 = table[:, 3] + 1j * table[:, 4]
     return DetectionRecord(z1, z2, tuple(chain_gains), if_frequency, seed)

@@ -73,18 +73,12 @@ __all__ = [
     "planck_calibration",
     "quadrature_check",
     "run_experiment",
+    "PLANCK_TEMPERATURE_GRID",
 ]
 
-_KIND_BY_NAME = {
-    "thermal": StateKind.THERMAL,
-    "coherent": StateKind.COHERENT,
-    "shot_noise": StateKind.SHOT_NOISE,
-    "vacuum": StateKind.VACUUM,
-}
-
-
-def _geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
+#: Default temperature grid of :func:`planck_calibration`, as the
+#: ``np.linspace`` arguments (first K, last K, count).
+PLANCK_TEMPERATURE_GRID = (0.05, 1.5, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +149,10 @@ def ramsey_sweep(
     are fitted with the photon-statistics law of the field (quadratic plus
     linear for thermal, linear for coherent and shot noise).
     """
-    kind = _KIND_BY_NAME[state]
+    kind = StateKind(state)
     if kind is StateKind.VACUUM:
         raise ValueError("a photon-number sweep needs a non-vacuum field")
-    grid = _geometric_grid(n_min, n_max, n_points)
+    grid = np.geomspace(n_min, n_max, n_points)
     rows = []
     extracted = []
     sigmas = []
@@ -276,7 +270,7 @@ def dualpath_sweep(
     """
     if temperatures is None:
         temperatures = [
-            float(effective_temperature(mode, n)) for n in _geometric_grid(0.1, 1.5, 10)
+            float(effective_temperature(mode, n)) for n in np.geomspace(0.1, 1.5, 10)
         ]
     rows = []
     g2_points = []
@@ -443,7 +437,7 @@ def planck_calibration(
     temperature, and the compression power.
     """
     if temperatures is None:
-        temperatures = np.linspace(0.05, 1.5, 30)
+        temperatures = np.linspace(*PLANCK_TEMPERATURE_GRID)
     temps = np.asarray(temperatures, dtype=float)
     chain_gain = 10.0 ** (chain_gain_db / 10.0)
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.constants import physical_constants
 
 from .cavity import Correlator, Resonator, correlator
-from .states import MicrowaveState, StateKind
+from .states import MicrowaveState, StateKind, _kind_of
 
 __all__ = [
     "QubitParams",
@@ -201,7 +201,7 @@ def dephasing_rate(
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    kind = kind.kind if isinstance(kind, MicrowaveState) else kind
+    kind = _kind_of(kind)
     kappa = sys.resonator.external_rate
     scale = kappa * sys.theta0 ** 2
     if background is not None:
@@ -262,7 +262,7 @@ def ramsey_envelope(
     """
     if tau < 0:
         raise ValueError("Ramsey delay must be >= 0")
-    kind = kind.kind if isinstance(kind, MicrowaveState) else kind
+    kind = _kind_of(kind)
     gamma1 = sys.qubit.relaxation_rate(kind, n_r)
     exponent = _TWO_PI * (gamma1 / 2.0 + sys.qubit.intrinsic_dephasing) * tau
     if form is EnvelopeForm.ASYMPTOTIC_RATE:

@@ -122,6 +122,11 @@ class MicrowaveState:
         return cls(StateKind.VACUUM, 0.0)
 
 
+def _kind_of(state: Union[MicrowaveState, StateKind]) -> StateKind:
+    """The kind of a state, or the kind itself when given one."""
+    return state.kind if isinstance(state, MicrowaveState) else state
+
+
 class Ordering(Enum):
     NORMAL = "normal"
     SYMMETRIZED = "symmetrized"

@@ -1,14 +1,150 @@
+import inspect
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mwphoton.cli import generate_report, main, resolve_config
+from mwphoton.cli import ConfigError, _experiment_kwargs, generate_report, main, resolve_config
+from mwphoton.experiments import EXPERIMENTS
+from mwphoton.states import StateKind
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# Oracle: the per-experiment defaults the CLI resolved when they were written
+# out by hand, device keys included.
+SYSTEM_DEFAULTS = {
+    "omega_q_ghz": 6.92,
+    "omega_r_ghz": 6.07,
+    "g_mhz": 67.0,
+    "alpha_mhz": -315.0,
+    "kappa_x_mhz": 8.5,
+    "kappa_i_khz": 50.0,
+    "gamma1_mhz": 3.9,
+    "gamma1_d_thermal_khz": 800.0,
+    "gamma1_d_coherent_khz": -30.0,
+    "gamma_phi0_mhz": 0.05,
+}
+
+DEFAULTS = {
+    "variance_curves": {"n_max": 10.0, "n_points": 201},
+    "ramsey_sweep": {
+        "state": "thermal",
+        "n_points": 12,
+        "n_min": 0.05,
+        "n_max": 1.5,
+        "shots": 10_000,
+        "tau_points": 161,
+        "decay_spans": 3.0,
+        "seed": 0,
+        **SYSTEM_DEFAULTS,
+    },
+    "dualpath_sweep": {
+        "count": 1_000_000,
+        "n_chain_1": 1.0,
+        "n_chain_2": 1.0,
+        "gain_1": 1.0,
+        "gain_2": 1.0,
+        "mode_ghz": 5.4,
+        "temperatures_k": None,
+        "seed": 0,
+    },
+    "jpa_sweep": {
+        "noise_statistics": "thermal",
+        "n_n": 0.66,
+        "gain_db": 15.8,
+        "n_max": 1.5,
+        "n_points": 16,
+        "operating_point": None,
+    },
+    "planck_calibration": {
+        "chain_gain_db": 145.0,
+        "t_chain_k": 3.0,
+        "bandwidth_khz": 400.0,
+        "power_noise_fraction": 0.0,
+        "mode_ghz": 5.4,
+        "t_min_k": 0.05,
+        "t_max_k": 1.5,
+        "n_temperatures": 30,
+        "seed": 0,
+    },
+    "quadrature_check": {"occupations": [0.1, 1.0], "count": 400_000, "seed": 0},
+}
+
+# A value just outside the bound or enum of every bounded or enumerated key.
+OUT_OF_RANGE = {
+    "seed": -1,
+    "state": "vacuum",
+    "n_points": 1,
+    "n_min": 0.0,
+    "n_max": 0.0,
+    "shots": 0,
+    "tau_points": 7,
+    "decay_spans": 0.0,
+    "omega_q_ghz": 0.0,
+    "omega_r_ghz": 0.0,
+    "g_mhz": 0.0,
+    "alpha_mhz": 0.0,
+    "kappa_x_mhz": 0.0,
+    "kappa_i_khz": -1e-3,
+    "gamma1_mhz": -1e-3,
+    "gamma_phi0_mhz": -1e-3,
+    "count": 39,
+    "n_chain_1": -1e-3,
+    "n_chain_2": -1e-3,
+    "gain_1": 0.0,
+    "gain_2": 0.0,
+    "mode_ghz": 0.0,
+    "temperatures_k": [0.3, 0.0],
+    "noise_statistics": "quantum",
+    "n_n": -1e-3,
+    "gain_db": -1e-3,
+    "operating_point": "jpa3",
+    "t_chain_k": -1e-3,
+    "bandwidth_khz": 0.0,
+    "power_noise_fraction": -1e-3,
+    "t_min_k": 0.0,
+    "t_max_k": 0.0,
+    "n_temperatures": 3,
+    "occupations": [-1e-3],
+}
+
+BOUNDS = {"minimum", "exclusiveMinimum", "exclusiveMaximum"}
+
+# Inclusive bounds accept the bound itself.
+AT_BOUND = {
+    "seed": 0,
+    "n_points": 2,
+    "shots": 1,
+    "tau_points": 8,
+    "kappa_i_khz": 0.0,
+    "gamma1_mhz": 0.0,
+    "gamma_phi0_mhz": 0.0,
+    "count": 40,
+    "n_chain_1": 0.0,
+    "n_chain_2": 0.0,
+    "n_n": 0.0,
+    "gain_db": 0.0,
+    "t_chain_k": 0.0,
+    "power_noise_fraction": 0.0,
+    "n_temperatures": 4,
+    "occupations": [0.0],
+}
+
+
+def _taking(key):
+    """An experiment that accepts ``key``."""
+    return next(name for name, defaults in DEFAULTS.items() if key in defaults)
+
+
+def _config_schema(tmp_path):
+    out = tmp_path / "schemas"
+    assert run_cli("schema", "--out", str(out)) == 0
+    return json.loads((out / "config.schema.json").read_text())
 
 
 class TestConfigResolution:
@@ -35,6 +171,93 @@ class TestConfigResolution:
 
         with pytest.raises(ConfigError, match="unknown experiment"):
             resolve_config("spectroscopy", None, {})
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_resolved_defaults_match_oracle(self, experiment):
+        config = resolve_config(experiment, None, {})
+        assert config == DEFAULTS[experiment]
+        assert {k: type(v) for k, v in config.items()} == {
+            k: type(v) for k, v in DEFAULTS[experiment].items()
+        }
+
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_default_config_feeds_the_pipeline_defaults(self, experiment):
+        kwargs = _experiment_kwargs(experiment, resolve_config(experiment, None, {}))
+        params = inspect.signature(EXPERIMENTS[experiment]).parameters
+        for arg, value in kwargs.items():
+            default = params[arg].default
+            if experiment == "planck_calibration" and arg == "temperatures":
+                np.testing.assert_array_equal(value, np.linspace(0.05, 1.5, 30))
+            elif isinstance(default, tuple):
+                assert tuple(value) == default, arg
+            else:
+                assert value == default, arg
+
+    def test_keys_fill_their_parts_in_pipeline_units(self):
+        config = resolve_config(
+            "ramsey_sweep",
+            None,
+            {"omega_q_ghz": 7.1, "kappa_x_mhz": 9.5, "gamma1_d_coherent_khz": -10},
+        )
+        system = _experiment_kwargs("ramsey_sweep", config)["system"]
+        assert system.resonator.external_rate == 9.5e6
+        assert system.detuning == 7.1e9 - 6.07e9
+        rates = system.qubit.relaxation_per_photon
+        assert rates[StateKind.COHERENT] == rates[StateKind.SHOT_NOISE] == -10e3
+        assert rates[StateKind.THERMAL] == 800e3
+
+        config = resolve_config("dualpath_sweep", None, {"gain_1": 1.7, "n_chain_2": 0.5})
+        kwargs = _experiment_kwargs("dualpath_sweep", config)
+        assert kwargs["gains"] == (1.7, 1.0)
+        assert kwargs["chain_noise_photons"] == (1.0, 0.5)
+
+        config = resolve_config(
+            "planck_calibration", None, {"t_max_k": 1.2, "n_temperatures": 24, "bandwidth_khz": 300}
+        )
+        kwargs = _experiment_kwargs("planck_calibration", config)
+        np.testing.assert_array_equal(kwargs["temperatures"], np.linspace(0.05, 1.2, 24))
+        assert kwargs["bandwidth"] == 300e3
+
+    def test_every_bounded_key_has_an_out_of_range_case(self, tmp_path):
+        bounded = {
+            key
+            for key, fragment in _config_schema(tmp_path)["properties"].items()
+            if "enum" in fragment or set(fragment.get("items", fragment)) & BOUNDS
+        }
+        assert bounded == set(OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(_taking(key), None, {key: OUT_OF_RANGE[key]})
+
+    @pytest.mark.parametrize("key", sorted(AT_BOUND))
+    def test_inclusive_bound_accepted(self, key):
+        assert resolve_config(_taking(key), None, {key: AT_BOUND[key]})[key] == AT_BOUND[key]
+
+    @pytest.mark.parametrize("key", ["temperatures_k", "occupations"])
+    def test_empty_list_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(_taking(key), None, {key: []})
+
+    # chain_gain_db has no bound, so only the type check can reject these
+    @pytest.mark.parametrize("value", ["140", True, None, [140.0], float("nan"), float("inf")])
+    def test_mistyped_number_names_the_key(self, value):
+        with pytest.raises(ConfigError, match="chain_gain_db"):
+            resolve_config("planck_calibration", {"chain_gain_db": value}, {})
+
+    def test_schema_validates_resolved_defaults(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = _config_schema(tmp_path)
+        jsonschema.Draft7Validator.check_schema(schema)
+        for experiment in DEFAULTS:
+            jsonschema.validate(resolve_config(experiment, None, {}), schema)
+
+    def test_schema_properties_are_the_accepted_keys(self, tmp_path):
+        accepted = set().union(*(resolve_config(name, None, {}) for name in EXPERIMENTS))
+        assert set(_config_schema(tmp_path)["properties"]) == accepted
 
 
 class TestRunCommand:
@@ -95,6 +318,41 @@ class TestRunCommand:
         bad.write_text("{not json")
         code = run_cli("run", "variance_curves", "--config", str(bad), "--out", str(tmp_path / "y"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "experiment, count", [("quadrature_check", "3"), ("dualpath_sweep", "2")]
+    )
+    def test_count_below_two_per_error_block(self, tmp_path, capsys, experiment, count):
+        code = run_cli("run", experiment, "--count", count, "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert "'count'" in capsys.readouterr().err
+
+    def test_scalar_temperature_list_rejected(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "dualpath_sweep", "--set", "temperatures_k=5", "--out", str(tmp_path / "t")
+        )
+        assert code == 1
+        assert "temperatures_k" in capsys.readouterr().err
+
+    def test_noise_statistics_flag_takes_every_schema_value(self, tmp_path):
+        choices = _config_schema(tmp_path)["properties"]["noise_statistics"]["enum"]
+        assert "quantum_thermal" in choices
+        for value in choices:
+            out = tmp_path / value
+            code = run_cli(
+                "run", "jpa_sweep", "--noise-statistics", value, "--n-points", "4",
+                "--out", str(out),
+            )
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["noise_statistics"] == value
+
+    def test_qubit_on_resonance_is_a_configuration_error(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "ramsey_sweep", "--set", "omega_q_ghz=6.07", "--out", str(tmp_path / "q")
+        )
+        assert code == 1
+        assert "resonance" in capsys.readouterr().err
 
     def test_invalid_state_value(self, tmp_path):
         code = run_cli(

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -28,6 +29,7 @@ from mwphoton.dualpath import (
     wigner_gaussian_contour,
 )
 from mwphoton.states import (
+    SAMPLE_BATCH,
     MicrowaveState,
     ModeSpec,
     Ordering,
@@ -528,3 +530,43 @@ class TestRecordIO:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             load_record_csv(path)
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"index,I1,Q1,I2,Q2\r\n")
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="at least 2 samples"):
+            load_record_csv(path)
+
+    def test_csv_bytes_match_csv_writer_and_parse_exactly(self, tmp_path):
+        # more than one batch of rows, so the writer's row numbering carries over
+        rec = simulate_detection(
+            MicrowaveState.thermal(0.8), (0.3, 0.1), (1.5, 2.0), count=SAMPLE_BATCH + 5, seed=23
+        )
+        z1 = rec.envelopes_1.copy()
+        z1[:4] = [complex(-0.0, 5e-324), complex(1e300, -0.0), complex(-5e-324, -1e300), 0j]
+        rec = DetectionRecord(z1, rec.envelopes_2, rec.chain_gains, rec.if_frequency, rec.seed)
+        path = tmp_path / "record.csv"
+        save_record_csv(rec, path)
+        # oracle: the row-by-row csv.writer loop the writer replaced
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["index", "I1", "Q1", "I2", "Q2"])
+            for i in range(rec.sample_count):
+                writer.writerow(
+                    [
+                        i,
+                        repr(float(rec.envelopes_1[i].real)),
+                        repr(float(rec.envelopes_1[i].imag)),
+                        repr(float(rec.envelopes_2[i].real)),
+                        repr(float(rec.envelopes_2[i].imag)),
+                    ]
+                )
+        assert path.read_bytes() == oracle.read_bytes()
+        restored = load_record_csv(path)
+        # every cell parses back to its float64 bits; the complex assembly is
+        # the loader's own, so -0.0 parts may lose their sign there as before
+        pairs = ((rec.envelopes_1, restored.envelopes_1), (rec.envelopes_2, restored.envelopes_2))
+        for original, loaded in pairs:
+            expected = original.real + 1j * original.imag
+            assert loaded.tobytes() == expected.tobytes()
