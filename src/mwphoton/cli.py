@@ -326,7 +326,8 @@ def _plain(value):
     return value
 
 
-def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dict) -> None:
+def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dict) -> list:
+    """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in result["tables"].items():
         lines = [",".join(table["columns"])]
@@ -353,6 +354,7 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
+    return sorted([f"{name}.csv" for name in result["tables"]] + ["fits.json", "manifest.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +594,8 @@ def _command_run(args: argparse.Namespace) -> int:
         raise NumericalError(f"experiment {args.experiment} failed: {exc}") from exc
     root = os.environ.get("MWPHOTON_OUTPUT_ROOT", "runs")
     out_dir = args.out or Path(root) / args.experiment
-    _write_run_outputs(out_dir, args.experiment, config, result)
-    print(f"wrote {sorted(p.name for p in out_dir.iterdir())} to {out_dir}")
+    written = _write_run_outputs(out_dir, args.experiment, config, result)
+    print(f"wrote {written} to {out_dir}")
     return 0
 
 

@@ -24,7 +24,10 @@ point estimates invert the compensated total of those block sums and the
 error bars come from the scatter of the per-block inversions, so both rest
 on one set of sums.  The 70-entry I/Q table of :func:`cross_moments` stays
 as the export and diagnostic form and reaches the same inversion through
-:func:`reconstruct_signal_moments`.
+:func:`reconstruct_signal_moments`.  It costs one matrix product per error
+block: the 15 monomials I^a Q^b (a + b <= 4) of each path form one table
+per path, and their 15 x 15 Gram matrix holds every block sum
+<I1^n Q1^k I2^m Q2^l> at row (n, k) and column (m, l).
 """
 
 from __future__ import annotations
@@ -153,20 +156,30 @@ class CrossMomentSet:
         return all(key in self.entries for key in CROSS_MOMENT_KEYS)
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "entries": {
                 ",".join(map(str, key)): [value, 0.0]
                 for key, value in sorted(self.entries.items())
             },
             "sample_count": self.sample_count,
         }
+        if self.std_errors is not None:
+            payload["std_errors"] = {
+                ",".join(map(str, key)): value for key, value in sorted(self.std_errors.items())
+            }
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CrossMomentSet":
-        entries = {}
-        for key, (re, _im) in payload["entries"].items():
-            entries[tuple(int(tok) for tok in key.split(","))] = float(re)
-        return cls(entries, sample_count=int(payload.get("sample_count", 0)))
+        def key_of(text):
+            return tuple(int(tok) for tok in text.split(","))
+
+        entries = {key_of(key): float(re) for key, (re, _im) in payload["entries"].items()}
+        errors = payload.get("std_errors")
+        std_errors = (
+            None if errors is None else {key_of(key): float(v) for key, v in errors.items()}
+        )
+        return cls(entries, std_errors, int(payload.get("sample_count", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,43 +280,51 @@ def _error_blocks(count: int):
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+#: Exponents (a, b) of the single-path monomials x^a y^b, a + b <= 4, in
+#: order of total degree, so each one is a multiple of an earlier one.
+_MONOMIALS = tuple(
+    (a, total - a) for total in range(MAX_MOMENT_ORDER + 1) for a in range(total, -1, -1)
+)
+_MONOMIAL_ROW = {powers: row for row, powers in enumerate(_MONOMIALS)}
+# key (n, m, k, l) sits at row I1^n Q1^k and column I2^m Q2^l of the Gram matrix
+_GRAM_ROWS = np.array([_MONOMIAL_ROW[(n, k)] for n, m, k, l in CROSS_MOMENT_KEYS])
+_GRAM_COLS = np.array([_MONOMIAL_ROW[(m, l)] for n, m, k, l in CROSS_MOMENT_KEYS])
+
+
+def _monomial_table(z: np.ndarray) -> np.ndarray:
+    """Rows I^a Q^b of ``z`` for the exponents in ``_MONOMIALS``, one multiply each."""
+    table = np.empty((len(_MONOMIALS), z.size))
+    table[0] = 1.0
+    for row, (a, b) in enumerate(_MONOMIALS[1:], 1):
+        if b:
+            np.multiply(table[_MONOMIAL_ROW[(a, b - 1)]], z.imag, out=table[row])
+        else:
+            np.multiply(table[_MONOMIAL_ROW[(a - 1, 0)]], z.real, out=table[row])
+    return table
+
+
 def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     """All 70 averaged products <I1^n I2^m Q1^k Q2^l> with n+m+k+l <= 4.
 
-    Accumulation runs over ERROR_BATCHES contiguous blocks whose totals are
-    combined with compensated summation, so the result is reproducible to
-    1e-12 regardless of scheduling; the block means also provide per-moment
-    standard errors.
+    Each of the ERROR_BATCHES contiguous blocks costs one matrix product:
+    with L and R the 15-row tables of monomials I^a Q^b (a + b <= 4) of
+    path 1 and path 2, the Gram matrix L @ R.T holds the block sum of
+    I1^n Q1^k I2^m Q2^l at row (n, k) and column (m, l), and two index
+    arrays built at import pick the 70 entries.  Each entry is the
+    compensated sum of its block sums over the record length, so the
+    result does not depend on scheduling; the scatter of the block means
+    gives the per-moment standard errors.
     """
     count = rec.sample_count
-    i1 = rec.envelopes_1.real
-    q1 = rec.envelopes_1.imag
-    i2 = rec.envelopes_2.real
-    q2 = rec.envelopes_2.imag
-    batch_sums = {key: [] for key in CROSS_MOMENT_KEYS}
-    batch_sizes = []
-    for lo, hi in _error_blocks(count):
-        batch_sizes.append(hi - lo)
-        powers = {}
-        for name, arr in (("i1", i1[lo:hi]), ("i2", i2[lo:hi]), ("q1", q1[lo:hi]), ("q2", q2[lo:hi])):
-            acc = [np.ones(hi - lo)]
-            for _ in range(MAX_MOMENT_ORDER):
-                acc.append(acc[-1] * arr)
-            powers[name] = acc
-        for n, m, k, l in CROSS_MOMENT_KEYS:
-            product = powers["i1"][n] * powers["i2"][m] * powers["q1"][k] * powers["q2"][l]
-            batch_sums[(n, m, k, l)].append(float(np.sum(product)))
-    entries = {}
-    std_errors = {}
-    sizes = np.asarray(batch_sizes, dtype=float)
-    for key in CROSS_MOMENT_KEYS:
-        sums = batch_sums[key]
-        entries[key] = math.fsum(sums) / count
-        means = np.asarray(sums) / sizes
-        if len(sums) > 1:
-            std_errors[key] = float(np.std(means, ddof=1) / math.sqrt(len(sums)))
-        else:
-            std_errors[key] = float("nan")
+    blocks = _error_blocks(count)  # >= 2 blocks, since a record holds >= 2 samples
+    block_sums = np.empty((len(blocks), len(CROSS_MOMENT_KEYS)))
+    for index, (lo, hi) in enumerate(blocks):
+        gram = _monomial_table(rec.envelopes_1[lo:hi]) @ _monomial_table(rec.envelopes_2[lo:hi]).T
+        block_sums[index] = gram[_GRAM_ROWS, _GRAM_COLS]
+    sizes = np.array([hi - lo for lo, hi in blocks], dtype=float)
+    errors = np.std(block_sums / sizes[:, None], axis=0, ddof=1) / math.sqrt(len(blocks))
+    entries = {key: math.fsum(block_sums[:, j]) / count for j, key in enumerate(CROSS_MOMENT_KEYS)}
+    std_errors = dict(zip(CROSS_MOMENT_KEYS, errors.tolist()))
     entries[(0, 0, 0, 0)] = 1.0
     std_errors[(0, 0, 0, 0)] = 0.0
     return CrossMomentSet(entries, std_errors, count)
@@ -709,6 +730,17 @@ def wigner_gaussian_contour(n: float) -> float:
 # Record import/export
 # ---------------------------------------------------------------------------
 
+def _complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with exactly these parts.
+
+    ``re + 1j * im`` would turn a -0.0 real part into +0.0.
+    """
+    z = np.empty(re.size, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
 def save_record_binary(rec: DetectionRecord, data_path, sidecar_path=None) -> None:
     """Write little-endian float64 interleaved (I1, Q1, I2, Q2) plus a JSON sidecar."""
     data_path = Path(data_path)
@@ -744,8 +776,8 @@ def load_record_binary(data_path, sidecar_path=None) -> DetectionRecord:
         raise ValueError(
             f"binary record holds {raw.size} float64 values, expected {4 * count}"
         )
-    z1 = raw[0::4] + 1j * raw[1::4]
-    z2 = raw[2::4] + 1j * raw[3::4]
+    z1 = _complex_from_parts(raw[0::4], raw[1::4])
+    z2 = _complex_from_parts(raw[2::4], raw[3::4])
     return DetectionRecord(
         z1, z2, tuple(meta["chain_gains"]), meta["if_frequency"], int(meta["seed"])
     )
@@ -778,6 +810,6 @@ def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUE
             raise ValueError(f"CSV header must be {_CSV_HEADER}, got {header}")
         # a header-only file loads as shape (0, 1)
         table = np.loadtxt(handle, delimiter=",", ndmin=2).reshape(-1, len(_CSV_HEADER))
-    z1 = table[:, 1] + 1j * table[:, 2]
-    z2 = table[:, 3] + 1j * table[:, 4]
+    z1 = _complex_from_parts(table[:, 1], table[:, 2])
+    z2 = _complex_from_parts(table[:, 3], table[:, 4])
     return DetectionRecord(z1, z2, tuple(chain_gains), if_frequency, seed)

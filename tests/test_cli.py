@@ -308,6 +308,19 @@ class TestRunCommand:
         fits = json.loads((out / "fits.json").read_text())
         assert fits["summary"]["xi"] == pytest.approx(6.64, abs=1e-9)
 
+    def test_wrote_lists_only_this_runs_files(self, tmp_path, capsys):
+        out = tmp_path / "shared"
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 0
+        assert capsys.readouterr().out == (
+            f"wrote ['fits.json', 'manifest.json', 'variance_curves.csv'] to {out}\n"
+        )
+        assert run_cli("run", "jpa_sweep", "--out", str(out)) == 0
+        # variance_curves.csv is still in the directory, but this run did not write it
+        assert (out / "variance_curves.csv").exists()
+        assert capsys.readouterr().out == (
+            f"wrote ['fits.json', 'g2_minus_offset.csv', 'manifest.json'] to {out}\n"
+        )
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "ramsey_sweep", "--set", "bogus_key=1", "--out", str(tmp_path / "x"))
         assert code == 1

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -228,9 +229,19 @@ class TestCrossMoments:
     def test_json_round_trip(self):
         rec = simulate_detection(MicrowaveState.thermal(0.4), count=5_000, seed=14)
         cm = cross_moments(rec)
-        restored = CrossMomentSet.from_json_dict(cm.to_json_dict())
+        # through the JSON text, as a file would hold it
+        restored = CrossMomentSet.from_json_dict(json.loads(json.dumps(cm.to_json_dict())))
         assert restored.entries == cm.entries
+        assert restored.std_errors == cm.std_errors
         assert restored.sample_count == cm.sample_count
+
+    def test_json_round_trip_without_errors(self):
+        cm = analytic_cross_moments(1.2)
+        payload = json.loads(json.dumps(cm.to_json_dict()))
+        assert "std_errors" not in payload
+        restored = CrossMomentSet.from_json_dict(payload)
+        assert restored.entries == cm.entries
+        assert restored.std_errors is None
 
 
 class TestReconstruction:
@@ -564,9 +575,23 @@ class TestRecordIO:
                 )
         assert path.read_bytes() == oracle.read_bytes()
         restored = load_record_csv(path)
-        # every cell parses back to its float64 bits; the complex assembly is
-        # the loader's own, so -0.0 parts may lose their sign there as before
-        pairs = ((rec.envelopes_1, restored.envelopes_1), (rec.envelopes_2, restored.envelopes_2))
-        for original, loaded in pairs:
-            expected = original.real + 1j * original.imag
-            assert loaded.tobytes() == expected.tobytes()
+        # every cell parses back to its float64 bits, -0.0 parts included
+        assert restored.envelopes_1.tobytes() == rec.envelopes_1.tobytes()
+        assert restored.envelopes_2.tobytes() == rec.envelopes_2.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_round_trip_keeps_extreme_values_in_every_column(self, tmp_path, fmt):
+        specials = [-0.0, 5e-324, 1e300, -5e-324, -1e300, 0.0]
+        # every column (I1, Q1, I2, Q2) holds every special value, each at its own offset
+        z1 = np.empty(len(specials), dtype=complex)
+        z2 = np.empty(len(specials), dtype=complex)
+        z1.real, z1.imag, z2.real, z2.imag = (np.roll(specials, shift) for shift in range(4))
+        rec = DetectionRecord(z1, z2, (1.5, 2.0), seed=7)
+        if fmt == "binary":
+            save_record_binary(rec, tmp_path / "record.bin")
+            restored = load_record_binary(tmp_path / "record.bin")
+        else:
+            save_record_csv(rec, tmp_path / "record.csv")
+            restored = load_record_csv(tmp_path / "record.csv", rec.chain_gains, seed=rec.seed)
+        assert restored.envelopes_1.tobytes() == rec.envelopes_1.tobytes()
+        assert restored.envelopes_2.tobytes() == rec.envelopes_2.tobytes()

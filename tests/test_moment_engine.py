@@ -1,11 +1,13 @@
-"""The single-pass moment engine and the copy-free samplers against the
-routes they replaced, kept here as oracles.
+"""The single-pass moment engine, the Gram-product I/Q table and the
+copy-free samplers against the routes they replaced, kept here as oracles.
 
 The engine sums the 15 cross-path products once per error block; the old
 route estimated the 70-entry I/Q table over the whole record and again
-over every block.  Summation order differs, so the two agree to rounding
-(relative 1e-12).  The samplers draw the same numbers in the same order,
-so their output bytes must be identical.
+over every block.  The I/Q table now takes each block's sums from one
+15 x 15 Gram matrix of single-path monomials; the old loop formed every
+entry as its own product of four power arrays.  Summation order differs,
+so each pair agrees to rounding (relative 1e-12).  The samplers draw the
+same numbers in the same order, so their output bytes must be identical.
 """
 
 import math
@@ -15,6 +17,8 @@ import pytest
 
 from mwphoton.chains import g2_unnormalized
 from mwphoton.dualpath import (
+    CROSS_MOMENT_KEYS,
+    CrossMomentSet,
     DetectionRecord,
     cross_moments,
     hybrid_split,
@@ -24,6 +28,7 @@ from mwphoton.dualpath import (
 )
 from mwphoton.experiments import _reconstruct_with_errors
 from mwphoton.states import (
+    MAX_MOMENT_ORDER,
     SAMPLE_BATCH,
     MicrowaveState,
     StateKind,
@@ -46,6 +51,42 @@ STATES = {
 # Oracles: the routes before the single-pass engine
 # ---------------------------------------------------------------------------
 
+def _old_cross_moments(rec):
+    """The per-key loop: each entry a product of four power arrays, summed per block."""
+    count = rec.sample_count
+    i1 = rec.envelopes_1.real
+    q1 = rec.envelopes_1.imag
+    i2 = rec.envelopes_2.real
+    q2 = rec.envelopes_2.imag
+    batch_sums = {key: [] for key in CROSS_MOMENT_KEYS}
+    batch_sizes = []
+    bounds = np.linspace(0, count, 21).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi == lo:
+            continue
+        batch_sizes.append(hi - lo)
+        powers = {}
+        for name, arr in (("i1", i1[lo:hi]), ("i2", i2[lo:hi]), ("q1", q1[lo:hi]), ("q2", q2[lo:hi])):
+            acc = [np.ones(hi - lo)]
+            for _ in range(MAX_MOMENT_ORDER):
+                acc.append(acc[-1] * arr)
+            powers[name] = acc
+        for n, m, k, l in CROSS_MOMENT_KEYS:
+            product = powers["i1"][n] * powers["i2"][m] * powers["q1"][k] * powers["q2"][l]
+            batch_sums[(n, m, k, l)].append(float(np.sum(product)))
+    entries = {}
+    std_errors = {}
+    sizes = np.asarray(batch_sizes, dtype=float)
+    for key in CROSS_MOMENT_KEYS:
+        sums = batch_sums[key]
+        entries[key] = math.fsum(sums) / count
+        means = np.asarray(sums) / sizes
+        std_errors[key] = float(np.std(means, ddof=1) / math.sqrt(len(sums)))
+    entries[(0, 0, 0, 0)] = 1.0
+    std_errors[(0, 0, 0, 0)] = 0.0
+    return CrossMomentSet(entries, std_errors, count)
+
+
 def _old_point(moments):
     n = moments.entry(1, 1).real
     variance = moments.entry(2, 2).real + n - n * n
@@ -59,7 +100,7 @@ def _old_point(moments):
 
 
 def _old_reconstruct_with_errors(record, gains, block_count=20):
-    moments = reconstruct_signal_moments(cross_moments(record), gains)
+    moments = reconstruct_signal_moments(_old_cross_moments(record), gains)
     bounds = np.linspace(0, record.sample_count, block_count + 1).astype(int)
     block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -68,7 +109,7 @@ def _old_reconstruct_with_errors(record, gains, block_count=20):
         block = DetectionRecord(
             record.envelopes_1[lo:hi], record.envelopes_2[lo:hi], record.chain_gains
         )
-        for key, value in _old_point(reconstruct_signal_moments(cross_moments(block), gains)).items():
+        for key, value in _old_point(reconstruct_signal_moments(_old_cross_moments(block), gains)).items():
             block_values[key].append(value)
     errors = {
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -141,6 +182,50 @@ def test_single_pass_engine_matches_block_route(kind):
     for name in ("n", "g2", "var_p", "var_q"):
         assert point[name] == pytest.approx(old_point[name], rel=RTOL, abs=0.0), name
         assert errors[name] == pytest.approx(old_errors[name], rel=RTOL, abs=0.0), name
+
+
+# ---------------------------------------------------------------------------
+# Gram-product I/Q table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["thermal", "coherent", "shot_noise"])
+@pytest.mark.parametrize("count", [2, 3, 19, 21, 10_000, 60_013])
+def test_cross_moments_match_per_key_loop(kind, count):
+    # 2, 3 and 19 samples leave some of the 20 blocks empty and the rest
+    # one sample long; 21 and 60 013 give blocks of unequal size
+    record = simulate_detection(
+        STATES[kind], chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6), count=count, seed=count
+    )
+    new = cross_moments(record)
+    old = _old_cross_moments(record)
+    assert new.sample_count == old.sample_count == count
+    assert list(new.entries) == list(old.entries) == list(CROSS_MOMENT_KEYS)
+    assert list(new.std_errors) == list(CROSS_MOMENT_KEYS)
+    for key in CROSS_MOMENT_KEYS:
+        assert new.entries[key] == pytest.approx(old.entries[key], rel=RTOL, abs=1e-15), key
+        assert new.std_errors[key] == pytest.approx(old.std_errors[key], rel=RTOL, abs=1e-15), key
+    assert new.entries[(0, 0, 0, 0)] == 1.0 and new.std_errors[(0, 0, 0, 0)] == 0.0
+
+
+def test_cross_moments_same_bits_for_strided_record_and_its_copy():
+    wide = simulate_detection(
+        STATES["thermal"], chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6), count=20_026, seed=5
+    )
+    strided = DetectionRecord(wide.envelopes_1[1::2], wide.envelopes_2[1::2], wide.chain_gains)
+    assert not strided.envelopes_1.flags.c_contiguous
+    copy = DetectionRecord(
+        np.ascontiguousarray(strided.envelopes_1),
+        np.ascontiguousarray(strided.envelopes_2),
+        wide.chain_gains,
+    )
+    a, b, again = cross_moments(strided), cross_moments(copy), cross_moments(copy)
+    for result in (b, again):
+        assert np.array(list(result.entries.values())).tobytes() == (
+            np.array(list(a.entries.values())).tobytes()
+        )
+        assert np.array(list(result.std_errors.values())).tobytes() == (
+            np.array(list(a.std_errors.values())).tobytes()
+        )
 
 
 # ---------------------------------------------------------------------------
