@@ -28,6 +28,7 @@ given.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import inspect
 import json
@@ -372,7 +373,20 @@ def _check(name, value, band, reference=None):
     }
 
 
-def _build_checks(experiment: str, fits: dict, summary: dict) -> list:
+#: Width, in standard errors, of the quadrature-variance report checks.
+_QUADRATURE_K_SIGMA = 5.0
+
+
+def _read_table(path: Path) -> Dict[str, list]:
+    """The columns of a CSV table written by ``run``, by name, as strings."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {name: list(column) for name, column in zip(header, columns)}
+
+
+def _build_checks(experiment: str, fits: dict, summary: dict, read_table) -> list:
+    """Pass/fail checks of a run; ``read_table(name)`` gives the columns of one of its tables."""
     checks = []
     if experiment == "ramsey_sweep":
         slope = summary["slope_hz"]
@@ -435,11 +449,43 @@ def _build_checks(experiment: str, fits: dict, summary: dict) -> list:
                 )
             )
     elif experiment == "quadrature_check":
-        checks.append(
-            _check("runs_present", 1.0, (0.5, 1.5), "quadrature table emitted")
-        )
+        k = _QUADRATURE_K_SIGMA
+        table = read_table("quadratures")
+        for row, n in enumerate(table["n"]):
+            model = float(n) / 2.0 + 0.25
+            for quad in ("var_p", "var_q"):
+                err = float(table[f"{quad}_err"][row])
+                pull = (float(table[quad][row]) - model) / err if err > 0 else math.inf
+                checks.append(
+                    _check(
+                        f"{quad}_at_n_{n}",
+                        pull,
+                        (-k, k),
+                        f"({quad} - (n/2 + 1/4)) / {quad}_err within {k:g} sigma",
+                    )
+                )
     elif experiment == "variance_curves":
-        checks.append(_check("tables_present", 1.0, (0.5, 1.5)))
+        table = read_table("variance_curves")
+        state = np.array(table["state"])
+        n = np.array(table["n"], dtype=float)
+        sqrt_var = np.array(table["sqrt_var"], dtype=float)
+        closed_forms = (
+            ("thermal", np.sqrt(n * n + n)),
+            ("classical_limit", n),
+            ("coherent", np.sqrt(n)),
+        )
+        for name, model in closed_forms:
+            rows = state == name
+            deviation = np.abs(sqrt_var[rows] - model[rows])
+            scale = np.where(model[rows] > 0, model[rows], 1.0)  # absolute at sqrt_var = 0
+            checks.append(
+                _check(
+                    f"{name}_sqrt_var_closed_form",
+                    float(np.max(deviation / scale, initial=0.0)),
+                    (0.0, 1e-12),
+                    "largest relative deviation of any row from its closed form",
+                )
+            )
     return checks
 
 
@@ -461,7 +507,12 @@ def generate_report(run_dir: Path) -> dict:
     if missing_tables:
         raise ConfigError(f"run directory {run_dir} is missing tables: {missing_tables}")
     experiment = manifest["experiment"]
-    checks = _build_checks(experiment, fits_payload["fits"], fits_payload["summary"])
+    checks = _build_checks(
+        experiment,
+        fits_payload["fits"],
+        fits_payload["summary"],
+        lambda name: _read_table(run_dir / f"{name}.csv"),
+    )
     return {
         "experiment": experiment,
         "package_version": manifest["package_version"],

@@ -11,10 +11,18 @@ Gaussian-Wigner readouts used to rule out squeezing.
 
 The simulation operates on complex envelopes drawn from the Wigner
 distribution of the input state; the intermediate frequency is carried as
-metadata only (the statistics under test are envelope moments).  For
-record generation and moment accumulation, work is split into fixed-size
-batches with seeds keyed by (seed, stream, batch); results are therefore
-identical no matter how batches are scheduled, and batch totals are
+metadata only (the statistics under test are envelope moments).
+
+Work inside a record runs on a thread pool with one worker per available
+CPU (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals
+and runs array loops.  :func:`simulate_detection` makes one task per
+``SAMPLE_BATCH``: it samples the signal and the fourth port, splits them
+on the hybrid, adds chain noise and applies the gains on its own slice of
+the record, with generators keyed by (seed, stream, batch).
+:func:`_product_block_sums` makes one task per error block and returns
+the blocks in order.  A task's numbers depend on its batch or block
+alone, and results are combined in item order, so the record and every
+sum built on it are bit-identical for any worker count.  Block totals are
 combined with compensated summation.
 
 The reconstruction needs only the 15 complex cross-path products
@@ -35,6 +43,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -53,9 +63,9 @@ from .states import (
     _batch_layout,
     _batch_seed,
     _complex_normal,
+    _sample_batch,
     moment_keys,
     ordering_convert,
-    sample_envelopes,
 )
 
 __all__ = [
@@ -84,6 +94,10 @@ __all__ = [
 ERROR_BATCHES = 20
 
 DEFAULT_IF_FREQUENCY = 11e6  # Hz
+
+#: The (n, m) moment keys, built once: worker tasks may not call
+#: :func:`~mwphoton.states.moment_keys`, a public function.
+_MOMENT_KEYS = moment_keys()
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +209,37 @@ def hybrid_split(signal: np.ndarray, vacuum: np.ndarray) -> Tuple[np.ndarray, np
     v = np.array(vacuum, dtype=complex, order="C")
     if s.shape != v.shape:
         raise ValueError("signal and vacuum-port sequences must have equal length")
-    _split_in_place(s.reshape(-1), v.reshape(-1))
+    _hybrid_in_place(s, v)
     return s, v
 
 
-def _split_in_place(s: np.ndarray, v: np.ndarray) -> None:
-    """Overwrite 1-d ``s`` with (s + v)/sqrt(2) and ``v`` with (s - v)/sqrt(2).
-
-    Works batch by batch, so the only temporary is one batch long.
-    """
+def _hybrid_in_place(s: np.ndarray, v: np.ndarray) -> None:
+    """Overwrite ``s`` with (s + v)/sqrt(2) and ``v`` with (s - v)/sqrt(2)."""
     root_half = 1.0 / math.sqrt(2.0)
-    for _, lo, size in _batch_layout(s.size):
-        hi = lo + size
-        total = s[lo:hi] + v[lo:hi]
-        np.subtract(s[lo:hi], v[lo:hi], out=v[lo:hi])
-        v[lo:hi] *= root_half
-        np.multiply(total, root_half, out=s[lo:hi])
+    total = s + v
+    np.subtract(s, v, out=v)
+    v *= root_half
+    np.multiply(total, root_half, out=s)
 
 
-def _add_chain_noise(z: np.ndarray, n_photons: float, seed) -> None:
-    """Add, in place, circular Gaussian chain noise of ``n_photons`` envelope power.
+#: Worker threads of :func:`_map_on_cpus`: one per CPU this process may use.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity query on this platform
+    _WORKERS = os.cpu_count() or 1
 
-    The per-quadrature variance is n/2, i.e. the noise photons referred to
-    the chain input on top of the signal's own (already sampled) vacuum;
-    on a vacuum input each chain output then has per-quadrature variance
-    (2 n + 1)/4.
+
+def _map_on_cpus(fn, items) -> list:
+    """``[fn(item) for item in items]``, with the calls spread over ``_WORKERS`` threads.
+
+    numpy releases the GIL while it draws normals and runs array loops, so
+    the calls proceed side by side.  Each call must depend on its item
+    alone, so the results do not depend on the worker count.  ``fn`` must
+    call no function named in a module's ``__all__``: those are the entry
+    points that callers instrument, and they run on the calling thread only.
     """
-    if n_photons == 0.0:
-        return
-    sigma = math.sqrt(n_photons / 2.0)
-    for index, start, size in _batch_layout(z.size):
-        rng = np.random.default_rng(_batch_seed(seed, index))
-        z[start : start + size] += _complex_normal(rng, sigma, size)
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        return list(pool.map(fn, items))
 
 
 def simulate_detection(
@@ -246,6 +259,13 @@ def simulate_detection(
     referred to the chain input) before multiplication by sqrt(gain).  The
     fourth port defaults to exact vacuum; a small thermal occupation can be
     injected through ``vacuum_port_photons``.
+
+    Chain noise of n photons has per-quadrature variance n/2 on top of the
+    signal's own (already sampled) vacuum, so on a vacuum input each chain
+    output has per-quadrature variance (2 n + 1)/4.  Every ``SAMPLE_BATCH``
+    runs the whole chain on its own slice of the record, with generators
+    keyed by (seed, stream, batch), so the batches run on all CPUs and the
+    record does not depend on how many there are.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -255,22 +275,33 @@ def simulate_detection(
     if vacuum_port_photons < 0:
         raise ValueError("vacuum-port occupation must be >= 0")
     root = np.random.SeedSequence(seed)
-    streams = [
+    signal_stream, port_stream, *noise_streams = [
         np.random.SeedSequence(entropy=root.entropy, spawn_key=(s,)) for s in range(4)
     ]
-    signal = sample_envelopes(state, count, streams[0])
     port_state = (
         MicrowaveState.vacuum()
         if vacuum_port_photons == 0.0
         else MicrowaveState.thermal(vacuum_port_photons)
     )
-    port = sample_envelopes(port_state, count, streams[1])
     # the hybrid outputs overwrite the two sampled buffers, and chain noise
     # and gain act on them in place, so the record costs two allocations
-    _split_in_place(signal, port)
-    for z, n_chain, stream, gain in zip((signal, port), (n1, n2), streams[2:], gains):
-        _add_chain_noise(z, n_chain, stream)
-        z *= math.sqrt(gain)
+    signal = np.empty(count, dtype=complex)
+    port = np.empty(count, dtype=complex)
+    paths = tuple(zip((n1, n2), noise_streams, gains))
+
+    def detect_batch(batch):
+        index, lo, size = batch
+        out = (signal[lo : lo + size], port[lo : lo + size])
+        _sample_batch(state, signal_stream, index, out[0])
+        _sample_batch(port_state, port_stream, index, out[1])
+        _hybrid_in_place(*out)
+        for z, (n_chain, stream, gain) in zip(out, paths):
+            if n_chain != 0.0:
+                rng = np.random.default_rng(_batch_seed(stream, index))
+                z += _complex_normal(rng, math.sqrt(n_chain / 2.0), size)
+            z *= math.sqrt(gain)
+
+    _map_on_cpus(detect_batch, _batch_layout(count))
     return DetectionRecord(signal, port, tuple(gains), if_frequency, seed)
 
 
@@ -330,35 +361,49 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     return CrossMomentSet(entries, std_errors, count)
 
 
+#: Keys (n, m) of the products z1^m conj(z2)^n with n, m >= 1, by max(n, m).
+#: For n + m <= 4 the smaller exponent is 1 or equals the larger one.
+_MIXED_KEYS = {
+    k: [(n, m) for n, m in _MOMENT_KEYS if min(n, m) >= 1 and max(n, m) == k]
+    for k in range(1, MAX_MOMENT_ORDER + 1)
+}
+assert all(min(key) in (1, k) for k, keys in _MIXED_KEYS.items() for key in keys)
+
+
 def _product_block_sums(rec: DetectionRecord):
     """Block sums of the 15 cross-path products z1^m conj(z2)^n, n + m <= 4.
 
     The blocks are those of :func:`cross_moments`.  Returns one
-    ``(size, sums)`` pair per block, with ``sums[(n, m)]`` the complex sum
-    of z1^m conj(z2)^n over the block; every product is built from shared
-    powers of z1 and conj(z2).
+    ``(size, sums)`` pair per block, in block order, with ``sums[(n, m)]``
+    the complex sum of z1^m conj(z2)^n over the block; every product is
+    built from shared powers of z1 and conj(z2).  Each block is summed on
+    its own, so the blocks run on all CPUs and the sums do not depend on
+    how many there are.
     """
-    blocks = []
-    for lo, hi in _error_blocks(rec.sample_count):
+
+    def block_sums(bounds):
+        lo, hi = bounds
         z1 = rec.envelopes_1[lo:hi]
         z2_bar = np.conj(rec.envelopes_2[lo:hi])
-        pow1 = [None, z1]
-        pow2 = [None, z2_bar]
-        for _ in range(MAX_MOMENT_ORDER - 1):
-            pow1.append(pow1[-1] * z1)
-            pow2.append(pow2[-1] * z2_bar)
-        sums = {}
-        for n, m in moment_keys():
-            if n == 0 and m == 0:
-                sums[(n, m)] = complex(hi - lo)
-            elif n == 0:
-                sums[(n, m)] = complex(pow1[m].sum())
-            elif m == 0:
-                sums[(n, m)] = complex(pow2[n].sum())
-            else:
-                sums[(n, m)] = complex((pow1[m] * pow2[n]).sum())
-        blocks.append((hi - lo, sums))
-    return blocks
+        product = np.empty_like(z2_bar)
+        sums = {(0, 0): complex(hi - lo)}
+        # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
+        # block holds four arrays at a time
+        pow1, pow2 = z1, z2_bar
+        for k in range(1, MAX_MOMENT_ORDER + 1):
+            if k == 2:
+                pow1, pow2 = pow1 * z1, pow2 * z2_bar
+            elif k > 2:
+                np.multiply(pow1, z1, out=pow1)
+                np.multiply(pow2, z2_bar, out=pow2)
+            sums[(0, k)] = complex(pow1.sum())
+            sums[(k, 0)] = complex(pow2.sum())
+            for n, m in _MIXED_KEYS[k]:
+                np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
+                sums[(n, m)] = complex(product.sum())
+        return hi - lo, sums
+
+    return _map_on_cpus(block_sums, _error_blocks(rec.sample_count))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +417,7 @@ def _expansion_table():
     I1^a Q1^(m-a) I2^c Q2^(n-c); solved once at import and reused.
     """
     table = {}
-    for n, m in moment_keys():
+    for n, m in _MOMENT_KEYS:
         terms = []
         for a in range(m + 1):
             for c in range(n + 1):
@@ -406,7 +451,7 @@ def reconstruct_signal_moments(
         missing = [key for key in CROSS_MOMENT_KEYS if key not in cm.entries]
         raise ValueError(f"cross-moment set incomplete; missing {missing[:5]}...")
     products = {}
-    for n, m in moment_keys():
+    for n, m in _MOMENT_KEYS:
         total = 0j
         for key, coeff in _CROSS_EXPANSION[(n, m)]:
             total += coeff * cm.entries[key]
@@ -442,13 +487,13 @@ def _moments_from_products(
     s_v = vacuum_port_photons + 0.5
 
     raw = {}
-    for n, m in moment_keys():
+    for n, m in _MOMENT_KEYS:
         total = products[(n, m)] / (g1 ** (m / 2.0) * g2 ** (n / 2.0))
         raw[(n, m)] = total * 2.0 ** ((n + m) / 2.0)
 
     sym: Dict[Tuple[int, int], complex] = {}
     for order in range(MAX_MOMENT_ORDER + 1):
-        level = [(n, m) for (n, m) in moment_keys() if n + m == order]
+        level = [(n, m) for (n, m) in _MOMENT_KEYS if n + m == order]
         for n, m in level:
             value = raw[(n, m)]
             for p in range(1, min(n, m) + 1):

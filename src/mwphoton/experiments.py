@@ -253,6 +253,19 @@ def _reconstruct_with_errors(record, gains):
     return moments, _point_values(moments), errors
 
 
+def _detect_point(state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0)):
+    """Point values and block errors of one simulated sweep point.
+
+    The record lives only inside this call, so a sweep holds one record at
+    a time.
+    """
+    record = simulate_detection(
+        state, chain_noise_photons=chain_noise_photons, gains=gains, count=count, seed=seed
+    )
+    _, point, errors = _reconstruct_with_errors(record, record.chain_gains)
+    return point, errors
+
+
 def dualpath_sweep(
     temperatures: Optional[Sequence[float]] = None,
     count: int = 1_000_000,
@@ -277,14 +290,9 @@ def dualpath_sweep(
     g2_weights = []
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
-        record = simulate_detection(
-            MicrowaveState.thermal(n_true),
-            chain_noise_photons=chain_noise_photons,
-            gains=gains,
-            count=count,
-            seed=seed + 7919 * index,
+        point, errors = _detect_point(
+            MicrowaveState.thermal(n_true), count, seed + 7919 * index, chain_noise_photons, gains
         )
-        _, point, errors = _reconstruct_with_errors(record, gains)
         rows.append(
             [
                 float(temp),
@@ -521,10 +529,7 @@ def quadrature_check(
     rows = []
     for index, n in enumerate(occupations):
         n = float(n)
-        record = simulate_detection(
-            MicrowaveState.thermal(n), count=count, seed=seed + 104729 * index
-        )
-        _, point, errors = _reconstruct_with_errors(record, record.chain_gains)
+        point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
         rows.append(
             [
                 n,

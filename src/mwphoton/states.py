@@ -313,24 +313,33 @@ def sample_envelopes(
     if count < 0:
         raise ValueError("sample count must be >= 0")
     out = np.empty(count, dtype=complex)
-    n = state.mean_photons
     for index, start, size in _batch_layout(count):
-        rng = np.random.default_rng(_batch_seed(seed, index))
-        z = out[start : start + size]
-        # quadratures drawn interleaved (I, Q pairs viewed as complex) so a
-        # short final batch is a prefix of the full batch it replaces
-        if state.kind in (StateKind.THERMAL, StateKind.VACUUM):
-            sigma = math.sqrt((2.0 * n + 1.0) / 4.0)
-            z[:] = _complex_normal(rng, sigma, size)
-        elif state.kind is StateKind.COHERENT:
-            z[:] = _complex_normal(rng, 0.5, size)
-            z += state.amplitude
-        else:  # shot noise: fixed modulus, batch-random global phase
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            carrier = math.sqrt(n) * np.exp(1j * phase)
-            z[:] = _complex_normal(rng, 0.5, size)
-            z += carrier
+        _sample_batch(state, seed, index, out[start : start + size])
     return out
+
+
+def _sample_batch(
+    state: MicrowaveState, seed: Union[int, np.random.SeedSequence], index: int, z: np.ndarray
+) -> None:
+    """Fill ``z`` with batch ``index`` of :func:`sample_envelopes` for ``seed``.
+
+    Each batch draws from its own generator, so batches can be filled in
+    any order, or at once on several threads.
+    """
+    rng = np.random.default_rng(_batch_seed(seed, index))
+    n = state.mean_photons
+    # quadratures drawn interleaved (I, Q pairs viewed as complex) so a
+    # short final batch is a prefix of the full batch it replaces
+    if state.kind in (StateKind.THERMAL, StateKind.VACUUM):
+        z[:] = _complex_normal(rng, math.sqrt((2.0 * n + 1.0) / 4.0), z.size)
+    elif state.kind is StateKind.COHERENT:
+        z[:] = _complex_normal(rng, 0.5, z.size)
+        z += state.amplitude
+    else:  # shot noise: fixed modulus, batch-random global phase
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        carrier = math.sqrt(n) * np.exp(1j * phase)
+        z[:] = _complex_normal(rng, 0.5, z.size)
+        z += carrier
 
 
 def _complex_normal(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:

@@ -1,5 +1,7 @@
+import csv
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 
@@ -422,6 +424,78 @@ class TestReportCommand:
         report = generate_report(out)
         rho_checks = [c for c in report["checks"] if c["name"] == "g2_quadratic_rho"]
         assert rho_checks and rho_checks[0]["band"] == [1.9, 2.1]
+
+
+def _tamper(path, row, column, change):
+    """Rewrite one cell of a run's CSV table as ``change(float(cell))``."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1 + row].split(",")
+    cells[header.index(column)] = repr(change(float(cells[header.index(column)])))
+    lines[1 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _failed_checks(run_dir):
+    return sorted(c["name"] for c in generate_report(run_dir)["checks"] if not c["passed"])
+
+
+class TestReportPhysicsChecks:
+    @pytest.fixture(scope="class")
+    def quadrature_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("quadrature") / "run"
+        assert run_cli("run", "quadrature_check", "--count", "40000", "--seed", "3", "--out", str(out)) == 0
+        return out
+
+    def test_quadrature_checks_pass_on_a_run(self, quadrature_run):
+        report = generate_report(quadrature_run)
+        assert report["all_passed"]
+        assert sorted(c["name"] for c in report["checks"]) == [
+            "var_p_at_n_0.1", "var_p_at_n_1.0", "var_q_at_n_0.1", "var_q_at_n_1.0",
+        ]
+        assert all(c["band"] == [-5.0, 5.0] for c in report["checks"])
+
+    @pytest.mark.parametrize("row, quad", [(0, "var_p"), (0, "var_q"), (1, "var_p"), (1, "var_q")])
+    def test_tampered_quadrature_variance_fails(self, quadrature_run, tmp_path, row, quad):
+        run = tmp_path / "run"
+        shutil.copytree(quadrature_run, run)
+        table = run / "quadratures.csv"
+        err = float(list(csv.DictReader(table.read_text().splitlines()))[row][f"{quad}_err"])
+        _tamper(table, row, quad, lambda value: value + 11.0 * err)
+        n = ["0.1", "1.0"][row]
+        assert _failed_checks(run) == [f"{quad}_at_n_{n}"]
+
+    def test_zero_quadrature_error_fails(self, quadrature_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(quadrature_run, run)
+        _tamper(run / "quadratures.csv", 1, "var_q_err", lambda value: 0.0)
+        assert _failed_checks(run) == ["var_q_at_n_1.0"]
+
+    @pytest.fixture(scope="class")
+    def curves_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("curves") / "run"
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 0
+        return out
+
+    def test_variance_curve_checks_pass_on_a_run(self, curves_run):
+        report = generate_report(curves_run)
+        assert report["all_passed"]
+        assert sorted(c["name"] for c in report["checks"]) == [
+            "classical_limit_sqrt_var_closed_form",
+            "coherent_sqrt_var_closed_form",
+            "thermal_sqrt_var_closed_form",
+        ]
+
+    # rows cycle thermal, classical_limit, coherent; rows 0-2 sit at n = 0
+    @pytest.mark.parametrize(
+        "row, state",
+        [(0, "thermal"), (300, "thermal"), (4, "classical_limit"), (602, "coherent"), (2, "coherent")],
+    )
+    def test_tampered_variance_curve_row_fails(self, curves_run, tmp_path, row, state):
+        run = tmp_path / "run"
+        shutil.copytree(curves_run, run)
+        _tamper(run / "variance_curves.csv", row, "sqrt_var", lambda value: value * (1 + 1e-11) + 1e-11)
+        assert _failed_checks(run) == [f"{state}_sqrt_var_closed_form"]
 
 
 class TestSchemaCommand:
