@@ -43,9 +43,7 @@ print(f"\nfilter function: peak {peak:.3e} /Hz = 2/kappa_x, half maximum at +kap
 
 # --- dephasing scale ----------------------------------------------------------
 scale = dephasing_gaussian(1.0, res, system.theta0)
-quadrature = dephasing_gaussian(1.0, res, system.theta0, method="quadrature")
 print(f"\nper-unit-variance dephasing: kappa_x theta0^2 = {scale/1e6:.3f} MHz")
-print(f"spectral quadrature agrees to {abs(quadrature/scale - 1):.2e} relative")
 
 correction = dephasing_master_correction(res, system.chi)
 print(

@@ -9,8 +9,9 @@ photon-photon correlator factorizes,
 where the decay rate depends on the field: white noise (thermal or shot)
 decays at the energy decay rate kappa_x, a coherent drive at the amplitude
 decay rate kappa_x / 2.  The module also provides the Lorentzian density of
-states of the resonator, its qubit-state-shifted variants, and the spectral
-integrals behind the photon-induced dephasing rates.
+states of the resonator, its qubit-state-shifted variants, and the
+photon-induced dephasing rates.  Their spectral integrals are integrals of
+products of Lorentzians over the whole line, so both rates are closed forms.
 
 Rates are stored as ordinary frequencies in Hz (the "/2pi" values); the
 2*pi factors are applied inside formulas that exponentiate a time.
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
-
-from scipy.integrate import quad
 
 from .states import MicrowaveState, StateKind, _kind_of
 
@@ -38,13 +37,6 @@ __all__ = [
     "dephasing_gaussian",
     "dephasing_master_correction",
 ]
-
-#: Integration window for spectral quadratures, in units of kappa_x around the
-#: resonance.  The Lorentzian-squared tail beyond 40 kappa_x contributes less
-#: than 9e-7 of the total integral (2 * (k/2)^4 / (3 X^3) relative to
-#: pi k / 4 at X = 40 k), below the 1e-6 agreement target.
-_QUAD_WINDOW = 40.0
-_QUAD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,54 +143,19 @@ def shifted_dos(omega: float, res: Resonator, chi: float, qubit_state: QubitStat
     return half / (half * half + offset * offset)
 
 
-def _checked_quad(integrand, center: float, halfwidth: float) -> float:
-    value, abserr = quad(
-        integrand,
-        center - halfwidth,
-        center + halfwidth,
-        epsrel=_QUAD_RTOL,
-        epsabs=0.0,
-        limit=200,
-        points=[center],
-    )
-    if value != 0 and abs(abserr / value) > 1e-6:
-        raise ArithmeticError(
-            "spectral quadrature did not converge: "
-            f"value={value!r}, abserr={abserr!r}"
-        )
-    return value
-
-
-def dephasing_gaussian(
-    var_n: float, res: Resonator, theta0: float, method: str = "closed_form"
-) -> float:
+def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:
     """Photon-induced dephasing rate in the Gaussian (weak-pull) approximation.
 
     The photon-number fluctuation spectrum of white noise filtered by the
     resonator is delta_n^2(omega) = (k/2)^2 F(omega)^2 Var(n_r), and the
-    dephasing rate is theta0^2 (4/pi) * integral of delta_n^2, which has
-    the closed form
+    dephasing rate is theta0^2 (4/pi) * integral of delta_n^2.  The
+    integral of the squared Lorentzian over the line is pi / kappa_x, so
 
         gamma_phi_n = Var(n_r) * kappa_x * theta0^2        (in Hz).
-
-    ``method="quadrature"`` evaluates the spectral integral numerically;
-    it agrees with the closed form to better than 1e-6 relative.
     """
     if var_n < 0:
         raise ValueError("photon-number variance must be >= 0")
-    kappa = res.external_rate
-    if method == "closed_form":
-        return var_n * kappa * theta0 * theta0
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    half = kappa / 2.0
-
-    def integrand(omega):
-        f = lorentzian_dos(omega, res)
-        return half * half * f * f * var_n
-
-    integral = _checked_quad(integrand, res.resonance_frequency, _QUAD_WINDOW * kappa)
-    return theta0 * theta0 * (4.0 / math.pi) * integral
+    return var_n * res.external_rate * theta0 * theta0
 
 
 def dephasing_master_correction(res: Resonator, chi: float) -> float:
@@ -212,10 +169,17 @@ def dephasing_master_correction(res: Resonator, chi: float) -> float:
 
         (k^2/4) [D_+ + D_-] / (k^2/4 + delta_r^2 + (chi/2)^2)
 
-    with D_pm offset by +-chi/2.  This routine evaluates that spectrum by
-    adaptive quadrature, normalizes it against its chi -> 0 limit (where it
-    collapses onto the Gaussian spectrum), weights by the squared phase
-    kick relative to the squared accumulated phase, and returns
+    with D_pm offset by +-chi/2.  With a = kappa_x/2, s = chi/2 and
+    b = sqrt(a^2 + s^2), each term is a product of two Lorentzians, one of
+    half-width a at -+s and one of half-width b at 0.  Over the whole line
+
+        int dx / ((g1^2 + (x - x1)^2) (g2^2 + (x - x2)^2))
+            = pi (g1 + g2) / (g1 g2 ((x1 - x2)^2 + (g1 + g2)^2)),
+
+    so the spectrum integrates to 2 pi a^2 (a + b) / (b (s^2 + (a + b)^2)),
+    which is pi at chi = 0, where the spectrum collapses onto the Gaussian
+    one.  The ratio of the two is weighted by the squared phase kick
+    relative to the squared accumulated phase, and the routine returns
 
         (gamma_gauss - gamma_resolved) / gamma_gauss.
 
@@ -231,17 +195,8 @@ def dephasing_master_correction(res: Resonator, chi: float) -> float:
         return 0.0
     a = kappa / 2.0
     s = chi / 2.0
-
-    def overlap(shift):
-        def integrand(omega):
-            delta = res.resonance_frequency - omega
-            d_plus = a / (a * a + (delta + shift) ** 2)
-            d_minus = a / (a * a + (delta - shift) ** 2)
-            return a * a * (d_plus + d_minus) / (a * a + delta * delta + shift * shift)
-
-        return _checked_quad(integrand, res.resonance_frequency, _QUAD_WINDOW * kappa)
-
-    spectral_ratio = overlap(s) / overlap(0.0)
+    b = math.hypot(a, s)
+    spectral_ratio = 2.0 * a * a * (a + b) / (b * (s * s + (a + b) ** 2))
     pull = s / a
     kick_ratio = pull * pull / math.atan(pull) ** 2
     return 1.0 - kick_ratio * spectral_ratio

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple, Union
 
-from scipy.constants import k as k_B
-
+from ._constants import k as k_B
 from .states import MicrowaveState, StateKind, _kind_of
 
 __all__ = [

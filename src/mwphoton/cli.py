@@ -409,6 +409,15 @@ def _build_checks(experiment: str, fits: dict, summary: dict, read_table) -> lis
                     "n^2 + n law: rho = xi",
                 )
             )
+        converged = np.array(read_table("dephasing_vs_n")["fit_converged"], dtype=float)
+        checks.append(
+            _check(
+                "ramsey_fits_converged",
+                float(np.count_nonzero(converged != 1.0)),
+                (0.0, 0.0),
+                "number of points whose Ramsey fit did not converge",
+            )
+        )
     elif experiment == "dualpath_sweep":
         checks.append(
             _check("g2_quadratic_rho", summary["rho"], (1.9, 2.1), "thermal g2 = 2 n^2; measured comparator rho = 2.07")

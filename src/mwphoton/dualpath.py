@@ -50,8 +50,8 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.constants import h as PLANCK_H, k as k_B
 
+from ._constants import h as PLANCK_H, k as k_B
 from .chains import CompressionPoint, compression_power, linear_to_db
 from .states import (
     MAX_MOMENT_ORDER,

@@ -33,8 +33,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.constants import physical_constants
 
+from ._constants import flux_quantum as MAGNETIC_FLUX_QUANTUM  # Wb
 from .cavity import Correlator, Resonator, correlator
 from .states import MicrowaveState, StateKind, _kind_of
 
@@ -53,8 +53,6 @@ __all__ = [
     "ramsey_envelope",
     "simulate_ramsey",
 ]
-
-MAGNETIC_FLUX_QUANTUM = physical_constants["mag. flux quantum"][0]  # Wb
 
 _TWO_PI = 2.0 * math.pi
 

@@ -30,7 +30,8 @@ from enum import Enum
 from typing import Dict, Tuple, Union
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
+
+from ._constants import hbar, k as k_B
 
 __all__ = [
     "MAX_MOMENT_ORDER",

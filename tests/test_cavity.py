@@ -19,6 +19,45 @@ from mwphoton.states import MicrowaveState, StateKind, photon_variance
 
 CHI = -3.11e6  # Hz, reference dispersive shift
 
+#: Window of the spectral quadrature oracle, in units of kappa_x around the
+#: resonance.  The Lorentzian-squared tail beyond 40 kappa_x contributes less
+#: than 9e-7 of the total integral (2 * (k/2)^4 / (3 X^3) relative to
+#: pi k / 4 at X = 40 k), below the 1e-6 agreement target.
+QUAD_WINDOW = 40.0
+
+
+def gaussian_rate_by_quadrature(var_n, res, theta0):
+    """Oracle: theta0^2 (4/pi) * integral of (k/2)^2 F(omega)^2 Var(n) over the window."""
+    half = res.external_rate / 2.0
+    center = res.resonance_frequency
+    window = QUAD_WINDOW * res.external_rate
+    integral, abserr = quad(
+        lambda omega: half * half * lorentzian_dos(omega, res) ** 2 * var_n,
+        center - window, center + window,
+        epsrel=1e-8, epsabs=0.0, limit=200, points=[center],
+    )
+    assert abserr <= 1e-6 * abs(integral)
+    return theta0 * theta0 * (4.0 / math.pi) * integral
+
+
+def master_correction_by_quadrature(pull):
+    """Oracle: the state-resolved correction from the dimensionless overlap
+    spectrum, x = delta_r / (kappa_x/2) and p = chi / kappa_x, integrated
+    over the whole line."""
+
+    def overlap(p):
+        def integrand(x):
+            d_plus = 1.0 / (1.0 + (x + p) ** 2)
+            d_minus = 1.0 / (1.0 + (x - p) ** 2)
+            return (d_plus + d_minus) / (1.0 + x * x + p * p)
+
+        value, abserr = quad(integrand, -math.inf, math.inf, epsrel=1e-10, epsabs=0.0, limit=200)
+        assert abserr <= 1e-9 * value
+        return value
+
+    kick_ratio = pull * pull / math.atan(pull) ** 2
+    return 1.0 - kick_ratio * overlap(pull) / overlap(0.0)
+
 
 class TestCorrelator:
     def test_thermal_variance_and_rate(self, resonator):
@@ -161,7 +200,7 @@ class TestDephasingGaussian:
 
     def test_linearity_in_variance(self, resonator, system):
         # quadrature oracle: the spectral integral doubles with the variance
-        doubled = dephasing_gaussian(2.0, resonator, system.theta0, method="quadrature")
+        doubled = gaussian_rate_by_quadrature(2.0, resonator, system.theta0)
         assert doubled == pytest.approx(6.8e6, rel=0.02)
         assert doubled == pytest.approx(
             2.0 * dephasing_gaussian(1.0, resonator, system.theta0), rel=1e-6
@@ -170,12 +209,8 @@ class TestDephasingGaussian:
     @pytest.mark.parametrize("theta0", np.linspace(0.05, 0.7, 6))
     def test_quadrature_matches_closed_form(self, theta0, resonator):
         closed = dephasing_gaussian(1.3, resonator, theta0)
-        numeric = dephasing_gaussian(1.3, resonator, theta0, method="quadrature")
+        numeric = gaussian_rate_by_quadrature(1.3, resonator, theta0)
         assert numeric == pytest.approx(closed, rel=1e-6)
-
-    def test_unknown_method_rejected(self, resonator):
-        with pytest.raises(ValueError):
-            dephasing_gaussian(1.0, resonator, 0.3, method="montecarlo")
 
 
 class TestMasterEquationCorrection:
@@ -194,6 +229,11 @@ class TestMasterEquationCorrection:
     def test_strong_pull_rejected(self, resonator):
         with pytest.raises(ValueError):
             dephasing_master_correction(resonator, resonator.external_rate)
+
+    @pytest.mark.parametrize("pull", [1e-4, 0.1, 0.3658, 0.5, 0.9, -0.3658])
+    def test_closed_form_matches_quadrature(self, pull, resonator):
+        closed = dephasing_master_correction(resonator, pull * resonator.external_rate)
+        assert closed == pytest.approx(master_correction_by_quadrature(pull), rel=1e-9)
 
 
 class TestDampedModeStochastics:

@@ -472,6 +472,26 @@ class TestReportPhysicsChecks:
         assert _failed_checks(run) == ["var_q_at_n_1.0"]
 
     @pytest.fixture(scope="class")
+    def ramsey_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ramsey") / "run"
+        assert run_cli("run", "ramsey_sweep", "--out", str(out)) == 0
+        return out
+
+    def test_ramsey_checks_pass_on_a_run(self, ramsey_run):
+        report = generate_report(ramsey_run)
+        assert report["all_passed"]
+        assert sorted(c["name"] for c in report["checks"]) == [
+            "photon_statistics_slope_vs_model", "ramsey_fits_converged", "thermal_rho_over_xi",
+        ]
+
+    @pytest.mark.parametrize("row", [0, 11])
+    def test_unconverged_ramsey_fit_fails(self, ramsey_run, tmp_path, row):
+        run = tmp_path / "run"
+        shutil.copytree(ramsey_run, run)
+        _tamper(run / "dephasing_vs_n.csv", row, "fit_converged", lambda value: 0)
+        assert _failed_checks(run) == ["ramsey_fits_converged"]
+
+    @pytest.fixture(scope="class")
     def curves_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("curves") / "run"
         assert run_cli("run", "variance_curves", "--out", str(out)) == 0
@@ -563,3 +583,22 @@ class TestEntryPoint:
             text=True,
         )
         assert result.returncode == 1
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # the runtime needs numpy alone: make ``import scipy`` fail, then
+        # run the CLI module as ``python -m`` would
+        without_scipy = (
+            "import runpy, sys; sys.modules['scipy'] = None; "
+            "runpy.run_module('mwphoton.cli', run_name='__main__', alter_sys=True)"
+        )
+        for argv in (
+            ["run", "planck_calibration", "--out", str(tmp_path / "run")],
+            ["report", str(tmp_path / "run")],
+            ["schema", "--out", str(tmp_path / "schemas")],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", without_scipy, *argv], capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+        assert json.loads((tmp_path / "run" / "report.json").read_text())["checks"]
+        assert any((tmp_path / "schemas").iterdir())
