@@ -25,9 +25,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .states import ModeSpec, bose_einstein
+from .states import ModeSpec, _bose_einstein_array
 
 __all__ = [
+    "NumericalError",
     "FitResult",
     "VarianceLawModel",
     "fit_ramsey",
@@ -42,6 +43,10 @@ _TWO_PI = 2.0 * math.pi
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
+
+
+class NumericalError(ValueError):
+    """A fit or solve cannot produce a trustworthy number from its input."""
 
 
 @dataclass
@@ -100,13 +105,13 @@ def _linear_least_squares(design: np.ndarray, y: np.ndarray, weights: Optional[n
         raise ValueError("weights must be >= 0")
     scale = np.sqrt(np.sum(design * design * w[:, None], axis=0))
     if np.any(scale == 0):
-        raise ValueError("rank-deficient design matrix (zero column)")
+        raise NumericalError("rank-deficient design matrix (zero column)")
     scaled = design / scale
     lhs = scaled.T @ (w[:, None] * scaled)
     rhs = scaled.T @ (w * y)
     cond = np.linalg.cond(lhs)
     if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"rank-deficient design matrix (condition number {cond:.2e})")
+        raise NumericalError(f"rank-deficient design matrix (condition number {cond:.2e})")
     beta_scaled = np.linalg.solve(lhs, rhs)
     beta = beta_scaled / scale
     residuals = y - design @ beta
@@ -219,9 +224,7 @@ def _ramsey_initial_guess(tau: np.ndarray, p: np.ndarray):
     return offset, amplitude, frequency, gamma2, phase
 
 
-def fit_ramsey(
-    trace: np.ndarray, weights: Optional[np.ndarray] = None
-) -> FitResult:
+def fit_ramsey(trace: np.ndarray) -> FitResult:
     """Fit p(tau) = offset + amplitude cos(2 pi f tau + phi) exp(-2 pi gamma2 tau).
 
     ``trace`` holds (tau, p_e) rows.  Initial guesses come from the FFT
@@ -254,7 +257,7 @@ def fit_ramsey(
             ]
         )
 
-    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, x0, weights)
+    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, x0)
     names = ("offset", "amplitude", "frequency", "gamma2", "phase")
     params = dict(zip(names, (float(v) for v in x)))
     # canonicalize: positive amplitude, phase folded into (-pi, pi]
@@ -353,7 +356,6 @@ def fit_stark_temperature_sweep(
     mode: ModeSpec,
     chi: float,
     weights: Optional[np.ndarray] = None,
-    initial: Tuple[float, float] = (0.9, 0.1),
 ) -> FitResult:
     """Fit the Stark-shift model d(omega_q) = 2 chi [eta n(T) + (1 - eta) n_n].
 
@@ -368,7 +370,7 @@ def fit_stark_temperature_sweep(
         raise ValueError("chi must be nonzero for a Stark calibration")
     temps = points[:, 0]
     shifts = points[:, 1]
-    occ = np.array([bose_einstein(mode, float(t)) for t in temps])
+    occ = _bose_einstein_array(mode, temps)
 
     def model(x):
         eta, n_n = x
@@ -383,7 +385,7 @@ def fit_stark_temperature_sweep(
             [2.0 * chi * (occ - n_n), 2.0 * chi * (1.0 - eta) * np.ones_like(occ)]
         )
 
-    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, initial, weights)
+    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, (0.9, 0.1), weights)
     names = ("eta", "n_n")
     params = dict(zip(names, (float(v) for v in x)))
     return FitResult(params, names, cov, float(np.linalg.norm(r)), converged, iterations)

@@ -43,9 +43,10 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
+from .analysis import NumericalError
 from .defaults import JPA_OPERATING_POINTS
 from .dualpath import ERROR_BATCHES
-from .experiments import EXPERIMENTS, PLANCK_TEMPERATURE_GRID, run_experiment
+from .experiments import EXPERIMENTS, run_experiment
 from .qubit import DispersiveSystem
 from .states import StateKind
 
@@ -56,10 +57,6 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
 
 
-class NumericalError(Exception):
-    """Numerical failure during a run; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Configuration handling
 # ---------------------------------------------------------------------------
@@ -67,20 +64,19 @@ class NumericalError(Exception):
 class _Key(NamedTuple):
     """One config key.
 
-    ``arg`` is the pipeline argument the key feeds and ``part`` the entry
-    of that argument it sets (attribute names, tuple indices or mapping
+    ``arg`` is the pipeline argument the key feeds; a pipeline accepts the
+    key exactly when its signature has ``arg``.  ``part`` is the entry of
+    that argument the key sets (attribute names, tuple indices or mapping
     keys; empty for the whole argument).  ``scale`` is the pipeline's unit
-    in config units (1e9 for a ``_ghz`` key), ``schema`` the key's JSON
-    schema, and ``pipelines`` limits the key to some of the pipelines that
-    take ``arg``.  Defaults are not restated: they are read from the
-    pipeline signatures.
+    in config units (1e9 for a ``_ghz`` key) and ``schema`` the key's JSON
+    schema.  Defaults are not restated: they are read from the pipeline
+    signatures.
     """
 
     arg: str
     schema: dict
     part: tuple = ()
     scale: float = 1.0
-    pipelines: tuple = ()
 
 
 def _number(**bounds) -> dict:
@@ -123,9 +119,7 @@ _TABLE = {
     "gain_2": _Key("gains", _POSITIVE, (1,)),
     "mode_ghz": _Key("mode", _POSITIVE, ("frequency",), 1e9),
     "temperatures_k": _Key(
-        "temperatures",
-        {"type": ["array", "null"], "items": _POSITIVE, "minItems": 1},
-        pipelines=("dualpath_sweep",),
+        "temperatures", {"type": ["array", "null"], "items": _POSITIVE, "minItems": 1}
     ),
     "noise_statistics": _Key(
         "noise_statistics", {"enum": ["thermal", "quantum_thermal", "classical"]}
@@ -137,11 +131,9 @@ _TABLE = {
     "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
     "power_noise_fraction": _Key("power_noise_fraction", _NON_NEGATIVE),
-    "t_min_k": _Key("temperatures", _POSITIVE, (0,), pipelines=("planck_calibration",)),
-    "t_max_k": _Key("temperatures", _POSITIVE, (1,), pipelines=("planck_calibration",)),
-    "n_temperatures": _Key(
-        "temperatures", _integer(minimum=4), (2,), pipelines=("planck_calibration",)
-    ),
+    "t_min_k": _Key("t_min", _POSITIVE),
+    "t_max_k": _Key("t_max", _POSITIVE),
+    "n_temperatures": _Key("n_temperatures", _integer(minimum=4)),
     "occupations": _Key("occupations", {"type": "array", "items": _NON_NEGATIVE, "minItems": 1}),
 }
 
@@ -157,13 +149,6 @@ def _derive_system(system: DispersiveSystem) -> DispersiveSystem:
     return DispersiveSystem.derive(qubit, system.resonator)
 
 
-#: Parts of an argument whose pipeline default is None start from here: the
-#: Planck grid keys fill (first, last, count) of ``np.linspace``.
-_PART_STARTS = {"temperatures": PLANCK_TEMPERATURE_GRID}
-
-#: What turns an argument filled part by part into the pipeline argument.
-_FINISH = {"system": _derive_system, "temperatures": lambda grid: np.linspace(*grid)}
-
 # Read once at import: a tracing wrapper installed later around a pipeline
 # (benchmarks/tracing.py) has no defaults in its signature.
 _PIPELINE_DEFAULTS = {
@@ -175,18 +160,7 @@ _PIPELINE_DEFAULTS = {
 def _rows(experiment: str) -> Dict[str, _Key]:
     """The table rows the experiment accepts."""
     args = _PIPELINE_DEFAULTS[experiment]
-    return {
-        key: row
-        for key, row in _TABLE.items()
-        if row.arg in args and (not row.pipelines or experiment in row.pipelines)
-    }
-
-
-def _start(experiment: str, row: _Key):
-    """The value the row's part is read from and written into."""
-    if row.part and row.arg in _PART_STARTS:
-        return _PART_STARTS[row.arg]
-    return _PIPELINE_DEFAULTS[experiment][row.arg]
+    return {key: row for key, row in _TABLE.items() if row.arg in args}
 
 
 def _get(value, part: tuple):
@@ -253,9 +227,10 @@ def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict
             f"unknown experiment {experiment!r}; choose one of {sorted(EXPERIMENTS)}"
         )
     rows = _rows(experiment)
+    defaults = _PIPELINE_DEFAULTS[experiment]
     config = {}
     for key, row in rows.items():
-        value = _get(_start(experiment, row), row.part)
+        value = _get(defaults[row.arg], row.part)
         config[key] = value / row.scale if row.scale != 1 else _plain(value)
     for source_name, source in (("config file", file_config), ("override", overrides)):
         for key, value in (source or {}).items():
@@ -288,15 +263,15 @@ def _config_schema() -> dict:
 def _experiment_kwargs(experiment: str, config: dict) -> dict:
     """Translate unit-suffixed config keys into pipeline arguments."""
     rows = _rows(experiment)
+    defaults = _PIPELINE_DEFAULTS[experiment]
     kwargs = {}
     for key, value in config.items():
         row = rows[key]
         if row.scale != 1:
             value = value * row.scale
-        start = kwargs[row.arg] if row.arg in kwargs else _start(experiment, row)
-        kwargs[row.arg] = _put(start, row.part, value)
-    for arg in {row.arg for row in rows.values() if row.part} & _FINISH.keys():
-        kwargs[arg] = _FINISH[arg](kwargs[arg])
+        kwargs[row.arg] = _put(kwargs.get(row.arg, defaults[row.arg]), row.part, value)
+    if "system" in kwargs:
+        kwargs["system"] = _derive_system(kwargs["system"])
     return kwargs
 
 
@@ -516,6 +491,11 @@ def generate_report(run_dir: Path) -> dict:
     if missing_tables:
         raise ConfigError(f"run directory {run_dir} is missing tables: {missing_tables}")
     experiment = manifest["experiment"]
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(
+            f"run directory {run_dir} holds unknown experiment {experiment!r}; "
+            f"choose one of {sorted(EXPERIMENTS)}"
+        )
     checks = _build_checks(
         experiment,
         fits_payload["fits"],
@@ -646,7 +626,7 @@ def _command_run(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     try:
         result = run_experiment(args.experiment, **kwargs)
-    except ConfigError:
+    except NumericalError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

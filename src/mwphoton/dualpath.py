@@ -52,6 +52,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._constants import h as PLANCK_H, k as k_B
+from .analysis import NumericalError, _linear_least_squares
 from .chains import CompressionPoint, compression_power, linear_to_db
 from .states import (
     MAX_MOMENT_ORDER,
@@ -62,6 +63,7 @@ from .states import (
     Ordering,
     _batch_layout,
     _batch_seed,
+    _bose_einstein_array,
     _complex_normal,
     _sample_batch,
     moment_keys,
@@ -577,12 +579,6 @@ class JpaCalibration:
         return self.t_1db is not None
 
 
-def _bose_einstein_array(mode: ModeSpec, temperatures: np.ndarray) -> np.ndarray:
-    from .states import bose_einstein
-
-    return np.array([bose_einstein(mode, float(t)) for t in temperatures])
-
-
 def planck_power(
     temperatures,
     mode: ModeSpec,
@@ -593,13 +589,15 @@ def planck_power(
     """Forward model P(T) = G * B * h f * [n(T) + 1/2 + n_chain].
 
     The chain noise enters as a photon number n_chain = k_B T_chain / (h f)
-    so the bracket stays dimensionless.
+    so the bracket stays dimensionless: the linear law of
+    :func:`jpa_planck_power` with the chain as the only amplifier.
     """
-    temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
-    quantum = PLANCK_H * mode.frequency
-    n_chain = k_B * chain_noise_temperature / quantum
-    occ = _bose_einstein_array(mode, temps)
-    return chain_gain * bandwidth * quantum * (occ + 0.5 + n_chain)
+    n_chain = k_B * chain_noise_temperature / (PLANCK_H * mode.frequency)
+    return jpa_planck_power(temperatures, mode, bandwidth, chain_gain, n_chain)
+
+
+#: Knee sharpness m of the soft JPA saturation model.
+_SATURATION_SHARPNESS = 20.0
 
 
 def jpa_planck_power(
@@ -610,7 +608,6 @@ def jpa_planck_power(
     added_photons: float,
     chain_gain: float = 1.0,
     saturation_power: Optional[float] = None,
-    saturation_sharpness: float = 20.0,
 ) -> np.ndarray:
     """Forward model for a Planck sweep with the preamplifier on.
 
@@ -626,7 +623,7 @@ def jpa_planck_power(
     linear = jpa_gain * chain_gain * bandwidth * quantum * (occ + 0.5 + added_photons)
     if saturation_power is None:
         return linear
-    m = saturation_sharpness
+    m = _SATURATION_SHARPNESS
     return linear / (1.0 + (linear / saturation_power) ** m) ** (1.0 / m)
 
 
@@ -637,27 +634,24 @@ def saturation_power_for_t1db(
     jpa_gain: float,
     added_photons: float,
     chain_gain: float = 1.0,
-    saturation_sharpness: float = 20.0,
 ) -> float:
     """Saturation power placing the 1 dB compression point at ``t_1db``."""
     linear = jpa_planck_power([t_1db], mode, bandwidth, jpa_gain, added_photons, chain_gain)[0]
-    m = saturation_sharpness
+    m = _SATURATION_SHARPNESS
     return float(linear / (10.0 ** (m / 10.0) - 1.0) ** (1.0 / m))
 
 
-def _planck_linear_fit(x: np.ndarray, y: np.ndarray, weights=None):
-    """Weighted LSQ of y = c1 * x + c0; returns (c1, c0) and their covariance."""
-    from .analysis import _linear_least_squares
-
+def _planck_linear_fit(x: np.ndarray, y: np.ndarray):
+    """LSQ of y = c1 * x + c0; returns (c1, c0) and their covariance."""
     design = np.column_stack([x, np.ones_like(x)])
     try:
-        beta, covariance, _ = _linear_least_squares(design, y, weights)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ValueError(f"degenerate Planck sweep: {exc}") from exc
+        beta, covariance, _ = _linear_least_squares(design, y, None)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"degenerate Planck sweep: {exc}") from exc
     return beta[0], beta[1], covariance
 
 
-def planck_fit(sweep: PlanckSweep, weights=None) -> PlanckCalibration:
+def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
     """Calibrate total chain gain and noise temperature from a Planck sweep.
 
     Least squares of P(T) = C1 [n(T) + 1/2] + C0 with C1 = G B h f and
@@ -670,9 +664,9 @@ def planck_fit(sweep: PlanckSweep, weights=None) -> PlanckCalibration:
     if temps[-1] / temps[0] < 3.0:
         raise ValueError("Planck sweep must span at least a factor 3 in temperature")
     x = _bose_einstein_array(sweep.mode, temps) + 0.5
-    c1, c0, covariance = _planck_linear_fit(x, sweep.powers, weights)
+    c1, c0, covariance = _planck_linear_fit(x, sweep.powers)
     if c1 <= 0:
-        raise ValueError("Planck fit produced a non-positive gain; sweep is unusable")
+        raise NumericalError("Planck fit produced a non-positive gain; sweep is unusable")
     quantum = PLANCK_H * sweep.mode.frequency
     gain = c1 / (sweep.bandwidth * quantum)
     n_chain = c0 / c1
@@ -712,7 +706,7 @@ def jpa_planck_fit(
     x = _bose_einstein_array(sweep.mode, temps) + 0.5
     c1, c0, _ = _planck_linear_fit(x[mask], sweep.powers[mask])
     if c1 <= 0:
-        raise ValueError("JPA Planck fit produced a non-positive gain")
+        raise NumericalError("JPA Planck fit produced a non-positive gain")
     quantum = PLANCK_H * sweep.mode.frequency
     total_gain = c1 / (sweep.bandwidth * quantum)
     added = c0 / c1
@@ -786,10 +780,13 @@ def _complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def save_record_binary(rec: DetectionRecord, data_path, sidecar_path=None) -> None:
-    """Write little-endian float64 interleaved (I1, Q1, I2, Q2) plus a JSON sidecar."""
+def save_record_binary(rec: DetectionRecord, data_path) -> None:
+    """Write little-endian float64 interleaved (I1, Q1, I2, Q2) plus a JSON sidecar.
+
+    The sidecar is ``data_path`` with ``.json`` appended.
+    """
     data_path = Path(data_path)
-    sidecar = Path(sidecar_path) if sidecar_path else data_path.with_suffix(data_path.suffix + ".json")
+    sidecar = data_path.with_suffix(data_path.suffix + ".json")
     interleaved = np.empty(4 * rec.sample_count, dtype="<f8")
     interleaved[0::4] = rec.envelopes_1.real
     interleaved[1::4] = rec.envelopes_1.imag
@@ -811,9 +808,9 @@ def save_record_binary(rec: DetectionRecord, data_path, sidecar_path=None) -> No
     )
 
 
-def load_record_binary(data_path, sidecar_path=None) -> DetectionRecord:
+def load_record_binary(data_path) -> DetectionRecord:
     data_path = Path(data_path)
-    sidecar = Path(sidecar_path) if sidecar_path else data_path.with_suffix(data_path.suffix + ".json")
+    sidecar = data_path.with_suffix(data_path.suffix + ".json")
     meta = json.loads(sidecar.read_text())
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
     count = int(meta["sample_count"])

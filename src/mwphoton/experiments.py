@@ -18,7 +18,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
 from .analysis import (
     VarianceLawModel,
     dephasing_uncertainty,
@@ -73,12 +72,7 @@ __all__ = [
     "planck_calibration",
     "quadrature_check",
     "run_experiment",
-    "PLANCK_TEMPERATURE_GRID",
 ]
-
-#: Default temperature grid of :func:`planck_calibration`, as the
-#: ``np.linspace`` arguments (first K, last K, count).
-PLANCK_TEMPERATURE_GRID = (0.05, 1.5, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +89,6 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
         rows.append(["classical_limit", n, math.sqrt(photon_variance(thermal, classical_limit=True))])
         rows.append(["coherent", n, math.sqrt(n)])
     return {
-        "experiment": "variance_curves",
         "tables": {
             "variance_curves": {"columns": ["state", "n", "sqrt_var"], "rows": rows}
         },
@@ -179,7 +172,6 @@ def ramsey_sweep(
     scale = system.resonator.external_rate * system.theta0 ** 2
     expected_slope = 2.0 * scale if kind is StateKind.COHERENT else scale
     return {
-        "experiment": "ramsey_sweep",
         "tables": {
             "dephasing_vs_n": {
                 "columns": [
@@ -310,7 +302,6 @@ def dualpath_sweep(
         np.asarray(g2_points), VarianceLawModel.PURE_QUADRATIC, np.asarray(g2_weights)
     )
     return {
-        "experiment": "dualpath_sweep",
         "tables": {
             "g2_vs_n": {
                 "columns": [
@@ -342,8 +333,8 @@ def dualpath_sweep(
 
 def jpa_sweep(
     noise_statistics: str = "thermal",
-    n_n: float = 0.66,
-    gain_db: float = 15.8,
+    n_n: float = JPA_OPERATING_POINTS["jpa2a"].added_noise_photons,
+    gain_db: float = JPA_OPERATING_POINTS["jpa2a"].gain_db,
     n_max: float = 1.5,
     n_points: int = 16,
     operating_point: Optional[str] = None,
@@ -403,7 +394,6 @@ def jpa_sweep(
         summary["measured_offset"] = meta["measured_offset"]
         summary["measured_rho"] = meta["measured_rho"]
     return {
-        "experiment": "jpa_sweep",
         "tables": {
             "g2_minus_offset": {
                 "columns": [
@@ -428,25 +418,26 @@ def jpa_sweep(
 # ---------------------------------------------------------------------------
 
 def planck_calibration(
-    temperatures: Optional[Sequence[float]] = None,
+    t_min: float = 0.05,
+    t_max: float = 1.5,
+    n_temperatures: int = 30,
     mode: ModeSpec = DETECTION_MODE,
     bandwidth: float = SAMPLE_CHAIN.bandwidth,
-    chain_gain_db: float = 145.0,
-    chain_noise_temperature: float = 3.0,
+    chain_gain_db: float = SAMPLE_CHAIN.gain_db,
+    chain_noise_temperature: float = SAMPLE_CHAIN.noise_temperature,
     power_noise_fraction: float = 0.0,
     seed: int = 0,
-    jpa_points: Optional[Dict[str, JpaStage]] = None,
 ) -> dict:
     """Synthetic Planck spectroscopy: generate sweeps, fit them back.
 
-    The chain sweep recovers the total gain and noise temperature; each
-    JPA sweep (with a soft saturation placing the 1 dB compression at the
-    tabulated temperature) recovers the added photons, the compression
-    temperature, and the compression power.
+    The emitter is swept over ``n_temperatures`` evenly spaced temperatures
+    from ``t_min`` to ``t_max`` (K).  The chain sweep recovers the total
+    gain and noise temperature; the sweep of each JPA operating point (with
+    a soft saturation placing the 1 dB compression at the tabulated
+    temperature) recovers the added photons, the compression temperature,
+    and the compression power.
     """
-    if temperatures is None:
-        temperatures = np.linspace(*PLANCK_TEMPERATURE_GRID)
-    temps = np.asarray(temperatures, dtype=float)
+    temps = np.linspace(t_min, t_max, n_temperatures)
     chain_gain = 10.0 ** (chain_gain_db / 10.0)
     rng = np.random.default_rng(seed)
     powers = planck_power(temps, mode, bandwidth, chain_gain, chain_noise_temperature)
@@ -458,19 +449,12 @@ def planck_calibration(
         [float(t), float(p), float(f)] for t, p, f in zip(temps, powers, cal.fitted_powers)
     ]
 
-    if jpa_points is None:
-        jpa_points = JPA_OPERATING_POINTS
     jpa_rows = []
     jpa_fits = {}
-    for name, stage in jpa_points.items():
-        meta = JPA_METADATA.get(name, {})
-        t_1db_true = meta.get("t_1db")
-        saturation = (
-            saturation_power_for_t1db(
-                t_1db_true, mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain
-            )
-            if t_1db_true
-            else None
+    for name, stage in JPA_OPERATING_POINTS.items():
+        meta = JPA_METADATA[name]
+        saturation = saturation_power_for_t1db(
+            meta["t_1db"], mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain
         )
         jpa_powers = jpa_planck_power(
             temps, mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain, saturation
@@ -481,7 +465,7 @@ def planck_calibration(
             )
         jpa_sweep_data = PlanckSweep(temps, jpa_powers, mode, bandwidth)
         jcal = jpa_planck_fit(
-            jpa_sweep_data, 0.2, reference_chain_gain=chain_gain, kappa_x=meta.get("kappa_x")
+            jpa_sweep_data, 0.2, reference_chain_gain=chain_gain, kappa_x=meta["kappa_x"]
         )
         jpa_fits[name] = {
             "jpa_gain_db": jcal.jpa_gain_db,
@@ -493,7 +477,6 @@ def planck_calibration(
         for t, p in zip(temps, jpa_powers):
             jpa_rows.append([name, float(t), float(p)])
     return {
-        "experiment": "planck_calibration",
         "tables": {
             "chain_sweep": {
                 "columns": ["temperature_k", "power_w", "fitted_power_w"],
@@ -544,7 +527,6 @@ def quadrature_check(
             ]
         )
     return {
-        "experiment": "quadrature_check",
         "tables": {
             "quadratures": {
                 "columns": [
@@ -584,6 +566,4 @@ def run_experiment(name: str, **kwargs) -> dict:
         raise ValueError(
             f"unknown experiment {name!r}; choose one of {sorted(EXPERIMENTS)}"
         ) from None
-    result = runner(**kwargs)
-    result["package_version"] = __version__
-    return result
+    return runner(**kwargs)

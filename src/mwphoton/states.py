@@ -133,11 +133,11 @@ class Ordering(Enum):
     SYMMETRIZED = "symmetrized"
 
 
-def moment_keys(max_order: int = MAX_MOMENT_ORDER) -> Tuple[Tuple[int, int], ...]:
-    """All (n, m) index pairs with 0 <= n + m <= max_order."""
+def moment_keys() -> Tuple[Tuple[int, int], ...]:
+    """All (n, m) index pairs with 0 <= n + m <= MAX_MOMENT_ORDER."""
     return tuple(
         (n, m)
-        for total in range(max_order + 1)
+        for total in range(MAX_MOMENT_ORDER + 1)
         for n in range(total + 1)
         for m in [total - n]
     )
@@ -192,11 +192,11 @@ class MomentSet:
         except KeyError:
             raise ValueError(f"moment ({n}, {m}) not present in this set") from None
 
-    def is_complete(self, max_order: int = MAX_MOMENT_ORDER) -> bool:
-        return all(k in self.entries for k in moment_keys(max_order))
+    def is_complete(self) -> bool:
+        return all(k in self.entries for k in moment_keys())
 
-    def missing_keys(self, max_order: int = MAX_MOMENT_ORDER):
-        return [k for k in moment_keys(max_order) if k not in self.entries]
+    def missing_keys(self):
+        return [k for k in moment_keys() if k not in self.entries]
 
     # -- serialization (keys "n,m" -> [re, im]) ------------------------------
 
@@ -230,6 +230,11 @@ def bose_einstein(mode: ModeSpec, temperature: float) -> float:
         # exp(x) overflows double precision; occupation is exp(-x) to 1e-300
         return math.exp(-x)
     return 1.0 / math.expm1(x)
+
+
+def _bose_einstein_array(mode: ModeSpec, temperatures) -> np.ndarray:
+    """:func:`bose_einstein` of each temperature."""
+    return np.array([bose_einstein(mode, float(t)) for t in temperatures])
 
 
 def effective_temperature(mode: ModeSpec, n: float) -> float:

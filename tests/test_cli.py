@@ -8,7 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from mwphoton.cli import ConfigError, _experiment_kwargs, generate_report, main, resolve_config
+from mwphoton.cli import (
+    ConfigError,
+    _experiment_kwargs,
+    _rows,
+    generate_report,
+    main,
+    resolve_config,
+)
 from mwphoton.experiments import EXPERIMENTS
 from mwphoton.states import StateKind
 
@@ -197,6 +204,11 @@ class TestConfigTable:
             else:
                 assert value == default, arg
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_every_pipeline_argument_is_a_config_argument(self, experiment):
+        params = set(inspect.signature(EXPERIMENTS[experiment]).parameters)
+        assert params == {row.arg for row in _rows(experiment).values()}
+
     def test_keys_fill_their_parts_in_pipeline_units(self):
         config = resolve_config(
             "ramsey_sweep",
@@ -219,7 +231,10 @@ class TestConfigTable:
             "planck_calibration", None, {"t_max_k": 1.2, "n_temperatures": 24, "bandwidth_khz": 300}
         )
         kwargs = _experiment_kwargs("planck_calibration", config)
-        np.testing.assert_array_equal(kwargs["temperatures"], np.linspace(0.05, 1.2, 24))
+        assert kwargs["t_max"] == 1.2
+        assert kwargs["n_temperatures"] == 24
+        rows = EXPERIMENTS["planck_calibration"](**kwargs)["tables"]["chain_sweep"]["rows"]
+        np.testing.assert_array_equal([row[0] for row in rows], np.linspace(0.05, 1.2, 24))
         assert kwargs["bandwidth"] == 300e3
 
     def test_every_bounded_key_has_an_out_of_range_case(self, tmp_path):
@@ -369,6 +384,15 @@ class TestRunCommand:
         assert code == 1
         assert "resonance" in capsys.readouterr().err
 
+    def test_degenerate_planck_sweep_is_a_numerical_failure(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "planck_calibration", "--set", "t_min_k=0.001", "--set", "t_max_k=0.004",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 2
+        assert "degenerate Planck sweep" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_invalid_state_value(self, tmp_path):
         code = run_cli(
             "run", "ramsey_sweep", "--state", "squeezed", "--out", str(tmp_path / "z"),
@@ -412,6 +436,16 @@ class TestReportCommand:
         (out / "g2_minus_offset.csv").unlink()
         assert run_cli("report", str(out)) == 1
         assert "g2_minus_offset" in capsys.readouterr().err
+
+    def test_unknown_experiment_in_manifest_rejected(self, tmp_path, capsys):
+        out = tmp_path / "curves"
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["experiment"] = "variance_curve"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("report", str(out)) == 1
+        assert "'variance_curve'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_dualpath_report_checks_rho_band(self, tmp_path):
         out = tmp_path / "dp"

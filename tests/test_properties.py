@@ -1,0 +1,214 @@
+"""Property tests: configuration coercion, moment serialization and inversion.
+
+Hypothesis runs derandomized and without its example database, so every run
+draws the same examples, and its caches go to a temporary directory instead
+of ``.hypothesis/`` in the working directory.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from mwphoton.cli import _TABLE, ConfigError, _rows, resolve_config
+from mwphoton.dualpath import CROSS_MOMENT_KEYS, CrossMomentSet, reconstruct_signal_moments
+from mwphoton.experiments import EXPERIMENTS
+from mwphoton.states import MicrowaveState, MomentSet, Ordering, analytic_moments, moment_keys
+from test_dualpath import analytic_cross_moments
+
+# Hypothesis caches the constants of the local source under its home directory,
+# during collection already.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "mwphoton-hypothesis")
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# strings a config file or --set may carry
+WORDS = st.sampled_from(["", "300", "1e3", "jpa3", "thermal ", "quantum", "null", "vacuum"])
+
+# moments of physical states stay far from float overflow
+MOMENT = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def _floats_below(bound, exclude_max=False):
+    return st.floats(max_value=bound, exclude_max=exclude_max, allow_infinity=False)
+
+
+def _taking(key):
+    return next(name for name in EXPERIMENTS if key in _rows(name))
+
+
+# ---------------------------------------------------------------------------
+# resolve_config against the table
+# ---------------------------------------------------------------------------
+
+def _inside(schema):
+    """Values the schema accepts."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if "array" in kind:
+        items = st.lists(_inside(schema["items"]), min_size=schema.get("minItems", 0), max_size=5)
+        return st.one_of(st.none(), items) if "null" in kind else items
+    low = schema.get("minimum", schema.get("exclusiveMinimum"))
+    high = schema.get("exclusiveMaximum")
+    if kind == "integer":
+        return st.integers(min_value=low, max_value=None if high is None else high - 1)
+    floats = st.floats(
+        min_value=low,
+        max_value=high,
+        exclude_min="exclusiveMinimum" in schema,
+        exclude_max=high is not None,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+    # integral values exactly representable as floats
+    integers = st.integers(
+        min_value=-(2 ** 53) if low is None else math.floor(low) + 1,
+        max_value=2 ** 53 if high is None else math.ceil(high) - 1,
+    )
+    return st.one_of(floats, integers)
+
+
+def _outside(schema):
+    """Values the schema rejects."""
+    if "enum" in schema:
+        return WORDS.filter(lambda value: value not in schema["enum"])
+    kind = schema["type"]
+    wrong = st.one_of(st.booleans(), WORDS, st.sampled_from([math.nan, math.inf, -math.inf]))
+    if "array" in kind:
+        bad_item = _outside(schema["items"]).map(lambda item: [item])
+        return st.one_of(bad_item, st.just([]), st.floats(allow_nan=False))
+    candidates = [wrong]
+    if kind == "integer":
+        candidates.append(FINITE.filter(lambda value: value != int(value)))
+    if "minimum" in schema:
+        candidates.append(_floats_below(schema["minimum"], exclude_max=True))
+    if "exclusiveMinimum" in schema:
+        candidates.append(_floats_below(schema["exclusiveMinimum"]))
+    if "exclusiveMaximum" in schema:
+        candidates.append(st.floats(min_value=schema["exclusiveMaximum"], allow_infinity=False))
+    return st.one_of(candidates)
+
+
+def _conforms(value, schema) -> bool:
+    if "enum" in schema:
+        return value in schema["enum"]
+    if value is None:
+        return "null" in schema["type"]
+    if "array" in schema["type"]:
+        return isinstance(value, list) and all(_conforms(item, schema["items"]) for item in value)
+    return type(value) is {"integer": int, "number": float}[schema["type"]]
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_value_inside_bounds_comes_back_in_schema_type(data):
+    key = data.draw(st.sampled_from(sorted(_TABLE)))
+    schema = _TABLE[key].schema
+    value = data.draw(_inside(schema))
+    resolved = resolve_config(_taking(key), None, {key: value})[key]
+    assert _conforms(resolved, schema)
+    assert resolved == value
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_value_outside_bounds_is_rejected_naming_the_key(data):
+    key = data.draw(st.sampled_from(sorted(_TABLE)))
+    value = data.draw(_outside(_TABLE[key].schema))
+    with pytest.raises(ConfigError, match=key):
+        resolve_config(_taking(key), None, {key: value})
+
+
+# ---------------------------------------------------------------------------
+# JSON round trips
+# ---------------------------------------------------------------------------
+
+@st.composite
+def moment_sets(draw):
+    ordering = draw(st.sampled_from(Ordering))
+    entries = {(0, 0): 1.0}
+    for n, m in moment_keys():
+        if (n, m) == (0, 0) or n > m:
+            continue
+        if n == m:
+            entries[(n, m)] = complex(abs(draw(MOMENT)))
+        else:
+            value = complex(draw(MOMENT), draw(MOMENT))
+            entries[(n, m)] = value
+            entries[(m, n)] = value.conjugate()
+    return MomentSet(ordering, entries)
+
+
+@DETERMINISTIC
+@given(moment_sets())
+def test_moment_set_json_round_trip(moments):
+    restored = MomentSet.from_json_dict(json.loads(json.dumps(moments.to_json_dict())))
+    assert restored.ordering is moments.ordering
+    assert restored.entries == moments.entries
+
+
+@DETERMINISTIC
+@given(
+    st.lists(FINITE, min_size=len(CROSS_MOMENT_KEYS) - 1, max_size=len(CROSS_MOMENT_KEYS) - 1),
+    st.one_of(
+        st.none(),
+        st.lists(
+            st.floats(min_value=0.0, allow_infinity=False),
+            min_size=len(CROSS_MOMENT_KEYS),
+            max_size=len(CROSS_MOMENT_KEYS),
+        ),
+    ),
+    st.integers(min_value=0, max_value=1 << 40),
+)
+def test_cross_moment_set_json_round_trip(values, errors, count):
+    entries = dict(zip(CROSS_MOMENT_KEYS, [1.0, *values]))
+    std_errors = None if errors is None else dict(zip(CROSS_MOMENT_KEYS, errors))
+    cm = CrossMomentSet(entries, std_errors, count)
+    restored = CrossMomentSet.from_json_dict(json.loads(json.dumps(cm.to_json_dict())))
+    assert restored.entries == cm.entries
+    assert restored.std_errors == cm.std_errors
+    assert restored.sample_count == count
+
+
+# ---------------------------------------------------------------------------
+# Inversion of exact Gaussian cross moments
+# ---------------------------------------------------------------------------
+
+GAIN = st.floats(min_value=0.1, max_value=10.0)
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(
+    n=st.floats(min_value=0.0, max_value=2.0),
+    alpha=st.complex_numbers(max_magnitude=1.5),
+    coherent=st.booleans(),
+    gains=st.tuples(GAIN, GAIN),
+    chain_noise=st.tuples(*[st.floats(min_value=0.0, max_value=10.0)] * 2),
+    vacuum_port_photons=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_exact_gaussian_cross_moments_invert_to_analytic_moments(
+    n, alpha, coherent, gains, chain_noise, vacuum_port_photons
+):
+    if coherent:
+        state, signal_power, mean = MicrowaveState.coherent(alpha), 0.5, alpha
+    else:
+        state, signal_power, mean = MicrowaveState.thermal(n), n + 0.5, 0j
+    cm = analytic_cross_moments(
+        signal_power,
+        signal_mean=mean,
+        vacuum_port_power=vacuum_port_photons + 0.5,
+        chain_noise=chain_noise,
+        gains=gains,
+    )
+    moments = reconstruct_signal_moments(cm, gains, vacuum_port_photons=vacuum_port_photons)
+    expected = analytic_moments(state)
+    for key in moment_keys():
+        assert abs(moments.entries[key] - expected.entries[key]) <= 1e-9, key
