@@ -209,7 +209,7 @@ def _conform(key: str, value, schema: dict):
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not math.isfinite(value)
+        or not abs(value) <= sys.float_info.max  # NaN, inf and ints too large for a float
         or (kind == "integer" and value != int(value))
     ):
         raise ConfigError(f"config field {key!r} must be a finite {kind}, got {value!r}")

@@ -26,16 +26,16 @@ sum built on it are bit-identical for any worker count.  Block totals are
 combined with compensated summation.
 
 The reconstruction needs only the 15 complex cross-path products
-E[z1^m conj(z2)^n], n + m <= 4.  The sweep pipelines take one pass over a
-record that sums them per error block (:func:`_product_block_sums`); the
-point estimates invert the compensated total of those block sums and the
-error bars come from the scatter of the per-block inversions, so both rest
-on one set of sums.  The 70-entry I/Q table of :func:`cross_moments` stays
-as the export and diagnostic form and reaches the same inversion through
-:func:`reconstruct_signal_moments`.  It costs one matrix product per error
-block: the 15 monomials I^a Q^b (a + b <= 4) of each path form one table
-per path, and their 15 x 15 Gram matrix holds every block sum
-<I1^n Q1^k I2^m Q2^l> at row (n, k) and column (m, l).
+E[z1^m conj(z2)^n], n + m <= 4.  Rescaled by the gains and the hybrid's
+sqrt(2), they are the normally ordered signal moments behind a vacuum
+fourth port, and one Gaussian shift away from them behind a warm one
+(:func:`_moments_from_products`).  The sweep pipelines take one pass over
+a record that sums them per error block (:func:`_product_block_sums`);
+the point estimates invert the compensated total of those block sums and
+the error bars come from the scatter of the per-block inversions.  The
+70-entry I/Q table of :func:`cross_moments`, one Gram product per error
+block, is the export and diagnostic form and reaches the same inversion
+through :func:`reconstruct_signal_moments`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .chains import CompressionPoint, compression_power, linear_to_db
 from .states import (
     MAX_MOMENT_ORDER,
     SAMPLE_BATCH,
+    _MOMENT_KEYS,
     MicrowaveState,
     ModeSpec,
     MomentSet,
@@ -65,9 +66,9 @@ from .states import (
     _batch_seed,
     _bose_einstein_array,
     _complex_normal,
+    _conjugate_symmetrize,
+    _gaussian_shift,
     _sample_batch,
-    moment_keys,
-    ordering_convert,
 )
 
 __all__ = [
@@ -96,10 +97,6 @@ __all__ = [
 ERROR_BATCHES = 20
 
 DEFAULT_IF_FREQUENCY = 11e6  # Hz
-
-#: The (n, m) moment keys, built once: worker tasks may not call
-#: :func:`~mwphoton.states.moment_keys`, a public function.
-_MOMENT_KEYS = moment_keys()
 
 
 # ---------------------------------------------------------------------------
@@ -470,55 +467,32 @@ def _moments_from_products(
     """Invert the averaged cross-path products ``products[(n, m)]`` = E[z1^m conj(z2)^n].
 
     Only cross-path products enter, so the independent, zero-mean, circular
-    chain noise of both paths drops out of every estimator.  Writing the
-    hybrid input as s and the fourth port as v (circular with
-    <|v|^2> = n_v + 1/2), the products obey
+    chain noise of both paths drops out of every estimator.  For Wigner
+    samples s of the signal and v of the fourth port the rescaled products
 
-        E[A^m B_bar^n] = 2^-(m+n)/2 * sum_p C(m,p) C(n,p) p! (-s_v)^p M(n-p, m-p)
+        raw(n, m) = 2^((n+m)/2) E[z1^m conj(z2)^n] / (g1^(m/2) g2^(n/2))
+                  = E[(s + v)^m conj(s - v)^n]
 
-    with A = z1/sqrt(g1), B_bar = conj(z2)/sqrt(g2), s_v = n_v + 1/2, and
-    M the symmetrized signal moments.  The triangular system is solved from
-    low to high order, levels are conjugate-symmetrized, and the result is
-    converted to normal ordering.
+    are the symmetrized signal moments shifted by -(n_v + 1/2): the port's
+    Wigner width enters with a minus sign.  As -1/2 is the shift from
+    symmetrized to normal order, ``raw`` holds <(a^dag)^n a^m> behind a
+    vacuum port, and one :func:`~mwphoton.states._gaussian_shift` by +n_v
+    undoes a warm one.  ``raw`` is conjugate-symmetrized first.
     """
     g1, g2 = gains
     if g1 <= 0 or g2 <= 0:
         raise ValueError("reconstruction is singular for non-positive chain gains")
     if vacuum_port_photons < 0:
         raise ValueError("vacuum-port occupation must be >= 0")
-    s_v = vacuum_port_photons + 0.5
-
     raw = {}
     for n, m in _MOMENT_KEYS:
         total = products[(n, m)] / (g1 ** (m / 2.0) * g2 ** (n / 2.0))
         raw[(n, m)] = total * 2.0 ** ((n + m) / 2.0)
-
-    sym: Dict[Tuple[int, int], complex] = {}
-    for order in range(MAX_MOMENT_ORDER + 1):
-        level = [(n, m) for (n, m) in _MOMENT_KEYS if n + m == order]
-        for n, m in level:
-            value = raw[(n, m)]
-            for p in range(1, min(n, m) + 1):
-                value -= (
-                    math.comb(m, p)
-                    * math.comb(n, p)
-                    * math.factorial(p)
-                    * (-s_v) ** p
-                    * sym[(n - p, m - p)]
-                )
-            sym[(n, m)] = value
-        for n, m in level:
-            if n < m:
-                avg = 0.5 * (sym[(n, m)] + sym[(m, n)].conjugate())
-                sym[(n, m)] = avg
-                sym[(m, n)] = avg.conjugate()
-            elif n == m:
-                sym[(n, m)] = complex(sym[(n, m)].real)
-    sym[(0, 0)] = 1.0 + 0j
+    _conjugate_symmetrize(raw)
+    raw[(0, 0)] = 1.0 + 0j
 
     tolerance = 1e-9 if sample_count == 0 else 50.0 / math.sqrt(sample_count)
-    symmetrized = MomentSet(Ordering.SYMMETRIZED, sym, tolerance)
-    return ordering_convert(symmetrized, Ordering.NORMAL)
+    return MomentSet(Ordering.NORMAL, _gaussian_shift(raw, vacuum_port_photons), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,12 @@ from .dualpath import (
 )
 from .qubit import DispersiveSystem, dephasing_rate, simulate_ramsey
 from .states import (
+    _MOMENT_KEYS,
     MicrowaveState,
     ModeSpec,
     StateKind,
     bose_einstein,
     effective_temperature,
-    moment_keys,
     photon_variance,
 )
 
@@ -213,7 +213,7 @@ def _point_values(moments) -> Dict[str, float]:
     return point
 
 
-def _reconstruct_with_errors(record, gains):
+def _reconstruct_with_errors(record):
     """Full-record reconstruction plus block-scatter standard errors.
 
     One pass over the record yields the block sums of the cross-path
@@ -221,14 +221,14 @@ def _reconstruct_with_errors(record, gains):
     block of at least 2 samples inverts its own mean.
     """
     blocks = _product_block_sums(record)
-    count = record.sample_count
+    count, gains = record.sample_count, record.chain_gains
     full = {
         key: complex(
             math.fsum(sums[key].real for _, sums in blocks),
             math.fsum(sums[key].imag for _, sums in blocks),
         )
         / count
-        for key in moment_keys()
+        for key in _MOMENT_KEYS
     }
     moments = _moments_from_products(full, gains, 0.0, count)
     block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
@@ -245,16 +245,14 @@ def _reconstruct_with_errors(record, gains):
     return moments, _point_values(moments), errors
 
 
-def _detect_point(state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0)):
+def _detect_point(state, count, seed, **detection):
     """Point values and block errors of one simulated sweep point.
 
-    The record lives only inside this call, so a sweep holds one record at
-    a time.
+    ``detection`` goes to :func:`simulate_detection` as it is.  The record
+    lives only inside this call, so a sweep holds one record at a time.
     """
-    record = simulate_detection(
-        state, chain_noise_photons=chain_noise_photons, gains=gains, count=count, seed=seed
-    )
-    _, point, errors = _reconstruct_with_errors(record, record.chain_gains)
+    record = simulate_detection(state, count=count, seed=seed, **detection)
+    _, point, errors = _reconstruct_with_errors(record)
     return point, errors
 
 
@@ -280,10 +278,11 @@ def dualpath_sweep(
     rows = []
     g2_points = []
     g2_weights = []
+    detection = {"chain_noise_photons": chain_noise_photons, "gains": gains}
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
         point, errors = _detect_point(
-            MicrowaveState.thermal(n_true), count, seed + 7919 * index, chain_noise_photons, gains
+            MicrowaveState.thermal(n_true), count, seed + 7919 * index, **detection
         )
         rows.append(
             [

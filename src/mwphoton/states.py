@@ -11,15 +11,17 @@ microwave source (Poissonian, Var(n) = n), broadband electronic shot noise
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
 * seeded Monte Carlo samplers for the symmetrized (Wigner) phase-space
   envelope of each state,
-* the exact linear map between normal and symmetrized moment orderings.
+* the moment algebra: one ``(n, m)`` key tuple, conjugate symmetrization
+  and the Gaussian-shift map between orderings.
 
 Conventions.  Monte Carlo samples always represent the Wigner
 quasi-distribution, because heterodyne records estimate symmetrized
-operator averages.  All commutator bookkeeping is concentrated in
-:func:`ordering_convert`; nothing else in the package applies ``[a, a^dag]``
-corrections.  Shot noise is modelled as a displaced vacuum whose global
-phase is redrawn uniformly per sample batch, which leaves the Poissonian
-intensity statistics intact while erasing phase coherence across batches.
+operator averages.  All commutator bookkeeping is concentrated in the
+shift map :func:`_gaussian_shift`; nothing else in the package applies
+``[a, a^dag]`` corrections.  Shot noise is modelled as a displaced vacuum
+whose global phase is redrawn uniformly per sample batch, which leaves the
+Poissonian intensity statistics intact while erasing phase coherence across
+batches.
 """
 
 from __future__ import annotations
@@ -133,14 +135,14 @@ class Ordering(Enum):
     SYMMETRIZED = "symmetrized"
 
 
+#: The (n, m) keys by total order, built once; the package's loops read this
+#: tuple, so worker tasks never call the public :func:`moment_keys`.
+_MOMENT_KEYS = tuple((n, t - n) for t in range(MAX_MOMENT_ORDER + 1) for n in range(t + 1))
+
+
 def moment_keys() -> Tuple[Tuple[int, int], ...]:
     """All (n, m) index pairs with 0 <= n + m <= MAX_MOMENT_ORDER."""
-    return tuple(
-        (n, m)
-        for total in range(MAX_MOMENT_ORDER + 1)
-        for n in range(total + 1)
-        for m in [total - n]
-    )
+    return _MOMENT_KEYS
 
 
 @dataclass
@@ -166,21 +168,22 @@ class MomentSet:
     def validate(self):
         if (0, 0) not in self.entries:
             raise ValueError("moment set must contain the (0, 0) entry")
-        if abs(self.entries[(0, 0)] - 1.0) > max(self.tolerance, 1e-9):
-            raise ValueError(f"entry (0, 0) must equal 1, got {self.entries[(0, 0)]}")
         for (n, m), value in self.entries.items():
             if n < 0 or m < 0 or n + m > MAX_MOMENT_ORDER:
                 raise ValueError(f"moment index {(n, m)} outside 0 <= n + m <= {MAX_MOMENT_ORDER}")
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"non-finite moment at {(n, m)}: {value}")
+            modulus = math.hypot(value.real, value.imag)  # abs() would raise on overflow
+            if not math.isfinite(modulus):
+                raise ValueError(f"non-finite moment or modulus at {(n, m)}: {value}")
             mirror = self.entries.get((m, n))
             if mirror is not None:
-                scale = max(1.0, abs(value))
-                if abs(value - mirror.conjugate()) > 1e-9 * scale:
+                gap = value - mirror.conjugate()
+                if math.hypot(gap.real, gap.imag) > 1e-9 * max(1.0, modulus):
                     raise ValueError(
                         f"conjugation symmetry violated at {(n, m)}: "
                         f"{value} vs conj({mirror})"
                     )
+        if abs(self.entries[(0, 0)] - 1.0) > max(self.tolerance, 1e-9):
+            raise ValueError(f"entry (0, 0) must equal 1, got {self.entries[(0, 0)]}")
         if self.ordering is Ordering.NORMAL and (1, 1) in self.entries:
             occupancy = self.entries[(1, 1)]
             if occupancy.real < -self.tolerance:
@@ -193,10 +196,10 @@ class MomentSet:
             raise ValueError(f"moment ({n}, {m}) not present in this set") from None
 
     def is_complete(self) -> bool:
-        return all(k in self.entries for k in moment_keys())
+        return all(k in self.entries for k in _MOMENT_KEYS)
 
     def missing_keys(self):
-        return [k for k in moment_keys() if k not in self.entries]
+        return [k for k in _MOMENT_KEYS if k not in self.entries]
 
     # -- serialization (keys "n,m" -> [re, im]) ------------------------------
 
@@ -274,7 +277,7 @@ def analytic_moments(state: MicrowaveState) -> MomentSet:
     n = state.mean_photons
     alpha = state.amplitude
     entries: Dict[Tuple[int, int], complex] = {}
-    for nn, mm in moment_keys():
+    for nn, mm in _MOMENT_KEYS:
         if state.kind is StateKind.THERMAL:
             value = math.factorial(nn) * n ** nn if nn == mm else 0.0
         elif state.kind is StateKind.COHERENT:
@@ -365,34 +368,52 @@ def empirical_moments(samples: np.ndarray) -> MomentSet:
         pow_z.append(pow_z[-1] * z)
         pow_zc.append(pow_zc[-1] * zc)
     entries = {}
-    for n, m in moment_keys():
+    for n, m in _MOMENT_KEYS:
         entries[(n, m)] = complex(np.mean(pow_zc[n] * pow_z[m]))
-    # enforce exact conjugation symmetry against floating-point drift
-    for n, m in moment_keys():
+    _conjugate_symmetrize(entries)
+    # physicality checked at the statistical resolution of the estimate
+    return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))
+
+
+# ---------------------------------------------------------------------------
+# Moment algebra
+# ---------------------------------------------------------------------------
+
+def _conjugate_symmetrize(entries: Dict[Tuple[int, int], complex]) -> None:
+    """Make ``entries[(m, n)] == conj(entries[(n, m)])`` exact, in place, by averaging."""
+    for n, m in _MOMENT_KEYS:
         if n < m:
             avg = 0.5 * (entries[(n, m)] + entries[(m, n)].conjugate())
             entries[(n, m)] = avg
             entries[(m, n)] = avg.conjugate()
         elif n == m:
             entries[(n, m)] = complex(entries[(n, m)].real)
-    # physicality checked at the statistical resolution of the estimate
-    return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))
 
 
-# ---------------------------------------------------------------------------
-# Ordering conversion
-# ---------------------------------------------------------------------------
+def _gaussian_shift(entries: Dict[Tuple[int, int], complex], shift: float) -> dict:
+    """sum_k k! C(n,k) C(m,k) shift^k entries[(n-k, m-k)] for every key (n, m).
+
+    The moments <conj(z)^n z^m> of z + g, with g circular Gaussian noise of
+    <|g|^2> = ``shift``.  Shifts add, so -``shift`` undoes ``shift``.
+    """
+    shifted = {}
+    for n, m in _MOMENT_KEYS:
+        total = 0j
+        for k in range(min(n, m) + 1):
+            coeff = math.comb(n, k) * math.comb(m, k) * math.factorial(k) * shift ** k
+            total += coeff * entries[(n - k, m - k)]
+        shifted[(n, m)] = total
+    return shifted
+
 
 def ordering_convert(moments: MomentSet, target: Ordering) -> MomentSet:
     """Exact linear map between normal and symmetrized orderings.
 
-    For a single mode the symmetrized (Weyl) products expand over normal
-    ones as
+    The symmetrized (Weyl) products of a single mode expand over normal ones as
 
-        {(a^dag)^n a^m}_W = sum_k k! C(n,k) C(m,k) (1/2)^k (a^dag)^(n-k) a^(m-k)
+        {(a^dag)^n a^m}_W = sum_k k! C(n,k) C(m,k) (1/2)^k (a^dag)^(n-k) a^(m-k) ,
 
-    and the inverse carries (-1/2)^k instead.  The map is triangular in the
-    total order, so conversion followed by the inverse is the identity.
+    the :func:`_gaussian_shift` by +1/2; the inverse is the shift by -1/2.
     """
     if not moments.is_complete():
         raise ValueError(
@@ -402,11 +423,4 @@ def ordering_convert(moments: MomentSet, target: Ordering) -> MomentSet:
     if moments.ordering is target:
         return MomentSet(target, dict(moments.entries), moments.tolerance)
     shift = 0.5 if target is Ordering.SYMMETRIZED else -0.5
-    entries = {}
-    for n, m in moment_keys():
-        total = 0j
-        for k in range(min(n, m) + 1):
-            coeff = math.comb(n, k) * math.comb(m, k) * math.factorial(k) * shift ** k
-            total += coeff * moments.entries[(n - k, m - k)]
-        entries[(n, m)] = total
-    return MomentSet(target, entries, moments.tolerance)
+    return MomentSet(target, _gaussian_shift(moments.entries, shift), moments.tolerance)

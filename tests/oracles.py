@@ -229,3 +229,57 @@ def gaussian_product_moment(factors, covariance, means=None) -> complex:
             paired += term
         total += prefactor * paired
     return total
+
+
+# ---------------------------------------------------------------------------
+# Dual-path inversion through symmetrized moments
+# ---------------------------------------------------------------------------
+
+def symmetrized_route_inversion(products, gains, vacuum_port_photons, max_order=4):
+    """Normally ordered signal moments from dual-path products, via the Wigner moments.
+
+    ``products[(n, m)]`` is E[z1^m conj(z2)^n].  With A = z1/sqrt(g1),
+    B_bar = conj(z2)/sqrt(g2) and s_v = n_v + 1/2 the products obey
+
+        E[A^m B_bar^n] = 2^-(m+n)/2 sum_p C(m,p) C(n,p) p! (-s_v)^p M(n-p, m-p)
+
+    for the symmetrized signal moments M.  The system is solved upward in
+    total order, each order conjugate-symmetrized, and M is converted to
+    normal order with the (-1/2)^k expansion.  This is the route the package
+    took before it inverted with a single Gaussian shift by n_v; it returns
+    a plain dict so that no package code checks or converts the result.
+    """
+    keys = [(n, total - n) for total in range(max_order + 1) for n in range(total + 1)]
+    g1, g2 = gains
+    s_v = vacuum_port_photons + 0.5
+    raw = {
+        (n, m): products[(n, m)] / (g1 ** (m / 2.0) * g2 ** (n / 2.0)) * 2.0 ** ((n + m) / 2.0)
+        for n, m in keys
+    }
+    sym = {}
+    for order in range(max_order + 1):
+        level = [(n, m) for n, m in keys if n + m == order]
+        for n, m in level:
+            value = raw[(n, m)]
+            for p in range(1, min(n, m) + 1):
+                value -= (
+                    math.comb(m, p) * math.comb(n, p) * math.factorial(p) * (-s_v) ** p
+                    * sym[(n - p, m - p)]
+                )
+            sym[(n, m)] = value
+        for n, m in level:
+            if n < m:
+                avg = 0.5 * (sym[(n, m)] + sym[(m, n)].conjugate())
+                sym[(n, m)] = avg
+                sym[(m, n)] = avg.conjugate()
+            elif n == m:
+                sym[(n, m)] = complex(sym[(n, m)].real)
+    sym[(0, 0)] = 1.0 + 0j
+    normal = {}
+    for n, m in keys:
+        normal[(n, m)] = sum(
+            math.comb(n, k) * math.comb(m, k) * math.factorial(k) * (-0.5) ** k
+            * sym[(n - k, m - k)]
+            for k in range(min(n, m) + 1)
+        )
+    return normal

@@ -1,0 +1,51 @@
+"""The CI workflow runs what the repository documents.
+
+`.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
+command, the `requires-python` floor of pyproject.toml and the experiment
+registry, so that an edit to one of them cannot leave the workflow behind.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import yaml
+
+from mwphoton.experiments import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+
+
+def _commands(job):
+    """Each line of the job's ``run`` scripts, split as the shell would split it."""
+    for step in WORKFLOW["jobs"][job]["steps"]:
+        for line in step.get("run", "").splitlines():
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield shlex.split(line)
+
+
+def test_tier1_step_runs_the_roadmap_command():
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    steps = {step.get("name"): step for step in WORKFLOW["jobs"]["tier1"]["steps"]}
+    assert steps["Tier-1 tests"]["run"].strip() == command.group(1)
+
+
+def test_matrix_includes_the_requires_python_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
+    versions = WORKFLOW["jobs"]["tier1"]["strategy"]["matrix"]["python-version"]
+    assert floor in [str(version) for version in versions]
+
+
+def test_scipy_free_runs_name_experiments_and_pass_their_reports():
+    commands = list(_commands("runtime-without-scipy"))
+    runs = [(i, words) for i, words in enumerate(commands) if words[:2] == ["mwphoton", "run"]]
+    assert runs
+    for index, words in runs:
+        assert words[2] in EXPERIMENTS, words
+        out = words[words.index("--out") + 1]
+        later = commands[index + 1 :]
+        report = later.index(["mwphoton", "report", out])
+        # report exits 0 after failed checks too, so all_passed must be read
+        assert later[report + 1] == ["python", "-c", "$ALL_PASSED", f"{out}/report.json"]

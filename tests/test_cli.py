@@ -364,6 +364,13 @@ class TestRunCommand:
         assert code == 1
         assert "temperatures_k" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_names_the_key(self, tmp_path, capsys):
+        huge = "1" + "0" * 400  # a JSON integer no float can hold
+        code = run_cli("run", "variance_curves", "--set", f"n_max={huge}", "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'n_max'" in err
+
     def test_noise_statistics_flag_takes_every_schema_value(self, tmp_path):
         choices = _config_schema(tmp_path)["properties"]["noise_statistics"]["enum"]
         assert "quantum_thermal" in choices

@@ -173,7 +173,7 @@ def test_single_pass_engine_matches_block_route(kind):
     record = simulate_detection(
         STATES[kind], chain_noise_photons=(0.8, 1.9), gains=gains, count=60_013, seed=11
     )
-    moments, point, errors = _reconstruct_with_errors(record, gains)
+    moments, point, errors = _reconstruct_with_errors(record)
     old_moments, old_point, old_errors = _old_reconstruct_with_errors(record, gains)
     for key in moment_keys():
         new, old = moments.entry(*key), old_moments.entry(*key)

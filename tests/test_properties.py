@@ -1,4 +1,4 @@
-"""Property tests: configuration coercion, moment serialization and inversion.
+"""Property tests: configuration coercion, moment serialization, ordering and inversion.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples, and its caches go to a temporary directory instead
@@ -16,9 +16,22 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from mwphoton.cli import _TABLE, ConfigError, _rows, resolve_config
-from mwphoton.dualpath import CROSS_MOMENT_KEYS, CrossMomentSet, reconstruct_signal_moments
+import oracles
+from mwphoton.dualpath import (
+    CROSS_MOMENT_KEYS,
+    CrossMomentSet,
+    _moments_from_products,
+    reconstruct_signal_moments,
+)
 from mwphoton.experiments import EXPERIMENTS
-from mwphoton.states import MicrowaveState, MomentSet, Ordering, analytic_moments, moment_keys
+from mwphoton.states import (
+    MicrowaveState,
+    MomentSet,
+    Ordering,
+    analytic_moments,
+    moment_keys,
+    ordering_convert,
+)
 from test_dualpath import analytic_cross_moments
 
 # Hypothesis caches the constants of the local source under its home directory,
@@ -212,3 +225,64 @@ def test_exact_gaussian_cross_moments_invert_to_analytic_moments(
     expected = analytic_moments(state)
     for key in moment_keys():
         assert abs(moments.entries[key] - expected.entries[key]) <= 1e-9, key
+
+
+# ---------------------------------------------------------------------------
+# The moment algebra against the routes it replaced
+# ---------------------------------------------------------------------------
+
+# moments of order <= 4 at occupations of a few photons
+SMALL = st.floats(min_value=-5.0, max_value=5.0)
+
+
+@st.composite
+def normal_entries(draw, drift=st.just(0j)):
+    """Conjugate-consistent moments with (0, 0) = 1 and real, non-negative diagonal.
+
+    ``drift`` perturbs each mirror entry (m, n), as estimation noise would.
+    """
+    entries = {(0, 0): 1.0 + 0j}
+    for n, m in moment_keys():
+        if (n, m) == (0, 0) or n > m:
+            continue
+        if n == m:
+            entries[(n, m)] = complex(abs(draw(SMALL)))
+        else:
+            value = complex(draw(SMALL), draw(SMALL))
+            entries[(n, m)] = value
+            entries[(m, n)] = value.conjugate() + draw(drift)
+    return entries
+
+
+def _close(actual, expected, key):
+    assert abs(actual - expected) <= 1e-12 * max(1.0, abs(expected)), key
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(
+    raw=normal_entries(drift=st.complex_numbers(max_magnitude=1e-3)),
+    gains=st.tuples(*[st.floats(min_value=0.5, max_value=4.0)] * 2),
+    vacuum_port_photons=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_inversion_matches_the_symmetrized_route(raw, gains, vacuum_port_photons):
+    g1, g2 = gains
+    products = {
+        (n, m): value * g1 ** (m / 2.0) * g2 ** (n / 2.0) / 2.0 ** ((n + m) / 2.0)
+        for (n, m), value in raw.items()
+    }
+    moments = _moments_from_products(products, gains, vacuum_port_photons, 0)
+    assert moments.ordering is Ordering.NORMAL
+    expected = oracles.symmetrized_route_inversion(products, gains, vacuum_port_photons)
+    for key in moment_keys():
+        _close(moments.entries[key], expected[key], key)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(normal_entries())
+def test_ordering_round_trip_is_the_identity(entries):
+    original = MomentSet(Ordering.NORMAL, entries)
+    there = ordering_convert(original, Ordering.SYMMETRIZED)
+    back = ordering_convert(there, Ordering.NORMAL)
+    assert there.ordering is Ordering.SYMMETRIZED and back.ordering is Ordering.NORMAL
+    for key in moment_keys():
+        _close(back.entries[key], entries[key], key)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,21 @@ class TestMomentSetValidation:
     def test_negative_occupation_rejected_for_normal_ordering(self):
         with pytest.raises(ValueError):
             MomentSet(Ordering.NORMAL, {(0, 0): 1.0, (1, 1): -0.5})
+
+    @pytest.mark.parametrize(
+        "entries, key",
+        [
+            # finite parts whose modulus exceeds the float range
+            ({"0,0": [1.5e308, 1.5e308]}, "(0, 0)"),
+            ({"0,0": [1.0, 0.0], "1,2": [1.5e308, 1.5e308]}, "(1, 2)"),
+            # each entry fits, but its distance to its mirror does not
+            ({"0,0": [1.0, 0.0], "1,0": [1e308, 1e308], "0,1": [-5e307, 5e307]}, "(1, 0)"),
+        ],
+    )
+    def test_modulus_overflow_from_json_names_the_key(self, entries, key):
+        payload = {"ordering": "normal", "entries": entries}
+        with pytest.raises(ValueError, match=re.escape(key)):
+            MomentSet.from_json_dict(payload)
 
     def test_json_round_trip(self):
         original = analytic_moments(MicrowaveState.coherent(0.3 + 0.4j))
