@@ -261,7 +261,16 @@ def _config_schema() -> dict:
 
 
 def _experiment_kwargs(experiment: str, config: dict) -> dict:
-    """Translate unit-suffixed config keys into pipeline arguments."""
+    """Translate unit-suffixed config keys into pipeline arguments.
+
+    Also checks what no single key's schema can: the Planck range must
+    increase.
+    """
+    if "t_min_k" in config and not config["t_min_k"] < config["t_max_k"]:
+        raise ConfigError(
+            f"config field 't_min_k' must be below 't_max_k', got "
+            f"{config['t_min_k']!r} >= {config['t_max_k']!r}"
+        )
     rows = _rows(experiment)
     defaults = _PIPELINE_DEFAULTS[experiment]
     kwargs = {}

@@ -13,12 +13,17 @@ The simulation operates on complex envelopes drawn from the Wigner
 distribution of the input state; the intermediate frequency is carried as
 metadata only (the statistics under test are envelope moments).
 
+Every input state is a circular Gaussian around a carrier, so behind the
+hybrid and the two chains the pair (z1, z2) is one circular Gaussian
+around the split carrier (:func:`_record_model`); :func:`simulate_detection`
+draws it directly, four normals per sample, plus one uniform phase per
+sample for shot noise.
+
 Work inside a record runs on a thread pool with one worker per available
 CPU (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals
 and runs array loops.  :func:`simulate_detection` makes one task per
-``SAMPLE_BATCH``: it samples the signal and the fourth port, splits them
-on the hybrid, adds chain noise and applies the gains on its own slice of
-the record, with generators keyed by (seed, stream, batch).
+``SAMPLE_BATCH``, which fills its own slice of the record from a generator
+keyed by (seed, batch).
 :func:`_product_block_sums` makes one task per error block and returns
 the blocks in order.  A task's numbers depend on its batch or block
 alone, and results are combined in item order, so the record and every
@@ -65,10 +70,9 @@ from .states import (
     _batch_layout,
     _batch_seed,
     _bose_einstein_array,
-    _complex_normal,
     _conjugate_symmetrize,
     _gaussian_shift,
-    _sample_batch,
+    _wigner_gaussian,
 )
 
 __all__ = [
@@ -204,21 +208,12 @@ def hybrid_split(signal: np.ndarray, vacuum: np.ndarray) -> Tuple[np.ndarray, np
 
     Energy is conserved sample by sample: |out1|^2 + |out2|^2 = |s|^2 + |v|^2.
     """
-    s = np.array(signal, dtype=complex, order="C")
-    v = np.array(vacuum, dtype=complex, order="C")
+    s = np.asarray(signal, dtype=complex)
+    v = np.asarray(vacuum, dtype=complex)
     if s.shape != v.shape:
         raise ValueError("signal and vacuum-port sequences must have equal length")
-    _hybrid_in_place(s, v)
-    return s, v
-
-
-def _hybrid_in_place(s: np.ndarray, v: np.ndarray) -> None:
-    """Overwrite ``s`` with (s + v)/sqrt(2) and ``v`` with (s - v)/sqrt(2)."""
     root_half = 1.0 / math.sqrt(2.0)
-    total = s + v
-    np.subtract(s, v, out=v)
-    v *= root_half
-    np.multiply(total, root_half, out=s)
+    return (s + v) * root_half, (s - v) * root_half
 
 
 #: Worker threads of :func:`_map_on_cpus`: one per CPU this process may use.
@@ -241,6 +236,31 @@ def _map_on_cpus(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
+def _record_model(
+    state: MicrowaveState, chain_noise_photons: Tuple[float, float], vacuum_port_photons: float
+) -> Tuple[complex, bool, np.ndarray]:
+    """The joint law of a dual-path sample: z_j = sqrt(g_j) (mu / sqrt(2) + x_j).
+
+    Returns the carrier mu, whether its phase is random (drawn per sample)
+    and the per-quadrature covariance of the circular Gaussian (x1, x2),
+
+        [[(s_s + s_v + n1)/2, (s_s - s_v)/2], [(s_s - s_v)/2, (s_s + s_v + n2)/2]],
+
+    with s_s and s_v the Wigner per-quadrature variances of the signal and
+    of the fourth port and n1, n2 the chain-noise photons.  This is the law
+    of splitting the two Wigner samples on the hybrid and adding chain
+    noise of per-quadrature variance n_j/2 on each path.  Its determinant
+    is s_s s_v + ((s_s + s_v)(n1 + n2) + n1 n2)/4 >= s_s s_v > 0.
+    """
+    carrier, random_phase, var_s = _wigner_gaussian(state)
+    _, _, var_v = _wigner_gaussian(MicrowaveState.thermal(vacuum_port_photons))
+    n1, n2 = chain_noise_photons
+    covariance = 0.5 * np.array(
+        [[var_s + var_v + n1, var_s - var_v], [var_s - var_v, var_s + var_v + n2]]
+    )
+    return carrier, random_phase, covariance
+
+
 def simulate_detection(
     state: MicrowaveState,
     chain_noise_photons: Tuple[float, float] = (0.0, 0.0),
@@ -252,19 +272,23 @@ def simulate_detection(
 ) -> DetectionRecord:
     """Simulate a dual-path record for a given input state.
 
-    The input and the hybrid's fourth port are drawn from their Wigner
-    distributions, split on the hybrid ring, and each path acquires
-    independent circular-Gaussian chain noise (``chain_noise_photons``
-    referred to the chain input) before multiplication by sqrt(gain).  The
-    fourth port defaults to exact vacuum; a small thermal occupation can be
+    The record follows the law of splitting the Wigner samples of the input
+    and of the hybrid's fourth port on the hybrid ring, adding independent
+    circular-Gaussian chain noise to each path (``chain_noise_photons``
+    referred to the chain input) and multiplying by sqrt(gain).  The fourth
+    port defaults to exact vacuum; a small thermal occupation can be
     injected through ``vacuum_port_photons``.
 
     Chain noise of n photons has per-quadrature variance n/2 on top of the
-    signal's own (already sampled) vacuum, so on a vacuum input each chain
-    output has per-quadrature variance (2 n + 1)/4.  Every ``SAMPLE_BATCH``
-    runs the whole chain on its own slice of the record, with generators
-    keyed by (seed, stream, batch), so the batches run on all CPUs and the
-    record does not depend on how many there are.
+    signal's own vacuum, so on a vacuum input each chain output has
+    per-quadrature variance (2 n + 1)/4.  That law is one circular Gaussian
+    (:func:`_record_model`), drawn from its Cholesky factor L: with e1, e2
+    standard complex normals, z1 = sqrt(g1) (mu/sqrt(2) + L11 e1) and
+    z2 = sqrt(g2) (mu/sqrt(2) + L21 e1 + L22 e2), where the shot-noise
+    carrier mu takes a uniform phase per sample.  Every ``SAMPLE_BATCH``
+    fills its own slice of the record from a generator keyed by
+    (seed, batch), so the batches run on all CPUs and the record does not
+    depend on how many there are.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -273,35 +297,44 @@ def simulate_detection(
         raise ValueError("chain noise photons must be >= 0")
     if vacuum_port_photons < 0:
         raise ValueError("vacuum-port occupation must be >= 0")
-    root = np.random.SeedSequence(seed)
-    signal_stream, port_stream, *noise_streams = [
-        np.random.SeedSequence(entropy=root.entropy, spawn_key=(s,)) for s in range(4)
-    ]
-    port_state = (
-        MicrowaveState.vacuum()
-        if vacuum_port_photons == 0.0
-        else MicrowaveState.thermal(vacuum_port_photons)
+    carrier, random_phase, covariance = _record_model(
+        state, chain_noise_photons, vacuum_port_photons
     )
-    # the hybrid outputs overwrite the two sampled buffers, and chain noise
-    # and gain act on them in place, so the record costs two allocations
-    signal = np.empty(count, dtype=complex)
-    port = np.empty(count, dtype=complex)
-    paths = tuple(zip((n1, n2), noise_streams, gains))
+    # Cholesky factor of the 2 x 2 covariance, which is positive definite
+    l11 = math.sqrt(covariance[0, 0])
+    l21 = covariance[1, 0] / l11
+    l22 = math.sqrt(covariance[1, 1] - l21 * l21)
+    mean = carrier / math.sqrt(2.0)
+    root_g1, root_g2 = (math.sqrt(g) for g in gains)
+    z1 = np.empty(count, dtype=complex)
+    z2 = np.empty(count, dtype=complex)
 
     def detect_batch(batch):
         index, lo, size = batch
-        out = (signal[lo : lo + size], port[lo : lo + size])
-        _sample_batch(state, signal_stream, index, out[0])
-        _sample_batch(port_state, port_stream, index, out[1])
-        _hybrid_in_place(*out)
-        for z, (n_chain, stream, gain) in zip(out, paths):
-            if n_chain != 0.0:
-                rng = np.random.default_rng(_batch_seed(stream, index))
-                z += _complex_normal(rng, math.sqrt(n_chain / 2.0), size)
-            z *= math.sqrt(gain)
+        rng = np.random.default_rng(_batch_seed(seed, index))
+        # (I, Q) pairs of e1 and e2 per row, so a short final batch is a
+        # prefix of the full batch it replaces
+        e = rng.standard_normal((size, 4)).view(complex)
+        out1, out2 = z1[lo : lo + size], z2[lo : lo + size]
+        np.multiply(e[:, 0], l11, out=out1)
+        np.multiply(e[:, 0], l21, out=out2)
+        e[:, 1] *= l22
+        out2 += e[:, 1]
+        del e  # a task holds one temporary of at most (size, 4) floats
+        if random_phase:
+            mu = 1j * rng.uniform(0.0, 2.0 * math.pi, size)
+            np.exp(mu, out=mu)
+            mu *= mean
+            out1 += mu
+            out2 += mu
+        elif mean:
+            out1 += mean
+            out2 += mean
+        out1 *= root_g1
+        out2 *= root_g2
 
     _map_on_cpus(detect_batch, _batch_layout(count))
-    return DetectionRecord(signal, port, tuple(gains), if_frequency, seed)
+    return DetectionRecord(z1, z2, tuple(gains), if_frequency, seed)
 
 
 def _error_blocks(count: int):

@@ -18,10 +18,11 @@ Conventions.  Monte Carlo samples always represent the Wigner
 quasi-distribution, because heterodyne records estimate symmetrized
 operator averages.  All commutator bookkeeping is concentrated in the
 shift map :func:`_gaussian_shift`; nothing else in the package applies
-``[a, a^dag]`` corrections.  Shot noise is modelled as a displaced vacuum
-whose global phase is redrawn uniformly per sample batch, which leaves the
-Poissonian intensity statistics intact while erasing phase coherence across
-batches.
+``[a, a^dag]`` corrections.  Every state's Wigner distribution is a
+circular Gaussian around a carrier (:func:`_wigner_gaussian`).  Shot noise
+is modelled as a displaced vacuum whose phase is drawn uniformly for each
+sample: the phase-averaged coherent state, with Poissonian intensity
+statistics and no phase coherence between samples.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ def sample_envelopes(
 
     Thermal and vacuum states are circular Gaussians with per-quadrature
     variance (2n + 1)/4.  Coherent states displace the vacuum Gaussian by
-    ``alpha``.  Shot noise displaces by sqrt(n) exp(i phi) with the global
-    phase ``phi`` redrawn uniformly per batch of ``SAMPLE_BATCH`` samples.
-    Deterministic given ``seed``, independent of how batches are scheduled.
+    ``alpha``.  Shot noise displaces it by sqrt(n) exp(i phi), with the
+    phase ``phi`` drawn uniformly for each sample.  Deterministic given
+    ``seed``, independent of how batches are scheduled.
     """
     if count < 0:
         raise ValueError("sample count must be >= 0")
@@ -327,33 +328,38 @@ def sample_envelopes(
     return out
 
 
+def _wigner_gaussian(state: MicrowaveState) -> Tuple[complex, bool, float]:
+    """(carrier, random phase, per-quadrature variance) of the state's Wigner law.
+
+    The Wigner distribution is a circular Gaussian of that variance around
+    the carrier; with a random phase, the carrier's phase is uniform and
+    independent from sample to sample.
+    """
+    if state.kind is StateKind.COHERENT:
+        return state.amplitude, False, 0.25
+    if state.kind is StateKind.SHOT_NOISE:
+        return complex(math.sqrt(state.mean_photons)), True, 0.25
+    return 0j, False, (2.0 * state.mean_photons + 1.0) / 4.0
+
+
 def _sample_batch(
     state: MicrowaveState, seed: Union[int, np.random.SeedSequence], index: int, z: np.ndarray
 ) -> None:
     """Fill ``z`` with batch ``index`` of :func:`sample_envelopes` for ``seed``.
 
     Each batch draws from its own generator, so batches can be filled in
-    any order, or at once on several threads.
+    any order, or at once on several threads.  Quadratures are drawn
+    interleaved (I, Q pairs viewed as complex), and a random phase per
+    sample after them, so a short final batch is a prefix of the full batch
+    it replaces.
     """
     rng = np.random.default_rng(_batch_seed(seed, index))
-    n = state.mean_photons
-    # quadratures drawn interleaved (I, Q pairs viewed as complex) so a
-    # short final batch is a prefix of the full batch it replaces
-    if state.kind in (StateKind.THERMAL, StateKind.VACUUM):
-        z[:] = _complex_normal(rng, math.sqrt((2.0 * n + 1.0) / 4.0), z.size)
-    elif state.kind is StateKind.COHERENT:
-        z[:] = _complex_normal(rng, 0.5, z.size)
-        z += state.amplitude
-    else:  # shot noise: fixed modulus, batch-random global phase
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        carrier = math.sqrt(n) * np.exp(1j * phase)
-        z[:] = _complex_normal(rng, 0.5, z.size)
+    carrier, random_phase, variance = _wigner_gaussian(state)
+    z[:] = rng.normal(0.0, math.sqrt(variance), size=(z.size, 2)).view(complex)[:, 0]
+    if random_phase:
+        z += carrier * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, z.size))
+    elif carrier:
         z += carrier
-
-
-def _complex_normal(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """``size`` circular Gaussian samples with per-quadrature deviation ``sigma``."""
-    return rng.normal(0.0, sigma, size=(size, 2)).view(complex)[:, 0]
 
 
 def empirical_moments(samples: np.ndarray) -> MomentSet:

@@ -2,13 +2,16 @@
 
 Nothing in here touches the code paths under test: moments come from
 explicit Fock-basis linear algebra (truncated density matrices and ladder
-operators), Gaussian moments from an Isserlis pairing enumeration, and
+operators), Gaussian moments from an Isserlis pairing enumeration,
 resonator correlators from a direct stochastic integration of the damped
-mode.  Tests compare package results against these.
+mode, dual-path records from the layered hybrid-and-chains route, and
+qubit dephasing rates from exact non-Gaussian closed forms.  Tests compare
+package results against these.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -283,3 +286,86 @@ def symmetrized_route_inversion(products, gains, vacuum_port_photons, max_order=
             for k in range(min(n, m) + 1)
         )
     return normal
+
+
+# ---------------------------------------------------------------------------
+# Dual-path records, the layered route
+# ---------------------------------------------------------------------------
+
+def layered_detection(state, chain_noise_photons, gains, count, seed, vacuum_port_photons):
+    """A dual-path record (z1, z2) built layer by layer from one generator.
+
+    The signal and the hybrid's fourth port are drawn from their Wigner
+    distributions (per-quadrature variance (2n + 1)/4 for thermal and
+    vacuum, 1/4 around the carrier for coherent states and shot noise, the
+    shot-noise carrier sqrt(n) exp(i phi) with phi uniform per sample), split
+    on the hybrid, given chain noise of per-quadrature variance n_j/2 and
+    multiplied by sqrt(g_j).  Eight normals per sample, plus a phase for
+    shot noise.
+    """
+    rng = np.random.default_rng(seed)
+
+    def circular(variance):
+        return rng.normal(0.0, math.sqrt(variance), size=(count, 2)) @ np.array([1.0, 1j])
+
+    kind, n = state.kind.value, state.mean_photons
+    if kind in ("thermal", "vacuum"):
+        signal = circular((2.0 * n + 1.0) / 4.0)
+    elif kind == "coherent":
+        signal = state.amplitude + circular(0.25)
+    else:
+        signal = math.sqrt(n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+        signal = signal + circular(0.25)
+    port = circular((2.0 * vacuum_port_photons + 1.0) / 4.0)
+    root_half = 1.0 / math.sqrt(2.0)
+    paths = ((signal + port) * root_half, (signal - port) * root_half)
+    return tuple(
+        math.sqrt(gain) * (out + circular(n_chain / 2.0))
+        for out, n_chain, gain in zip(paths, chain_noise_photons, gains)
+    )
+
+
+def layered_second_moments(mean_photons, chain_noise_photons, gains, vacuum_port_photons):
+    """E|z1|^2, E|z2|^2 and E[z1 conj(z2)] of :func:`layered_detection`, in closed form.
+
+    A Wigner sample has E|s|^2 = n + 1/2 for every state and the port
+    E|v|^2 = n_v + 1/2; chain noise adds E|c_j|^2 = n_j.  So
+    E|z_j|^2 = g_j [(E|s|^2 + E|v|^2)/2 + n_j] and
+    E[z1 conj(z2)] = sqrt(g1 g2) (E|s|^2 - E|v|^2)/2.
+    """
+    signal, port = mean_photons + 0.5, vacuum_port_photons + 0.5
+    (g1, g2), (n1, n2) = gains, chain_noise_photons
+    return (
+        g1 * ((signal + port) / 2.0 + n1),
+        g2 * ((signal + port) / 2.0 + n2),
+        math.sqrt(g1 * g2) * (signal - port) / 2.0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Qubit dephasing beyond the Gaussian phase law
+# ---------------------------------------------------------------------------
+
+def thermal_dephasing_exact(kappa, chi, n):
+    """Long-time dephasing rate of a qubit behind a thermally occupied resonator.
+
+    Clerk & Utami, PRA 75, 042302 (2007):
+    Gamma = (kappa/2) Re[sqrt((1 + i x)^2 + 4 i x n) - 1] with x = 2 chi / kappa,
+    exact in x for a resonator of total linewidth ``kappa`` and thermal
+    occupation ``n``.  To second order in x it is kappa x^2 (n^2 + n).
+    """
+    x = 2.0 * chi / kappa
+    return kappa / 2.0 * (cmath.sqrt((1.0 + 1j * x) ** 2 + 4j * x * n) - 1.0).real
+
+
+def coherent_dephasing_exact(kappa, chi, n):
+    """Steady-state dephasing rate 2 kappa n sin^2(theta0) of a coherently driven resonator.
+
+    The qubit-state fields alpha_pm = eps / (kappa/2 +- i chi) (Gambetta et
+    al., PRA 74, 042318 (2006)) hold n photons each and dephase the qubit at
+    kappa |alpha_+ - alpha_-|^2 / 2 = 2 kappa n x^2 / (1 + x^2), with
+    x = tan(theta0) = 2 chi / kappa.  To second order in x it is
+    2 kappa theta0^2 n.
+    """
+    theta0 = math.atan(2.0 * chi / kappa)
+    return 2.0 * kappa * n * math.sin(theta0) ** 2

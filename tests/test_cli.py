@@ -391,6 +391,17 @@ class TestRunCommand:
         assert code == 1
         assert "resonance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_min", ["1.0", "0.5"])
+    def test_planck_range_must_increase(self, tmp_path, capsys, t_min):
+        code = run_cli(
+            "run", "planck_calibration", "--set", f"t_min_k={t_min}", "--set", "t_max_k=0.5",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'t_min_k'" in err and "'t_max_k'" in err
+        assert not (tmp_path / "p").exists()
+
     def test_degenerate_planck_sweep_is_a_numerical_failure(self, tmp_path, capsys):
         code = run_cli(
             "run", "planck_calibration", "--set", "t_min_k=0.001", "--set", "t_max_k=0.004",

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from mwphoton.cavity import Resonator, correlator, correlator_value
 from mwphoton.chains import BeamSplitterStage, attenuate
 from mwphoton.defaults import SAMPLE_QUBIT
@@ -201,6 +203,46 @@ class TestDephasingRate:
         assert dephasing_rate(
             StateKind.THERMAL, n_b, system, background=transparent
         ) == pytest.approx(plain, rel=1e-12)
+
+
+class TestGaussianPhaseLawValidity:
+    """The rates above are the second cumulant of the phase, exact to O(x^2)
+    in x = 2 chi / kappa; exact closed forms bound them at finite pull."""
+
+    @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
+    def test_thermal_exact_rate_meets_law_at_small_pull(self, n_r, system):
+        # without internal loss the exact rate's kappa_x + kappa_i is kappa_x, and
+        # exact / law = 1 - x^2 (1/3 + 5 n + 5 n^2) + O(x^4)
+        lossless = replace(system.resonator, internal_rate=0.0)
+        for x in (1e-2, 1e-3):
+            small = replace(system, resonator=lossless, chi=x * lossless.external_rate / 2.0)
+            exact = oracles.thermal_dephasing_exact(lossless.total_rate, small.chi, n_r)
+            ratio = exact / dephasing_rate(StateKind.THERMAL, n_r, small)
+            assert (1.0 - ratio) / x ** 2 == pytest.approx(
+                1.0 / 3.0 + 5.0 * n_r + 5.0 * n_r * n_r, rel=0.01
+            )
+
+    @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
+    def test_coherent_exact_rate_meets_law_at_small_pull(self, n_r, system):
+        # with kappa = kappa_x, exact / law = sin^2(theta0) / theta0^2 = 1 - x^2/3 + O(x^4)
+        kappa_x = system.resonator.external_rate
+        for x in (1e-2, 1e-3):
+            small = replace(system, chi=x * kappa_x / 2.0)
+            exact = oracles.coherent_dephasing_exact(kappa_x, small.chi, n_r)
+            ratio = exact / dephasing_rate(StateKind.COHERENT, n_r, small)
+            assert (1.0 - ratio) / x ** 2 == pytest.approx(1.0 / 3.0, rel=0.01)
+
+    @pytest.mark.parametrize("n_r, expected", [(0.05, 0.820), (0.5, 0.517), (1.5, 0.261)])
+    def test_thermal_law_overestimates_at_the_sample_point(self, n_r, expected, system):
+        exact = oracles.thermal_dephasing_exact(system.resonator.total_rate, system.chi, n_r)
+        ratio = exact / dephasing_rate(StateKind.THERMAL, n_r, system)
+        assert ratio == pytest.approx(expected, abs=5e-4)
+
+    @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
+    def test_coherent_law_overestimates_at_the_sample_point(self, n_r, system):
+        exact = oracles.coherent_dephasing_exact(system.resonator.external_rate, system.chi, n_r)
+        ratio = exact / dephasing_rate(StateKind.COHERENT, n_r, system)
+        assert ratio == pytest.approx(0.874, abs=5e-4)
 
 
 class TestRamseyEnvelope:
