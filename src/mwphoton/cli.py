@@ -22,7 +22,10 @@ table, so the schema ``schema`` emits is the one ``run`` enforces.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
-given.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+given.  ``run`` swaps its files in only once all are written; it replaces
+an empty directory or an earlier run (one holding ``manifest.json``) and
+refuses any other existing path.  Exit codes: 0 success, 1 configuration
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import math
 import operator
 import os
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional
@@ -313,7 +317,7 @@ def _plain(value):
 
 def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dict) -> list:
     """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir()
     for name, table in result["tables"].items():
         lines = [",".join(table["columns"])]
         for row in table["rows"]:
@@ -633,6 +637,10 @@ def _command_run(args: argparse.Namespace) -> int:
         kwargs = _experiment_kwargs(args.experiment, config)
     except (ValueError, ZeroDivisionError) as exc:  # e.g. a qubit on resonance
         raise ConfigError(str(exc)) from exc
+    out_dir = args.out or Path(os.environ.get("MWPHOTON_OUTPUT_ROOT", "runs")) / args.experiment
+    if out_dir.exists() and not (out_dir / "manifest.json").is_file():
+        if out_dir.is_file() or any(out_dir.iterdir()):
+            raise ConfigError(f"--out {out_dir} holds files but no manifest.json; not replacing it")
     try:
         result = run_experiment(args.experiment, **kwargs)
     except NumericalError:
@@ -641,9 +649,13 @@ def _command_run(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     except Exception as exc:
         raise NumericalError(f"experiment {args.experiment} failed: {exc}") from exc
-    root = os.environ.get("MWPHOTON_OUTPUT_ROOT", "runs")
-    out_dir = args.out or Path(root) / args.experiment
-    written = _write_run_outputs(out_dir, args.experiment, config, result)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # write beside out_dir, then swap the finished run in
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as work:
+        written = _write_run_outputs(Path(work, "run"), args.experiment, config, result)
+        if out_dir.exists():
+            out_dir.rename(Path(work, "old"))
+        Path(work, "run").rename(out_dir)
     print(f"wrote {written} to {out_dir}")
     return 0
 

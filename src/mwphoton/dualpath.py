@@ -15,32 +15,31 @@ metadata only (the statistics under test are envelope moments).
 
 Every input state is a circular Gaussian around a carrier, so behind the
 hybrid and the two chains the pair (z1, z2) is one circular Gaussian
-around the split carrier (:func:`_record_model`); :func:`simulate_detection`
-draws it directly, four normals per sample, plus one uniform phase per
-sample for shot noise.
+around the split carrier (:func:`_record_model`).  :func:`_batch_sampler`
+draws it one ``SAMPLE_BATCH`` at a time from a generator keyed by
+(seed, batch): four normals per sample, plus one uniform phase per sample
+for shot noise.
 
-Work inside a record runs on a thread pool with one worker per available
-CPU (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals
-and runs array loops.  :func:`simulate_detection` makes one task per
-``SAMPLE_BATCH``, which fills its own slice of the record from a generator
-keyed by (seed, batch).
-:func:`_product_block_sums` makes one task per error block and returns
-the blocks in order.  A task's numbers depend on its batch or block
-alone, and results are combined in item order, so the record and every
-sum built on it are bit-identical for any worker count.  Block totals are
-combined with compensated summation.
+Work runs on a thread pool with one worker per available CPU
+(:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
+runs array loops.  Each task draws one batch.  :func:`simulate_detection`
+draws it into the batch's slice of a record.  The sweep pipelines
+(``experiments._detect_point``) draw it into the task's own buffers and
+keep only the sums of the cross-path products over each error-block
+segment the batch overlaps (:func:`_segment_sums`), so a sweep point never
+holds a record.  A task's numbers depend on its batch alone, and results
+are combined in batch order, so every record and every sum is
+bit-identical for any worker count.
 
 The reconstruction needs only the 15 complex cross-path products
 E[z1^m conj(z2)^n], n + m <= 4.  Rescaled by the gains and the hybrid's
 sqrt(2), they are the normally ordered signal moments behind a vacuum
 fourth port, and one Gaussian shift away from them behind a warm one
-(:func:`_moments_from_products`).  The sweep pipelines take one pass over
-a record that sums them per error block (:func:`_product_block_sums`);
-the point estimates invert the compensated total of those block sums and
-the error bars come from the scatter of the per-block inversions.  The
-70-entry I/Q table of :func:`cross_moments`, one Gram product per error
-block, is the export and diagnostic form and reaches the same inversion
-through :func:`reconstruct_signal_moments`.
+(:func:`_moments_from_products`).  A sweep point inverts the compensated
+total of its block sums for the estimate and each block's own mean for
+the error bars.  The 70-entry I/Q table of :func:`cross_moments`, one Gram
+product per error block, is the form for exported records and reaches the
+same inversion through :func:`reconstruct_signal_moments`.
 """
 
 from __future__ import annotations
@@ -281,14 +280,32 @@ def simulate_detection(
 
     Chain noise of n photons has per-quadrature variance n/2 on top of the
     signal's own vacuum, so on a vacuum input each chain output has
-    per-quadrature variance (2 n + 1)/4.  That law is one circular Gaussian
-    (:func:`_record_model`), drawn from its Cholesky factor L: with e1, e2
-    standard complex normals, z1 = sqrt(g1) (mu/sqrt(2) + L11 e1) and
+    per-quadrature variance (2 n + 1)/4.  Every ``SAMPLE_BATCH`` fills its
+    own slice of the record (:func:`_batch_sampler`), so the batches run on
+    all CPUs and the record does not depend on how many there are.
+    """
+    draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
+    z1 = np.empty(count, dtype=complex)
+    z2 = np.empty(count, dtype=complex)
+
+    def fill(batch):
+        index, lo, size = batch
+        draw(index, z1[lo : lo + size], z2[lo : lo + size])
+
+    _map_on_cpus(fill, _batch_layout(count))
+    return DetectionRecord(z1, z2, tuple(gains), if_frequency, seed)
+
+
+def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons):
+    """Check the arguments of :func:`simulate_detection`; return its batch drawer.
+
+    ``draw(index, out1, out2)`` fills ``out1`` and ``out2`` with batch
+    ``index`` of the record: its joint law (:func:`_record_model`) drawn
+    from the Cholesky factor L, with e1, e2 standard complex normals,
+    z1 = sqrt(g1) (mu/sqrt(2) + L11 e1) and
     z2 = sqrt(g2) (mu/sqrt(2) + L21 e1 + L22 e2), where the shot-noise
-    carrier mu takes a uniform phase per sample.  Every ``SAMPLE_BATCH``
-    fills its own slice of the record from a generator keyed by
-    (seed, batch), so the batches run on all CPUs and the record does not
-    depend on how many there are.
+    carrier mu takes a uniform phase per sample.  Each batch comes from a
+    generator keyed by (seed, batch) alone.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -306,16 +323,13 @@ def simulate_detection(
     l22 = math.sqrt(covariance[1, 1] - l21 * l21)
     mean = carrier / math.sqrt(2.0)
     root_g1, root_g2 = (math.sqrt(g) for g in gains)
-    z1 = np.empty(count, dtype=complex)
-    z2 = np.empty(count, dtype=complex)
 
-    def detect_batch(batch):
-        index, lo, size = batch
+    def draw(index, out1, out2):
+        size = out1.size
         rng = np.random.default_rng(_batch_seed(seed, index))
         # (I, Q) pairs of e1 and e2 per row, so a short final batch is a
         # prefix of the full batch it replaces
         e = rng.standard_normal((size, 4)).view(complex)
-        out1, out2 = z1[lo : lo + size], z2[lo : lo + size]
         np.multiply(e[:, 0], l11, out=out1)
         np.multiply(e[:, 0], l21, out=out2)
         e[:, 1] *= l22
@@ -333,8 +347,7 @@ def simulate_detection(
         out1 *= root_g1
         out2 *= root_g2
 
-    _map_on_cpus(detect_batch, _batch_layout(count))
-    return DetectionRecord(z1, z2, tuple(gains), if_frequency, seed)
+    return draw
 
 
 def _error_blocks(count: int):
@@ -402,40 +415,30 @@ _MIXED_KEYS = {
 assert all(min(key) in (1, k) for k, keys in _MIXED_KEYS.items() for key in keys)
 
 
-def _product_block_sums(rec: DetectionRecord):
-    """Block sums of the 15 cross-path products z1^m conj(z2)^n, n + m <= 4.
+def _segment_sums(z1: np.ndarray, z2: np.ndarray) -> Dict[Tuple[int, int], complex]:
+    """Sums of the 15 cross-path products z1^m conj(z2)^n, n + m <= 4, over a segment.
 
-    The blocks are those of :func:`cross_moments`.  Returns one
-    ``(size, sums)`` pair per block, in block order, with ``sums[(n, m)]``
-    the complex sum of z1^m conj(z2)^n over the block; every product is
-    built from shared powers of z1 and conj(z2).  Each block is summed on
-    its own, so the blocks run on all CPUs and the sums do not depend on
-    how many there are.
+    ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n; every product
+    is built from shared powers of z1 and conj(z2).
     """
-
-    def block_sums(bounds):
-        lo, hi = bounds
-        z1 = rec.envelopes_1[lo:hi]
-        z2_bar = np.conj(rec.envelopes_2[lo:hi])
-        product = np.empty_like(z2_bar)
-        sums = {(0, 0): complex(hi - lo)}
-        # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
-        # block holds four arrays at a time
-        pow1, pow2 = z1, z2_bar
-        for k in range(1, MAX_MOMENT_ORDER + 1):
-            if k == 2:
-                pow1, pow2 = pow1 * z1, pow2 * z2_bar
-            elif k > 2:
-                np.multiply(pow1, z1, out=pow1)
-                np.multiply(pow2, z2_bar, out=pow2)
-            sums[(0, k)] = complex(pow1.sum())
-            sums[(k, 0)] = complex(pow2.sum())
-            for n, m in _MIXED_KEYS[k]:
-                np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
-                sums[(n, m)] = complex(product.sum())
-        return hi - lo, sums
-
-    return _map_on_cpus(block_sums, _error_blocks(rec.sample_count))
+    z2_bar = np.conj(z2)
+    product = np.empty_like(z2_bar)
+    sums = {(0, 0): complex(z1.size)}
+    # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
+    # segment holds four arrays at a time
+    pow1, pow2 = z1, z2_bar
+    for k in range(1, MAX_MOMENT_ORDER + 1):
+        if k == 2:
+            pow1, pow2 = pow1 * z1, pow2 * z2_bar
+        elif k > 2:
+            np.multiply(pow1, z1, out=pow1)
+            np.multiply(pow2, z2_bar, out=pow2)
+        sums[(0, k)] = complex(pow1.sum())
+        sums[(k, 0)] = complex(pow2.sum())
+        for n, m in _MIXED_KEYS[k]:
+            np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
+            sums[(n, m)] = complex(product.sum())
+    return sums
 
 
 # ---------------------------------------------------------------------------

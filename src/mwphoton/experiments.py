@@ -41,20 +41,24 @@ from .defaults import (
 )
 from .dualpath import (
     PlanckSweep,
+    _batch_sampler,
+    _error_blocks,
+    _map_on_cpus,
     _moments_from_products,
-    _product_block_sums,
+    _segment_sums,
     jpa_planck_fit,
     jpa_planck_power,
     planck_fit,
     planck_power,
     quadrature_variances,
     saturation_power_for_t1db,
-    simulate_detection,
+    simulate_detection,  # unused here; benchmarks/workloads.py probes it by this name
     wigner_gaussian_contour,
 )
 from .qubit import DispersiveSystem, dephasing_rate, simulate_ramsey
 from .states import (
     _MOMENT_KEYS,
+    _batch_layout,
     MicrowaveState,
     ModeSpec,
     StateKind,
@@ -213,47 +217,54 @@ def _point_values(moments) -> Dict[str, float]:
     return point
 
 
-def _reconstruct_with_errors(record):
-    """Full-record reconstruction plus block-scatter standard errors.
+def _detect_point(
+    state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0), vacuum_port_photons=0.0
+):
+    """Moments, point values and block errors of one sweep point, built from no record.
 
-    One pass over the record yields the block sums of the cross-path
-    products; the full estimate inverts their compensated total and each
-    block of at least 2 samples inverts its own mean.
+    One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
+    would, into its own buffers, and sums the 15 cross-path products over
+    each error-block segment the batch overlaps; each block adds its
+    segments in batch order.  The estimate inverts the compensated total of
+    the block sums; each block of >= 2 samples inverts its own mean.
     """
-    blocks = _product_block_sums(record)
-    count, gains = record.sample_count, record.chain_gains
+    draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
+    blocks = _error_blocks(count)
+
+    def batch_segments(batch):
+        index, lo, size = batch
+        z1, z2 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        draw(index, z1, z2)
+        return [
+            (block, _segment_sums(z1[max(a - lo, 0) : b - lo], z2[max(a - lo, 0) : b - lo]))
+            for block, (a, b) in enumerate(blocks)
+            if a < lo + size and b > lo
+        ]
+
+    sums = [dict.fromkeys(_MOMENT_KEYS, 0j) for _ in blocks]
+    for segments in _map_on_cpus(batch_segments, _batch_layout(count)):
+        for block, segment in segments:
+            for key, value in segment.items():
+                sums[block][key] += value
     full = {
-        key: complex(
-            math.fsum(sums[key].real for _, sums in blocks),
-            math.fsum(sums[key].imag for _, sums in blocks),
-        )
+        key: complex(math.fsum(s[key].real for s in sums), math.fsum(s[key].imag for s in sums))
         / count
         for key in _MOMENT_KEYS
     }
-    moments = _moments_from_products(full, gains, 0.0, count)
+    moments = _moments_from_products(full, gains, vacuum_port_photons, count)
     block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
-    for size, sums in blocks:
-        if size < 2:
+    for (lo, hi), block_sums in zip(blocks, sums):
+        if hi - lo < 2:
             continue
-        means = {key: value / size for key, value in sums.items()}
-        for key, value in _point_values(_moments_from_products(means, gains, 0.0, size)).items():
+        means = {key: value / (hi - lo) for key, value in block_sums.items()}
+        block_moments = _moments_from_products(means, gains, vacuum_port_photons, hi - lo)
+        for key, value in _point_values(block_moments).items():
             block_values[key].append(value)
     errors = {
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         for key, vals in block_values.items()
     }
     return moments, _point_values(moments), errors
-
-
-def _detect_point(state, count, seed, **detection):
-    """Point values and block errors of one simulated sweep point.
-
-    ``detection`` goes to :func:`simulate_detection` as it is.  The record
-    lives only inside this call, so a sweep holds one record at a time.
-    """
-    record = simulate_detection(state, count=count, seed=seed, **detection)
-    _, point, errors = _reconstruct_with_errors(record)
-    return point, errors
 
 
 def dualpath_sweep(
@@ -281,7 +292,7 @@ def dualpath_sweep(
     detection = {"chain_noise_photons": chain_noise_photons, "gains": gains}
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
-        point, errors = _detect_point(
+        _, point, errors = _detect_point(
             MicrowaveState.thermal(n_true), count, seed + 7919 * index, **detection
         )
         rows.append(
@@ -511,7 +522,7 @@ def quadrature_check(
     rows = []
     for index, n in enumerate(occupations):
         n = float(n)
-        point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
+        _, point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
         rows.append(
             [
                 n,

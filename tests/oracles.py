@@ -4,9 +4,10 @@ Nothing in here touches the code paths under test: moments come from
 explicit Fock-basis linear algebra (truncated density matrices and ladder
 operators), Gaussian moments from an Isserlis pairing enumeration,
 resonator correlators from a direct stochastic integration of the damped
-mode, dual-path records from the layered hybrid-and-chains route, and
-qubit dephasing rates from exact non-Gaussian closed forms.  Tests compare
-package results against these.
+mode, dual-path records from the layered hybrid-and-chains route, their
+cross-path product means block by block, and qubit dephasing rates from
+exact non-Gaussian closed forms.  Tests compare package results against
+these.
 """
 
 from __future__ import annotations
@@ -340,6 +341,21 @@ def layered_second_moments(mean_photons, chain_noise_photons, gains, vacuum_port
         g2 * ((signal + port) / 2.0 + n2),
         math.sqrt(g1 * g2) * (signal - port) / 2.0,
     )
+
+
+def product_block_means(z1, z2, keys, blocks=20):
+    """Means of the cross-path products z1^m conj(z2)^n per error block.
+
+    One row per ``np.linspace`` block of the record and one column per key
+    (n, m); each product is its own power of z1 times its own power of
+    conj(z2).  Returns the block sizes and the (blocks, keys) means.
+    """
+    bounds = np.linspace(0, z1.size, blocks + 1).astype(int)
+    means = [
+        [np.mean(z1[lo:hi] ** m * np.conj(z2[lo:hi]) ** n) for n, m in keys]
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return np.diff(bounds), np.array(means)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from mwphoton import cli
 from mwphoton.cli import (
     ConfigError,
+    NumericalError,
     _experiment_kwargs,
     _rows,
     generate_report,
@@ -332,11 +334,64 @@ class TestRunCommand:
             f"wrote ['fits.json', 'manifest.json', 'variance_curves.csv'] to {out}\n"
         )
         assert run_cli("run", "jpa_sweep", "--out", str(out)) == 0
-        # variance_curves.csv is still in the directory, but this run did not write it
-        assert (out / "variance_curves.csv").exists()
+        # the earlier run is replaced, not merged
+        assert not (out / "variance_curves.csv").exists()
         assert capsys.readouterr().out == (
             f"wrote ['fits.json', 'g2_minus_offset.csv', 'manifest.json'] to {out}\n"
         )
+
+    def test_later_run_replaces_earlier_run(self, tmp_path):
+        out = tmp_path / "shared"
+        assert run_cli("run", "quadrature_check", "--count", "400", "--out", str(out)) == 0
+        assert (out / "quadratures.csv").exists()
+        assert run_cli("run", "jpa_sweep", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fits.json", "g2_minus_offset.csv", "manifest.json"
+        ]
+        assert list(tmp_path.iterdir()) == [out]  # no temporary sibling is left
+
+    def test_empty_out_dir_is_replaced(self, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 0
+        assert (out / "variance_curves.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["pipeline", "writer"])
+    def test_failed_run_leaves_earlier_run_intact(self, tmp_path, monkeypatch, stage):
+        out = tmp_path / "run"
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise NumericalError("injected failure")
+
+        if stage == "pipeline":
+            monkeypatch.setattr(cli, "run_experiment", fail)
+        else:
+            write = cli._write_run_outputs
+
+            def write_then_fail(out_dir, *args):
+                write(out_dir, *args)  # every file of the new run is on disk
+                fail()
+
+            monkeypatch.setattr(cli, "_write_run_outputs", write_then_fail)
+        assert run_cli("run", "jpa_sweep", "--out", str(out)) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("foreign", ["directory", "file"])
+    def test_foreign_out_is_refused(self, tmp_path, capsys, foreign):
+        out = tmp_path / "mine"
+        if foreign == "directory":
+            out.mkdir()
+            (out / "notes.txt").write_text("keep me\n")
+        else:
+            out.write_text("keep me\n")
+        assert run_cli("run", "variance_curves", "--out", str(out)) == 1
+        assert f"--out {out}" in capsys.readouterr().err
+        kept = out / "notes.txt" if foreign == "directory" else out
+        assert kept.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "ramsey_sweep", "--set", "bogus_key=1", "--out", str(tmp_path / "x"))

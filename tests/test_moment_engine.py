@@ -1,9 +1,11 @@
-"""The single-pass moment engine, the Gram-product I/Q table and the
-copy-free samplers against the routes they replaced, kept here as oracles.
+"""The fused moment engine, the Gram-product I/Q table and the copy-free
+samplers against the routes they replaced, kept here as oracles.
 
-The engine sums the 15 cross-path products once per error block; the old
+The engine draws each sample batch and sums the 15 cross-path products
+over every error-block segment it overlaps, building no record; the old
 route estimated the 70-entry I/Q table over the whole record and again
-over every block.  The I/Q table now takes each block's sums from one
+over every block, and the export route inverts that table over the whole
+record of ``simulate_detection``.  The I/Q table now takes each block's sums from one
 15 x 15 Gram matrix of single-path monomials; the old loop formed every
 entry as its own product of four power arrays.  Summation order differs,
 so each pair agrees to rounding (relative 1e-12).  ``sample_envelopes``
@@ -26,7 +28,6 @@ from mwphoton.dualpath import (
     CROSS_MOMENT_KEYS,
     CrossMomentSet,
     DetectionRecord,
-    _product_block_sums,
     _record_model,
     cross_moments,
     hybrid_split,
@@ -34,7 +35,7 @@ from mwphoton.dualpath import (
     reconstruct_signal_moments,
     simulate_detection,
 )
-from mwphoton.experiments import _reconstruct_with_errors
+from mwphoton.experiments import _detect_point
 from mwphoton.states import (
     MAX_MOMENT_ORDER,
     SAMPLE_BATCH,
@@ -152,12 +153,10 @@ def _old_sample_envelopes(state, count, seed):
 
 @pytest.mark.parametrize("kind", ["thermal", "coherent", "shot_noise"])
 def test_single_pass_engine_matches_block_route(kind):
-    gains = (1.7, 0.6)
-    record = simulate_detection(
-        STATES[kind], chain_noise_photons=(0.8, 1.9), gains=gains, count=60_013, seed=11
-    )
-    moments, point, errors = _reconstruct_with_errors(record)
-    old_moments, old_point, old_errors = _old_reconstruct_with_errors(record, gains)
+    detection = dict(chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6))
+    moments, point, errors = _detect_point(STATES[kind], 60_013, 11, **detection)
+    record = simulate_detection(STATES[kind], count=60_013, seed=11, **detection)
+    old_moments, old_point, old_errors = _old_reconstruct_with_errors(record, detection["gains"])
     for key in moment_keys():
         new, old = moments.entry(*key), old_moments.entry(*key)
         assert new.real == pytest.approx(old.real, rel=RTOL, abs=0.0), key
@@ -165,6 +164,26 @@ def test_single_pass_engine_matches_block_route(kind):
     for name in ("n", "g2", "var_p", "var_q"):
         assert point[name] == pytest.approx(old_point[name], rel=RTOL, abs=0.0), name
         assert errors[name] == pytest.approx(old_errors[name], rel=RTOL, abs=0.0), name
+
+
+FUSED = dict(chain_noise_photons=(0.4, 2.3), gains=(2.5, 0.8), vacuum_port_photons=0.15)
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize(
+    "count", [40, SAMPLE_BATCH - 1, SAMPLE_BATCH + 1, 3 * SAMPLE_BATCH + 5, 1_000_007]
+)
+def test_fused_moments_match_export_route(kind, count):
+    # 40 samples give 20 blocks of two inside one batch; the other counts
+    # end in a short batch, and 1e6 + 7 puts block edges inside batches
+    moments, _, _ = _detect_point(STATES[kind], count, count + 3, **FUSED)
+    record = simulate_detection(STATES[kind], count=count, seed=count + 3, **FUSED)
+    exported = reconstruct_signal_moments(
+        cross_moments(record), FUSED["gains"], FUSED["vacuum_port_photons"]
+    )
+    for key in moment_keys():
+        new, old = moments.entry(*key), exported.entry(*key)
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), key
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +295,9 @@ def test_joint_sampler_agrees_in_law_with_layered_route(kind):
     count = 200_000
 
     def product_means(z1, z2):
-        blocks = _product_block_sums(DetectionRecord(z1, z2, LAYERED["gains"]))
-        means = np.array([[sums[key] / size for key in moment_keys()] for size, sums in blocks])
-        totals = np.array([sum(sums[key] for _, sums in blocks) for key in moment_keys()])
+        sizes, means = oracles.product_block_means(z1, z2, moment_keys())
         spread = np.sqrt(np.var(means.real, axis=0, ddof=1) + np.var(means.imag, axis=0, ddof=1))
-        return totals / count, spread / math.sqrt(len(blocks))
+        return sizes @ means / count, spread / math.sqrt(len(sizes))
 
     # seeds fixed before the first run; a miss is a finding, not a reason to re-seed
     for seed in (31, 32, 33):

@@ -1,6 +1,7 @@
-"""Sample batches and error blocks run on worker threads: results must not
-depend on the worker count, and no public function may run off the main
-thread.  Sweep points run one after another, holding one record at a time.
+"""Sample batches run on worker threads: results must not depend on the
+worker count, and no public function may run off the main thread.  Sweep
+points run one after another and build no record, so their memory does
+not grow with the sample count.
 
 Instrumentation that wraps the public functions (those named in a
 module's ``__all__``) keeps one stack of open calls, which only holds
@@ -11,14 +12,14 @@ import importlib
 import inspect
 import sys
 import threading
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mwphoton import dualpath, experiments
-from mwphoton.dualpath import _product_block_sums, simulate_detection
-from mwphoton.states import SAMPLE_BATCH, MicrowaveState, moment_keys
+from mwphoton.dualpath import simulate_detection
+from mwphoton.states import SAMPLE_BATCH, MicrowaveState
 
 STATES = {
     "thermal": MicrowaveState.thermal(0.7),
@@ -27,7 +28,7 @@ STATES = {
     "vacuum": MicrowaveState.vacuum(),
 }
 
-WORKER_COUNTS = (1, 3)
+WORKER_COUNTS = (1, 2, 3)
 
 
 def _per_worker_count(monkeypatch, run):
@@ -64,25 +65,37 @@ def test_simulate_detection_bytes_independent_of_worker_count(kind, monkeypatch)
             vacuum_port_photons=0.15,
         )
 
-    first, second = _per_worker_count(monkeypatch, run)
-    assert first.envelopes_1.tobytes() == second.envelopes_1.tobytes()
-    assert first.envelopes_2.tobytes() == second.envelopes_2.tobytes()
+    first, *others = _per_worker_count(monkeypatch, run)
+    for other in others:
+        assert other.envelopes_1.tobytes() == first.envelopes_1.tobytes()
+        assert other.envelopes_2.tobytes() == first.envelopes_2.tobytes()
 
 
-def test_product_block_sums_bytes_independent_of_worker_count(monkeypatch):
-    record = simulate_detection(
-        STATES["thermal"], chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6), count=60_013, seed=11
-    )
+def test_fused_sums_bytes_independent_of_worker_count(monkeypatch):
+    inverted = []  # every product mean the fused route inverts: the total, then each block
+    invert = experiments._moments_from_products
+
+    def recording(products, *args):
+        inverted.append(np.array(list(products.values())).tobytes())
+        return invert(products, *args)
+
+    monkeypatch.setattr(experiments, "_moments_from_products", recording)
 
     def run():
-        return [
-            (size, np.array([sums[key] for key in moment_keys()]).tobytes())
-            for size, sums in _product_block_sums(record)
-        ]
+        inverted.clear()
+        experiments._detect_point(
+            STATES["thermal"],
+            60_013,
+            11,
+            chain_noise_photons=(0.8, 1.9),
+            gains=(1.7, 0.6),
+            vacuum_port_photons=0.15,
+        )
+        return list(inverted)
 
-    first, second = _per_worker_count(monkeypatch, run)
-    assert len(first) == dualpath.ERROR_BATCHES
-    assert first == second
+    first, *others = _per_worker_count(monkeypatch, run)
+    assert len(first) == 1 + dualpath.ERROR_BATCHES
+    assert all(other == first for other in others)
 
 
 def test_sweeps_independent_of_worker_count(monkeypatch):
@@ -92,24 +105,40 @@ def test_sweeps_independent_of_worker_count(monkeypatch):
             experiments.quadrature_check(count=40_000, seed=2),
         )
 
-    first, second = _per_worker_count(monkeypatch, run)
-    assert first == second
+    first, *others = _per_worker_count(monkeypatch, run)
+    assert all(other == first for other in others)
 
 
-def test_sweeps_hold_one_record_at_a_time(monkeypatch):
-    records = []
-    live_at_each_call = []
+def test_sweeps_build_no_record(monkeypatch):
+    built = []
+    post_init = dualpath.DetectionRecord.__post_init__
 
-    def tracked(*args, **kwargs):
-        live_at_each_call.append(sum(ref() is not None for ref in records))
-        record = simulate_detection(*args, **kwargs)
-        records.append(weakref.ref(record))
-        return record
+    def tracked(record):
+        built.append(record.sample_count)
+        post_init(record)
 
-    monkeypatch.setattr(experiments, "simulate_detection", tracked)
+    monkeypatch.setattr(dualpath.DetectionRecord, "__post_init__", tracked)
+    simulate_detection(STATES["thermal"], count=40)
+    assert built == [40]  # the tracker sees every record that is built
+    built.clear()
     experiments.dualpath_sweep(temperatures=[0.2, 0.35, 0.5], count=60_000, seed=3)
     experiments.quadrature_check(count=40_000, seed=2)
-    assert live_at_each_call == [0] * 5
+    assert built == []
+
+
+def test_point_memory_does_not_grow_with_count(monkeypatch):
+    # numpy reports its buffers to tracemalloc; two workers hold at most
+    # two batches at a time, whatever the count
+    monkeypatch.setattr(dualpath, "_WORKERS", 2)
+    peaks = {}
+    for count in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            experiments._detect_point(STATES["thermal"], count, 5, chain_noise_photons=(1.0, 1.0))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] - peaks[200_000] < 1 << 20, peaks
 
 
 def test_public_calls_run_on_the_main_thread(monkeypatch):
@@ -149,7 +178,6 @@ def test_public_calls_run_on_the_main_thread(monkeypatch):
     assert {
         "experiments.dualpath_sweep",
         "experiments.quadrature_check",
-        "dualpath.simulate_detection",
         "dualpath.quadrature_variances",
         "states.bose_einstein",
         "chains.g2_unnormalized",
