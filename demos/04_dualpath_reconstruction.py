@@ -3,8 +3,8 @@
 A 50:50 beam splitter sends the signal down two independently amplified
 chains.  Because the chains' added noise is independent and circular,
 averaged products of one path with the conjugate of the other are noise
-free, and the full table of I/Q cross moments inverts into the signal
-moments <(a^dag)^n a^m> at the splitter input.  The unnormalized
+free, and the 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4,
+invert into the signal moments <(a^dag)^n a^m> at the splitter input.  The unnormalized
 correlation g2(0) = Var(n) - n + n^2 built from those moments lands on the
 thermal value 2 n^2.
 """

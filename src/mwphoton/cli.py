@@ -18,7 +18,8 @@ every key: the pipeline argument it feeds, its unit scale and its JSON
 schema; defaults are read from the pipeline signatures.  ``run`` checks
 every value against that table (a mistyped or out-of-range value exits 1
 naming the field), and ``config.schema.json`` is generated from the same
-table, so the schema ``schema`` emits is the one ``run`` enforces.
+table, so the schema ``schema`` emits is the one ``run`` enforces, except
+for the one rule across keys, t_min_k < t_max_k, which it can only name.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
@@ -94,6 +95,9 @@ def _integer(**bounds) -> dict:
 _POSITIVE = _number(exclusiveMinimum=0)
 _NON_NEGATIVE = _number(minimum=0)
 _RATES = ("qubit", "relaxation_per_photon")
+#: The one rule ``run`` checks across keys; draft-07 cannot state it.
+_PLANCK_RANGE = "t_min_k < t_max_k"
+_PLANCK_TEMPERATURE = {**_POSITIVE, "description": f"`run` also requires {_PLANCK_RANGE}."}
 
 _TABLE = {
     "seed": _Key("seed", _integer(minimum=0)),
@@ -135,8 +139,8 @@ _TABLE = {
     "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
     "power_noise_fraction": _Key("power_noise_fraction", _NON_NEGATIVE),
-    "t_min_k": _Key("t_min", _POSITIVE),
-    "t_max_k": _Key("t_max", _POSITIVE),
+    "t_min_k": _Key("t_min", _PLANCK_TEMPERATURE),
+    "t_max_k": _Key("t_max", _PLANCK_TEMPERATURE),
     "n_temperatures": _Key("n_temperatures", _integer(minimum=4)),
     "occupations": _Key("occupations", {"type": "array", "items": _NON_NEGATIVE, "minItems": 1}),
 }
@@ -256,7 +260,8 @@ def _config_schema() -> dict:
         "description": (
             "JSON configuration accepted by `mwphoton run --config`. Keys carry explicit "
             "units in their names; any subset may be given and flag overrides win. "
-            "`run` enforces exactly these types and bounds."
+            "`run` enforces exactly these types and bounds, plus one rule across keys "
+            f"that this schema cannot state: {_PLANCK_RANGE}."
         ),
         "type": "object",
         "additionalProperties": False,

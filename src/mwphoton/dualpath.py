@@ -3,8 +3,8 @@
 A 50:50 hybrid ring divides the signal between two amplification chains
 whose added noise is independent; averaged products that combine one path
 with the conjugate of the other are therefore free of amplifier noise, and
-from the table of I/Q cross moments <I1^n I2^m Q1^k Q2^l> up to fourth
-order all signal moments <(a^dag)^n a^m> at the beam-splitter input can be
+from the 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4, all
+signal moments <(a^dag)^n a^m> at the beam-splitter input can be
 recovered.  The same module hosts the Planck-spectroscopy calibration that
 ties detected power to emitter temperature, and the quadrature-variance /
 Gaussian-Wigner readouts used to rule out squeezing.
@@ -26,24 +26,25 @@ runs array loops.  Each task draws one batch.  :func:`simulate_detection`
 draws it into the batch's slice of a record.  The sweep pipelines
 (``experiments._detect_point``) draw it into the task's own buffers and
 keep only the sums of the cross-path products over each error-block
-segment the batch overlaps (:func:`_segment_sums`), so a sweep point never
-holds a record.  A task's numbers depend on its batch alone, and results
-are combined in batch order, so every record and every sum is
+segment the batch overlaps (``states._segment_sums``), so a sweep point
+never holds a record.  A task's numbers depend on its batch alone, and
+results are combined in batch order, so every record and every sum is
 bit-identical for any worker count.
 
-The reconstruction needs only the 15 complex cross-path products
-E[z1^m conj(z2)^n], n + m <= 4.  Rescaled by the gains and the hybrid's
-sqrt(2), they are the normally ordered signal moments behind a vacuum
-fourth port, and one Gaussian shift away from them behind a warm one
-(:func:`_moments_from_products`).  A sweep point inverts the compensated
-total of its block sums for the estimate and each block's own mean for
-the error bars.  The 70-entry I/Q table of :func:`cross_moments`, one Gram
-product per error block, is the form for exported records and reaches the
-same inversion through :func:`reconstruct_signal_moments`.
+Rescaled by the gains and the hybrid's sqrt(2), the product means are
+the normally ordered signal moments behind a vacuum fourth port, and one
+Gaussian shift away from them behind a warm one
+(:func:`_moments_from_products`).  Sweep points and exported records sum
+the products over the same ERROR_BATCHES blocks and take the compensated
+total of the block sums over the sample count (:func:`_product_means`):
+a sweep point inverts that estimate and each block's own mean for the
+error bars, and :func:`cross_moments` returns it for a record, which
+:func:`reconstruct_signal_moments` inverts.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -59,7 +60,6 @@ from ._constants import h as PLANCK_H, k as k_B
 from .analysis import NumericalError, _linear_least_squares
 from .chains import CompressionPoint, compression_power, linear_to_db
 from .states import (
-    MAX_MOMENT_ORDER,
     SAMPLE_BATCH,
     _MOMENT_KEYS,
     MicrowaveState,
@@ -71,6 +71,7 @@ from .states import (
     _bose_einstein_array,
     _conjugate_symmetrize,
     _gaussian_shift,
+    _segment_sums,
     _wigner_gaussian,
 )
 
@@ -132,70 +133,21 @@ class DetectionRecord:
         return int(self.envelopes_1.size)
 
 
-def _cross_keys() -> Tuple[Tuple[int, int, int, int], ...]:
-    keys = []
-    for total in range(MAX_MOMENT_ORDER + 1):
-        for n in range(total + 1):
-            for m in range(total - n + 1):
-                for k in range(total - n - m + 1):
-                    keys.append((n, m, k, total - n - m - k))
-    return tuple(keys)
-
-
-CROSS_MOMENT_KEYS = _cross_keys()  # 70 entries for order <= 4
-
-
 @dataclass
 class CrossMomentSet:
-    """Averaged I/Q products <I1^n I2^m Q1^k Q2^l> for 0 <= n+m+k+l <= 4."""
+    """Cross-path product means E[z1^m conj(z2)^n], n + m <= 4, keyed (n, m)."""
 
-    entries: Dict[Tuple[int, int, int, int], float]
-    std_errors: Optional[Dict[Tuple[int, int, int, int], float]] = None
+    entries: Dict[Tuple[int, int], complex]
     sample_count: int = 0
 
     def __post_init__(self):
-        if (0, 0, 0, 0) not in self.entries:
-            raise ValueError("cross-moment set must contain the (0,0,0,0) entry")
-        if abs(self.entries[(0, 0, 0, 0)] - 1.0) > 1e-12:
-            raise ValueError("entry (0,0,0,0) must equal 1")
+        if (0, 0) not in self.entries:
+            raise ValueError("cross-moment set must contain the (0, 0) entry")
+        if abs(self.entries[(0, 0)] - 1.0) > 1e-12:
+            raise ValueError("entry (0, 0) must equal 1")
         for key, value in self.entries.items():
-            if not math.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ValueError(f"non-finite cross moment at {key}")
-
-    def entry(self, n: int, m: int, k: int, l: int) -> float:
-        try:
-            return self.entries[(n, m, k, l)]
-        except KeyError:
-            raise ValueError(f"cross moment {(n, m, k, l)} not present") from None
-
-    def is_complete(self) -> bool:
-        return all(key in self.entries for key in CROSS_MOMENT_KEYS)
-
-    def to_json_dict(self) -> dict:
-        payload = {
-            "entries": {
-                ",".join(map(str, key)): [value, 0.0]
-                for key, value in sorted(self.entries.items())
-            },
-            "sample_count": self.sample_count,
-        }
-        if self.std_errors is not None:
-            payload["std_errors"] = {
-                ",".join(map(str, key)): value for key, value in sorted(self.std_errors.items())
-            }
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CrossMomentSet":
-        def key_of(text):
-            return tuple(int(tok) for tok in text.split(","))
-
-        entries = {key_of(key): float(re) for key, (re, _im) in payload["entries"].items()}
-        errors = payload.get("std_errors")
-        std_errors = (
-            None if errors is None else {key_of(key): float(v) for key, v in errors.items()}
-        )
-        return cls(entries, std_errors, int(payload.get("sample_count", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,119 +308,36 @@ def _error_blocks(count: int):
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-#: Exponents (a, b) of the single-path monomials x^a y^b, a + b <= 4, in
-#: order of total degree, so each one is a multiple of an earlier one.
-_MONOMIALS = tuple(
-    (a, total - a) for total in range(MAX_MOMENT_ORDER + 1) for a in range(total, -1, -1)
-)
-_MONOMIAL_ROW = {powers: row for row, powers in enumerate(_MONOMIALS)}
-# key (n, m, k, l) sits at row I1^n Q1^k and column I2^m Q2^l of the Gram matrix
-_GRAM_ROWS = np.array([_MONOMIAL_ROW[(n, k)] for n, m, k, l in CROSS_MOMENT_KEYS])
-_GRAM_COLS = np.array([_MONOMIAL_ROW[(m, l)] for n, m, k, l in CROSS_MOMENT_KEYS])
+def _product_means(block_sums, count: int) -> Dict[Tuple[int, int], complex]:
+    """The 15 product means of ``count`` samples from their per-block sums.
 
-
-def _monomial_table(z: np.ndarray) -> np.ndarray:
-    """Rows I^a Q^b of ``z`` for the exponents in ``_MONOMIALS``, one multiply each."""
-    table = np.empty((len(_MONOMIALS), z.size))
-    table[0] = 1.0
-    for row, (a, b) in enumerate(_MONOMIALS[1:], 1):
-        if b:
-            np.multiply(table[_MONOMIAL_ROW[(a, b - 1)]], z.imag, out=table[row])
-        else:
-            np.multiply(table[_MONOMIAL_ROW[(a - 1, 0)]], z.real, out=table[row])
-    return table
+    Each mean is the compensated total (``math.fsum``) of its block sums
+    over ``count``, so it does not depend on how the blocks were scheduled.
+    """
+    return {
+        key: complex(
+            math.fsum(s[key].real for s in block_sums), math.fsum(s[key].imag for s in block_sums)
+        )
+        / count
+        for key in _MOMENT_KEYS
+    }
 
 
 def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
-    """All 70 averaged products <I1^n I2^m Q1^k Q2^l> with n+m+k+l <= 4.
+    """The 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4, of a record.
 
-    Each of the ERROR_BATCHES contiguous blocks costs one matrix product:
-    with L and R the 15-row tables of monomials I^a Q^b (a + b <= 4) of
-    path 1 and path 2, the Gram matrix L @ R.T holds the block sum of
-    I1^n Q1^k I2^m Q2^l at row (n, k) and column (m, l), and two index
-    arrays built at import pick the 70 entries.  Each entry is the
-    compensated sum of its block sums over the record length, so the
-    result does not depend on scheduling; the scatter of the block means
-    gives the per-moment standard errors.
+    Each of the ERROR_BATCHES contiguous blocks is summed on its own
+    (:func:`~mwphoton.states._segment_sums`), as a sweep point sums its
+    blocks, and :func:`_product_means` combines them.
     """
-    count = rec.sample_count
-    blocks = _error_blocks(count)  # >= 2 blocks, since a record holds >= 2 samples
-    block_sums = np.empty((len(blocks), len(CROSS_MOMENT_KEYS)))
-    for index, (lo, hi) in enumerate(blocks):
-        gram = _monomial_table(rec.envelopes_1[lo:hi]) @ _monomial_table(rec.envelopes_2[lo:hi]).T
-        block_sums[index] = gram[_GRAM_ROWS, _GRAM_COLS]
-    sizes = np.array([hi - lo for lo, hi in blocks], dtype=float)
-    errors = np.std(block_sums / sizes[:, None], axis=0, ddof=1) / math.sqrt(len(blocks))
-    entries = {key: math.fsum(block_sums[:, j]) / count for j, key in enumerate(CROSS_MOMENT_KEYS)}
-    std_errors = dict(zip(CROSS_MOMENT_KEYS, errors.tolist()))
-    entries[(0, 0, 0, 0)] = 1.0
-    std_errors[(0, 0, 0, 0)] = 0.0
-    return CrossMomentSet(entries, std_errors, count)
-
-
-#: Keys (n, m) of the products z1^m conj(z2)^n with n, m >= 1, by max(n, m).
-#: For n + m <= 4 the smaller exponent is 1 or equals the larger one.
-_MIXED_KEYS = {
-    k: [(n, m) for n, m in _MOMENT_KEYS if min(n, m) >= 1 and max(n, m) == k]
-    for k in range(1, MAX_MOMENT_ORDER + 1)
-}
-assert all(min(key) in (1, k) for k, keys in _MIXED_KEYS.items() for key in keys)
-
-
-def _segment_sums(z1: np.ndarray, z2: np.ndarray) -> Dict[Tuple[int, int], complex]:
-    """Sums of the 15 cross-path products z1^m conj(z2)^n, n + m <= 4, over a segment.
-
-    ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n; every product
-    is built from shared powers of z1 and conj(z2).
-    """
-    z2_bar = np.conj(z2)
-    product = np.empty_like(z2_bar)
-    sums = {(0, 0): complex(z1.size)}
-    # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
-    # segment holds four arrays at a time
-    pow1, pow2 = z1, z2_bar
-    for k in range(1, MAX_MOMENT_ORDER + 1):
-        if k == 2:
-            pow1, pow2 = pow1 * z1, pow2 * z2_bar
-        elif k > 2:
-            np.multiply(pow1, z1, out=pow1)
-            np.multiply(pow2, z2_bar, out=pow2)
-        sums[(0, k)] = complex(pow1.sum())
-        sums[(k, 0)] = complex(pow2.sum())
-        for n, m in _MIXED_KEYS[k]:
-            np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
-            sums[(n, m)] = complex(product.sum())
-    return sums
+    blocks = _error_blocks(rec.sample_count)
+    sums = [_segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi]) for lo, hi in blocks]
+    return CrossMomentSet(_product_means(sums, rec.sample_count), rec.sample_count)
 
 
 # ---------------------------------------------------------------------------
 # Moment reconstruction
 # ---------------------------------------------------------------------------
-
-def _expansion_table():
-    """Coefficients expressing E[z1^m conj(z2)^n] over I/Q cross moments.
-
-    z1^m conj(z2)^n = sum over (a, c) of C(m,a) C(n,c) i^(m-a) (-i)^(n-c)
-    I1^a Q1^(m-a) I2^c Q2^(n-c); solved once at import and reused.
-    """
-    table = {}
-    for n, m in _MOMENT_KEYS:
-        terms = []
-        for a in range(m + 1):
-            for c in range(n + 1):
-                coeff = (
-                    math.comb(m, a)
-                    * math.comb(n, c)
-                    * (1j) ** (m - a)
-                    * (-1j) ** (n - c)
-                )
-                terms.append(((a, c, m - a, n - c), coeff))
-        table[(n, m)] = tuple(terms)
-    return table
-
-
-_CROSS_EXPANSION = _expansion_table()
-
 
 def reconstruct_signal_moments(
     cm: CrossMomentSet,
@@ -477,21 +346,13 @@ def reconstruct_signal_moments(
 ) -> MomentSet:
     """Normally ordered signal moments at the beam-splitter input.
 
-    The I/Q table is first recombined into the complex cross-path products
-    E[z1^m conj(z2)^n] through the binomial expansion of
-    (I1 + iQ1)^m (I2 - iQ2)^n, then inverted as described in
+    The product means are inverted as described in
     :func:`_moments_from_products`.
     """
-    if not cm.is_complete():
-        missing = [key for key in CROSS_MOMENT_KEYS if key not in cm.entries]
-        raise ValueError(f"cross-moment set incomplete; missing {missing[:5]}...")
-    products = {}
-    for n, m in _MOMENT_KEYS:
-        total = 0j
-        for key, coeff in _CROSS_EXPANSION[(n, m)]:
-            total += coeff * cm.entries[key]
-        products[(n, m)] = total
-    return _moments_from_products(products, gains, vacuum_port_photons, cm.sample_count)
+    missing = [key for key in _MOMENT_KEYS if key not in cm.entries]
+    if missing:
+        raise ValueError(f"cross-moment set incomplete; missing {missing}")
+    return _moments_from_products(cm.entries, gains, vacuum_port_photons, cm.sample_count)
 
 
 def _moments_from_products(

@@ -45,7 +45,7 @@ from .dualpath import (
     _error_blocks,
     _map_on_cpus,
     _moments_from_products,
-    _segment_sums,
+    _product_means,
     jpa_planck_fit,
     jpa_planck_power,
     planck_fit,
@@ -59,6 +59,7 @@ from .qubit import DispersiveSystem, dephasing_rate, simulate_ramsey
 from .states import (
     _MOMENT_KEYS,
     _batch_layout,
+    _segment_sums,
     MicrowaveState,
     ModeSpec,
     StateKind,
@@ -226,7 +227,8 @@ def _detect_point(
     would, into its own buffers, and sums the 15 cross-path products over
     each error-block segment the batch overlaps; each block adds its
     segments in batch order.  The estimate inverts the compensated total of
-    the block sums; each block of >= 2 samples inverts its own mean.
+    the block sums (``dualpath._product_means``, as for an exported record);
+    each block of >= 2 samples inverts its own mean.
     """
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
@@ -246,12 +248,9 @@ def _detect_point(
         for block, segment in segments:
             for key, value in segment.items():
                 sums[block][key] += value
-    full = {
-        key: complex(math.fsum(s[key].real for s in sums), math.fsum(s[key].imag for s in sums))
-        / count
-        for key in _MOMENT_KEYS
-    }
-    moments = _moments_from_products(full, gains, vacuum_port_photons, count)
+    moments = _moments_from_products(
+        _product_means(sums, count), gains, vacuum_port_photons, count
+    )
     block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
     for (lo, hi), block_sums in zip(blocks, sums):
         if hi - lo < 2:

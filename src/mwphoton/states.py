@@ -11,8 +11,9 @@ microwave source (Poissonian, Var(n) = n), broadband electronic shot noise
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
 * seeded Monte Carlo samplers for the symmetrized (Wigner) phase-space
   envelope of each state,
-* the moment algebra: one ``(n, m)`` key tuple, conjugate symmetrization
-  and the Gaussian-shift map between orderings.
+* the moment algebra: one ``(n, m)`` key tuple, the sums of the 15
+  products z1^m conj(z2)^n behind every moment estimate, conjugate
+  symmetrization and the Gaussian-shift map between orderings.
 
 Conventions.  Monte Carlo samples always represent the Wigner
 quasi-distribution, because heterodyne records estimate symmetrized
@@ -144,6 +145,42 @@ _MOMENT_KEYS = tuple((n, t - n) for t in range(MAX_MOMENT_ORDER + 1) for n in ra
 def moment_keys() -> Tuple[Tuple[int, int], ...]:
     """All (n, m) index pairs with 0 <= n + m <= MAX_MOMENT_ORDER."""
     return _MOMENT_KEYS
+
+
+#: Keys (n, m) of the products z1^m conj(z2)^n with n, m >= 1, by max(n, m).
+#: For n + m <= 4 the smaller exponent is 1 or equals the larger one.
+_MIXED_KEYS = {
+    k: [(n, m) for n, m in _MOMENT_KEYS if min(n, m) >= 1 and max(n, m) == k]
+    for k in range(1, MAX_MOMENT_ORDER + 1)
+}
+assert all(min(key) in (1, k) for k, keys in _MIXED_KEYS.items() for key in keys)
+
+
+def _segment_sums(z1: np.ndarray, z2: np.ndarray) -> Dict[Tuple[int, int], complex]:
+    """Sums of the 15 products z1^m conj(z2)^n, n + m <= 4, over a segment.
+
+    ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n; every product
+    is built from shared powers of z1 and conj(z2).  With z1 = z2 = z the
+    sums are those of conj(z)^n z^m.
+    """
+    z2_bar = np.conj(z2)
+    product = np.empty_like(z2_bar)
+    sums = {(0, 0): complex(z1.size)}
+    # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
+    # segment holds four arrays at a time
+    pow1, pow2 = z1, z2_bar
+    for k in range(1, MAX_MOMENT_ORDER + 1):
+        if k == 2:
+            pow1, pow2 = pow1 * z1, pow2 * z2_bar
+        elif k > 2:
+            np.multiply(pow1, z1, out=pow1)
+            np.multiply(pow2, z2_bar, out=pow2)
+        sums[(0, k)] = complex(pow1.sum())
+        sums[(k, 0)] = complex(pow2.sum())
+        for n, m in _MIXED_KEYS[k]:
+            np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
+            sums[(n, m)] = complex(product.sum())
+    return sums
 
 
 @dataclass
@@ -367,15 +404,7 @@ def empirical_moments(samples: np.ndarray) -> MomentSet:
     z = np.asarray(samples)
     if z.size < 2:
         raise ValueError(f"need at least 2 samples to estimate moments, got {z.size}")
-    zc = np.conj(z)
-    pow_z = [np.ones_like(z)]
-    pow_zc = [np.ones_like(z)]
-    for _ in range(MAX_MOMENT_ORDER):
-        pow_z.append(pow_z[-1] * z)
-        pow_zc.append(pow_zc[-1] * zc)
-    entries = {}
-    for n, m in _MOMENT_KEYS:
-        entries[(n, m)] = complex(np.mean(pow_zc[n] * pow_z[m]))
+    entries = {key: total / z.size for key, total in _segment_sums(z, z).items()}
     _conjugate_symmetrize(entries)
     # physicality checked at the statistical resolution of the estimate
     return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))

@@ -346,16 +346,15 @@ def layered_second_moments(mean_photons, chain_noise_photons, gains, vacuum_port
 def product_block_means(z1, z2, keys, blocks=20):
     """Means of the cross-path products z1^m conj(z2)^n per error block.
 
-    One row per ``np.linspace`` block of the record and one column per key
-    (n, m); each product is its own power of z1 times its own power of
-    conj(z2).  Returns the block sizes and the (blocks, keys) means.
+    One row per non-empty ``np.linspace`` block of the record and one
+    column per key (n, m); each product is its own power of z1 times its
+    own power of conj(z2).  Returns the block sizes and the (blocks, keys)
+    means.
     """
     bounds = np.linspace(0, z1.size, blocks + 1).astype(int)
-    means = [
-        [np.mean(z1[lo:hi] ** m * np.conj(z2[lo:hi]) ** n) for n, m in keys]
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    return np.diff(bounds), np.array(means)
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    means = [[np.mean(z1[lo:hi] ** m * np.conj(z2[lo:hi]) ** n) for n, m in keys] for lo, hi in spans]
+    return np.array([hi - lo for lo, hi in spans]), np.array(means)
 
 
 # ---------------------------------------------------------------------------

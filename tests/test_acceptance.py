@@ -24,6 +24,7 @@ from mwphoton.chains import (
 from mwphoton.defaults import SAMPLE_RESONATOR, SAMPLE_SYSTEM
 from mwphoton.dualpath import (
     PlanckSweep,
+    _error_blocks,
     cross_moments,
     planck_fit,
     planck_power,
@@ -140,15 +141,19 @@ def test_criterion_4_dualpath_rho():
     rho = sweep["summary"]["rho"]
     rho_ok = 1.9 <= rho <= 2.1
 
+    def block_error(products, record):
+        means = [products[lo:hi].mean() for lo, hi in _error_blocks(record.sample_count)]
+        return float(np.std(means, ddof=1) / math.sqrt(len(means)))
+
     def occupation(noise, seed):
         record = simulate_detection(
             MicrowaveState.thermal(1.0), (noise, noise), count=1_000_000, seed=seed
         )
-        cm = cross_moments(record)
-        moments = reconstruct_signal_moments(cm, record.chain_gains)
+        moments = reconstruct_signal_moments(cross_moments(record), record.chain_gains)
         # occupation estimator is 2(<I1 I2> + <Q1 Q2>); block errors in quadrature
+        z1, z2 = record.envelopes_1, record.envelopes_2
         sigma = 2.0 * math.hypot(
-            cm.std_errors[(1, 1, 0, 0)], cm.std_errors[(0, 0, 1, 1)]
+            block_error(z1.real * z2.real, record), block_error(z1.imag * z2.imag, record)
         )
         return moments.entry(1, 1).real, sigma
 

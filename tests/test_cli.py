@@ -274,6 +274,14 @@ class TestConfigTable:
         for experiment in DEFAULTS:
             jsonschema.validate(resolve_config(experiment, None, {}), schema)
 
+    def test_schema_names_the_rule_across_keys(self, tmp_path):
+        # run rejects t_min_k >= t_max_k, a rule draft-07 cannot state
+        schema = _config_schema(tmp_path)
+        texts = [schema["description"]]
+        texts += [schema["properties"][key]["description"] for key in ("t_min_k", "t_max_k")]
+        for text in texts:
+            assert "t_min_k < t_max_k" in text
+
     def test_schema_properties_are_the_accepted_keys(self, tmp_path):
         accepted = set().union(*(resolve_config(name, None, {}) for name in EXPERIMENTS))
         assert set(_config_schema(tmp_path)["properties"]) == accepted

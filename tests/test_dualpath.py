@@ -1,6 +1,4 @@
 import csv
-import itertools
-import json
 import math
 
 import numpy as np
@@ -9,7 +7,6 @@ import pytest
 import oracles
 from mwphoton.chains import db_to_linear
 from mwphoton.dualpath import (
-    CROSS_MOMENT_KEYS,
     CrossMomentSet,
     DetectionRecord,
     PlanckSweep,
@@ -53,7 +50,7 @@ def analytic_cross_moments(
     chain_noise=(0.0, 0.0),
     gains=(1.0, 1.0),
 ):
-    """Exact <I1^n I2^m Q1^k Q2^l> for a Gaussian input, via Isserlis pairing.
+    """Exact product means E[z1^m conj(z2)^n] for a Gaussian input, via Isserlis pairing.
 
     ``signal_power`` is the symmetrized fluctuation power <|ds|^2> of the
     signal (n + 1/2 for thermal, 1/2 for coherent), ``signal_mean`` its
@@ -71,30 +68,10 @@ def analytic_cross_moments(
         1: math.sqrt(g1) * signal_mean / math.sqrt(2.0),
         2: math.sqrt(g2) * signal_mean / math.sqrt(2.0),
     }
-
-    def quadrature_factor(path, is_q):
-        # I = (z + conj z)/2, Q = (z - conj z)/(2i)
-        if is_q:
-            return ((-0.5j, (path, False)), (0.5j, (path, True)))
-        return ((0.5, (path, False)), (0.5, (path, True)))
-
-    entries = {}
-    for n, m, k, l in CROSS_MOMENT_KEYS:
-        factor_options = (
-            [quadrature_factor(1, False)] * n
-            + [quadrature_factor(2, False)] * m
-            + [quadrature_factor(1, True)] * k
-            + [quadrature_factor(2, True)] * l
-        )
-        total = 0.0 + 0.0j
-        for combo in itertools.product(*factor_options):
-            coeff = 1.0 + 0.0j
-            factors = []
-            for weight, factor in combo:
-                coeff *= weight
-                factors.append(factor)
-            total += coeff * oracles.gaussian_product_moment(factors, cov, means)
-        entries[(n, m, k, l)] = total.real
+    entries = {
+        (n, m): oracles.gaussian_product_moment([(1, False)] * m + [(2, True)] * n, cov, means)
+        for n, m in moment_keys()
+    }
     return CrossMomentSet(entries, sample_count=0)
 
 
@@ -182,66 +159,47 @@ class TestSimulateDetection:
 
 
 class TestCrossMoments:
-    def test_entry_count_is_seventy(self):
-        # stars and bars: C(8, 4) = 70 index tuples with n+m+k+l <= 4
-        assert len(CROSS_MOMENT_KEYS) == 70
-        count = sum(
-            1
-            for n in range(5)
-            for m in range(5)
-            for k in range(5)
-            for l in range(5)
-            if n + m + k + l <= 4
-        )
-        assert count == 70
+    def test_entry_count_is_fifteen(self):
+        rec = simulate_detection(MicrowaveState.thermal(0.4), count=1_000, seed=14)
+        cm = cross_moments(rec)
+        assert list(cm.entries) == list(moment_keys())
+        # pairs (n, m) with n + m <= 4: C(6, 2) = 15
+        assert len(cm.entries) == math.comb(6, 2) == 15
+        assert cm.sample_count == 1_000
 
     def test_constant_record(self):
         rec = DetectionRecord(np.ones(100, complex), np.ones(100, complex), (1.0, 1.0))
         cm = cross_moments(rec)
-        assert cm.entry(1, 1, 0, 0) == pytest.approx(1.0)
-        assert cm.entry(0, 0, 1, 1) == pytest.approx(0.0)
+        assert cm.entries[(0, 0)] == 1.0
+        assert cm.entries[(1, 1)] == pytest.approx(1.0)
+        assert cm.entries[(2, 1)] == pytest.approx(1.0)
 
     def test_vacuum_odd_moments_vanish(self):
         rec = simulate_detection(MicrowaveState.vacuum(), count=400_000, seed=11)
         cm = cross_moments(rec)
-        for key in CROSS_MOMENT_KEYS:
+        _, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, moment_keys())
+        spread = np.hypot(np.std(means.real, axis=0, ddof=1), np.std(means.imag, axis=0, ddof=1))
+        errors = spread / math.sqrt(len(means))
+        for key, error in zip(moment_keys(), errors):
             if sum(key) % 2 == 1:
-                sigma = max(cm.std_errors[key], 1e-6)
+                sigma = max(error, 1e-6)
                 assert abs(cm.entries[key]) < 5.0 * sigma, key
 
     def test_matches_plain_averages(self):
         rec = simulate_detection(MicrowaveState.thermal(0.7), count=60_000, seed=12)
         cm = cross_moments(rec)
-        i1, q1 = rec.envelopes_1.real, rec.envelopes_1.imag
-        i2, q2 = rec.envelopes_2.real, rec.envelopes_2.imag
-        for key in ((1, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1), (0, 4, 0, 0)):
-            n, m, k, l = key
-            direct = float(np.mean(i1 ** n * i2 ** m * q1 ** k * q2 ** l))
+        z1, z2 = rec.envelopes_1, rec.envelopes_2
+        for key in ((0, 1), (1, 1), (2, 2), (1, 3), (0, 4)):
+            n, m = key
+            direct = complex(np.mean(z1 ** m * np.conj(z2) ** n))
             assert cm.entries[key] == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     def test_reproducible_to_machine_precision(self):
         rec = simulate_detection(MicrowaveState.thermal(1.2), count=100_000, seed=13)
         a = cross_moments(rec)
         b = cross_moments(rec)
-        for key in CROSS_MOMENT_KEYS:
+        for key in moment_keys():
             assert a.entries[key] == b.entries[key]
-
-    def test_json_round_trip(self):
-        rec = simulate_detection(MicrowaveState.thermal(0.4), count=5_000, seed=14)
-        cm = cross_moments(rec)
-        # through the JSON text, as a file would hold it
-        restored = CrossMomentSet.from_json_dict(json.loads(json.dumps(cm.to_json_dict())))
-        assert restored.entries == cm.entries
-        assert restored.std_errors == cm.std_errors
-        assert restored.sample_count == cm.sample_count
-
-    def test_json_round_trip_without_errors(self):
-        cm = analytic_cross_moments(1.2)
-        payload = json.loads(json.dumps(cm.to_json_dict()))
-        assert "std_errors" not in payload
-        restored = CrossMomentSet.from_json_dict(payload)
-        assert restored.entries == cm.entries
-        assert restored.std_errors is None
 
 
 class TestReconstruction:
@@ -351,7 +309,7 @@ class TestReconstruction:
 
     def test_incomplete_set_rejected(self):
         cm = analytic_cross_moments(1.0)
-        del cm.entries[(2, 2, 0, 0)]
+        del cm.entries[(2, 2)]
         with pytest.raises(ValueError, match="incomplete"):
             reconstruct_signal_moments(cm, (1.0, 1.0))
 

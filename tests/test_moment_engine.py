@@ -1,20 +1,21 @@
-"""The fused moment engine, the Gram-product I/Q table and the copy-free
-samplers against the routes they replaced, kept here as oracles.
+"""The fused moment engine, the record route and the copy-free samplers
+against the routes they replaced, kept here as oracles.
 
-The engine draws each sample batch and sums the 15 cross-path products
-over every error-block segment it overlaps, building no record; the old
-route estimated the 70-entry I/Q table over the whole record and again
-over every block, and the export route inverts that table over the whole
-record of ``simulate_detection``.  The I/Q table now takes each block's sums from one
-15 x 15 Gram matrix of single-path monomials; the old loop formed every
-entry as its own product of four power arrays.  Summation order differs,
-so each pair agrees to rounding (relative 1e-12).  ``sample_envelopes``
-draws the same numbers in the same order as its loop form, so their output
-bytes must be identical.  ``simulate_detection`` draws each sample of the
-record from its joint law, where the layered route of
-``oracles.layered_detection`` splits and adds noise draw by draw: the two
-agree in law, exactly in their second moments and within block errors in
-their 15 cross-path product means.
+Sweep points and exported records sum the same 15 cross-path products
+z1^m conj(z2)^n over the same 20 error blocks.  A sweep point draws each
+sample batch and sums the products over every block segment it overlaps,
+building no record; ``cross_moments`` sums each block of a record of
+``simulate_detection``.  The old sweep route built that record and
+estimated the product means over the whole record and again over every
+block.  The oracle, ``oracles.product_block_means``, forms each product
+as its own power of z1 times its own power of conj(z2), one block at a
+time.  Summation order differs, so each pair agrees to rounding (relative
+1e-12).  ``sample_envelopes`` draws the same numbers in the same order as
+its loop form, so their output bytes must be identical.
+``simulate_detection`` draws each sample of the record from its joint
+law, where the layered route of ``oracles.layered_detection`` splits and
+adds noise draw by draw: the two agree in law, exactly in their second
+moments and within block errors in their 15 cross-path product means.
 """
 
 import math
@@ -25,7 +26,6 @@ import pytest
 import oracles
 from mwphoton.chains import g2_unnormalized
 from mwphoton.dualpath import (
-    CROSS_MOMENT_KEYS,
     CrossMomentSet,
     DetectionRecord,
     _record_model,
@@ -37,7 +37,6 @@ from mwphoton.dualpath import (
 )
 from mwphoton.experiments import _detect_point
 from mwphoton.states import (
-    MAX_MOMENT_ORDER,
     SAMPLE_BATCH,
     MicrowaveState,
     StateKind,
@@ -60,40 +59,15 @@ STATES = {
 # Oracles: the routes before the single-pass engine
 # ---------------------------------------------------------------------------
 
-def _old_cross_moments(rec):
-    """The per-key loop: each entry a product of four power arrays, summed per block."""
-    count = rec.sample_count
-    i1 = rec.envelopes_1.real
-    q1 = rec.envelopes_1.imag
-    i2 = rec.envelopes_2.real
-    q2 = rec.envelopes_2.imag
-    batch_sums = {key: [] for key in CROSS_MOMENT_KEYS}
-    batch_sizes = []
-    bounds = np.linspace(0, count, 21).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        batch_sizes.append(hi - lo)
-        powers = {}
-        for name, arr in (("i1", i1[lo:hi]), ("i2", i2[lo:hi]), ("q1", q1[lo:hi]), ("q2", q2[lo:hi])):
-            acc = [np.ones(hi - lo)]
-            for _ in range(MAX_MOMENT_ORDER):
-                acc.append(acc[-1] * arr)
-            powers[name] = acc
-        for n, m, k, l in CROSS_MOMENT_KEYS:
-            product = powers["i1"][n] * powers["i2"][m] * powers["q1"][k] * powers["q2"][l]
-            batch_sums[(n, m, k, l)].append(float(np.sum(product)))
-    entries = {}
-    std_errors = {}
-    sizes = np.asarray(batch_sizes, dtype=float)
-    for key in CROSS_MOMENT_KEYS:
-        sums = batch_sums[key]
-        entries[key] = math.fsum(sums) / count
-        means = np.asarray(sums) / sizes
-        std_errors[key] = float(np.std(means, ddof=1) / math.sqrt(len(sums)))
-    entries[(0, 0, 0, 0)] = 1.0
-    std_errors[(0, 0, 0, 0)] = 0.0
-    return CrossMomentSet(entries, std_errors, count)
+def _per_key_cross_moments(rec):
+    """Product means from per-key block means, the block sums added with ``math.fsum``."""
+    sizes, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, moment_keys())
+    sums = sizes[:, None] * means
+    entries = {
+        key: complex(math.fsum(sums[:, j].real), math.fsum(sums[:, j].imag)) / rec.sample_count
+        for j, key in enumerate(moment_keys())
+    }
+    return CrossMomentSet(entries, rec.sample_count)
 
 
 def _old_point(moments):
@@ -109,7 +83,7 @@ def _old_point(moments):
 
 
 def _old_reconstruct_with_errors(record, gains, block_count=20):
-    moments = reconstruct_signal_moments(_old_cross_moments(record), gains)
+    moments = reconstruct_signal_moments(_per_key_cross_moments(record), gains)
     bounds = np.linspace(0, record.sample_count, block_count + 1).astype(int)
     block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -118,7 +92,7 @@ def _old_reconstruct_with_errors(record, gains, block_count=20):
         block = DetectionRecord(
             record.envelopes_1[lo:hi], record.envelopes_2[lo:hi], record.chain_gains
         )
-        for key, value in _old_point(reconstruct_signal_moments(_old_cross_moments(block), gains)).items():
+        for key, value in _old_point(reconstruct_signal_moments(_per_key_cross_moments(block), gains)).items():
             block_values[key].append(value)
     errors = {
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -187,7 +161,7 @@ def test_fused_moments_match_export_route(kind, count):
 
 
 # ---------------------------------------------------------------------------
-# Gram-product I/Q table
+# Record route
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["thermal", "coherent", "shot_noise"])
@@ -199,14 +173,12 @@ def test_cross_moments_match_per_key_loop(kind, count):
         STATES[kind], chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6), count=count, seed=count
     )
     new = cross_moments(record)
-    old = _old_cross_moments(record)
+    old = _per_key_cross_moments(record)
     assert new.sample_count == old.sample_count == count
-    assert list(new.entries) == list(old.entries) == list(CROSS_MOMENT_KEYS)
-    assert list(new.std_errors) == list(CROSS_MOMENT_KEYS)
-    for key in CROSS_MOMENT_KEYS:
+    assert list(new.entries) == list(old.entries) == list(moment_keys())
+    for key in moment_keys():
         assert new.entries[key] == pytest.approx(old.entries[key], rel=RTOL, abs=1e-15), key
-        assert new.std_errors[key] == pytest.approx(old.std_errors[key], rel=RTOL, abs=1e-15), key
-    assert new.entries[(0, 0, 0, 0)] == 1.0 and new.std_errors[(0, 0, 0, 0)] == 0.0
+    assert new.entries[(0, 0)] == 1.0
 
 
 def test_cross_moments_same_bits_for_strided_record_and_its_copy():
@@ -224,9 +196,6 @@ def test_cross_moments_same_bits_for_strided_record_and_its_copy():
     for result in (b, again):
         assert np.array(list(result.entries.values())).tobytes() == (
             np.array(list(a.entries.values())).tobytes()
-        )
-        assert np.array(list(result.std_errors.values())).tobytes() == (
-            np.array(list(a.std_errors.values())).tobytes()
         )
 
 

@@ -17,12 +17,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from mwphoton.cli import _TABLE, ConfigError, _rows, resolve_config
 import oracles
-from mwphoton.dualpath import (
-    CROSS_MOMENT_KEYS,
-    CrossMomentSet,
-    _moments_from_products,
-    reconstruct_signal_moments,
-)
+from mwphoton.dualpath import _moments_from_products, reconstruct_signal_moments
 from mwphoton.experiments import EXPERIMENTS
 from mwphoton.states import (
     MicrowaveState,
@@ -166,29 +161,6 @@ def test_moment_set_json_round_trip(moments):
     restored = MomentSet.from_json_dict(json.loads(json.dumps(moments.to_json_dict())))
     assert restored.ordering is moments.ordering
     assert restored.entries == moments.entries
-
-
-@DETERMINISTIC
-@given(
-    st.lists(FINITE, min_size=len(CROSS_MOMENT_KEYS) - 1, max_size=len(CROSS_MOMENT_KEYS) - 1),
-    st.one_of(
-        st.none(),
-        st.lists(
-            st.floats(min_value=0.0, allow_infinity=False),
-            min_size=len(CROSS_MOMENT_KEYS),
-            max_size=len(CROSS_MOMENT_KEYS),
-        ),
-    ),
-    st.integers(min_value=0, max_value=1 << 40),
-)
-def test_cross_moment_set_json_round_trip(values, errors, count):
-    entries = dict(zip(CROSS_MOMENT_KEYS, [1.0, *values]))
-    std_errors = None if errors is None else dict(zip(CROSS_MOMENT_KEYS, errors))
-    cm = CrossMomentSet(entries, std_errors, count)
-    restored = CrossMomentSet.from_json_dict(json.loads(json.dumps(cm.to_json_dict())))
-    assert restored.entries == cm.entries
-    assert restored.std_errors == cm.std_errors
-    assert restored.sample_count == count
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,16 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError):
             empirical_moments(np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize(
+        "state", [MicrowaveState.thermal(0.7), MicrowaveState.coherent(0.9 * np.exp(0.4j))]
+    )
+    def test_matches_per_key_means(self, state):
+        z = sample_envelopes(state, 10_000, seed=8)
+        observed = empirical_moments(z)
+        for n, m in moment_keys():
+            expected = complex(np.mean(np.conj(z) ** n * z ** m))
+            assert observed.entry(n, m) == pytest.approx(expected, rel=1e-12), (n, m)
+
     @pytest.mark.parametrize("n_mean", [0.2, 1.0])
     def test_error_scales_as_inverse_root_count(self, n_mean):
         state = MicrowaveState.thermal(n_mean)
