@@ -8,10 +8,12 @@ photon-photon correlator factorizes,
 
 where the decay rate depends on the field: white noise (thermal or shot)
 decays at the energy decay rate kappa_x, a coherent drive at the amplitude
-decay rate kappa_x / 2.  The module also provides the Lorentzian density of
-states of the resonator, its qubit-state-shifted variants, and the
-photon-induced dephasing rates.  Their spectral integrals are integrals of
-products of Lorentzians over the whole line, so both rates are closed forms.
+decay rate kappa_x / 2.  Internal loss is left out of every rate here: it is
+negligible for the devices modelled (kappa_i / kappa_x ~ 0.006).  The module
+also provides the Lorentzian density of states of the resonator, its
+qubit-state-shifted variants, and the photon-induced dephasing rates.  Their
+spectral integrals are integrals of products of Lorentzians over the whole
+line, so both rates are closed forms.
 
 Rates are stored as ordinary frequencies in Hz (the "/2pi" values); the
 2*pi factors are applied inside formulas that exponentiate a time.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .states import MicrowaveState, StateKind, _kind_of
+from .states import MicrowaveState, StateKind, _kind_of, _number_variance
 
 __all__ = [
     "Resonator",
@@ -80,10 +82,7 @@ class QubitState(Enum):
 
 
 def correlator(
-    state: Union[MicrowaveState, StateKind],
-    n_r: float,
-    res: Resonator,
-    include_internal_loss: bool = False,
+    state: Union[MicrowaveState, StateKind], n_r: float, res: Resonator
 ) -> Correlator:
     """Photon-photon correlator of the resonator population for a given input.
 
@@ -92,21 +91,23 @@ def correlator(
     Coherent input:  C(tau) = n_r        exp(-kappa_x tau / 2)
     Vacuum:          C(tau) = 0
 
-    Internal loss is negligible for the devices modelled here
-    (kappa_i / kappa_x ~ 0.006) and is excluded from the decay by default;
-    ``include_internal_loss`` switches to the total rate.
+    The memory is set by kappa_x alone; internal loss is left out.
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
     kind = _kind_of(state)
-    kappa = res.total_rate if include_internal_loss else res.external_rate
-    if kind is StateKind.THERMAL:
-        return Correlator(n_r * n_r + n_r, kappa)
-    if kind is StateKind.SHOT_NOISE:
-        return Correlator(n_r, kappa)
+    return Correlator(_number_variance(kind, n_r), _memory_rate(kind, res))
+
+
+def _memory_rate(kind: StateKind, res: Resonator) -> float:
+    """Decay rate kappa_tilde (Hz) of the correlator of a field of kind ``kind``.
+
+    White noise forgets at the energy decay rate kappa_x; a coherent drive
+    at the amplitude decay rate kappa_x / 2.
+    """
     if kind is StateKind.COHERENT:
-        return Correlator(n_r, kappa / 2.0)
-    return Correlator(0.0, kappa)
+        return res.external_rate / 2.0
+    return res.external_rate
 
 
 def correlator_value(c: Correlator, tau: float) -> float:
@@ -151,11 +152,11 @@ def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:
     dephasing rate is theta0^2 (4/pi) * integral of delta_n^2.  The
     integral of the squared Lorentzian over the line is pi / kappa_x, so
 
-        gamma_phi_n = Var(n_r) * kappa_x * theta0^2        (in Hz).
+        gamma_phi_n = kappa_x * theta0^2 * Var(n_r)        (in Hz).
     """
     if var_n < 0:
         raise ValueError("photon-number variance must be >= 0")
-    return var_n * res.external_rate * theta0 * theta0
+    return res.external_rate * theta0 ** 2 * var_n
 
 
 def dephasing_master_correction(res: Resonator, chi: float) -> float:

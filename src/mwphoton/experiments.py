@@ -25,6 +25,7 @@ from .analysis import (
     fit_ramsey,
     fit_variance_law,
 )
+from .cavity import dephasing_gaussian
 from .chains import (
     JpaStage,
     NoiseStatistics,
@@ -55,7 +56,7 @@ from .dualpath import (
     simulate_detection,  # unused here; benchmarks/workloads.py probes it by this name
     wigner_gaussian_contour,
 )
-from .qubit import DispersiveSystem, dephasing_rate, simulate_ramsey
+from .qubit import DispersiveSystem, _rate_per_variance, dephasing_rate, simulate_ramsey
 from .states import (
     _MOMENT_KEYS,
     _batch_layout,
@@ -106,28 +107,6 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
 # ramsey_sweep
 # ---------------------------------------------------------------------------
 
-def _ramsey_point(
-    sys: DispersiveSystem,
-    kind: StateKind,
-    n_r: float,
-    shots: int,
-    seed: int,
-    tau_points: int,
-    decay_spans: float,
-):
-    """Simulate and fit one Ramsey trace; returns (gamma2, sigma, fit)."""
-    gamma2_pred = (
-        sys.qubit.relaxation_rate(kind, n_r) / 2.0
-        + sys.qubit.intrinsic_dephasing
-        + dephasing_rate(kind, n_r, sys)
-    )
-    tau_max = decay_spans / (2.0 * math.pi * gamma2_pred)
-    taus = np.linspace(tau_max / tau_points, tau_max, tau_points)
-    trace = simulate_ramsey(sys, kind, n_r, taus, shots=shots, seed=seed)
-    fit = fit_ramsey(trace)
-    return fit.parameters["gamma2"], fit.std_error("gamma2"), fit
-
-
 def ramsey_sweep(
     state: str = "thermal",
     n_points: int = 12,
@@ -156,13 +135,17 @@ def ramsey_sweep(
     sigmas = []
     for index, n_r in enumerate(grid):
         n_r = float(n_r)
-        gamma2, sigma2, fit = _ramsey_point(
-            system, kind, n_r, shots, seed + 1000 * index, tau_points, decay_spans
-        )
         gamma1 = system.qubit.relaxation_rate(kind, n_r)
+        truth = dephasing_rate(kind, n_r, system)
+        # span ``decay_spans`` predicted decay times with the trace
+        gamma2_pred = gamma1 / 2.0 + system.qubit.intrinsic_dephasing + truth
+        tau_max = decay_spans / (2.0 * math.pi * gamma2_pred)
+        taus = np.linspace(tau_max / tau_points, tau_max, tau_points)
+        trace = simulate_ramsey(system, kind, n_r, taus, shots=shots, seed=seed + 1000 * index)
+        fit = fit_ramsey(trace)
+        gamma2, sigma2 = fit.parameters["gamma2"], fit.std_error("gamma2")
         gphi = extract_dephasing(gamma2, gamma1, system.qubit.intrinsic_dephasing)
         sigma_phi = dephasing_uncertainty(sigma2)
-        truth = dephasing_rate(kind, n_r, system)
         rows.append([n_r, gamma2, sigma2, gphi, sigma_phi, truth, int(fit.converged)])
         extracted.append((n_r, gphi))
         sigmas.append(sigma_phi)
@@ -174,8 +157,6 @@ def ramsey_sweep(
     else:
         law = fit_variance_law(points, VarianceLawModel.LINEAR, weights)
         slope_name = "s"
-    scale = system.resonator.external_rate * system.theta0 ** 2
-    expected_slope = 2.0 * scale if kind is StateKind.COHERENT else scale
     return {
         "tables": {
             "dephasing_vs_n": {
@@ -196,8 +177,8 @@ def ramsey_sweep(
             "state": state,
             "slope_hz": law.parameters[slope_name],
             "slope_err_hz": law.std_error(slope_name),
-            "expected_slope_hz": expected_slope,
-            "kappa_theta0_sq_hz": scale,
+            "expected_slope_hz": _rate_per_variance(kind, system),
+            "kappa_theta0_sq_hz": dephasing_gaussian(1.0, system.resonator, system.theta0),
             "shots": shots,
             "seed": seed,
         },

@@ -3,25 +3,21 @@
 A flux-tunable transmon couples dispersively to the readout resonator; the
 interaction shifts the qubit frequency by 2*chi per resonator photon, so
 photon-number fluctuations dephase the qubit at a rate set by the
-photon-photon correlator.  For the three field flavours the closed-form
-rates are
-
-    thermal:   gamma_phi_n = kappa_x theta0^2 (n_r^2 + n_r)
-    coherent:  gamma_phi_n = 2 kappa_x theta0^2 n_r
-    shot:      gamma_phi_n = kappa_x theta0^2 n_r
-
-with theta0 = atan(2 chi / kappa_x) the phase a resonator photon
-accumulates through the interaction.  The factor two between coherent and
-shot noise comes from the slower (amplitude) decay of the coherent
-correlator.
-
-Ramsey envelopes are available in two forms: a plain exponential using the
-asymptotic rates above, and the full Gaussian phase cumulant
+photon-photon correlator C(tau) = Var(n_r) exp(-kappa_tilde tau).  Ramsey
+envelopes are available in two forms: the full Gaussian phase cumulant
 
     <dphi^2>(tau) = 2 (kappa_x theta0)^2 * int_0^tau (tau - s) C(s) ds,
 
-whose long-time slope reproduces the closed-form rates exactly for all
-three correlator decay rates.  All rates are "/2pi" values in Hz.
+and a plain exponential at its long-time slope, one law for every field,
+
+    gamma_phi_n = (kappa_x / kappa_tilde) kappa_x theta0^2 Var(n_r),
+
+with theta0 = atan(2 chi / kappa_x) the phase a resonator photon
+accumulates through the interaction.  Thermal fields give
+kappa_x theta0^2 (n_r^2 + n_r), shot noise kappa_x theta0^2 n_r, and a
+coherent drive, whose correlator decays at the amplitude rate
+kappa_x / 2, twice that.  Internal loss is left out of the correlator's
+memory.  All rates are "/2pi" values in Hz.
 """
 
 from __future__ import annotations
@@ -35,8 +31,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ._constants import flux_quantum as MAGNETIC_FLUX_QUANTUM  # Wb
-from .cavity import Correlator, Resonator, correlator
-from .states import MicrowaveState, StateKind, _kind_of
+from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
+from .states import MicrowaveState, StateKind, _kind_of, _number_variance
 
 __all__ = [
     "QubitParams",
@@ -191,6 +187,9 @@ def dephasing_rate(
 ) -> float:
     """Photon-induced dephasing rate (Hz) for the given input-field kind.
 
+    The rate is the long-time slope of the Gaussian phase cumulant,
+    (kappa_x / kappa_tilde) kappa_x theta0^2 Var(n_r), read from the
+    variance and memory kappa_tilde of :func:`~mwphoton.cavity.correlator`.
     ``background`` optionally supplies a beam-splitter stage
     (:class:`~mwphoton.chains.BeamSplitterStage`); the rate is then evaluated
     on the beam-splitter-mixed variance Var(eta n_r (+) background), which is
@@ -200,47 +199,19 @@ def dephasing_rate(
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
     kind = _kind_of(kind)
-    kappa = sys.resonator.external_rate
-    scale = kappa * sys.theta0 ** 2
-    if background is not None:
+    if background is None:
+        variance = _number_variance(kind, n_r)
+    else:
         from .chains import attenuate
 
-        if kind not in (StateKind.THERMAL, StateKind.COHERENT):
-            raise ValueError("background mixing is defined for thermal and coherent fields")
         _, variance = attenuate(kind, n_r, background)
-        factor = 2.0 if kind is StateKind.COHERENT else 1.0
-        return factor * scale * variance
-    if kind is StateKind.THERMAL:
-        return scale * (n_r * n_r + n_r)
-    if kind is StateKind.COHERENT:
-        return 2.0 * scale * n_r
-    if kind is StateKind.SHOT_NOISE:
-        return scale * n_r
-    return 0.0
+    return _rate_per_variance(kind, sys) * variance
 
 
-def _phase_variance(
-    sys: DispersiveSystem, c: Correlator, tau: float, single_time_integral: bool
-) -> float:
-    """Gaussian phase cumulant <dphi^2>(tau) for an exponential correlator.
-
-    The double-time cumulant 2 K^2 int_0^tau (tau - s) C(s) ds with squared
-    phase kick K = 2 pi kappa_x theta0 has the closed form used here; its
-    long-time slope equals the asymptotic dephasing rates exactly.  The
-    saturating single-time variant 2 K^2 int_0^tau C(s) ds is kept behind
-    ``single_time_integral`` for comparison plots only.
-    """
-    k_ang = _TWO_PI * c.decay_rate
-    kick_sq = (_TWO_PI * sys.resonator.external_rate * sys.theta0) ** 2
-    x = k_ang * tau
-    if single_time_integral:
-        return 2.0 * kick_sq * c.variance * (-math.expm1(-x)) / k_ang
-    # (k tau - 1 + exp(-k tau)) / k^2, evaluated stably for small x
-    if x < 1e-6:
-        shape = 0.5 * tau * tau * (1.0 - x / 3.0)
-    else:
-        shape = (x - 1.0 + math.exp(-x)) / (k_ang * k_ang)
-    return 2.0 * kick_sq * c.variance * shape
+def _rate_per_variance(kind: StateKind, sys: DispersiveSystem) -> float:
+    """Dephasing rate per unit Var(n_r): (kappa_x / kappa_tilde) kappa_x theta0^2."""
+    res = sys.resonator
+    return res.external_rate / _memory_rate(kind, res) * dephasing_gaussian(1.0, res, sys.theta0)
 
 
 def ramsey_envelope(
@@ -249,14 +220,14 @@ def ramsey_envelope(
     n_r: float,
     tau: float,
     form: EnvelopeForm = EnvelopeForm.ASYMPTOTIC_RATE,
-    single_time_integral: bool = False,
 ) -> float:
     """Ramsey decay envelope exp[-gamma_1(n_r) tau / 2 - gamma_phi0 tau - <dphi^2>/2].
 
-    ``ASYMPTOTIC_RATE`` uses <dphi^2>/2 = gamma_phi_n(n_r) * tau with the
-    closed-form rates; ``GAUSSIAN_INTEGRAL`` uses the finite-memory phase
-    cumulant, which decays strictly slower at finite tau and approaches the
-    same rate as tau * kappa_tilde -> infinity.
+    ``ASYMPTOTIC_RATE`` uses <dphi^2>/2 = gamma_phi_n(n_r) * tau with
+    :func:`dephasing_rate`; ``GAUSSIAN_INTEGRAL`` uses the finite-memory
+    phase cumulant 2 K^2 int_0^tau (tau - s) C(s) ds, with phase kick rate
+    K = 2 pi kappa_x theta0, in closed form.  It decays strictly slower at
+    finite tau and approaches the same rate as tau * kappa_tilde -> infinity.
     """
     if tau < 0:
         raise ValueError("Ramsey delay must be >= 0")
@@ -267,7 +238,15 @@ def ramsey_envelope(
         exponent += _TWO_PI * dephasing_rate(kind, n_r, sys) * tau
     else:
         c = correlator(kind, n_r, sys.resonator)
-        exponent += 0.5 * _phase_variance(sys, c, tau, single_time_integral)
+        k_ang = _TWO_PI * c.decay_rate
+        kick_sq = (_TWO_PI * sys.resonator.external_rate * sys.theta0) ** 2
+        x = k_ang * tau
+        # (k tau - 1 + exp(-k tau)) / k^2, evaluated stably for small x
+        if x < 1e-6:
+            shape = 0.5 * tau * tau * (1.0 - x / 3.0)
+        else:
+            shape = (x - 1.0 + math.exp(-x)) / (k_ang * k_ang)
+        exponent += kick_sq * c.variance * shape  # <dphi^2> / 2
     return math.exp(-exponent)
 
 
@@ -296,7 +275,13 @@ def simulate_ramsey(
     if shots < 1:
         raise ValueError("need at least one shot per point")
     if fringe_detuning is None:
-        fringe_detuning = 5.0 / float(np.max(taus))
+        tau_max = float(np.max(taus))
+        if not tau_max > 0:
+            raise ValueError(
+                f"tau grid needs a positive largest delay for the default fringe "
+                f"detuning 5 / max(tau); got max(tau) = {tau_max}"
+            )
+        fringe_detuning = 5.0 / tau_max
     rows = np.empty((taus.size, 2))
     for i, tau in enumerate(taus):
         envelope = ramsey_envelope(sys, kind, n_r, float(tau), form=form)

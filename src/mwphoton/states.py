@@ -297,11 +297,20 @@ def photon_variance(state: MicrowaveState, classical_limit: bool = False) -> flo
         if state.kind is not StateKind.THERMAL:
             raise ValueError("classical_limit applies to thermal states only")
         return n * n
-    if state.kind is StateKind.THERMAL:
+    return _number_variance(state.kind, n)
+
+
+def _number_variance(kind: StateKind, n: float) -> float:
+    """Var(n) of a field of kind ``kind`` and mean occupation ``n``.
+
+    Thermal fields are super-Poissonian (n^2 + n), coherent states and shot
+    noise Poissonian (n); the vacuum does not fluctuate.
+    """
+    if kind is StateKind.THERMAL:
         return n * n + n
-    if state.kind in (StateKind.COHERENT, StateKind.SHOT_NOISE):
-        return n
-    return 0.0
+    if kind is StateKind.VACUUM:
+        return 0.0
+    return n
 
 
 def analytic_moments(state: MicrowaveState) -> MomentSet:
@@ -338,24 +347,19 @@ def _batch_layout(count: int):
         yield index, start, min(SAMPLE_BATCH, count - start)
 
 
-def _batch_seed(seed: Union[int, np.random.SeedSequence], index: int) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (index,)
-        )
+def _batch_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def sample_envelopes(
-    state: MicrowaveState, count: int, seed: Union[int, np.random.SeedSequence]
-) -> np.ndarray:
+def sample_envelopes(state: MicrowaveState, count: int, seed: int) -> np.ndarray:
     """Complex envelope samples drawn from the Wigner distribution of ``state``.
 
     Thermal and vacuum states are circular Gaussians with per-quadrature
     variance (2n + 1)/4.  Coherent states displace the vacuum Gaussian by
     ``alpha``.  Shot noise displaces it by sqrt(n) exp(i phi), with the
-    phase ``phi`` drawn uniformly for each sample.  Deterministic given
-    ``seed``, independent of how batches are scheduled.
+    phase ``phi`` drawn uniformly for each sample.  Batch ``i`` draws from
+    ``SeedSequence(seed, spawn_key=(i,))`` of the integer ``seed``, so the
+    samples are deterministic given it, whatever order batches run in.
     """
     if count < 0:
         raise ValueError("sample count must be >= 0")
@@ -379,9 +383,7 @@ def _wigner_gaussian(state: MicrowaveState) -> Tuple[complex, bool, float]:
     return 0j, False, (2.0 * state.mean_photons + 1.0) / 4.0
 
 
-def _sample_batch(
-    state: MicrowaveState, seed: Union[int, np.random.SeedSequence], index: int, z: np.ndarray
-) -> None:
+def _sample_batch(state: MicrowaveState, seed: int, index: int, z: np.ndarray) -> None:
     """Fill ``z`` with batch ``index`` of :func:`sample_envelopes` for ``seed``.
 
     Each batch draws from its own generator, so batches can be filled in

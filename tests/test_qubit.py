@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import oracles
 from mwphoton.cavity import Resonator, correlator, correlator_value
 from mwphoton.chains import BeamSplitterStage, attenuate
-from mwphoton.defaults import SAMPLE_QUBIT
+from mwphoton.defaults import SAMPLE_QUBIT, SAMPLE_SYSTEM
 from mwphoton.qubit import (
     DispersiveSystem,
     EnvelopeForm,
@@ -204,6 +204,40 @@ class TestDephasingRate:
             StateKind.THERMAL, n_b, system, background=transparent
         ) == pytest.approx(plain, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", [StateKind.SHOT_NOISE, StateKind.VACUUM])
+    def test_background_mixing_needs_thermal_or_coherent_field(self, kind, system):
+        with pytest.raises(ValueError, match="thermal and coherent"):
+            dephasing_rate(kind, 0.3, system, background=BeamSplitterStage(0.9, 0.15))
+
+
+OTHER_SYSTEM = DispersiveSystem.derive(SAMPLE_QUBIT, Resonator(5.9e9, 13.3e6, 0.05e6))
+
+
+class TestDephasingRateBitIdentity:
+    """One law for every kind gives the bits of the per-kind expressions,
+    because kappa_x / kappa_tilde is exactly 1.0 or 2.0."""
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    @pytest.mark.parametrize("n_r", [0.0, 0.05, 0.3, 1.0, 1.5, 7.25])
+    @pytest.mark.parametrize("sys", [SAMPLE_SYSTEM, OTHER_SYSTEM], ids=["sample", "other"])
+    def test_plain_field(self, kind, n_r, sys):
+        expected = oracles.gaussian_dephasing_by_kind(
+            kind.value, n_r, sys.resonator.external_rate, sys.theta0
+        )
+        assert dephasing_rate(kind, n_r, sys) == expected
+
+    @pytest.mark.parametrize("kind", [StateKind.THERMAL, StateKind.COHERENT])
+    @pytest.mark.parametrize("n_r", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("stage", [(0.9, 0.15), (0.4, 1.2), (1.0, 0.0)])
+    @pytest.mark.parametrize("sys", [SAMPLE_SYSTEM, OTHER_SYSTEM], ids=["sample", "other"])
+    def test_behind_beam_splitter(self, kind, n_r, stage, sys):
+        stage = BeamSplitterStage(*stage)
+        _, variance = attenuate(kind, n_r, stage)
+        expected = oracles.gaussian_dephasing_by_kind(
+            kind.value, n_r, sys.resonator.external_rate, sys.theta0, mixed_variance=variance
+        )
+        assert dephasing_rate(kind, n_r, sys, background=stage) == expected
+
 
 class TestGaussianPhaseLawValidity:
     """The rates above are the second cumulant of the phase, exact to O(x^2)
@@ -322,30 +356,6 @@ class TestRamseyEnvelope:
         )
         assert ratio_slope == pytest.approx(1.0, rel=1e-6)
 
-    def test_single_time_integral_saturates(self, system):
-        # the saturating variant loses contrast but stops dephasing at long times
-        kind, n_r = StateKind.THERMAL, 1.0
-        c = correlator(kind, n_r, system.resonator)
-        kick = TWO_PI * system.resonator.external_rate * system.theta0
-        # <dphi^2>/2 saturates at kick^2 Var / k
-        ceiling = kick * kick * c.variance / (TWO_PI * c.decay_rate)
-        zero_rate_system = DispersiveSystem(
-            QubitParams(6.92e9, 67e6, -315e6, 0.0, {}, 0.0),
-            system.resonator,
-            system.detuning,
-            system.chi,
-        )
-        late = ramsey_envelope(
-            zero_rate_system, kind, n_r, 1e-3,
-            form=EnvelopeForm.GAUSSIAN_INTEGRAL, single_time_integral=True,
-        )
-        later = ramsey_envelope(
-            zero_rate_system, kind, n_r, 2e-3,
-            form=EnvelopeForm.GAUSSIAN_INTEGRAL, single_time_integral=True,
-        )
-        assert late == pytest.approx(later, rel=1e-9)  # saturated
-        assert late == pytest.approx(math.exp(-ceiling), rel=1e-6)
-
     def test_negative_delay_rejected(self, system):
         with pytest.raises(ValueError):
             ramsey_envelope(system, StateKind.THERMAL, 0.5, -1e-9)
@@ -403,3 +413,9 @@ class TestSimulateRamsey:
     def test_empty_grid_rejected(self, system):
         with pytest.raises(ValueError):
             simulate_ramsey(system, StateKind.THERMAL, 0.4, [], shots=100, seed=0)
+
+    @pytest.mark.parametrize("taus", [[0.0], [0.0, 0.0]])
+    def test_grid_without_positive_delay_rejected(self, taus, system):
+        # the default fringe detuning is 5 / max(tau)
+        with pytest.raises(ValueError, match="tau grid"):
+            simulate_ramsey(system, StateKind.THERMAL, 0.5, taus)
