@@ -79,7 +79,6 @@ from .dualpath import (
 from .analysis import (
     FitResult,
     VarianceLawModel,
-    dephasing_uncertainty,
     extract_dephasing,
     fano_factor,
     fit_ramsey,

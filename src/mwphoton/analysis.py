@@ -33,7 +33,6 @@ __all__ = [
     "VarianceLawModel",
     "fit_ramsey",
     "extract_dephasing",
-    "dephasing_uncertainty",
     "fit_variance_law",
     "fano_factor",
     "fit_stark_temperature_sweep",
@@ -286,13 +285,6 @@ def extract_dephasing(gamma2: float, gamma1: float, gamma_phi0: float) -> float:
     return value
 
 
-def dephasing_uncertainty(
-    sigma_gamma2: float, sigma_gamma1: float = 0.0, sigma_gamma_phi0: float = 0.0
-) -> float:
-    """Quadrature propagation of the dephasing-rate decomposition."""
-    return math.sqrt(sigma_gamma2 ** 2 + (sigma_gamma1 / 2.0) ** 2 + sigma_gamma_phi0 ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Photon-statistics laws
 # ---------------------------------------------------------------------------
@@ -308,6 +300,11 @@ _MODEL_COLUMNS = {
     VarianceLawModel.PURE_QUADRATIC: (("rho", 2),),
     VarianceLawModel.LINEAR: (("s", 1),),
 }
+
+
+def _points_needed(model: VarianceLawModel) -> int:
+    """Points a :func:`fit_variance_law` of ``model`` needs: one per coefficient, plus one."""
+    return len(_MODEL_COLUMNS[model]) + 1
 
 
 def fit_variance_law(
@@ -328,7 +325,7 @@ def fit_variance_law(
     n = points[:, 0]
     y = points[:, 1]
     columns = _MODEL_COLUMNS[model]
-    minimum = 2 if model is VarianceLawModel.LINEAR else len(columns) + 1
+    minimum = _points_needed(model)
     if points.shape[0] < minimum:
         raise ValueError(f"{model.value} fit needs at least {minimum} points")
     if np.unique(n).size < len(columns):

@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
-
-from .states import MicrowaveState, StateKind, _kind_of, _number_variance
+from .states import StateKind, _number_variance
 
 __all__ = [
     "Resonator",
@@ -81,9 +79,7 @@ class QubitState(Enum):
     EXCITED = "excited"
 
 
-def correlator(
-    state: Union[MicrowaveState, StateKind], n_r: float, res: Resonator
-) -> Correlator:
+def correlator(kind: StateKind, n_r: float, res: Resonator) -> Correlator:
     """Photon-photon correlator of the resonator population for a given input.
 
     Thermal input:   C(tau) = (n_r^2 + n_r) exp(-kappa_x tau)
@@ -95,7 +91,6 @@ def correlator(
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    kind = _kind_of(state)
     return Correlator(_number_variance(kind, n_r), _memory_rate(kind, res))
 
 

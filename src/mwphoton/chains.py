@@ -24,10 +24,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple, Union
+from typing import Tuple
 
 from ._constants import k as k_B
-from .states import MicrowaveState, StateKind, _kind_of
+from .states import StateKind
 
 __all__ = [
     "BeamSplitterStage",
@@ -159,9 +159,7 @@ class CompressionPoint:
 # Stage transformations
 # ---------------------------------------------------------------------------
 
-def attenuate(
-    kind: Union[MicrowaveState, StateKind], n_b: float, stage: BeamSplitterStage
-) -> Tuple[float, float]:
+def attenuate(kind: StateKind, n_b: float, stage: BeamSplitterStage) -> Tuple[float, float]:
     """Mean photon number and variance after beam-splitter attenuation.
 
     n_tot = eta n_b + (1 - eta) n_n, and
@@ -176,7 +174,6 @@ def attenuate(
     """
     if n_b < 0:
         raise ValueError("signal occupation must be >= 0")
-    kind = _kind_of(kind)
     eta = stage.transmissivity
     n_n = stage.background_photons
     n_tot = eta * n_b + (1.0 - eta) * n_n

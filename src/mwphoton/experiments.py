@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import (
     VarianceLawModel,
-    dephasing_uncertainty,
+    _points_needed,
     extract_dephasing,
     fit_ramsey,
     fit_variance_law,
@@ -107,6 +107,15 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
 # ramsey_sweep
 # ---------------------------------------------------------------------------
 
+def _require_fit_points(n_points: int, model: VarianceLawModel) -> None:
+    """Reject a sweep too short for its photon-statistics fit, naming ``n_points``."""
+    needed = _points_needed(model)
+    if n_points < needed:
+        raise ValueError(
+            f"'n_points' must be at least {needed} for the {model.value} fit, got {n_points}"
+        )
+
+
 def ramsey_sweep(
     state: str = "thermal",
     n_points: int = 12,
@@ -129,10 +138,15 @@ def ramsey_sweep(
     kind = StateKind(state)
     if kind is StateKind.VACUUM:
         raise ValueError("a photon-number sweep needs a non-vacuum field")
+    if kind is StateKind.THERMAL:
+        model, slope_name = VarianceLawModel.QUADRATIC_PLUS_LINEAR, "xi"
+    else:
+        model, slope_name = VarianceLawModel.LINEAR, "s"
+    _require_fit_points(n_points, model)
+    if not n_min < n_max:
+        raise ValueError(f"'n_min' must be below 'n_max', got {n_min!r} >= {n_max!r}")
     grid = np.geomspace(n_min, n_max, n_points)
     rows = []
-    extracted = []
-    sigmas = []
     for index, n_r in enumerate(grid):
         n_r = float(n_r)
         gamma1 = system.qubit.relaxation_rate(kind, n_r)
@@ -145,18 +159,10 @@ def ramsey_sweep(
         fit = fit_ramsey(trace)
         gamma2, sigma2 = fit.parameters["gamma2"], fit.std_error("gamma2")
         gphi = extract_dephasing(gamma2, gamma1, system.qubit.intrinsic_dephasing)
-        sigma_phi = dephasing_uncertainty(sigma2)
-        rows.append([n_r, gamma2, sigma2, gphi, sigma_phi, truth, int(fit.converged)])
-        extracted.append((n_r, gphi))
-        sigmas.append(sigma_phi)
-    points = np.asarray(extracted)
-    weights = 1.0 / np.asarray(sigmas) ** 2
-    if kind is StateKind.THERMAL:
-        law = fit_variance_law(points, VarianceLawModel.QUADRATIC_PLUS_LINEAR, weights)
-        slope_name = "xi"
-    else:
-        law = fit_variance_law(points, VarianceLawModel.LINEAR, weights)
-        slope_name = "s"
+        # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
+        rows.append([n_r, gamma2, sigma2, gphi, sigma2, truth, int(fit.converged)])
+    table = np.asarray(rows)
+    law = fit_variance_law(table[:, [0, 3]], model, 1.0 / table[:, 4] ** 2)
     return {
         "tables": {
             "dephasing_vs_n": {
@@ -341,6 +347,7 @@ def jpa_sweep(
         "quantum_thermal": NoiseStatistics.QUANTUM_THERMAL,
         "classical": NoiseStatistics.CLASSICAL,
     }[noise_statistics]
+    _require_fit_points(n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     meta = {}
     if operating_point is not None:
         stage = JPA_OPERATING_POINTS[operating_point]

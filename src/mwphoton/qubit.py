@@ -18,6 +18,10 @@ kappa_x theta0^2 (n_r^2 + n_r), shot noise kappa_x theta0^2 n_r, and a
 coherent drive, whose correlator decays at the amplitude rate
 kappa_x / 2, twice that.  Internal loss is left out of the correlator's
 memory.  All rates are "/2pi" values in Hz.
+
+Envelopes are numpy expressions in the delay, so a simulated Ramsey trace
+is one envelope evaluation on its delay grid and one binomial draw of its
+shots.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._constants import flux_quantum as MAGNETIC_FLUX_QUANTUM  # Wb
 from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
-from .states import MicrowaveState, StateKind, _kind_of, _number_variance
+from .states import StateKind, _number_variance
 
 __all__ = [
     "QubitParams",
@@ -180,7 +184,7 @@ def photons_from_stark_shift(chi: float, delta_omega_q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def dephasing_rate(
-    kind: Union[MicrowaveState, StateKind],
+    kind: StateKind,
     n_r: float,
     sys: DispersiveSystem,
     background=None,
@@ -198,7 +202,6 @@ def dephasing_rate(
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    kind = _kind_of(kind)
     if background is None:
         variance = _number_variance(kind, n_r)
     else:
@@ -216,11 +219,11 @@ def _rate_per_variance(kind: StateKind, sys: DispersiveSystem) -> float:
 
 def ramsey_envelope(
     sys: DispersiveSystem,
-    kind: Union[MicrowaveState, StateKind],
+    kind: StateKind,
     n_r: float,
-    tau: float,
+    tau: float | np.ndarray,
     form: EnvelopeForm = EnvelopeForm.ASYMPTOTIC_RATE,
-) -> float:
+) -> float | np.ndarray:
     """Ramsey decay envelope exp[-gamma_1(n_r) tau / 2 - gamma_phi0 tau - <dphi^2>/2].
 
     ``ASYMPTOTIC_RATE`` uses <dphi^2>/2 = gamma_phi_n(n_r) * tau with
@@ -228,10 +231,14 @@ def ramsey_envelope(
     phase cumulant 2 K^2 int_0^tau (tau - s) C(s) ds, with phase kick rate
     K = 2 pi kappa_x theta0, in closed form.  It decays strictly slower at
     finite tau and approaches the same rate as tau * kappa_tilde -> infinity.
+
+    ``tau`` is one delay or an array of delays, and the envelope comes back
+    in its shape (a scalar delay gives a ``np.float64``).  gamma_1 and the
+    rate or correlator are evaluated once per call, not once per delay.
     """
-    if tau < 0:
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
         raise ValueError("Ramsey delay must be >= 0")
-    kind = _kind_of(kind)
     gamma1 = sys.qubit.relaxation_rate(kind, n_r)
     exponent = _TWO_PI * (gamma1 / 2.0 + sys.qubit.intrinsic_dephasing) * tau
     if form is EnvelopeForm.ASYMPTOTIC_RATE:
@@ -242,17 +249,18 @@ def ramsey_envelope(
         kick_sq = (_TWO_PI * sys.resonator.external_rate * sys.theta0) ** 2
         x = k_ang * tau
         # (k tau - 1 + exp(-k tau)) / k^2, evaluated stably for small x
-        if x < 1e-6:
-            shape = 0.5 * tau * tau * (1.0 - x / 3.0)
-        else:
-            shape = (x - 1.0 + math.exp(-x)) / (k_ang * k_ang)
+        shape = np.where(
+            x < 1e-6,
+            0.5 * tau * tau * (1.0 - x / 3.0),
+            (x - 1.0 + np.exp(-x)) / (k_ang * k_ang),
+        )
         exponent += kick_sq * c.variance * shape  # <dphi^2> / 2
-    return math.exp(-exponent)
+    return np.exp(-exponent)[()]
 
 
 def simulate_ramsey(
     sys: DispersiveSystem,
-    kind: Union[MicrowaveState, StateKind],
+    kind: StateKind,
     n_r: float,
     tau_grid: Sequence[float],
     fringe_detuning: Optional[float] = None,
@@ -265,9 +273,9 @@ def simulate_ramsey(
     Returns an array of (tau, p_e) rows with
     p_e(tau) = [1 + cos(2 pi f_d tau) * envelope(tau)] / 2 sampled with
     ``shots`` binomial draws per point.  The fringe detuning defaults to
-    5 / max(tau) so fits see a well-conditioned oscillation.  Each tau point
-    uses its own seeded sub-stream, so the output does not depend on
-    evaluation order.
+    5 / max(tau) so fits see a well-conditioned oscillation.  The envelope
+    is one :func:`ramsey_envelope` call on the whole grid, and the trace is
+    one binomial draw from a generator seeded with ``seed``.
     """
     taus = np.asarray(list(tau_grid), dtype=float)
     if taus.size == 0:
@@ -282,11 +290,7 @@ def simulate_ramsey(
                 f"detuning 5 / max(tau); got max(tau) = {tau_max}"
             )
         fringe_detuning = 5.0 / tau_max
-    rows = np.empty((taus.size, 2))
-    for i, tau in enumerate(taus):
-        envelope = ramsey_envelope(sys, kind, n_r, float(tau), form=form)
-        p = 0.5 * (1.0 + math.cos(_TWO_PI * fringe_detuning * tau) * envelope)
-        p = min(max(p, 0.0), 1.0)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        rows[i] = (tau, rng.binomial(shots, p) / shots)
-    return rows
+    envelope = ramsey_envelope(sys, kind, n_r, taus, form=form)
+    p = np.clip(0.5 * (1.0 + np.cos(_TWO_PI * fringe_detuning * taus) * envelope), 0.0, 1.0)
+    counts = np.random.default_rng(seed).binomial(shots, p)
+    return np.column_stack([taus, counts / shots])

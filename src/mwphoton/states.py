@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -125,11 +125,6 @@ class MicrowaveState:
     @classmethod
     def vacuum(cls) -> "MicrowaveState":
         return cls(StateKind.VACUUM, 0.0)
-
-
-def _kind_of(state: Union[MicrowaveState, StateKind]) -> StateKind:
-    """The kind of a state, or the kind itself when given one."""
-    return state.kind if isinstance(state, MicrowaveState) else state
 
 
 class Ordering(Enum):

@@ -5,7 +5,6 @@ import pytest
 
 from mwphoton.analysis import (
     VarianceLawModel,
-    dephasing_uncertainty,
     extract_dephasing,
     fano_factor,
     fit_ramsey,
@@ -91,16 +90,6 @@ class TestExtractDephasing:
         with pytest.warns(UserWarning, match="negative"):
             value = extract_dephasing(1.8e6, 4e6, 0.0)
         assert value == pytest.approx(-0.2e6)
-
-    def test_uncertainty_propagation_matches_monte_carlo(self):
-        rng = np.random.default_rng(3)
-        s2, s1, s0 = 30e3, 40e3, 10e3
-        samples = (
-            (2.5e6 + s2 * rng.standard_normal(200_000))
-            - (4e6 + s1 * rng.standard_normal(200_000)) / 2.0
-            - (0.05e6 + s0 * rng.standard_normal(200_000))
-        )
-        assert dephasing_uncertainty(s2, s1, s0) == pytest.approx(np.std(samples), rel=0.02)
 
 
 class TestFitVarianceLaw:

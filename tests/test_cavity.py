@@ -90,7 +90,7 @@ class TestCorrelator:
         ],
     )
     def test_variance_agrees_with_state_statistics(self, state, resonator):
-        c = correlator(state, state.mean_photons, resonator)
+        c = correlator(state.kind, state.mean_photons, resonator)
         assert c.variance == photon_variance(state)
 
     def test_incoherent_to_coherent_rate_ratio_exactly_two(self, resonator):

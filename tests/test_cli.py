@@ -325,6 +325,32 @@ class TestRunCommand:
         assert manifest["config"]["state"] == "coherent"
         assert manifest["config"]["shots"] == 300
 
+    def test_dephasing_error_is_the_gamma2_error(self, tmp_path):
+        # gamma1 and gamma_phi0 enter the extraction as exact model values
+        out = tmp_path / "run"
+        args = ("--shots", "300", "--n-points", "4", "--set", "tau_points=24")
+        assert run_cli("run", "ramsey_sweep", *args, "--out", str(out)) == 0
+        with (out / "dephasing_vs_n.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["gamma_phi_n_err_hz"] == row["gamma2_err_hz"]
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("ramsey_sweep", "--set", "n_min=1.5"), "'n_min'"),
+            (("ramsey_sweep", "--n-points", "2"), "'n_points'"),
+            (("jpa_sweep", "--n-points", "2"), "'n_points'"),
+        ],
+    )
+    def test_unfittable_sweep_names_the_key(self, tmp_path, capsys, args, key):
+        code = run_cli("run", *args, "--out", str(tmp_path / "r"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not (tmp_path / "r").exists()
+
     def test_jpa_sweep_reference_slope(self, tmp_path):
         out = tmp_path / "jpa"
         code = run_cli(

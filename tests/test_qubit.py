@@ -360,6 +360,26 @@ class TestRamseyEnvelope:
         with pytest.raises(ValueError):
             ramsey_envelope(system, StateKind.THERMAL, 0.5, -1e-9)
 
+    @pytest.mark.parametrize("form", list(EnvelopeForm))
+    def test_negative_delay_in_an_array_rejected(self, form, system):
+        taus = np.array([0.0, 1e-9, -1e-9, 2e-9])
+        with pytest.raises(ValueError, match="delay"):
+            ramsey_envelope(system, StateKind.THERMAL, 0.5, taus, form=form)
+
+    @pytest.mark.parametrize("form", list(EnvelopeForm))
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_array_delays_match_scalar_calls_bit_for_bit(self, kind, form, system):
+        n_r = 0.7
+        taus = np.concatenate([[0.0], np.geomspace(1e-16, 3e-6, 1000)])
+        # the grid reaches into the small-x branch of the Gaussian integral
+        k_ang = TWO_PI * correlator(kind, n_r, system.resonator).decay_rate
+        assert np.count_nonzero(k_ang * taus[1:] < 1e-6) > 10
+        scalars = [ramsey_envelope(system, kind, n_r, float(t), form=form) for t in taus]
+        assert all(type(value) is np.float64 for value in scalars)
+        envelope = ramsey_envelope(system, kind, n_r, taus, form=form)
+        assert envelope.shape == taus.shape
+        np.testing.assert_array_equal(envelope, np.array(scalars))
+
 
 class TestSimulateRamsey:
     def test_pure_cosine_without_decay(self, system):
@@ -409,6 +429,22 @@ class TestSimulateRamsey:
         fit = fit_ramsey(trace)
         assert fit.converged
         assert abs(fit.parameters["gamma2"] - gamma2) < 3.0 * fit.std_error("gamma2")
+
+    def test_one_envelope_evaluation_per_trace(self, system, monkeypatch):
+        from mwphoton import qubit
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ramsey_envelope(*args, **kwargs)
+
+        monkeypatch.setattr(qubit, "ramsey_envelope", counted)
+        taus = np.linspace(1e-9, 150e-9, 161)
+        for form in EnvelopeForm:
+            trace = simulate_ramsey(system, StateKind.THERMAL, 0.4, taus, shots=100, form=form)
+            assert trace.shape == (161, 2)
+        assert len(calls) == len(EnvelopeForm)
 
     def test_empty_grid_rejected(self, system):
         with pytest.raises(ValueError):
