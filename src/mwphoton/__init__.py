@@ -80,9 +80,7 @@ from .analysis import (
     FitResult,
     VarianceLawModel,
     extract_dephasing,
-    fano_factor,
     fit_ramsey,
-    fit_stark_temperature_sweep,
     fit_variance_law,
 )
 

@@ -2,14 +2,13 @@
 
 Everything measured in this package funnels through a handful of fits: an
 exponentially decaying sinusoid for Ramsey fringes, polynomial photon-
-statistics laws (rho n^2 + xi n and its degenerate forms), the Stark-shift
-temperature calibration, and simple derived quantities (dephasing-rate
-decomposition, Fano factor).  Linear-in-parameter models are solved by
-normal equations with column scaling; nonlinear models use a damped
-Gauss-Newton iteration with analytic Jacobians (max 200 iterations,
-relative step tolerance 1e-10).  Fits never fabricate parameters: when the
-iteration fails to converge the result carries ``converged=False`` and the
-last iterate.
+statistics laws (rho n^2 + xi n and its degenerate forms) and the
+dephasing-rate decomposition.  Linear-in-parameter models are solved by
+normal equations with column scaling; the Ramsey fit uses an unweighted,
+damped Gauss-Newton iteration with analytic Jacobians (max 200
+iterations, relative step tolerance 1e-10).  Fits never fabricate
+parameters: when the iteration fails to converge the result carries
+``converged=False`` and the last iterate.
 
 All rates handed in and out are "/2pi" values in Hz, matching the rest of
 the package.
@@ -25,8 +24,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .states import ModeSpec, _bose_einstein_array
-
 __all__ = [
     "NumericalError",
     "FitResult",
@@ -34,8 +31,6 @@ __all__ = [
     "fit_ramsey",
     "extract_dephasing",
     "fit_variance_law",
-    "fano_factor",
-    "fit_stark_temperature_sweep",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -126,27 +121,22 @@ def _damped_gauss_newton(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
-    weights: Optional[np.ndarray] = None,
 ):
-    """Levenberg-damped Gauss-Newton for weighted least squares.
+    """Levenberg-damped Gauss-Newton for unweighted least squares.
 
     Deterministic: the damping parameter follows a fixed multiplicative
     schedule, shrinking on accepted steps and growing on rejected ones.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
-    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
-    sw = np.sqrt(w)
-    cost = float(np.sum(w * r * r))
+    cost = float(np.sum(r * r))
     lam = 1e-3
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         jac = jacobian(x)
-        jw = jac * sw[:, None]
-        rw = r * sw
-        grad = jw.T @ rw
-        hess = jw.T @ jw
+        grad = jac.T @ r
+        hess = jac.T @ jac
         diag = np.diag(np.clip(np.diag(hess), 1e-300, None))
         accepted = False
         for _ in range(60):
@@ -157,7 +147,7 @@ def _damped_gauss_newton(
                 continue
             x_try = x + step
             r_try = residual(x_try)
-            cost_try = float(np.sum(w * r_try * r_try))
+            cost_try = float(np.sum(r_try * r_try))
             if np.isfinite(cost_try) and cost_try <= cost:
                 x, r, cost = x_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-14)
@@ -175,14 +165,11 @@ def _damped_gauss_newton(
     # parameter magnitudes (Hz next to dimensionless) stay well conditioned;
     # pinv keeps genuinely degenerate directions finite
     jac = jacobian(x)
-    jw = jac * sw[:, None]
-    scale = np.linalg.norm(jw, axis=0)
+    scale = np.linalg.norm(jac, axis=0)
     scale[scale == 0] = 1.0
-    jn = jw / scale
-    cov = np.linalg.pinv(jn.T @ jn) / np.outer(scale, scale)
-    if weights is None:
-        dof = max(r.size - x.size, 1)
-        cov = cov * cost / dof
+    jn = jac / scale
+    dof = max(r.size - x.size, 1)
+    cov = np.linalg.pinv(jn.T @ jn) / np.outer(scale, scale) * cost / dof
     return x, cov, r, converged, iterations
 
 
@@ -335,54 +322,3 @@ def fit_variance_law(
     names = tuple(name for name, _ in columns)
     params = dict(zip(names, (float(b) for b in beta)))
     return FitResult(params, names, cov, float(np.linalg.norm(residuals)), True, 1)
-
-
-def fano_factor(n: float, variance: float) -> float:
-    """Fano factor Var(n) / n; 1 for Poissonian fields, n + 1 for thermal."""
-    if not n > 0:
-        raise ValueError("Fano factor requires n > 0")
-    return variance / n
-
-
-# ---------------------------------------------------------------------------
-# Stark-shift temperature calibration
-# ---------------------------------------------------------------------------
-
-def fit_stark_temperature_sweep(
-    points: np.ndarray,
-    mode: ModeSpec,
-    chi: float,
-    weights: Optional[np.ndarray] = None,
-) -> FitResult:
-    """Fit the Stark-shift model d(omega_q) = 2 chi [eta n(T) + (1 - eta) n_n].
-
-    ``points`` holds (temperature, qubit frequency shift) rows; the fitted
-    coupling efficiency eta and background occupation n_n close the
-    calibration loop between emitter temperature and resonator photons.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 4:
-        raise ValueError("Stark sweep needs at least 4 (temperature, shift) rows")
-    if chi == 0:
-        raise ValueError("chi must be nonzero for a Stark calibration")
-    temps = points[:, 0]
-    shifts = points[:, 1]
-    occ = _bose_einstein_array(mode, temps)
-
-    def model(x):
-        eta, n_n = x
-        return 2.0 * chi * (eta * occ + (1.0 - eta) * n_n)
-
-    def residual(x):
-        return shifts - model(x)
-
-    def jacobian(x):
-        eta, n_n = x
-        return -np.column_stack(
-            [2.0 * chi * (occ - n_n), 2.0 * chi * (1.0 - eta) * np.ones_like(occ)]
-        )
-
-    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, (0.9, 0.1), weights)
-    names = ("eta", "n_n")
-    params = dict(zip(names, (float(v) for v in x)))
-    return FitResult(params, names, cov, float(np.linalg.norm(r)), converged, iterations)

@@ -19,7 +19,8 @@ schema; defaults are read from the pipeline signatures.  ``run`` checks
 every value against that table (a mistyped or out-of-range value exits 1
 naming the field), and ``config.schema.json`` is generated from the same
 table, so the schema ``schema`` emits is the one ``run`` enforces, except
-for the one rule across keys, t_min_k < t_max_k, which it can only name.
+for two rules across keys, which it only names: t_min_k < t_max_k, and no
+n_n or gain_db beside an operating_point.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
@@ -95,9 +96,11 @@ def _integer(**bounds) -> dict:
 _POSITIVE = _number(exclusiveMinimum=0)
 _NON_NEGATIVE = _number(minimum=0)
 _RATES = ("qubit", "relaxation_per_photon")
-#: The one rule ``run`` checks across keys; draft-07 cannot state it.
+#: The rules ``run`` checks across keys; the schema names them but does not state them.
 _PLANCK_RANGE = "t_min_k < t_max_k"
+_JPA_POINT = "no n_n or gain_db beside an operating_point"
 _PLANCK_TEMPERATURE = {**_POSITIVE, "description": f"`run` also requires {_PLANCK_RANGE}."}
+_POINT_NOTE = {"description": f"`run` also requires {_JPA_POINT}, which sets both."}
 
 _TABLE = {
     "seed": _Key("seed", _integer(minimum=0)),
@@ -132,9 +135,9 @@ _TABLE = {
     "noise_statistics": _Key(
         "noise_statistics", {"enum": ["thermal", "quantum_thermal", "classical"]}
     ),
-    "n_n": _Key("n_n", _NON_NEGATIVE),
-    "gain_db": _Key("gain_db", _number(minimum=0)),
-    "operating_point": _Key("operating_point", {"enum": [*JPA_OPERATING_POINTS, None]}),
+    "n_n": _Key("n_n", {**_NON_NEGATIVE, **_POINT_NOTE}),
+    "gain_db": _Key("gain_db", {**_number(minimum=0), **_POINT_NOTE}),
+    "operating_point": _Key("operating_point", {"enum": [*JPA_OPERATING_POINTS, None], **_POINT_NOTE}),
     "chain_gain_db": _Key("chain_gain_db", _number()),
     "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
@@ -248,6 +251,12 @@ def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict
                     f"{experiment!r}; allowed: {sorted(rows)}"
                 )
             config[key] = _conform(key, value, rows[key].schema)
+    given = {**(file_config or {}), **overrides}
+    clash = [key for key in ("n_n", "gain_db") if key in given]
+    if clash and config.get("operating_point") is not None:
+        raise ConfigError(
+            f"config field {clash[0]!r} cannot be set beside 'operating_point', which sets it"
+        )
     return config
 
 
@@ -260,8 +269,8 @@ def _config_schema() -> dict:
         "description": (
             "JSON configuration accepted by `mwphoton run --config`. Keys carry explicit "
             "units in their names; any subset may be given and flag overrides win. "
-            "`run` enforces exactly these types and bounds, plus one rule across keys "
-            f"that this schema cannot state: {_PLANCK_RANGE}."
+            "`run` enforces exactly these types and bounds, plus two rules across keys "
+            f"that this schema does not state: {_PLANCK_RANGE}, and {_JPA_POINT}."
         ),
         "type": "object",
         "additionalProperties": False,
@@ -491,6 +500,20 @@ def _build_checks(experiment: str, fits: dict, summary: dict, read_table) -> lis
     return checks
 
 
+def _read_json_object(path: Path, keys: tuple = ()) -> dict:
+    """The JSON object in ``path``; ConfigError naming the file unless it is one with ``keys``."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read {path} as JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ConfigError(f"{path} lacks the keys {missing}")
+    return payload
+
+
 def generate_report(run_dir: Path) -> dict:
     expected = ["manifest.json", "fits.json"]
     missing = [name for name in expected if not (run_dir / name).exists()]
@@ -499,8 +522,8 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} is missing artifacts: {missing}; expected "
             f"at least {expected} plus the CSV tables listed in the manifest"
         )
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    fits_payload = json.loads((run_dir / "fits.json").read_text())
+    manifest = _read_json_object(run_dir / "manifest.json", ("experiment", "package_version"))
+    fits_payload = _read_json_object(run_dir / "fits.json", ("fits", "summary"))
     missing_tables = [
         f"{name}.csv"
         for name in manifest.get("tables", [])
@@ -626,16 +649,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    file_config = None
-    if args.config is not None:
-        if not args.config.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            file_config = json.loads(args.config.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(file_config, dict):
-            raise ConfigError("config file must hold a JSON object")
+    file_config = None if args.config is None else _read_json_object(args.config)
     overrides = _collect_overrides(args)
     config = resolve_config(args.experiment, file_config, overrides)
     try:

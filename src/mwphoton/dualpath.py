@@ -5,8 +5,9 @@ whose added noise is independent; averaged products that combine one path
 with the conjugate of the other are therefore free of amplifier noise, and
 from the 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4, all
 signal moments <(a^dag)^n a^m> at the beam-splitter input can be
-recovered.  The same module hosts the Planck-spectroscopy calibration that
-ties detected power to emitter temperature, and the quadrature-variance /
+recovered, from a record or at a sweep point (:func:`_detect_point`).
+The same module hosts the Planck-spectroscopy calibration that ties
+detected power to emitter temperature, and the quadrature-variance /
 Gaussian-Wigner readouts used to rule out squeezing.
 
 The simulation operates on complex envelopes drawn from the Wigner
@@ -23,9 +24,9 @@ for shot noise.
 Work runs on a thread pool with one worker per available CPU
 (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
 runs array loops.  Each task draws one batch.  :func:`simulate_detection`
-draws it into the batch's slice of a record.  The sweep pipelines
-(``experiments._detect_point``) draw it into the task's own buffers and
-keep only the sums of the cross-path products over each error-block
+draws it into the batch's slice of a record.  A sweep point
+(:func:`_detect_point`) draws it into the task's own buffers and keeps
+only the sums of the cross-path products over each error-block
 segment the batch overlaps (``states._segment_sums``), so a sweep point
 never holds a record.  A task's numbers depend on its batch alone, and
 results are combined in batch order, so every record and every sum is
@@ -39,7 +40,8 @@ the products over the same ERROR_BATCHES blocks and take the compensated
 total of the block sums over the sample count (:func:`_product_means`):
 a sweep point inverts that estimate and each block's own mean for the
 error bars, and :func:`cross_moments` returns it for a record, which
-:func:`reconstruct_signal_moments` inverts.
+:func:`reconstruct_signal_moments` inverts.  A record sums each block
+whole, which is faster than splitting it at batch bounds (``docs/notes.md``).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 
 from ._constants import h as PLANCK_H, k as k_B
 from .analysis import NumericalError, _linear_least_squares
-from .chains import CompressionPoint, compression_power, linear_to_db
+from .chains import CompressionPoint, compression_power, g2_unnormalized, linear_to_db
 from .states import (
     SAMPLE_BATCH,
     _MOMENT_KEYS,
@@ -219,7 +221,6 @@ def simulate_detection(
     count: int = 100_000,
     seed: int = 0,
     vacuum_port_photons: float = 0.0,
-    if_frequency: float = DEFAULT_IF_FREQUENCY,
 ) -> DetectionRecord:
     """Simulate a dual-path record for a given input state.
 
@@ -245,7 +246,7 @@ def simulate_detection(
         draw(index, z1[lo : lo + size], z2[lo : lo + size])
 
     _map_on_cpus(fill, _batch_layout(count))
-    return DetectionRecord(z1, z2, tuple(gains), if_frequency, seed)
+    return DetectionRecord(z1, z2, tuple(gains), seed=seed)
 
 
 def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons):
@@ -333,6 +334,64 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     blocks = _error_blocks(rec.sample_count)
     sums = [_segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi]) for lo, hi in blocks]
     return CrossMomentSet(_product_means(sums, rec.sample_count), rec.sample_count)
+
+
+def _point_values(moments) -> Dict[str, float]:
+    """Photon number, unnormalized g2 and quadrature variances of one estimate."""
+    n = moments.entry(1, 1).real
+    fourth = moments.entry(2, 2).real
+    variance = fourth + n - n * n
+    point = {"n": n, "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0))}
+    point["var_p"], point["var_q"] = quadrature_variances(moments)
+    return point
+
+
+def _detect_point(
+    state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0), vacuum_port_photons=0.0
+):
+    """Moments, point values and block errors of one sweep point, built from no record.
+
+    One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
+    would, into its own buffers, and sums the 15 cross-path products over
+    each error-block segment the batch overlaps; each block adds its
+    segments in batch order.  The estimate inverts the compensated total of
+    the block sums (:func:`_product_means`, as for an exported record);
+    each block of >= 2 samples inverts its own mean.
+    """
+    draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
+    blocks = _error_blocks(count)
+
+    def batch_segments(batch):
+        index, lo, size = batch
+        z1, z2 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        draw(index, z1, z2)
+        return [
+            (block, _segment_sums(z1[max(a - lo, 0) : b - lo], z2[max(a - lo, 0) : b - lo]))
+            for block, (a, b) in enumerate(blocks)
+            if a < lo + size and b > lo
+        ]
+
+    sums = [dict.fromkeys(_MOMENT_KEYS, 0j) for _ in blocks]
+    for segments in _map_on_cpus(batch_segments, _batch_layout(count)):
+        for block, segment in segments:
+            for key, value in segment.items():
+                sums[block][key] += value
+    moments = _moments_from_products(
+        _product_means(sums, count), gains, vacuum_port_photons, count
+    )
+    block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
+    for (lo, hi), block_sums in zip(blocks, sums):
+        if hi - lo < 2:
+            continue
+        means = {key: value / (hi - lo) for key, value in block_sums.items()}
+        block_moments = _moments_from_products(means, gains, vacuum_port_photons, hi - lo)
+        for key, value in _point_values(block_moments).items():
+            block_values[key].append(value)
+    errors = {
+        key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        for key, vals in block_values.items()
+    }
+    return moments, _point_values(moments), errors
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +503,6 @@ class JpaCalibration:
     @property
     def jpa_gain_db(self) -> Optional[float]:
         return None if self.jpa_gain is None else linear_to_db(self.jpa_gain)
-
-    @property
-    def compression_found(self) -> bool:
-        return self.t_1db is not None
 
 
 def planck_power(

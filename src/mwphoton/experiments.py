@@ -6,7 +6,9 @@ photon number for each field flavour, the dual-path temperature sweep with
 moment reconstruction, the JPA-referred correlation table, the Planck
 calibrations, and the quadrature/no-squeezing check.  They return plain
 dictionaries (tables, fit summaries, headline numbers) so the CLI can
-serialize them and the demos can pick out what they need.
+serialize them and the demos can pick out what they need.  The dual-path
+pipelines estimate each sweep point with ``dualpath._detect_point``
+through this module's binding, which instrumentation may patch.
 
 Everything is deterministic given the seed in the configuration.
 """
@@ -14,7 +16,7 @@ Everything is deterministic given the seed in the configuration.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,25 +44,17 @@ from .defaults import (
 )
 from .dualpath import (
     PlanckSweep,
-    _batch_sampler,
-    _error_blocks,
-    _map_on_cpus,
-    _moments_from_products,
-    _product_means,
+    _detect_point,
     jpa_planck_fit,
     jpa_planck_power,
     planck_fit,
     planck_power,
-    quadrature_variances,
     saturation_power_for_t1db,
     simulate_detection,  # unused here; benchmarks/workloads.py probes it by this name
     wigner_gaussian_contour,
 )
 from .qubit import DispersiveSystem, _rate_per_variance, dephasing_rate, simulate_ramsey
 from .states import (
-    _MOMENT_KEYS,
-    _batch_layout,
-    _segment_sums,
     MicrowaveState,
     ModeSpec,
     StateKind,
@@ -194,64 +188,6 @@ def ramsey_sweep(
 # ---------------------------------------------------------------------------
 # dualpath_sweep
 # ---------------------------------------------------------------------------
-
-def _point_values(moments) -> Dict[str, float]:
-    """Photon number, unnormalized g2 and quadrature variances of one estimate."""
-    n = moments.entry(1, 1).real
-    fourth = moments.entry(2, 2).real
-    variance = fourth + n - n * n
-    point = {"n": n, "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0))}
-    point["var_p"], point["var_q"] = quadrature_variances(moments)
-    return point
-
-
-def _detect_point(
-    state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0), vacuum_port_photons=0.0
-):
-    """Moments, point values and block errors of one sweep point, built from no record.
-
-    One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
-    would, into its own buffers, and sums the 15 cross-path products over
-    each error-block segment the batch overlaps; each block adds its
-    segments in batch order.  The estimate inverts the compensated total of
-    the block sums (``dualpath._product_means``, as for an exported record);
-    each block of >= 2 samples inverts its own mean.
-    """
-    draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
-    blocks = _error_blocks(count)
-
-    def batch_segments(batch):
-        index, lo, size = batch
-        z1, z2 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        draw(index, z1, z2)
-        return [
-            (block, _segment_sums(z1[max(a - lo, 0) : b - lo], z2[max(a - lo, 0) : b - lo]))
-            for block, (a, b) in enumerate(blocks)
-            if a < lo + size and b > lo
-        ]
-
-    sums = [dict.fromkeys(_MOMENT_KEYS, 0j) for _ in blocks]
-    for segments in _map_on_cpus(batch_segments, _batch_layout(count)):
-        for block, segment in segments:
-            for key, value in segment.items():
-                sums[block][key] += value
-    moments = _moments_from_products(
-        _product_means(sums, count), gains, vacuum_port_photons, count
-    )
-    block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
-    for (lo, hi), block_sums in zip(blocks, sums):
-        if hi - lo < 2:
-            continue
-        means = {key: value / (hi - lo) for key, value in block_sums.items()}
-        block_moments = _moments_from_products(means, gains, vacuum_port_photons, hi - lo)
-        for key, value in _point_values(block_moments).items():
-            block_values[key].append(value)
-    errors = {
-        key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        for key, vals in block_values.items()
-    }
-    return moments, _point_values(moments), errors
-
 
 def dualpath_sweep(
     temperatures: Optional[Sequence[float]] = None,

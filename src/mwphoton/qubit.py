@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -263,7 +263,6 @@ def simulate_ramsey(
     kind: StateKind,
     n_r: float,
     tau_grid: Sequence[float],
-    fringe_detuning: Optional[float] = None,
     shots: int = 10_000,
     seed: int = 0,
     form: EnvelopeForm = EnvelopeForm.ASYMPTOTIC_RATE,
@@ -272,8 +271,8 @@ def simulate_ramsey(
 
     Returns an array of (tau, p_e) rows with
     p_e(tau) = [1 + cos(2 pi f_d tau) * envelope(tau)] / 2 sampled with
-    ``shots`` binomial draws per point.  The fringe detuning defaults to
-    5 / max(tau) so fits see a well-conditioned oscillation.  The envelope
+    ``shots`` binomial draws per point.  The fringe detuning is
+    f_d = 5 / max(tau), so fits see a well-conditioned oscillation.  The envelope
     is one :func:`ramsey_envelope` call on the whole grid, and the trace is
     one binomial draw from a generator seeded with ``seed``.
     """
@@ -282,14 +281,13 @@ def simulate_ramsey(
         raise ValueError("tau grid must not be empty")
     if shots < 1:
         raise ValueError("need at least one shot per point")
-    if fringe_detuning is None:
-        tau_max = float(np.max(taus))
-        if not tau_max > 0:
-            raise ValueError(
-                f"tau grid needs a positive largest delay for the default fringe "
-                f"detuning 5 / max(tau); got max(tau) = {tau_max}"
-            )
-        fringe_detuning = 5.0 / tau_max
+    tau_max = float(np.max(taus))
+    if not tau_max > 0:
+        raise ValueError(
+            f"tau grid needs a positive largest delay for the fringe detuning "
+            f"5 / max(tau); got max(tau) = {tau_max}"
+        )
+    fringe_detuning = 5.0 / tau_max
     envelope = ramsey_envelope(sys, kind, n_r, taus, form=form)
     p = np.clip(0.5 * (1.0 + np.cos(_TWO_PI * fringe_detuning * taus) * envelope), 0.0, 1.0)
     counts = np.random.default_rng(seed).binomial(shots, p)

@@ -234,24 +234,6 @@ class MomentSet:
     def missing_keys(self):
         return [k for k in _MOMENT_KEYS if k not in self.entries]
 
-    # -- serialization (keys "n,m" -> [re, im]) ------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ordering": self.ordering.value,
-            "entries": {
-                f"{n},{m}": [v.real, v.imag] for (n, m), v in sorted(self.entries.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MomentSet":
-        entries = {}
-        for key, (re, im) in payload["entries"].items():
-            n, m = (int(tok) for tok in key.split(","))
-            entries[(n, m)] = complex(re, im)
-        return cls(Ordering(payload["ordering"]), entries)
-
 
 # ---------------------------------------------------------------------------
 # Closed-form statistics

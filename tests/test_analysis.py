@@ -6,13 +6,9 @@ import pytest
 from mwphoton.analysis import (
     VarianceLawModel,
     extract_dephasing,
-    fano_factor,
     fit_ramsey,
-    fit_stark_temperature_sweep,
     fit_variance_law,
 )
-from mwphoton.chains import BeamSplitterStage, attenuate
-from mwphoton.states import ModeSpec, StateKind, bose_einstein
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,100 +166,3 @@ class TestFitVarianceLaw:
             )
             covered += abs(fit.parameters["rho"] - truth_rho) <= 3.0 * fit.std_error("rho")
         assert covered / trials >= 0.99
-
-
-class TestFanoFactor:
-    def test_poissonian(self):
-        assert fano_factor(0.7, 0.7) == 1.0
-
-    def test_thermal(self):
-        assert fano_factor(1.0, 2.0) == 2.0
-
-    def test_background_loaded_poissonian_field(self):
-        # a Poissonian field mixed with a weak thermal background lands in
-        # the slightly super-Poissonian regime around 1.1
-        stage = BeamSplitterStage(transmissivity=0.5, background_photons=0.19)
-        n_tot, variance = attenuate(StateKind.COHERENT, 0.3, stage)
-        factor = fano_factor(n_tot, variance)
-        assert factor == pytest.approx(1.15, abs=0.1)
-        assert factor > 1.0
-
-    def test_requires_positive_occupation(self):
-        with pytest.raises(ValueError):
-            fano_factor(0.0, 0.0)
-
-
-class TestStarkTemperatureSweep:
-    MODE = ModeSpec(6.07e9)
-    CHI = -3.11e6
-
-    def _shifts(self, eta, n_n, temps):
-        occ = np.array([bose_einstein(self.MODE, float(t)) for t in temps])
-        return 2.0 * self.CHI * (eta * occ + (1.0 - eta) * n_n)
-
-    def test_ideal_coupling_recovered(self):
-        temps = np.linspace(0.05, 1.5, 10)
-        points = np.column_stack([temps, self._shifts(1.0, 0.0, temps)])
-        fit = fit_stark_temperature_sweep(points, self.MODE, self.CHI)
-        assert fit.parameters["eta"] == pytest.approx(1.0, abs=1e-8)
-        assert fit.residual_norm < 1.0
-
-    def test_background_recovered_under_noise(self):
-        # 1% multiplicative frequency noise with matching inverse-variance
-        # weights; the background offset is carried by the low-T points
-        temps = np.linspace(0.05, 1.5, 14)
-        clean = self._shifts(0.9, 0.15, temps)
-        rng = np.random.default_rng(42)
-        noisy = clean * (1.0 + 0.01 * rng.standard_normal(temps.size))
-        weights = 1.0 / (0.01 * np.abs(noisy)) ** 2
-        fit = fit_stark_temperature_sweep(
-            np.column_stack([temps, noisy]), self.MODE, self.CHI, weights=weights
-        )
-        assert fit.converged
-        assert fit.parameters["n_n"] == pytest.approx(0.15, abs=0.02)
-
-    def test_background_scatter_over_trials(self):
-        temps = np.linspace(0.05, 1.5, 14)
-        clean = self._shifts(0.9, 0.15, temps)
-        recovered = []
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            noisy = clean * (1.0 + 0.01 * rng.standard_normal(temps.size))
-            weights = 1.0 / (0.01 * np.abs(noisy)) ** 2
-            fit = fit_stark_temperature_sweep(
-                np.column_stack([temps, noisy]), self.MODE, self.CHI, weights=weights
-            )
-            recovered.append(fit.parameters["n_n"])
-        assert np.median(recovered) == pytest.approx(0.15, abs=0.01)
-        assert np.std(recovered) < 0.02
-
-    def test_fitted_curve_monotone_in_temperature(self):
-        temps = np.linspace(0.05, 1.5, 14)
-        points = np.column_stack([temps, self._shifts(0.85, 0.2, temps)])
-        fit = fit_stark_temperature_sweep(points, self.MODE, self.CHI)
-        eta, n_n = fit.parameters["eta"], fit.parameters["n_n"]
-        fine = np.linspace(0.05, 1.5, 200)
-        curve = np.abs(self._shifts(eta, n_n, fine))
-        assert np.all(np.diff(curve) > 0)
-
-    def test_three_sigma_coverage(self):
-        temps = np.linspace(0.05, 1.5, 14)
-        clean = self._shifts(0.9, 0.15, temps)
-        sigma = 20e3  # Hz, additive on the shift
-        weights = np.full(temps.size, 1.0 / sigma ** 2)
-        covered = 0
-        trials = 500
-        for seed in range(trials):
-            rng = np.random.default_rng(seed)
-            noisy = clean + sigma * rng.standard_normal(temps.size)
-            fit = fit_stark_temperature_sweep(
-                np.column_stack([temps, noisy]), self.MODE, self.CHI, weights=weights
-            )
-            covered += abs(fit.parameters["n_n"] - 0.15) <= 3.0 * fit.std_error("n_n")
-        assert covered / trials >= 0.99
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_stark_temperature_sweep(
-                np.array([[0.1, 1e6], [0.2, 2e6], [0.3, 3e6]]), self.MODE, self.CHI
-            )

@@ -18,6 +18,7 @@ from mwphoton.cli import (
     main,
     resolve_config,
 )
+from mwphoton.defaults import JPA_OPERATING_POINTS
 from mwphoton.experiments import EXPERIMENTS
 from mwphoton.states import StateKind
 
@@ -282,6 +283,16 @@ class TestConfigTable:
         for text in texts:
             assert "t_min_k < t_max_k" in text
 
+    def test_schema_names_the_operating_point_rule(self, tmp_path):
+        # run rejects n_n or gain_db given beside an operating_point
+        schema = _config_schema(tmp_path)
+        texts = [schema["description"]]
+        texts += [
+            schema["properties"][key]["description"] for key in ("n_n", "gain_db", "operating_point")
+        ]
+        for text in texts:
+            assert cli._JPA_POINT in text
+
     def test_schema_properties_are_the_accepted_keys(self, tmp_path):
         accepted = set().union(*(resolve_config(name, None, {}) for name in EXPERIMENTS))
         assert set(_config_schema(tmp_path)["properties"]) == accepted
@@ -438,6 +449,13 @@ class TestRunCommand:
         code = run_cli("run", "variance_curves", "--config", str(bad), "--out", str(tmp_path / "y"))
         assert code == 1
 
+    @pytest.mark.parametrize("config", ["missing.json", "."])
+    def test_unreadable_config_file_names_it(self, tmp_path, capsys, config):
+        path = tmp_path / config
+        code = run_cli("run", "variance_curves", "--config", str(path), "--out", str(tmp_path / "y"))
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "experiment, count", [("quadrature_check", "3"), ("dualpath_sweep", "2")]
     )
@@ -491,6 +509,43 @@ class TestRunCommand:
         assert "configuration error" in err and "'t_min_k'" in err and "'t_max_k'" in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize(
+        "config, args, key",
+        [
+            (None, ["--set", "operating_point=jpa1", "--n-n", "0.3"], "n_n"),
+            (None, ["--set", "operating_point=jpa1", "--set", "gain_db=20"], "gain_db"),
+            ({"operating_point": "jpa1"}, ["--n-n", "0.3"], "n_n"),
+            ({"operating_point": "jpa1", "gain_db": 20}, [], "gain_db"),
+        ],
+    )
+    def test_operating_point_excludes_the_keys_it_sets(self, tmp_path, capsys, config, args, key):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path), *args]
+        code = run_cli("run", "jpa_sweep", *args, "--out", str(tmp_path / "j"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err and "'operating_point'" in err
+        assert not (tmp_path / "j").exists()
+
+    def test_operating_point_runs_with_its_own_values(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"operating_point": "jpa1"}))
+        point = JPA_OPERATING_POINTS["jpa1"]
+        out = tmp_path / "point"
+        assert run_cli("run", "jpa_sweep", "--config", str(config), "--out", str(out)) == 0
+        summary = json.loads((out / "fits.json").read_text())["summary"]
+        assert summary["n_n"] == point.added_noise_photons
+        # an override that clears the point frees n_n again
+        cleared = tmp_path / "cleared"
+        code = run_cli(
+            "run", "jpa_sweep", "--config", str(config), "--set", "operating_point=null",
+            "--n-n", "0.3", "--out", str(cleared),
+        )
+        assert code == 0
+        assert json.loads((cleared / "fits.json").read_text())["summary"]["n_n"] == 0.3
+
     def test_degenerate_planck_sweep_is_a_numerical_failure(self, tmp_path, capsys):
         code = run_cli(
             "run", "planck_calibration", "--set", "t_min_k=0.001", "--set", "t_max_k=0.004",
@@ -543,6 +598,24 @@ class TestReportCommand:
         (out / "g2_minus_offset.csv").unlink()
         assert run_cli("report", str(out)) == 1
         assert "g2_minus_offset" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_json_is_named(self, tmp_path, capsys):
+        out = self._completed_run(tmp_path)
+        (out / "manifest.json").write_text("{not json")
+        assert run_cli("report", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "manifest.json" in err and "as JSON" in err
+        assert not (out / "report.json").exists()
+
+    def test_fits_without_fits_key_names_file_and_key(self, tmp_path, capsys):
+        out = self._completed_run(tmp_path)
+        payload = json.loads((out / "fits.json").read_text())
+        del payload["fits"]
+        (out / "fits.json").write_text(json.dumps(payload))
+        assert run_cli("report", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "fits.json" in err and "'fits'" in err
+        assert not (out / "report.json").exists()
 
     def test_unknown_experiment_in_manifest_rejected(self, tmp_path, capsys):
         out = tmp_path / "curves"

@@ -388,7 +388,6 @@ class TestJpaPlanckFit:
         cal = jpa_planck_fit(self._sweep(t_1db=None), 0.2)
         assert cal.t_1db is None
         assert cal.p_1db is None
-        assert not cal.compression_found
 
     def test_compression_power_from_table_values(self):
         from mwphoton.chains import compression_power

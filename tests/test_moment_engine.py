@@ -28,6 +28,7 @@ from mwphoton.chains import g2_unnormalized
 from mwphoton.dualpath import (
     CrossMomentSet,
     DetectionRecord,
+    _detect_point,
     _record_model,
     cross_moments,
     hybrid_split,
@@ -35,7 +36,6 @@ from mwphoton.dualpath import (
     reconstruct_signal_moments,
     simulate_detection,
 )
-from mwphoton.experiments import _detect_point
 from mwphoton.states import (
     SAMPLE_BATCH,
     MicrowaveState,

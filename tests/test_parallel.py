@@ -73,13 +73,13 @@ def test_simulate_detection_bytes_independent_of_worker_count(kind, monkeypatch)
 
 def test_fused_sums_bytes_independent_of_worker_count(monkeypatch):
     inverted = []  # every product mean the fused route inverts: the total, then each block
-    invert = experiments._moments_from_products
+    invert = dualpath._moments_from_products
 
     def recording(products, *args):
         inverted.append(np.array(list(products.values())).tobytes())
         return invert(products, *args)
 
-    monkeypatch.setattr(experiments, "_moments_from_products", recording)
+    monkeypatch.setattr(dualpath, "_moments_from_products", recording)
 
     def run():
         inverted.clear()
@@ -124,6 +124,21 @@ def test_sweeps_build_no_record(monkeypatch):
     experiments.dualpath_sweep(temperatures=[0.2, 0.35, 0.5], count=60_000, seed=3)
     experiments.quadrature_check(count=40_000, seed=2)
     assert built == []
+
+
+def test_every_sweep_point_goes_through_the_experiments_binding(monkeypatch):
+    # instrumentation that patches experiments._detect_point sees each point once
+    counts = []
+    detect = experiments._detect_point
+
+    def counting(state, count, *args, **kwargs):
+        counts.append(count)
+        return detect(state, count, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_detect_point", counting)
+    experiments.dualpath_sweep(temperatures=[0.2, 0.35, 0.5], count=4_000, seed=3)
+    experiments.quadrature_check(occupations=(0.1, 1.0), count=2_000, seed=2)
+    assert counts == [4_000] * 3 + [2_000] * 2
 
 
 def test_point_memory_does_not_grow_with_count(monkeypatch):

@@ -1,11 +1,10 @@
-"""Property tests: configuration coercion, moment serialization, ordering and inversion.
+"""Property tests: configuration coercion, ordering and inversion.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples, and its caches go to a temporary directory instead
 of ``.hypothesis/`` in the working directory.
 """
 
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -39,9 +38,6 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 # strings a config file or --set may carry
 WORDS = st.sampled_from(["", "300", "1e3", "jpa3", "thermal ", "quantum", "null", "vacuum"])
-
-# moments of physical states stay far from float overflow
-MOMENT = st.floats(min_value=-1e6, max_value=1e6)
 
 
 def _floats_below(bound, exclude_max=False):
@@ -133,34 +129,6 @@ def test_value_outside_bounds_is_rejected_naming_the_key(data):
     value = data.draw(_outside(_TABLE[key].schema))
     with pytest.raises(ConfigError, match=key):
         resolve_config(_taking(key), None, {key: value})
-
-
-# ---------------------------------------------------------------------------
-# JSON round trips
-# ---------------------------------------------------------------------------
-
-@st.composite
-def moment_sets(draw):
-    ordering = draw(st.sampled_from(Ordering))
-    entries = {(0, 0): 1.0}
-    for n, m in moment_keys():
-        if (n, m) == (0, 0) or n > m:
-            continue
-        if n == m:
-            entries[(n, m)] = complex(abs(draw(MOMENT)))
-        else:
-            value = complex(draw(MOMENT), draw(MOMENT))
-            entries[(n, m)] = value
-            entries[(m, n)] = value.conjugate()
-    return MomentSet(ordering, entries)
-
-
-@DETERMINISTIC
-@given(moment_sets())
-def test_moment_set_json_round_trip(moments):
-    restored = MomentSet.from_json_dict(json.loads(json.dumps(moments.to_json_dict())))
-    assert restored.ordering is moments.ordering
-    assert restored.entries == moments.entries
 
 
 # ---------------------------------------------------------------------------

@@ -390,8 +390,8 @@ class TestSimulateRamsey:
             system.chi,
         )
         taus = np.linspace(1e-9, 200e-9, 40)
-        trace = simulate_ramsey(quiet, StateKind.VACUUM, 0.0, taus, fringe_detuning=25e6,
-                                shots=100_000, seed=3)
+        # the fringe detuning is 5 / max(tau) = 25 MHz
+        trace = simulate_ramsey(quiet, StateKind.VACUUM, 0.0, taus, shots=100_000, seed=3)
         expected = 0.5 * (1.0 + np.cos(TWO_PI * 25e6 * taus))
         sigma = np.sqrt(np.clip(expected * (1 - expected), 1e-12, None) / 100_000) + 1e-4
         assert np.all(np.abs(trace[:, 1] - expected) < 5 * sigma)
@@ -452,6 +452,6 @@ class TestSimulateRamsey:
 
     @pytest.mark.parametrize("taus", [[0.0], [0.0, 0.0]])
     def test_grid_without_positive_delay_rejected(self, taus, system):
-        # the default fringe detuning is 5 / max(tau)
+        # the fringe detuning is 5 / max(tau)
         with pytest.raises(ValueError, match="tau grid"):
             simulate_ramsey(system, StateKind.THERMAL, 0.5, taus)
