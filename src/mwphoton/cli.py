@@ -19,8 +19,7 @@ schema; defaults are read from the pipeline signatures.  ``run`` checks
 every value against that table (a mistyped or out-of-range value exits 1
 naming the field), and ``config.schema.json`` is generated from the same
 table, so the schema ``schema`` emits is the one ``run`` enforces, except
-for two rules across keys, which it only names: t_min_k < t_max_k, and no
-n_n or gain_db beside an operating_point.
+for one rule across keys, which it only names: t_min_k < t_max_k.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
@@ -50,6 +49,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import NumericalError
+from .chains import NoiseStatistics
 from .defaults import JPA_OPERATING_POINTS
 from .dualpath import ERROR_BATCHES
 from .experiments import EXPERIMENTS, run_experiment
@@ -96,11 +96,9 @@ def _integer(**bounds) -> dict:
 _POSITIVE = _number(exclusiveMinimum=0)
 _NON_NEGATIVE = _number(minimum=0)
 _RATES = ("qubit", "relaxation_per_photon")
-#: The rules ``run`` checks across keys; the schema names them but does not state them.
+#: The rule ``run`` checks across keys; the schema names it but does not state it.
 _PLANCK_RANGE = "t_min_k < t_max_k"
-_JPA_POINT = "no n_n or gain_db beside an operating_point"
 _PLANCK_TEMPERATURE = {**_POSITIVE, "description": f"`run` also requires {_PLANCK_RANGE}."}
-_POINT_NOTE = {"description": f"`run` also requires {_JPA_POINT}, which sets both."}
 
 _TABLE = {
     "seed": _Key("seed", _integer(minimum=0)),
@@ -132,12 +130,8 @@ _TABLE = {
     "temperatures_k": _Key(
         "temperatures", {"type": ["array", "null"], "items": _POSITIVE, "minItems": 1}
     ),
-    "noise_statistics": _Key(
-        "noise_statistics", {"enum": ["thermal", "quantum_thermal", "classical"]}
-    ),
-    "n_n": _Key("n_n", {**_NON_NEGATIVE, **_POINT_NOTE}),
-    "gain_db": _Key("gain_db", {**_number(minimum=0), **_POINT_NOTE}),
-    "operating_point": _Key("operating_point", {"enum": [*JPA_OPERATING_POINTS, None], **_POINT_NOTE}),
+    "noise_statistics": _Key("noise_statistics", {"enum": [s.value for s in NoiseStatistics]}),
+    "operating_point": _Key("operating_point", {"enum": list(JPA_OPERATING_POINTS)}),
     "chain_gain_db": _Key("chain_gain_db", _number()),
     "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
@@ -149,7 +143,7 @@ _TABLE = {
 }
 
 #: Keys that also have a ``run`` flag of their own (``--n-points`` for ``n_points``).
-_FLAGS = ("seed", "state", "n_points", "shots", "count", "n_n", "noise_statistics")
+_FLAGS = ("seed", "state", "n_points", "shots", "count", "noise_statistics")
 
 
 def _derive_system(system: DispersiveSystem) -> DispersiveSystem:
@@ -251,12 +245,6 @@ def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict
                     f"{experiment!r}; allowed: {sorted(rows)}"
                 )
             config[key] = _conform(key, value, rows[key].schema)
-    given = {**(file_config or {}), **overrides}
-    clash = [key for key in ("n_n", "gain_db") if key in given]
-    if clash and config.get("operating_point") is not None:
-        raise ConfigError(
-            f"config field {clash[0]!r} cannot be set beside 'operating_point', which sets it"
-        )
     return config
 
 
@@ -269,8 +257,8 @@ def _config_schema() -> dict:
         "description": (
             "JSON configuration accepted by `mwphoton run --config`. Keys carry explicit "
             "units in their names; any subset may be given and flag overrides win. "
-            "`run` enforces exactly these types and bounds, plus two rules across keys "
-            f"that this schema does not state: {_PLANCK_RANGE}, and {_JPA_POINT}."
+            "`run` enforces exactly these types and bounds, plus one rule across keys "
+            f"that this schema does not state: {_PLANCK_RANGE}."
         ),
         "type": "object",
         "additionalProperties": False,
@@ -306,14 +294,6 @@ def _experiment_kwargs(experiment: str, config: dict) -> dict:
 # Output writing
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def _plain(value):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
     if isinstance(value, dict):
@@ -335,7 +315,7 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
     for name, table in result["tables"].items():
         lines = [",".join(table["columns"])]
         for row in table["rows"]:
-            lines.append(",".join(_format_cell(cell) for cell in row))
+            lines.append(",".join(str(_plain(cell)) for cell in row))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     fits_payload = _plain(
         {
@@ -537,12 +517,18 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} holds unknown experiment {experiment!r}; "
             f"choose one of {sorted(EXPERIMENTS)}"
         )
-    checks = _build_checks(
-        experiment,
-        fits_payload["fits"],
-        fits_payload["summary"],
-        lambda name: _read_table(run_dir / f"{name}.csv"),
-    )
+    try:
+        checks = _build_checks(
+            experiment,
+            fits_payload["fits"],
+            fits_payload["summary"],
+            lambda name: _read_table(run_dir / f"{name}.csv"),
+        )
+    except KeyError as exc:  # a fits.json entry or a table column the checks read
+        raise ConfigError(
+            f"run directory {run_dir} lacks the key {exc.args[0]!r} that the "
+            f"{experiment} report reads"
+        ) from exc
     return {
         "experiment": experiment,
         "package_version": manifest["package_version"],

@@ -60,7 +60,7 @@ import numpy as np
 
 from ._constants import h as PLANCK_H, k as k_B
 from .analysis import NumericalError, _linear_least_squares
-from .chains import CompressionPoint, compression_power, g2_unnormalized, linear_to_db
+from .chains import g2_unnormalized, linear_to_db
 from .states import (
     SAMPLE_BATCH,
     _MOMENT_KEYS,
@@ -495,14 +495,8 @@ class PlanckCalibration:
 @dataclass
 class JpaCalibration:
     total_gain: float
-    jpa_gain: Optional[float]
     added_photons: float
     t_1db: Optional[float]
-    p_1db: Optional[CompressionPoint]
-
-    @property
-    def jpa_gain_db(self) -> Optional[float]:
-        return None if self.jpa_gain is None else linear_to_db(self.jpa_gain)
 
 
 def planck_power(
@@ -608,13 +602,8 @@ def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
     )
 
 
-def jpa_planck_fit(
-    sweep: PlanckSweep,
-    fit_range_max_t: float,
-    reference_chain_gain: Optional[float] = None,
-    kappa_x: Optional[float] = None,
-) -> JpaCalibration:
-    """Extract JPA gain and added noise from a preamplified Planck sweep.
+def jpa_planck_fit(sweep: PlanckSweep, fit_range_max_t: float) -> JpaCalibration:
+    """Extract total gain, added noise and compression from a preamplified Planck sweep.
 
     Only points at T <= fit_range_max_t (below compression) enter the
     linear fit P = C1 [n(T) + 1/2] + C0, giving the total gain and
@@ -636,7 +625,6 @@ def jpa_planck_fit(
     quantum = PLANCK_H * sweep.mode.frequency
     total_gain = c1 / (sweep.bandwidth * quantum)
     added = c0 / c1
-    jpa_gain = None if reference_chain_gain is None else total_gain / reference_chain_gain
 
     line = c1 * x + c0
     deficit_db = 10.0 * np.log10(line / sweep.powers)
@@ -647,10 +635,7 @@ def jpa_planck_fit(
             frac = (1.0 - lo) / (hi - lo) if hi > lo else 1.0
             t_1db = float(temps[i - 1] + frac * (temps[i] - temps[i - 1]))
             break
-    p_1db = None
-    if t_1db is not None and kappa_x is not None:
-        p_1db = compression_power(kappa_x, t_1db)
-    return JpaCalibration(total_gain, jpa_gain, added, t_1db, p_1db)
+    return JpaCalibration(total_gain, added, t_1db)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ from .chains import (
     JpaStage,
     NoiseStatistics,
     amplify_commutator_free,
+    compression_power,
     g2_jpa_referred,
     g2_unnormalized,
+    linear_to_db,
 )
 from .defaults import (
     DETECTION_MODE,
@@ -264,35 +266,25 @@ def dualpath_sweep(
 # ---------------------------------------------------------------------------
 
 def jpa_sweep(
-    noise_statistics: str = "thermal",
-    n_n: float = JPA_OPERATING_POINTS["jpa2a"].added_noise_photons,
-    gain_db: float = JPA_OPERATING_POINTS["jpa2a"].gain_db,
+    noise_statistics: str = "quantum_thermal",
     n_max: float = 1.5,
     n_points: int = 16,
-    operating_point: Optional[str] = None,
+    operating_point: str = "jpa2a",
 ) -> dict:
     """JPA-referred correlation table g2 - offset versus input photons.
 
-    Emits the strong-gain law for the requested noise statistics next to
-    the two alternative noise conventions (classical variance and
-    commutator-free idler) so the offset/xi sensitivity to the noise model
-    is explicit.  The rho n^2 + xi n fit runs on the requested variant.
+    The amplifier is the tabulated operating point.  Emits the strong-gain
+    law for the requested noise statistics next to the two alternative
+    noise conventions (classical variance and commutator-free idler) so the
+    offset/xi sensitivity to the noise model is explicit.  The
+    rho n^2 + xi n fit runs on the requested variant; the summary carries
+    the point's measured coefficients as comparators.
     """
-    stats = {
-        "thermal": NoiseStatistics.QUANTUM_THERMAL,
-        "quantum_thermal": NoiseStatistics.QUANTUM_THERMAL,
-        "classical": NoiseStatistics.CLASSICAL,
-    }[noise_statistics]
+    stats = NoiseStatistics(noise_statistics)
     _require_fit_points(n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
-    meta = {}
-    if operating_point is not None:
-        stage = JPA_OPERATING_POINTS[operating_point]
-        stage = JpaStage(stage.gain, stage.added_noise_photons, stats)
-        meta = JPA_METADATA[operating_point]
-        n_n = stage.added_noise_photons
-        gain_db = stage.gain_db
-    else:
-        stage = JpaStage.from_db(gain_db, n_n, stats)
+    stage = JPA_OPERATING_POINTS[operating_point]
+    meta = JPA_METADATA[operating_point]
+    n_n = stage.added_noise_photons
     quantum_stage = JpaStage(stage.gain, n_n, NoiseStatistics.QUANTUM_THERMAL)
     classical_stage = JpaStage(stage.gain, n_n, NoiseStatistics.CLASSICAL)
 
@@ -313,7 +305,7 @@ def jpa_sweep(
     summary = {
         "noise_statistics": stats.value,
         "n_n": n_n,
-        "gain_db": gain_db,
+        "gain_db": stage.gain_db,
         "rho": law.parameters["rho"],
         "xi": law.parameters["xi"],
         "xi_thermal_model": 4.0 + 4.0 * n_n,
@@ -321,11 +313,10 @@ def jpa_sweep(
         "offset_thermal_model": 2.0 * (n_n + 1.0) ** 2,
         "offset_classical_model": 2.0 * (n_n + 1.0) ** 2 - n_n,
         "offset_commutator_free": 2.0 * n_n * n_n + n_n,
+        "measured_xi": meta["measured_xi"],
+        "measured_offset": meta["measured_offset"],
+        "measured_rho": meta["measured_rho"],
     }
-    if meta:
-        summary["measured_xi"] = meta["measured_xi"]
-        summary["measured_offset"] = meta["measured_offset"]
-        summary["measured_rho"] = meta["measured_rho"]
     return {
         "tables": {
             "g2_minus_offset": {
@@ -397,15 +388,14 @@ def planck_calibration(
                 1.0 + power_noise_fraction * rng.standard_normal(temps.size)
             )
         jpa_sweep_data = PlanckSweep(temps, jpa_powers, mode, bandwidth)
-        jcal = jpa_planck_fit(
-            jpa_sweep_data, 0.2, reference_chain_gain=chain_gain, kappa_x=meta["kappa_x"]
-        )
+        jcal = jpa_planck_fit(jpa_sweep_data, 0.2)
+        p_1db = None if jcal.t_1db is None else compression_power(meta["kappa_x"], jcal.t_1db)
         jpa_fits[name] = {
-            "jpa_gain_db": jcal.jpa_gain_db,
+            "jpa_gain_db": linear_to_db(jcal.total_gain / chain_gain),
             "n_n": jcal.added_photons,
             "n_n_true": stage.added_noise_photons,
             "t_1db": jcal.t_1db,
-            "p_1db_dbm": None if jcal.p_1db is None else jcal.p_1db.dbm,
+            "p_1db_dbm": None if p_1db is None else p_1db.dbm,
         }
         for t, p in zip(temps, jpa_powers):
             jpa_rows.append([name, float(t), float(p)])

@@ -18,6 +18,7 @@ from mwphoton.cli import (
     main,
     resolve_config,
 )
+from mwphoton.chains import NoiseStatistics
 from mwphoton.defaults import JPA_OPERATING_POINTS
 from mwphoton.experiments import EXPERIMENTS
 from mwphoton.states import StateKind
@@ -66,12 +67,10 @@ DEFAULTS = {
         "seed": 0,
     },
     "jpa_sweep": {
-        "noise_statistics": "thermal",
-        "n_n": 0.66,
-        "gain_db": 15.8,
+        "noise_statistics": "quantum_thermal",
         "n_max": 1.5,
         "n_points": 16,
-        "operating_point": None,
+        "operating_point": "jpa2a",
     },
     "planck_calibration": {
         "chain_gain_db": 145.0,
@@ -113,8 +112,6 @@ OUT_OF_RANGE = {
     "mode_ghz": 0.0,
     "temperatures_k": [0.3, 0.0],
     "noise_statistics": "quantum",
-    "n_n": -1e-3,
-    "gain_db": -1e-3,
     "operating_point": "jpa3",
     "t_chain_k": -1e-3,
     "bandwidth_khz": 0.0,
@@ -139,8 +136,6 @@ AT_BOUND = {
     "count": 40,
     "n_chain_1": 0.0,
     "n_chain_2": 0.0,
-    "n_n": 0.0,
-    "gain_db": 0.0,
     "t_chain_k": 0.0,
     "power_noise_fraction": 0.0,
     "n_temperatures": 4,
@@ -278,20 +273,13 @@ class TestConfigTable:
     def test_schema_names_the_rule_across_keys(self, tmp_path):
         # run rejects t_min_k >= t_max_k, a rule draft-07 cannot state
         schema = _config_schema(tmp_path)
+        assert "one rule across keys" in schema["description"]
         texts = [schema["description"]]
         texts += [schema["properties"][key]["description"] for key in ("t_min_k", "t_max_k")]
         for text in texts:
             assert "t_min_k < t_max_k" in text
-
-    def test_schema_names_the_operating_point_rule(self, tmp_path):
-        # run rejects n_n or gain_db given beside an operating_point
-        schema = _config_schema(tmp_path)
-        texts = [schema["description"]]
-        texts += [
-            schema["properties"][key]["description"] for key in ("n_n", "gain_db", "operating_point")
-        ]
-        for text in texts:
-            assert cli._JPA_POINT in text
+        described = [key for key, fragment in schema["properties"].items() if "description" in fragment]
+        assert described == ["t_min_k", "t_max_k"]
 
     def test_schema_properties_are_the_accepted_keys(self, tmp_path):
         accepted = set().union(*(resolve_config(name, None, {}) for name in EXPERIMENTS))
@@ -364,10 +352,7 @@ class TestRunCommand:
 
     def test_jpa_sweep_reference_slope(self, tmp_path):
         out = tmp_path / "jpa"
-        code = run_cli(
-            "run", "jpa_sweep", "--noise-statistics", "thermal", "--n-n", "0.66",
-            "--out", str(out),
-        )
+        code = run_cli("run", "jpa_sweep", "--out", str(out))
         assert code == 0
         fits = json.loads((out / "fits.json").read_text())
         assert fits["summary"]["xi"] == pytest.approx(6.64, abs=1e-9)
@@ -480,7 +465,7 @@ class TestRunCommand:
 
     def test_noise_statistics_flag_takes_every_schema_value(self, tmp_path):
         choices = _config_schema(tmp_path)["properties"]["noise_statistics"]["enum"]
-        assert "quantum_thermal" in choices
+        assert choices == [s.value for s in NoiseStatistics]
         for value in choices:
             out = tmp_path / value
             code = run_cli(
@@ -509,26 +494,6 @@ class TestRunCommand:
         assert "configuration error" in err and "'t_min_k'" in err and "'t_max_k'" in err
         assert not (tmp_path / "p").exists()
 
-    @pytest.mark.parametrize(
-        "config, args, key",
-        [
-            (None, ["--set", "operating_point=jpa1", "--n-n", "0.3"], "n_n"),
-            (None, ["--set", "operating_point=jpa1", "--set", "gain_db=20"], "gain_db"),
-            ({"operating_point": "jpa1"}, ["--n-n", "0.3"], "n_n"),
-            ({"operating_point": "jpa1", "gain_db": 20}, [], "gain_db"),
-        ],
-    )
-    def test_operating_point_excludes_the_keys_it_sets(self, tmp_path, capsys, config, args, key):
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            args = ["--config", str(path), *args]
-        code = run_cli("run", "jpa_sweep", *args, "--out", str(tmp_path / "j"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "configuration error" in err and f"'{key}'" in err and "'operating_point'" in err
-        assert not (tmp_path / "j").exists()
-
     def test_operating_point_runs_with_its_own_values(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"operating_point": "jpa1"}))
@@ -537,14 +502,28 @@ class TestRunCommand:
         assert run_cli("run", "jpa_sweep", "--config", str(config), "--out", str(out)) == 0
         summary = json.loads((out / "fits.json").read_text())["summary"]
         assert summary["n_n"] == point.added_noise_photons
-        # an override that clears the point frees n_n again
-        cleared = tmp_path / "cleared"
-        code = run_cli(
-            "run", "jpa_sweep", "--config", str(config), "--set", "operating_point=null",
-            "--n-n", "0.3", "--out", str(cleared),
-        )
-        assert code == 0
-        assert json.loads((cleared / "fits.json").read_text())["summary"]["n_n"] == 0.3
+
+    @pytest.mark.parametrize("name", sorted(JPA_OPERATING_POINTS))
+    def test_manifest_records_the_operating_point_the_run_used(self, tmp_path, name):
+        out = tmp_path / name
+        assert run_cli("run", "jpa_sweep", "--set", f"operating_point={name}", "--out", str(out)) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["operating_point"] == name
+        assert "n_n" not in config and "gain_db" not in config
+        summary = json.loads((out / "fits.json").read_text())["summary"]
+        point = JPA_OPERATING_POINTS[name]
+        assert (summary["n_n"], summary["gain_db"]) == (point.added_noise_photons, point.gain_db)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["--set", "n_n=0.3"], "'n_n'"), (["--set", "gain_db=20"], "'gain_db'"), (["--n-n", "0.3"], "--n-n")],
+    )
+    def test_amplifier_is_named_by_its_operating_point_only(self, tmp_path, capsys, args, named):
+        code = run_cli("run", "jpa_sweep", *args, "--out", str(tmp_path / "j"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not (tmp_path / "j").exists()
 
     def test_degenerate_planck_sweep_is_a_numerical_failure(self, tmp_path, capsys):
         code = run_cli(
@@ -566,7 +545,7 @@ class TestRunCommand:
 class TestReportCommand:
     def _completed_run(self, tmp_path):
         out = tmp_path / "jpa_run"
-        assert run_cli("run", "jpa_sweep", "--n-n", "0.66", "--out", str(out)) == 0
+        assert run_cli("run", "jpa_sweep", "--out", str(out)) == 0
         return out
 
     def test_report_passes_for_reference_sweep(self, tmp_path, capsys):
@@ -705,6 +684,30 @@ class TestReportPhysicsChecks:
         _tamper(run / "dephasing_vs_n.csv", row, "fit_converged", lambda value: 0)
         assert _failed_checks(run) == ["ramsey_fits_converged"]
 
+    @pytest.mark.parametrize("entry, key", [("summary", "slope_hz"), ("fits", "photon_statistics_law")])
+    def test_missing_fits_entry_names_run_and_key(self, ramsey_run, tmp_path, capsys, entry, key):
+        run = tmp_path / "run"
+        shutil.copytree(ramsey_run, run)
+        payload = json.loads((run / "fits.json").read_text())
+        del payload[entry][key]
+        (run / "fits.json").write_text(json.dumps(payload))
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(run) in err and f"'{key}'" in err
+        assert not (run / "report.json").exists()
+
+    def test_missing_table_column_names_run_and_key(self, ramsey_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(ramsey_run, run)
+        table = run / "dephasing_vs_n.csv"
+        lines = [line.rsplit(",", 1)[0] for line in table.read_text().splitlines()]
+        assert table.read_text().splitlines()[0].endswith(",fit_converged")
+        table.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(run) in err and "'fit_converged'" in err
+        assert not (run / "report.json").exists()
+
     @pytest.fixture(scope="class")
     def curves_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("curves") / "run"
@@ -750,7 +753,7 @@ class TestSchemaCommand:
         run_cli("schema", "--out", str(schemas))
         out = tmp_path / "run"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_n": 0.66, "gain_db": 15.8}))
+        config.write_text(json.dumps({"operating_point": "jpa1", "noise_statistics": "classical"}))
         assert run_cli("run", "jpa_sweep", "--config", str(config), "--out", str(out)) == 0
         assert run_cli("report", str(out)) == 0
         pairs = [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mwphoton.chains import db_to_linear
+from mwphoton.chains import compression_power, db_to_linear, linear_to_db
 from mwphoton.dualpath import (
     CrossMomentSet,
     DetectionRecord,
@@ -378,20 +378,18 @@ class TestJpaPlanckFit:
         return PlanckSweep(temps, powers, MODE, self.BANDWIDTH)
 
     def test_reference_operating_point_recovery(self):
-        cal = jpa_planck_fit(self._sweep(), 0.2, reference_chain_gain=1.0, kappa_x=14.9e6)
+        # the sweep has no chain behind the JPA, so the total gain is the JPA's
+        cal = jpa_planck_fit(self._sweep(), 0.2)
         assert cal.added_photons == pytest.approx(0.66, rel=0.05)
-        assert cal.jpa_gain_db == pytest.approx(15.8, abs=0.2)
+        assert linear_to_db(cal.total_gain) == pytest.approx(15.8, abs=0.2)
         assert cal.t_1db == pytest.approx(0.59, abs=0.02)
-        assert cal.p_1db.dbm == pytest.approx(-129.0, abs=0.4)
+        assert compression_power(14.9e6, cal.t_1db).dbm == pytest.approx(-129.0, abs=0.4)
 
     def test_no_saturation_reports_absent_compression(self):
         cal = jpa_planck_fit(self._sweep(t_1db=None), 0.2)
         assert cal.t_1db is None
-        assert cal.p_1db is None
 
     def test_compression_power_from_table_values(self):
-        from mwphoton.chains import compression_power
-
         assert compression_power(14.9e6, 0.59).dbm == pytest.approx(-129.0, abs=0.3)
 
     def test_requires_points_beyond_fit_range(self):
