@@ -81,6 +81,7 @@ from .analysis import (
     VarianceLawModel,
     extract_dephasing,
     fit_ramsey,
+    fit_ramsey_traces,
     fit_variance_law,
 )
 

@@ -10,6 +10,13 @@ iterations, relative step tolerance 1e-10).  Fits never fabricate
 parameters: when the iteration fails to converge the result carries
 ``converged=False`` and the last iterate.
 
+The Gauss-Newton engine solves a stack of problems in lockstep:
+:func:`fit_ramsey_traces` fits every trace of an (m, n, 2) stack with one
+call, and :func:`fit_ramsey` is that call on a stack of one.  Each problem
+keeps its own damping schedule and stop rule and its own arithmetic order,
+so a trace gets the same bits, step for step, alone or in any stack; only
+the numpy call overhead is shared.
+
 All rates handed in and out are "/2pi" values in Hz, matching the rest of
 the package.
 """
@@ -20,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +36,7 @@ __all__ = [
     "FitResult",
     "VarianceLawModel",
     "fit_ramsey",
+    "fit_ramsey_traces",
     "extract_dephasing",
     "fit_variance_law",
 ]
@@ -117,60 +125,113 @@ def _linear_least_squares(design: np.ndarray, y: np.ndarray, weights: Optional[n
     return beta, covariance, residuals
 
 
-def _damped_gauss_newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0: Sequence[float],
-):
-    """Levenberg-damped Gauss-Newton for unweighted least squares.
+def _solve_each(matrices: np.ndarray, rhs: np.ndarray):
+    """Solve a stack of linear systems; a singular one gets no solution.
 
-    Deterministic: the damping parameter follows a fixed multiplicative
-    schedule, shrinking on accepted steps and growing on rejected ones.
+    ``matrices`` is (k, p, p) and ``rhs`` (k, p, 1), the shape numpy 1.x and
+    2.x both read as one right-hand side per system.  Returns the (k, p)
+    solutions and a (k,) mask of the systems that were solved.  A stacked
+    solve raises if any system is singular, so on that call the systems are
+    solved one at a time and only the singular ones are left out.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = residual(x)
-    cost = float(np.sum(r * r))
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(x)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        diag = np.diag(np.clip(np.diag(hess), 1e-300, None))
-        accepted = False
+    try:
+        return np.linalg.solve(matrices, rhs)[:, :, 0], np.ones(len(matrices), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    solutions = np.zeros(rhs.shape[:2])
+    solved = np.ones(len(matrices), dtype=bool)
+    for index, (matrix, column) in enumerate(zip(matrices, rhs)):
+        try:
+            solutions[index] = np.linalg.solve(matrix, column)[:, 0]
+        except np.linalg.LinAlgError:
+            solved[index] = False
+    return solutions, solved
+
+
+def _damped_gauss_newton(
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+):
+    """Levenberg-damped Gauss-Newton for a stack of unweighted least-squares problems.
+
+    ``x0`` is an (m, p) stack of starting points.  ``residual(x, rows)`` and
+    ``jacobian(x, rows)`` evaluate the problems numbered ``rows`` at their
+    parameters ``x`` (one row each) and return (k, n) residuals and
+    (k, n, p) Jacobians; only the problems still searching are evaluated.
+    The problems run in lockstep but never mix: each keeps its own damping
+    parameter on a fixed multiplicative schedule (shrinking on accepted
+    steps, growing on rejected or singular trials) and its own stop rule, so
+    it takes exactly the steps it would take alone, in the same arithmetic.
+    Returns the (m, p) solutions, the (m, p, p) covariances and the
+    per-problem ``converged`` flags and iteration counts.
+    """
+    x = np.array(x0, dtype=float)
+    count, size = x.shape
+    everyone = np.arange(count)
+    r = residual(x, everyone)
+    cost = np.sum(r * r, axis=1)
+    lam = np.full(count, 1e-3)
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=int)
+    diagonal = np.arange(size)
+    searching = everyone
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        if searching.size == 0:
+            break
+        iterations[searching] = iteration
+        jac = jacobian(x[searching], searching)
+        jac_t = jac.transpose(0, 2, 1)
+        grad = jac_t @ r[searching][:, :, None]
+        hess = jac_t @ jac
+        diag = np.zeros_like(hess)
+        diag[:, diagonal, diagonal] = np.clip(hess[:, diagonal, diagonal], 1e-300, None)
+        step = np.zeros((searching.size, size))
+        accepted = np.zeros(searching.size, dtype=bool)
+        trying = np.ones(searching.size, dtype=bool)
         for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + lam * diag, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_try = x + step
-            r_try = residual(x_try)
-            cost_try = float(np.sum(r_try * r_try))
-            if np.isfinite(cost_try) and cost_try <= cost:
-                x, r, cost = x_try, r_try, cost_try
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
+            if not trying.any():
                 break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if not accepted:
-            break
-        if np.all(np.abs(step) <= STEP_TOLERANCE * (np.abs(x) + STEP_TOLERANCE)):
-            converged = True
-            break
+            slots = np.flatnonzero(trying)
+            rows = searching[slots]
+            steps, solved = _solve_each(
+                hess[slots] + lam[rows, None, None] * diag[slots], -grad[slots]
+            )
+            # a singular trial only grows the damping, as a rejected one
+            # does, but never stops the search on its own
+            lam[rows[~solved]] *= 10.0
+            slots, rows, steps = slots[solved], rows[solved], steps[solved]
+            x_try = x[rows] + steps
+            r_try = residual(x_try, rows)
+            cost_try = np.sum(r_try * r_try, axis=1)
+            better = np.isfinite(cost_try) & (cost_try <= cost[rows])
+            won = rows[better]
+            x[won], r[won], cost[won] = x_try[better], r_try[better], cost_try[better]
+            lam[won] = np.maximum(lam[won] / 10.0, 1e-14)
+            accepted[slots[better]] = True
+            step[slots[better]] = steps[better]
+            trying[slots[better]] = False
+            lost = rows[~better]
+            lam[lost] *= 10.0
+            trying[slots[~better][lam[lost] > 1e14]] = False
+        done = np.all(
+            np.abs(step) <= STEP_TOLERANCE * (np.abs(x[searching]) + STEP_TOLERANCE), axis=1
+        )
+        converged[searching[accepted & done]] = True
+        searching = searching[accepted & ~done]
     # covariance at the solution, on column-scaled normal equations so mixed
     # parameter magnitudes (Hz next to dimensionless) stay well conditioned;
-    # pinv keeps genuinely degenerate directions finite
-    jac = jacobian(x)
-    scale = np.linalg.norm(jac, axis=0)
+    # pinv keeps genuinely degenerate directions finite.  Keep the order
+    # pinv / (scale x scale) * cost / dof: grouping cost / dof first moves
+    # the last bits.
+    jac = jacobian(x, everyone)
+    scale = np.linalg.norm(jac, axis=1)
     scale[scale == 0] = 1.0
-    jn = jac / scale
-    dof = max(r.size - x.size, 1)
-    cov = np.linalg.pinv(jn.T @ jn) / np.outer(scale, scale) * cost / dof
-    return x, cov, r, converged, iterations
+    jn = jac / scale[:, None, :]
+    dof = max(r.shape[1] - size, 1)
+    outer = scale[:, :, None] * scale[:, None, :]
+    cov = np.linalg.pinv(jn.transpose(0, 2, 1) @ jn) / outer * cost[:, None, None] / dof
+    return x, cov, converged, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -195,65 +256,103 @@ def _ramsey_initial_guess(tau: np.ndarray, p: np.ndarray):
     peak = 1 + int(np.argmax(np.abs(spectrum[1:])))
     frequency = float(freqs[peak])
     phase = float(np.angle(spectrum[peak]))
-    # decay from a log-envelope regression on block maxima
-    blocks = max(4, tau.size // 8)
-    edges = np.linspace(0, tau.size, blocks + 1).astype(int)
-    env_t, env_v = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            env_t.append(float(np.mean(tau[lo:hi])))
-            env_v.append(float(np.max(np.abs(detrended[lo:hi]))))
-    env_t = np.asarray(env_t)
-    env_v = np.clip(np.asarray(env_v), 1e-9, None)
+    # decay from a log-envelope regression on block maxima; the np.linspace
+    # blocks come in at most two sizes, and the blocks of one size are
+    # gathered into one (blocks, size) array, whose row means keep the bits
+    # of np.mean on each slice (np.add.reduceat would sum in sequence)
+    edges = np.linspace(0, tau.size, max(4, tau.size // 8) + 1).astype(int)
+    starts, sizes = edges[:-1], np.diff(edges)
+    env_t = np.empty(starts.size)
+    env_v = np.empty(starts.size)
+    for size in np.unique(sizes):
+        same = sizes == size
+        gather = starts[same, None] + np.arange(size)
+        env_t[same] = np.mean(tau[gather], axis=1)
+        env_v[same] = np.max(np.abs(detrended[gather]), axis=1)
+    env_v = np.clip(env_v, 1e-9, None)
     slope = np.polyfit(env_t, np.log(env_v), 1)[0]
     gamma2 = max(-slope / _TWO_PI, 1e-3 / (tau[-1] - tau[0]))
     return offset, amplitude, frequency, gamma2, phase
 
 
-def fit_ramsey(trace: np.ndarray) -> FitResult:
-    """Fit p(tau) = offset + amplitude cos(2 pi f tau + phi) exp(-2 pi gamma2 tau).
+_RAMSEY_NAMES = ("offset", "amplitude", "frequency", "gamma2", "phase")
 
-    ``trace`` holds (tau, p_e) rows.  Initial guesses come from the FFT
-    peak (frequency, phase) and a log-envelope regression (gamma2); the
-    returned ``gamma2`` is the "/2pi" decay rate in Hz.
+
+def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
+    """Fit p(tau) = offset + amplitude cos(2 pi f tau + phi) exp(-2 pi gamma2 tau) to each trace.
+
+    ``traces`` is an (m, n, 2) stack of traces that each hold (tau, p_e)
+    rows.  Initial guesses come from the FFT peak (frequency, phase) and a
+    log-envelope regression (gamma2), one trace at a time; the Gauss-Newton
+    iterations of all traces then run in one lockstep solve, each trace
+    taking the steps it would take alone.  The returned ``gamma2`` is the
+    "/2pi" decay rate in Hz.  Non-finite values and delays that do not
+    strictly increase are rejected with a ``ValueError``.
     """
-    trace = np.asarray(trace, dtype=float)
-    if trace.ndim != 2 or trace.shape[1] != 2 or trace.shape[0] < 8:
-        raise ValueError("Ramsey trace must be an (n >= 8, 2) array of (tau, p_e)")
-    tau = trace[:, 0]
-    p = trace[:, 1]
-    x0 = _ramsey_initial_guess(tau, p)
+    traces = np.asarray(traces, dtype=float)
+    if traces.ndim != 3 or traces.shape[2] != 2 or traces.shape[1] < 8:
+        raise ValueError(
+            "Ramsey traces must be an (m, n >= 8, 2) stack of (tau, p_e) rows, "
+            f"got shape {traces.shape}"
+        )
+    for column, name in ((0, "delays tau"), (1, "populations p_e")):
+        if not np.all(np.isfinite(traces[:, :, column])):
+            raise ValueError(f"Ramsey {name} must be finite")
+    if np.any(np.diff(traces[:, :, 0], axis=1) <= 0):
+        raise ValueError("Ramsey delays tau must be strictly increasing")
+    tau = traces[:, :, 0]
+    p = traces[:, :, 1]
+    x0 = np.array([_ramsey_initial_guess(t, q) for t, q in zip(tau, p)])
 
-    def residual(x):
-        return p - _ramsey_model(tau, *x)
+    def residual(x, rows):
+        return p[rows] - _ramsey_model(tau[rows], *x.T[:, :, None])
 
-    def jacobian(x):
-        offset, amplitude, frequency, gamma2, phase = x
-        arg = _TWO_PI * frequency * tau + phase
-        damp = np.exp(-_TWO_PI * gamma2 * tau)
+    def jacobian(x, rows):
+        _, amplitude, frequency, gamma2, phase = x.T[:, :, None]
+        t = tau[rows]
+        arg = _TWO_PI * frequency * t + phase
+        damp = np.exp(-_TWO_PI * gamma2 * t)
         cos_term = np.cos(arg) * damp
         sin_term = np.sin(arg) * damp
-        return -np.column_stack(
+        return -np.stack(
             [
-                np.ones_like(tau),
+                np.ones_like(t),
                 cos_term,
-                -amplitude * _TWO_PI * tau * sin_term,
-                -amplitude * _TWO_PI * tau * cos_term,
+                -amplitude * _TWO_PI * t * sin_term,
+                -amplitude * _TWO_PI * t * cos_term,
                 -amplitude * sin_term,
-            ]
+            ],
+            axis=2,
         )
 
-    x, cov, r, converged, iterations = _damped_gauss_newton(residual, jacobian, x0)
-    names = ("offset", "amplitude", "frequency", "gamma2", "phase")
-    params = dict(zip(names, (float(v) for v in x)))
-    # canonicalize: positive amplitude, phase folded into (-pi, pi]
-    if params["amplitude"] < 0:
-        params["amplitude"] = -params["amplitude"]
-        params["phase"] += math.pi
-    params["phase"] = math.remainder(params["phase"], _TWO_PI)
-    result_x = np.array([params[name] for name in names])
-    res = p - _ramsey_model(tau, *result_x)
-    return FitResult(params, names, cov, float(np.linalg.norm(res)), converged, iterations)
+    x, cov, converged, iterations = _damped_gauss_newton(residual, jacobian, x0)
+    fitted = []
+    for row in x:
+        params = dict(zip(_RAMSEY_NAMES, (float(v) for v in row)))
+        # canonicalize: positive amplitude, phase folded into (-pi, pi]
+        if params["amplitude"] < 0:
+            params["amplitude"] = -params["amplitude"]
+            params["phase"] += math.pi
+        params["phase"] = math.remainder(params["phase"], _TWO_PI)
+        fitted.append(params)
+    canonical = np.array([[params[name] for name in _RAMSEY_NAMES] for params in fitted])
+    res = p - _ramsey_model(tau, *canonical.T[:, :, None])
+    return [
+        FitResult(
+            params,
+            _RAMSEY_NAMES,
+            cov[index],
+            float(np.linalg.norm(res[index])),
+            bool(converged[index]),
+            int(iterations[index]),
+        )
+        for index, params in enumerate(fitted)
+    ]
+
+
+def fit_ramsey(trace: np.ndarray) -> FitResult:
+    """Fit one (tau, p_e) trace: :func:`fit_ramsey_traces` on a stack of one."""
+    return fit_ramsey_traces(np.asarray(trace, dtype=float)[None])[0]
 
 
 def extract_dephasing(gamma2: float, gamma1: float, gamma_phi0: float) -> float:

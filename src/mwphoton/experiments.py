@@ -24,7 +24,7 @@ from .analysis import (
     VarianceLawModel,
     _points_needed,
     extract_dephasing,
-    fit_ramsey,
+    fit_ramsey_traces,
     fit_variance_law,
 )
 from .cavity import dephasing_gaussian
@@ -126,10 +126,11 @@ def ramsey_sweep(
     """Dephasing rate versus photon number from simulated Ramsey fringes.
 
     For each photon number the Ramsey trace is simulated with binomial shot
-    noise, fitted with the decaying-sinusoid model, and corrected for
-    relaxation and intrinsic dephasing; the resulting gamma_phi_n(n) points
-    are fitted with the photon-statistics law of the field (quadratic plus
-    linear for thermal, linear for coherent and shot noise).
+    noise.  All traces are fitted with the decaying-sinusoid model in one
+    lockstep solve, and each decay rate is corrected for relaxation and
+    intrinsic dephasing; the resulting gamma_phi_n(n) points are fitted
+    with the photon-statistics law of the field (quadratic plus linear for
+    thermal, linear for coherent and shot noise).
     """
     kind = StateKind(state)
     if kind is StateKind.VACUUM:
@@ -141,18 +142,25 @@ def ramsey_sweep(
     _require_fit_points(n_points, model)
     if not n_min < n_max:
         raise ValueError(f"'n_min' must be below 'n_max', got {n_min!r} >= {n_max!r}")
-    grid = np.geomspace(n_min, n_max, n_points)
-    rows = []
+    grid = [float(n_r) for n_r in np.geomspace(n_min, n_max, n_points)]
+    gamma1s, truths, traces = [], [], []
     for index, n_r in enumerate(grid):
-        n_r = float(n_r)
         gamma1 = system.qubit.relaxation_rate(kind, n_r)
         truth = dephasing_rate(kind, n_r, system)
         # span ``decay_spans`` predicted decay times with the trace
         gamma2_pred = gamma1 / 2.0 + system.qubit.intrinsic_dephasing + truth
         tau_max = decay_spans / (2.0 * math.pi * gamma2_pred)
         taus = np.linspace(tau_max / tau_points, tau_max, tau_points)
-        trace = simulate_ramsey(system, kind, n_r, taus, shots=shots, seed=seed + 1000 * index)
-        fit = fit_ramsey(trace)
+        gamma1s.append(gamma1)
+        truths.append(truth)
+        traces.append(
+            simulate_ramsey(system, kind, n_r, taus, shots=shots, seed=seed + 1000 * index)
+        )
+    # every trace in one lockstep fit; the rates are then read point by
+    # point, so extraction warnings come in sweep order
+    fits = fit_ramsey_traces(np.stack(traces))
+    rows = []
+    for n_r, gamma1, truth, fit in zip(grid, gamma1s, truths, fits):
         gamma2, sigma2 = fit.parameters["gamma2"], fit.std_error("gamma2")
         gphi = extract_dephasing(gamma2, gamma1, system.qubit.intrinsic_dephasing)
         # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error

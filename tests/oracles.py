@@ -408,3 +408,141 @@ def gaussian_dephasing_by_kind(kind, n, kappa_x, theta0, mixed_variance=None):
     if kind == "shot_noise":
         return s * n
     return 0.0
+
+
+# ---------------------------------------------------------------------------
+# Ramsey fringe fit, one trace at a time
+# ---------------------------------------------------------------------------
+
+RAMSEY_MAX_ITERATIONS = 200
+RAMSEY_STEP_TOLERANCE = 1e-10
+
+
+def damped_gauss_newton(residual, jacobian, x0):
+    """Levenberg-damped Gauss-Newton of one unweighted least-squares problem.
+
+    The one-problem engine the package's lockstep solver must reproduce bit
+    for bit: the damping parameter starts at 1e-3, shrinks tenfold (down to
+    1e-14) on an accepted step and grows tenfold on a rejected or singular
+    trial; an iteration gives up after 60 trials or once a rejected trial
+    lifts it past 1e14.  Returns (x, covariance, residuals, converged,
+    iterations).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    r = residual(x)
+    cost = float(np.sum(r * r))
+    lam = 1e-3
+    converged = False
+    iterations = 0
+    for iterations in range(1, RAMSEY_MAX_ITERATIONS + 1):
+        jac = jacobian(x)
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        diag = np.diag(np.clip(np.diag(hess), 1e-300, None))
+        accepted = False
+        for _ in range(60):
+            try:
+                step = np.linalg.solve(hess + lam * diag, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            x_try = x + step
+            r_try = residual(x_try)
+            cost_try = float(np.sum(r_try * r_try))
+            if np.isfinite(cost_try) and cost_try <= cost:
+                x, r, cost = x_try, r_try, cost_try
+                lam = max(lam / 10.0, 1e-14)
+                accepted = True
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                break
+        if not accepted:
+            break
+        if np.all(np.abs(step) <= RAMSEY_STEP_TOLERANCE * (np.abs(x) + RAMSEY_STEP_TOLERANCE)):
+            converged = True
+            break
+    jac = jacobian(x)
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0] = 1.0
+    jn = jac / scale
+    dof = max(r.size - x.size, 1)
+    cov = np.linalg.pinv(jn.T @ jn) / np.outer(scale, scale) * cost / dof
+    return x, cov, r, converged, iterations
+
+
+def _ramsey_model(tau, offset, amplitude, frequency, gamma2, phase):
+    return offset + amplitude * np.cos(2.0 * math.pi * frequency * tau + phase) * np.exp(
+        -2.0 * math.pi * gamma2 * tau
+    )
+
+
+def _ramsey_initial_guess(tau, p):
+    offset = float(np.mean(p))
+    detrended = p - offset
+    amplitude = max(float(np.max(np.abs(detrended))), 1e-6)
+    uniform_tau = np.linspace(tau[0], tau[-1], 4 * tau.size)
+    uniform = np.interp(uniform_tau, tau, detrended)
+    spectrum = np.fft.rfft(uniform)
+    freqs = np.fft.rfftfreq(uniform_tau.size, uniform_tau[1] - uniform_tau[0])
+    peak = 1 + int(np.argmax(np.abs(spectrum[1:])))
+    frequency = float(freqs[peak])
+    phase = float(np.angle(spectrum[peak]))
+    blocks = max(4, tau.size // 8)
+    edges = np.linspace(0, tau.size, blocks + 1).astype(int)
+    env_t, env_v = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            env_t.append(float(np.mean(tau[lo:hi])))
+            env_v.append(float(np.max(np.abs(detrended[lo:hi]))))
+    env_t = np.asarray(env_t)
+    env_v = np.clip(np.asarray(env_v), 1e-9, None)
+    slope = np.polyfit(env_t, np.log(env_v), 1)[0]
+    gamma2 = max(-slope / (2.0 * math.pi), 1e-3 / (tau[-1] - tau[0]))
+    return offset, amplitude, frequency, gamma2, phase
+
+
+def fit_ramsey_one(trace):
+    """Fit offset + amplitude cos(2 pi f tau + phase) exp(-2 pi gamma2 tau) to one trace.
+
+    The per-trace fit the package ran before its Ramsey fits moved to one
+    lockstep solve per stack: FFT and block-envelope starting values, the
+    engine above, then a positive amplitude and a phase folded into
+    (-pi, pi].  Returns (parameters, covariance, residual norm, converged,
+    iterations).
+    """
+    trace = np.asarray(trace, dtype=float)
+    tau = trace[:, 0]
+    p = trace[:, 1]
+    x0 = _ramsey_initial_guess(tau, p)
+    two_pi = 2.0 * math.pi
+
+    def residual(x):
+        return p - _ramsey_model(tau, *x)
+
+    def jacobian(x):
+        offset, amplitude, frequency, gamma2, phase = x
+        arg = two_pi * frequency * tau + phase
+        damp = np.exp(-two_pi * gamma2 * tau)
+        cos_term = np.cos(arg) * damp
+        sin_term = np.sin(arg) * damp
+        return -np.column_stack(
+            [
+                np.ones_like(tau),
+                cos_term,
+                -amplitude * two_pi * tau * sin_term,
+                -amplitude * two_pi * tau * cos_term,
+                -amplitude * sin_term,
+            ]
+        )
+
+    x, cov, _, converged, iterations = damped_gauss_newton(residual, jacobian, x0)
+    names = ("offset", "amplitude", "frequency", "gamma2", "phase")
+    params = dict(zip(names, (float(v) for v in x)))
+    if params["amplitude"] < 0:
+        params["amplitude"] = -params["amplitude"]
+        params["phase"] += math.pi
+    params["phase"] = math.remainder(params["phase"], two_pi)
+    result_x = np.array([params[name] for name in names])
+    res = p - _ramsey_model(tau, *result_x)
+    return params, cov, float(np.linalg.norm(res)), converged, iterations

@@ -1,8 +1,9 @@
 """The CI workflow runs what the repository documents.
 
 `.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
-command, the `requires-python` floor of pyproject.toml and the experiment
-registry, so that an edit to one of them cannot leave the workflow behind.
+command, the `requires-python` and numpy floors of pyproject.toml and the
+experiment registry, so that an edit to one of them cannot leave the
+workflow behind.
 """
 
 import re
@@ -36,6 +37,23 @@ def test_matrix_includes_the_requires_python_floor():
     floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
     versions = WORKFLOW["jobs"]["tier1"]["strategy"]["matrix"]["python-version"]
     assert floor in [str(version) for version in versions]
+
+
+def test_matrix_pins_the_numpy_floor_on_the_oldest_python():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    numpy_floor = re.search(r'"numpy\s*>=\s*([\d.]+)"', pyproject).group(1)
+    python_floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M).group(1)
+    tier1 = WORKFLOW["jobs"]["tier1"]
+    matrix = tier1["strategy"]["matrix"]
+    # an include entry only becomes its own job when it overrides a matrix value
+    assert matrix["numpy"] == [""]
+    assert {"python-version": python_floor, "numpy": f"{numpy_floor}.*"} in matrix["include"]
+    steps = [step.get("name") for step in tier1["steps"]]
+    pin = tier1["steps"][steps.index("Pin numpy")]
+    assert steps.index("Install the package with its test extras") < steps.index("Pin numpy")
+    assert steps.index("Pin numpy") < steps.index("Tier-1 tests")
+    assert pin["if"] == "matrix.numpy != ''"
+    assert shlex.split(pin["run"]) == ["python", "-m", "pip", "install", "numpy==${{ matrix.numpy }}"]
 
 
 def test_scipy_free_runs_name_experiments_and_pass_their_reports():
