@@ -148,6 +148,17 @@ def _solve_each(matrices: np.ndarray, rhs: np.ndarray):
     return solutions, solved
 
 
+def _require_finite(normal: np.ndarray, rows: np.ndarray) -> None:
+    """Raise NumericalError naming the first of ``rows`` whose (p, p) normal matrix is not finite.
+
+    A non-finite Jacobian entry makes its column's diagonal entry non-finite,
+    so this covers the Jacobian too.
+    """
+    if not np.isfinite(normal).all():
+        bad = rows[~np.isfinite(normal).all(axis=(1, 2))][0]
+        raise NumericalError(f"trace {bad}: the fit's Jacobian or normal matrix is not finite")
+
+
 def _damped_gauss_newton(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -163,7 +174,8 @@ def _damped_gauss_newton(
     parameter on a fixed multiplicative schedule (shrinking on accepted
     steps, growing on rejected or singular trials) and its own stop rule, so
     it takes exactly the steps it would take alone, in the same arithmetic.
-    Returns the (m, p) solutions, the (m, p, p) covariances and the
+    A problem whose Jacobian or normal matrix is not finite raises
+    NumericalError naming its row.  Returns the (m, p) solutions, the (m, p, p) covariances and the
     per-problem ``converged`` flags and iteration counts.
     """
     x = np.array(x0, dtype=float)
@@ -184,6 +196,7 @@ def _damped_gauss_newton(
         jac_t = jac.transpose(0, 2, 1)
         grad = jac_t @ r[searching][:, :, None]
         hess = jac_t @ jac
+        _require_finite(hess, searching)
         diag = np.zeros_like(hess)
         diag[:, diagonal, diagonal] = np.clip(hess[:, diagonal, diagonal], 1e-300, None)
         step = np.zeros((searching.size, size))
@@ -230,7 +243,9 @@ def _damped_gauss_newton(
     jn = jac / scale[:, None, :]
     dof = max(r.shape[1] - size, 1)
     outer = scale[:, :, None] * scale[:, None, :]
-    cov = np.linalg.pinv(jn.transpose(0, 2, 1) @ jn) / outer * cost[:, None, None] / dof
+    normal = jn.transpose(0, 2, 1) @ jn
+    _require_finite(normal, everyone)
+    cov = np.linalg.pinv(normal) / outer * cost[:, None, None] / dof
     return x, cov, converged, iterations
 
 
@@ -287,7 +302,9 @@ def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
     iterations of all traces then run in one lockstep solve, each trace
     taking the steps it would take alone.  The returned ``gamma2`` is the
     "/2pi" decay rate in Hz.  Non-finite values and delays that do not
-    strictly increase are rejected with a ``ValueError``.
+    strictly increase are rejected with a ``ValueError``; a trace whose
+    Jacobian or normal matrix overflows raises ``NumericalError`` naming its
+    index in the stack.
     """
     traces = np.asarray(traces, dtype=float)
     if traces.ndim != 3 or traces.shape[2] != 2 or traces.shape[1] < 8:

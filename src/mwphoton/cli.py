@@ -26,7 +26,9 @@ Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 given.  ``run`` swaps its files in only once all are written; it replaces
 an empty directory or an earlier run (one holding ``manifest.json``) and
 refuses any other existing path.  Exit codes: 0 success, 1 configuration
-error, 2 numerical failure.
+error (a pipeline's ``PipelineArgumentError`` included), 2 numerical
+failure (anything else a pipeline raises).  The parser is built once per
+process and shared; see :func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -52,7 +55,7 @@ from .analysis import NumericalError
 from .chains import NoiseStatistics
 from .defaults import JPA_OPERATING_POINTS
 from .dualpath import ERROR_BATCHES
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, PipelineArgumentError, run_experiment
 from .qubit import DispersiveSystem
 from .states import StateKind
 
@@ -313,9 +316,9 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
     """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted."""
     out_dir.mkdir()
     for name, table in result["tables"].items():
+        # one conversion per table; each cell then prints as str(_plain(cell))
         lines = [",".join(table["columns"])]
-        for row in table["rows"]:
-            lines.append(",".join(str(_plain(cell)) for cell in row))
+        lines.extend(",".join(map(str, row)) for row in _plain(table["rows"]))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     fits_payload = _plain(
         {
@@ -581,7 +584,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared; do not mutate it."""
     parser = _Parser(prog="mwphoton", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"mwphoton {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -648,11 +653,11 @@ def _command_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"--out {out_dir} holds files but no manifest.json; not replacing it")
     try:
         result = run_experiment(args.experiment, **kwargs)
+    except PipelineArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     except NumericalError:
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    except Exception as exc:
+    except Exception as exc:  # e.g. a ValueError from inside a fit
         raise NumericalError(f"experiment {args.experiment} failed: {exc}") from exc
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     # write beside out_dir, then swap the finished run in
@@ -675,9 +680,8 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _command_run(args)
         if args.command == "report":

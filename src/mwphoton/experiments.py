@@ -67,6 +67,7 @@ from .states import (
 
 __all__ = [
     "EXPERIMENTS",
+    "PipelineArgumentError",
     "variance_curves",
     "ramsey_sweep",
     "dualpath_sweep",
@@ -75,6 +76,14 @@ __all__ = [
     "quadrature_check",
     "run_experiment",
 ]
+
+
+class PipelineArgumentError(ValueError):
+    """A pipeline argument, named in the message, that the pipeline rejects before any work.
+
+    The CLI reports it as a configuration error; any other ``ValueError`` a
+    pipeline raises comes from inside its computation.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +112,12 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
 # ramsey_sweep
 # ---------------------------------------------------------------------------
 
-def _require_fit_points(n_points: int, model: VarianceLawModel) -> None:
-    """Reject a sweep too short for its photon-statistics fit, naming ``n_points``."""
+def _require_fit_points(arg: str, points: int, model: VarianceLawModel) -> None:
+    """Reject a sweep too short for its photon-statistics fit, naming the argument ``arg``."""
     needed = _points_needed(model)
-    if n_points < needed:
-        raise ValueError(
-            f"'n_points' must be at least {needed} for the {model.value} fit, got {n_points}"
+    if points < needed:
+        raise PipelineArgumentError(
+            f"{arg!r} must give at least {needed} points for the {model.value} fit, got {points}"
         )
 
 
@@ -134,14 +143,14 @@ def ramsey_sweep(
     """
     kind = StateKind(state)
     if kind is StateKind.VACUUM:
-        raise ValueError("a photon-number sweep needs a non-vacuum field")
+        raise PipelineArgumentError("'state' must be a non-vacuum field for a photon-number sweep")
     if kind is StateKind.THERMAL:
         model, slope_name = VarianceLawModel.QUADRATIC_PLUS_LINEAR, "xi"
     else:
         model, slope_name = VarianceLawModel.LINEAR, "s"
-    _require_fit_points(n_points, model)
+    _require_fit_points("n_points", n_points, model)
     if not n_min < n_max:
-        raise ValueError(f"'n_min' must be below 'n_max', got {n_min!r} >= {n_max!r}")
+        raise PipelineArgumentError(f"'n_min' must be below 'n_max', got {n_min!r} >= {n_max!r}")
     grid = [float(n_r) for n_r in np.geomspace(n_min, n_max, n_points)]
     gamma1s, truths, traces = [], [], []
     for index, n_r in enumerate(grid):
@@ -218,6 +227,7 @@ def dualpath_sweep(
         temperatures = [
             float(effective_temperature(mode, n)) for n in np.geomspace(0.1, 1.5, 10)
         ]
+    _require_fit_points("temperatures", len(temperatures), VarianceLawModel.PURE_QUADRATIC)
     rows = []
     g2_points = []
     g2_weights = []
@@ -289,7 +299,7 @@ def jpa_sweep(
     the point's measured coefficients as comparators.
     """
     stats = NoiseStatistics(noise_statistics)
-    _require_fit_points(n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
+    _require_fit_points("n_points", n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     stage = JPA_OPERATING_POINTS[operating_point]
     meta = JPA_METADATA[operating_point]
     n_n = stage.added_noise_photons

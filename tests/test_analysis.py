@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mwphoton.analysis import (
+    NumericalError,
     VarianceLawModel,
     extract_dephasing,
     fit_ramsey,
+    fit_ramsey_traces,
     fit_variance_law,
 )
 
@@ -58,6 +60,24 @@ class TestFitRamsey:
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
             fit_ramsey(self._trace()[:5])
+
+    @staticmethod
+    def _overflowing_trace():
+        """20 points at delays near 1e300 s with p_e near 1e10: the Jacobian overflows."""
+        tau = np.linspace(1e300, 2e300, 20)
+        p = 1e10 * (1.0 + 0.1 * np.random.default_rng(0).standard_normal(20))
+        return np.column_stack([tau, p])
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_overflowing_trace_is_a_numerical_error(self):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="trace 0"):
+            fit_ramsey(self._overflowing_trace())
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_overflowing_trace_is_named_in_its_stack(self):
+        stack = np.stack([self._trace(points=20), self._overflowing_trace()])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="trace 1"):
+            fit_ramsey_traces(stack)
 
     def test_serialization_contract(self):
         payload = fit_ramsey(self._trace()).to_json_dict()

@@ -3,11 +3,14 @@
 `.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
 command, the `requires-python` and numpy floors of pyproject.toml and the
 experiment registry, so that an edit to one of them cannot leave the
-workflow behind.
+workflow behind.  The benchmark smoke job is held to the runs it must make
+and to the check that fails it on any failed operation.
 """
 
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -68,3 +71,29 @@ def test_scipy_free_runs_name_experiments_and_pass_their_reports():
         report = later.index(["mwphoton", "report", out])
         # report exits 0 after failed checks too, so all_passed must be read
         assert later[report + 1] == ["python", "-c", "$ALL_PASSED", f"{out}/report.json"]
+
+
+def test_benchmark_smoke_job_fails_on_any_failed_operation(tmp_path):
+    job = WORKFLOW["jobs"]["benchmark-smoke"]
+    install = next(step for step in job["steps"] if "pip" in step.get("run", ""))
+    assert shlex.split(install["run"]) == ["python", "-m", "pip", "install", "-e", ".[test]"]
+    commands = list(_commands("benchmark-smoke"))
+    run = ["python3", "benchmarks/run.py", "--workload", "all", "--seed", "1", "--seconds", "1"]
+    runs = [i for i, words in enumerate(commands) if words[:2] == run[:2]]
+    assert [commands[i][: len(run) + 2] for i in runs] == [
+        [*run, "--trace", "0"],
+        [*run, "--trace", "1"],
+    ]
+    for index in runs:
+        # stdout goes to a file, and the next line reads that file's last line
+        assert commands[index][-2] == ">"
+        out = commands[index][-1]
+        assert commands[index + 1] == ["python", "-c", "$NO_FAILED", out]
+    check = next(step for step in job["steps"] if "NO_FAILED" in step.get("env", {}))
+    verdicts = {}
+    for failed in (0, 1):
+        out = tmp_path / f"failed{failed}.txt"
+        out.write_text(f'workload all\n{{"correct": true, "attempted": 9, "failed": {failed}}}\n')
+        code = [sys.executable, "-c", check["env"]["NO_FAILED"], str(out)]
+        verdicts[failed] = subprocess.run(code).returncode
+    assert verdicts == {0: 0, 1: 1}

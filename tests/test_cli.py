@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mwphoton import cli
+from mwphoton import cli, experiments
 from mwphoton.cli import (
     ConfigError,
     NumericalError,
@@ -20,7 +20,7 @@ from mwphoton.cli import (
 )
 from mwphoton.chains import NoiseStatistics
 from mwphoton.defaults import JPA_OPERATING_POINTS
-from mwphoton.experiments import EXPERIMENTS
+from mwphoton.experiments import EXPERIMENTS, PipelineArgumentError
 from mwphoton.states import StateKind
 
 
@@ -341,6 +341,7 @@ class TestRunCommand:
             (("ramsey_sweep", "--set", "n_min=1.5"), "'n_min'"),
             (("ramsey_sweep", "--n-points", "2"), "'n_points'"),
             (("jpa_sweep", "--n-points", "2"), "'n_points'"),
+            (("dualpath_sweep", "--count", "40", "--set", "temperatures_k=[0.1]"), "'temperatures'"),
         ],
     )
     def test_unfittable_sweep_names_the_key(self, tmp_path, capsys, args, key):
@@ -349,6 +350,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert not (tmp_path / "r").exists()
+
+    def test_vacuum_sweep_names_the_state(self):
+        # the CLI schema has no vacuum state; a direct call meets the pipeline's check
+        with pytest.raises(PipelineArgumentError, match="'state'"):
+            EXPERIMENTS["ramsey_sweep"](state="vacuum")
+
+    def test_value_error_inside_a_fit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("abscissa values must be distinct")
+
+        monkeypatch.setattr(experiments, "fit_variance_law", fail)
+        code = run_cli("run", "jpa_sweep", "--out", str(tmp_path / "j"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "abscissa values must be distinct" in err
+        assert not (tmp_path / "j").exists()
 
     def test_jpa_sweep_reference_slope(self, tmp_path):
         out = tmp_path / "jpa"
@@ -780,6 +797,53 @@ class TestOutputRoot:
         assert run_cli("run", "variance_curves", "--out", str(out)) == 0
         assert (out / "variance_curves.csv").exists()
         assert not (tmp_path / "root").exists()
+
+
+class TestParserReuse:
+    def test_runs_in_one_process_leak_no_state(self, tmp_path, capsys):
+        args = ("--set", "n_max=2", "--n-points", "5")
+        assert run_cli("run", "variance_curves", *args, "--out", str(tmp_path / "a")) == 0
+        assert run_cli("run", "variance_curves", "--n-points", "many") == 1
+        with pytest.raises(SystemExit) as exited:
+            run_cli("--version")
+        assert exited.value.code == 0
+        assert run_cli("run", "variance_curves", "--out", str(tmp_path / "b")) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"] == DEFAULTS["variance_curves"]
+        # the shared parser's ``--set`` default is copied, never appended to
+        assert cli.build_parser().parse_args(["run", "variance_curves"]).set == []
+        assert cli.build_parser() is cli.build_parser()
+
+
+def _old_csv(table):
+    """A table's CSV as each cell printed through ``_plain`` on its own."""
+    lines = [",".join(table["columns"])]
+    lines.extend(",".join(str(cli._plain(cell)) for cell in row) for row in table["rows"])
+    return "\n".join(lines) + "\n"
+
+
+class TestTableWriter:
+    TABLES = {
+        "mixed": {
+            "columns": ["state", "f64", "i64", "float", "int", "flag", "array"],
+            "rows": [
+                ["thermal", np.float64(0.1), np.int64(3), 0.30000000000000004, 7, True,
+                 np.array([1.5, 2.0])],
+                ["coherent", np.float64(1e-300), np.int64(-2), float("inf"), 0, False,
+                 np.arange(2)],
+                ("shot_noise", np.float64(-0.0), np.int64(2**62), 1e22, -1, np.bool_(True),
+                 np.array([])),
+            ],
+        },
+        "array": {"columns": ["a", "b"], "rows": np.array([[0.1, 2.0], [1e-5, 3.5e100]])},
+        "empty": {"columns": ["a"], "rows": []},
+    }
+
+    def test_each_cell_prints_as_before(self, tmp_path):
+        result = {"tables": self.TABLES, "fits": {}, "summary": {}}
+        cli._write_run_outputs(tmp_path / "run", "variance_curves", {}, result)
+        for name, table in self.TABLES.items():
+            assert (tmp_path / "run" / f"{name}.csv").read_text() == _old_csv(table), name
 
 
 class TestEntryPoint:
