@@ -175,8 +175,9 @@ def _damped_gauss_newton(
     steps, growing on rejected or singular trials) and its own stop rule, so
     it takes exactly the steps it would take alone, in the same arithmetic.
     A problem whose Jacobian or normal matrix is not finite raises
-    NumericalError naming its row.  Returns the (m, p) solutions, the (m, p, p) covariances and the
-    per-problem ``converged`` flags and iteration counts.
+    NumericalError naming its row.  Returns the (m, p) solutions, the
+    (m, p, p) covariances and the per-problem ``converged`` flags and
+    iteration counts.
     """
     x = np.array(x0, dtype=float)
     count, size = x.shape
