@@ -56,7 +56,6 @@ from .chains import NoiseStatistics
 from .defaults import JPA_OPERATING_POINTS
 from .dualpath import ERROR_BATCHES
 from .experiments import EXPERIMENTS, PipelineArgumentError, run_experiment
-from .qubit import DispersiveSystem
 from .states import StateKind
 
 __all__ = ["main", "build_parser", "ConfigError", "NumericalError"]
@@ -75,11 +74,10 @@ class _Key(NamedTuple):
 
     ``arg`` is the pipeline argument the key feeds; a pipeline accepts the
     key exactly when its signature has ``arg``.  ``part`` is the entry of
-    that argument the key sets (attribute names, tuple indices or mapping
-    keys; empty for the whole argument).  ``scale`` is the pipeline's unit
-    in config units (1e9 for a ``_ghz`` key) and ``schema`` the key's JSON
-    schema.  Defaults are not restated: they are read from the pipeline
-    signatures.
+    that argument the key sets (attribute names or tuple indices; empty for
+    the whole argument).  ``scale`` is the pipeline's unit in config units
+    (1e9 for a ``_ghz`` key) and ``schema`` the key's JSON schema.  Defaults
+    are not restated: they are read from the pipeline signatures.
     """
 
     arg: str
@@ -98,7 +96,6 @@ def _integer(**bounds) -> dict:
 
 _POSITIVE = _number(exclusiveMinimum=0)
 _NON_NEGATIVE = _number(minimum=0)
-_RATES = ("qubit", "relaxation_per_photon")
 #: The rule ``run`` checks across keys; the schema names it but does not state it.
 _PLANCK_RANGE = "t_min_k < t_max_k"
 _PLANCK_TEMPERATURE = {**_POSITIVE, "description": f"`run` also requires {_PLANCK_RANGE}."}
@@ -119,9 +116,9 @@ _TABLE = {
     "kappa_x_mhz": _Key("system", _POSITIVE, ("resonator", "external_rate"), 1e6),
     "kappa_i_khz": _Key("system", _NON_NEGATIVE, ("resonator", "internal_rate"), 1e3),
     "gamma1_mhz": _Key("system", _NON_NEGATIVE, ("qubit", "intrinsic_relaxation"), 1e6),
-    "gamma1_d_thermal_khz": _Key("system", _number(), (*_RATES, StateKind.THERMAL), 1e3),
-    # also sets the shot-noise rate, see _derive_system
-    "gamma1_d_coherent_khz": _Key("system", _number(), (*_RATES, StateKind.COHERENT), 1e3),
+    "gamma1_d_thermal_khz": _Key("system", _number(), ("qubit", "thermal_relaxation_per_photon"), 1e3),
+    # shot noise relaxes like a coherent tone, so this also sets the shot-noise rate
+    "gamma1_d_coherent_khz": _Key("system", _number(), ("qubit", "coherent_relaxation_per_photon"), 1e3),
     "gamma_phi0_mhz": _Key("system", _NON_NEGATIVE, ("qubit", "intrinsic_dephasing"), 1e6),
     # every error block needs two samples
     "count": _Key("count", _integer(minimum=2 * ERROR_BATCHES)),
@@ -147,14 +144,6 @@ _TABLE = {
 
 #: Keys that also have a ``run`` flag of their own (``--n-points`` for ``n_points``).
 _FLAGS = ("seed", "state", "n_points", "shots", "count", "noise_statistics")
-
-
-def _derive_system(system: DispersiveSystem) -> DispersiveSystem:
-    """Re-derive detuning and chi; shot noise relaxes like a coherent tone."""
-    rates = dict(system.qubit.relaxation_per_photon)
-    rates[StateKind.SHOT_NOISE] = rates[StateKind.COHERENT]
-    qubit = dataclasses.replace(system.qubit, relaxation_per_photon=rates)
-    return DispersiveSystem.derive(qubit, system.resonator)
 
 
 # Read once at import: a tracing wrapper installed later around a pipeline
@@ -184,9 +173,7 @@ def _put(value, part: tuple, item):
     step, rest = part[0], part[1:]
     if isinstance(step, str):
         return dataclasses.replace(value, **{step: _put(getattr(value, step), rest, item)})
-    if isinstance(value, tuple):
-        return value[:step] + (_put(value[step], rest, item),) + value[step + 1 :]
-    return {**value, step: _put(value[step], rest, item)}
+    return value[:step] + (_put(value[step], rest, item),) + value[step + 1 :]
 
 
 _BOUNDS = (
@@ -273,7 +260,7 @@ def _experiment_kwargs(experiment: str, config: dict) -> dict:
     """Translate unit-suffixed config keys into pipeline arguments.
 
     Also checks what no single key's schema can: the Planck range must
-    increase.
+    increase, and the finished system must have a finite chi.
     """
     if "t_min_k" in config and not config["t_min_k"] < config["t_max_k"]:
         raise ConfigError(
@@ -289,7 +276,8 @@ def _experiment_kwargs(experiment: str, config: dict) -> dict:
             value = value * row.scale
         kwargs[row.arg] = _put(kwargs.get(row.arg, defaults[row.arg]), row.part, value)
     if "system" in kwargs:
-        kwargs["system"] = _derive_system(kwargs["system"])
+        # raises ZeroDivisionError for a qubit on resonance or at the straddling point
+        _ = kwargs["system"].chi
     return kwargs
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .cavity import Resonator
 from .chains import JpaStage, LinearChain, db_to_linear
 from .qubit import DispersiveSystem, QubitParams
-from .states import ModeSpec, StateKind
+from .states import ModeSpec
 
 __all__ = [
     "SAMPLE_QUBIT",
@@ -29,12 +29,8 @@ SAMPLE_QUBIT = QubitParams(
     coupling=67e6,
     anharmonicity=-315e6,
     intrinsic_relaxation=3.9e6,
-    relaxation_per_photon={
-        StateKind.THERMAL: 800e3,
-        StateKind.COHERENT: -30e3,
-        StateKind.SHOT_NOISE: -30e3,
-        StateKind.VACUUM: 0.0,
-    },
+    thermal_relaxation_per_photon=800e3,
+    coherent_relaxation_per_photon=-30e3,
     intrinsic_dephasing=0.05e6,
 )
 
@@ -44,7 +40,7 @@ SAMPLE_RESONATOR = Resonator(
     internal_rate=50e3,
 )
 
-SAMPLE_SYSTEM = DispersiveSystem.derive(SAMPLE_QUBIT, SAMPLE_RESONATOR)
+SAMPLE_SYSTEM = DispersiveSystem(SAMPLE_QUBIT, SAMPLE_RESONATOR)
 
 #: Mode at which the dual-path receiver operates.
 DETECTION_MODE = ModeSpec(5.4e9)

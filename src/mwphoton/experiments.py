@@ -33,6 +33,7 @@ from .chains import (
     NoiseStatistics,
     amplify_commutator_free,
     compression_power,
+    db_to_linear,
     g2_jpa_referred,
     g2_unnormalized,
     linear_to_db,
@@ -380,7 +381,7 @@ def planck_calibration(
     and the compression power.
     """
     temps = np.linspace(t_min, t_max, n_temperatures)
-    chain_gain = 10.0 ** (chain_gain_db / 10.0)
+    chain_gain = db_to_linear(chain_gain_db)
     rng = np.random.default_rng(seed)
     powers = planck_power(temps, mode, bandwidth, chain_gain, chain_noise_temperature)
     if power_noise_fraction > 0:

@@ -29,12 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._constants import flux_quantum as MAGNETIC_FLUX_QUANTUM  # Wb
+from ._constants import flux_quantum
 from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
 from .states import StateKind, _number_variance
 
@@ -59,20 +58,21 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Transmon parameters; frequencies and rates in Hz, flux quantum in Wb.
+    """Transmon parameters; frequencies and rates in Hz.
 
-    ``relaxation_per_photon`` maps the input-field kind to the extra energy
-    decay rate per resonator photon; it is positive for thermal fields and
-    slightly negative for coherent states and shot noise.
+    ``thermal_relaxation_per_photon`` and ``coherent_relaxation_per_photon``
+    are the extra energy decay rates per resonator photon of a thermal and
+    of a coherent input field; the thermal rate is positive, the coherent
+    one slightly negative.
     """
 
     max_frequency: float
     coupling: float
     anharmonicity: float
     intrinsic_relaxation: float
-    relaxation_per_photon: Mapping[StateKind, float]
+    thermal_relaxation_per_photon: float
+    coherent_relaxation_per_photon: float
     intrinsic_dephasing: float
-    flux_quantum: float = MAGNETIC_FLUX_QUANTUM
 
     def __post_init__(self):
         if not self.coupling > 0:
@@ -81,33 +81,39 @@ class QubitParams:
             raise ValueError("transmon anharmonicity must be negative")
         if self.intrinsic_relaxation < 0 or self.intrinsic_dephasing < 0:
             raise ValueError("intrinsic rates must be >= 0")
-        object.__setattr__(
-            self, "relaxation_per_photon", MappingProxyType(dict(self.relaxation_per_photon))
-        )
 
     def relaxation_rate(self, kind: StateKind, n_r: float) -> float:
-        """Total energy decay rate gamma_1(n_r) = gamma_1 + gamma_1^d * n_r."""
-        return self.intrinsic_relaxation + self.relaxation_per_photon.get(kind, 0.0) * n_r
+        """Total energy decay rate gamma_1(n_r) = gamma_1 + gamma_1^d * n_r.
+
+        Shot noise relaxes like a coherent tone, and the vacuum adds nothing.
+        """
+        if kind is StateKind.THERMAL:
+            per_photon = self.thermal_relaxation_per_photon
+        elif kind is StateKind.VACUUM:
+            per_photon = 0.0
+        else:
+            per_photon = self.coherent_relaxation_per_photon
+        return self.intrinsic_relaxation + per_photon * n_r
 
 
 @dataclass(frozen=True)
 class DispersiveSystem:
-    """Qubit + resonator with the derived dispersive quantities.
+    """Qubit + resonator; the dispersive quantities are derived when read.
 
-    ``detuning`` and ``chi`` follow from the constituent parameters via
-    :meth:`derive`; ``theta0`` is always atan(2 chi / kappa_x).
+    ``detuning`` is omega_q0 - omega_r, ``chi`` the transmon dispersive
+    shift of :func:`dispersive_shift` and ``theta0`` atan(2 chi / kappa_x).
     """
 
     qubit: QubitParams
     resonator: Resonator
-    detuning: float
-    chi: float
 
-    @classmethod
-    def derive(cls, qubit: QubitParams, resonator: Resonator) -> "DispersiveSystem":
-        detuning = qubit.max_frequency - resonator.resonance_frequency
-        chi = dispersive_shift(qubit.coupling, detuning, qubit.anharmonicity)
-        return cls(qubit, resonator, detuning, chi)
+    @property
+    def detuning(self) -> float:
+        return self.qubit.max_frequency - self.resonator.resonance_frequency
+
+    @property
+    def chi(self) -> float:
+        return dispersive_shift(self.qubit.coupling, self.detuning, self.qubit.anharmonicity)
 
     @property
     def theta0(self) -> float:
@@ -148,7 +154,7 @@ def accumulated_phase(chi: float, kappa_x: float) -> float:
 
 def flux_tuned_frequency(params: QubitParams, flux: float) -> float:
     """SQUID-tuned transition frequency omega_q = omega_q0 sqrt(|cos(pi Phi / Phi0)|)."""
-    return params.max_frequency * math.sqrt(abs(math.cos(math.pi * flux / params.flux_quantum)))
+    return params.max_frequency * math.sqrt(abs(math.cos(math.pi * flux / flux_quantum)))
 
 
 def critical_photons(delta: float, g: float) -> float:
@@ -183,32 +189,16 @@ def photons_from_stark_shift(chi: float, delta_omega_q: float) -> float:
 # Dephasing rates and Ramsey envelopes
 # ---------------------------------------------------------------------------
 
-def dephasing_rate(
-    kind: StateKind,
-    n_r: float,
-    sys: DispersiveSystem,
-    background=None,
-) -> float:
+def dephasing_rate(kind: StateKind, n_r: float, sys: DispersiveSystem) -> float:
     """Photon-induced dephasing rate (Hz) for the given input-field kind.
 
     The rate is the long-time slope of the Gaussian phase cumulant,
     (kappa_x / kappa_tilde) kappa_x theta0^2 Var(n_r), read from the
     variance and memory kappa_tilde of :func:`~mwphoton.cavity.correlator`.
-    ``background`` optionally supplies a beam-splitter stage
-    (:class:`~mwphoton.chains.BeamSplitterStage`); the rate is then evaluated
-    on the beam-splitter-mixed variance Var(eta n_r (+) background), which is
-    how residual thermal photons from warmer attenuators enhance the apparent
-    low-n slope.
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    if background is None:
-        variance = _number_variance(kind, n_r)
-    else:
-        from .chains import attenuate
-
-        _, variance = attenuate(kind, n_r, background)
-    return _rate_per_variance(kind, sys) * variance
+    return _rate_per_variance(kind, sys) * _number_variance(kind, n_r)
 
 
 def _rate_per_variance(kind: StateKind, sys: DispersiveSystem) -> float:

@@ -386,21 +386,16 @@ def coherent_dephasing_exact(kappa, chi, n):
     return 2.0 * kappa * n * math.sin(theta0) ** 2
 
 
-def gaussian_dephasing_by_kind(kind, n, kappa_x, theta0, mixed_variance=None):
+def gaussian_dephasing_by_kind(kind, n, kappa_x, theta0):
     """The Gaussian phase law written out once per field kind.
 
     With s = kappa_x theta0^2: thermal s (n^2 + n), coherent 2 s n, shot
-    noise s n and vacuum 0.  Behind a beam splitter whose output variance is
-    ``mixed_variance``, the rate is factor * s * mixed_variance with factor 2
-    for a coherent drive and 1 for a thermal field.  ``kind`` is the field
-    kind's value ("thermal", "coherent", "shot_noise" or "vacuum").  The
-    products are taken in this order, so a rate from one general law can be
-    compared with these bit for bit.
+    noise s n and vacuum 0.  ``kind`` is the field kind's value ("thermal",
+    "coherent", "shot_noise" or "vacuum").  The products are taken in this
+    order, so a rate from one general law can be compared with these bit for
+    bit.
     """
     s = kappa_x * theta0 ** 2
-    if mixed_variance is not None:
-        factor = 2.0 if kind == "coherent" else 1.0
-        return factor * s * mixed_variance
     if kind == "thermal":
         return s * (n * n + n)
     if kind == "coherent":

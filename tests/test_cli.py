@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from mwphoton.cli import (
     resolve_config,
 )
 from mwphoton.chains import NoiseStatistics
-from mwphoton.defaults import JPA_OPERATING_POINTS
+from mwphoton.defaults import JPA_OPERATING_POINTS, SAMPLE_QUBIT, SAMPLE_RESONATOR
 from mwphoton.experiments import EXPERIMENTS, PipelineArgumentError
+from mwphoton.qubit import DispersiveSystem
 from mwphoton.states import StateKind
 
 
@@ -216,9 +218,10 @@ class TestConfigTable:
         system = _experiment_kwargs("ramsey_sweep", config)["system"]
         assert system.resonator.external_rate == 9.5e6
         assert system.detuning == 7.1e9 - 6.07e9
-        rates = system.qubit.relaxation_per_photon
-        assert rates[StateKind.COHERENT] == rates[StateKind.SHOT_NOISE] == -10e3
-        assert rates[StateKind.THERMAL] == 800e3
+        assert system.qubit.coherent_relaxation_per_photon == -10e3
+        assert system.qubit.thermal_relaxation_per_photon == 800e3
+        # shot noise relaxes like a coherent tone
+        assert system.qubit.relaxation_rate(StateKind.SHOT_NOISE, 1.0) == 3.9e6 - 10e3
 
         config = resolve_config("dualpath_sweep", None, {"gain_1": 1.7, "n_chain_2": 0.5})
         kwargs = _experiment_kwargs("dualpath_sweep", config)
@@ -334,6 +337,23 @@ class TestRunCommand:
         assert len(rows) == 4
         for row in rows:
             assert row["gamma_phi_n_err_hz"] == row["gamma2_err_hz"]
+
+    @pytest.mark.parametrize("coherent_khz", [-10, 25])
+    def test_shot_noise_sweep_matches_the_library(self, tmp_path, coherent_khz):
+        # the CLI and a direct call share one relaxation rule for shot noise
+        out = tmp_path / "run"
+        args = ("--state", "shot_noise", "--shots", "300", "--n-points", "4",
+                "--set", "tau_points=24", "--set", f"gamma1_d_coherent_khz={coherent_khz}")
+        assert run_cli("run", "ramsey_sweep", *args, "--out", str(out)) == 0
+        qubit = replace(SAMPLE_QUBIT, coherent_relaxation_per_photon=coherent_khz * 1e3)
+        result = EXPERIMENTS["ramsey_sweep"](
+            state="shot_noise", n_points=4, shots=300, tau_points=24,
+            system=DispersiveSystem(qubit, SAMPLE_RESONATOR),
+        )
+        with (out / "dephasing_vs_n.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        expected = result["tables"]["dephasing_vs_n"]["rows"]
+        assert [row["gamma2_hz"] for row in rows] == [str(float(row[1])) for row in expected]
 
     @pytest.mark.parametrize(
         "args, key",
@@ -499,6 +519,23 @@ class TestRunCommand:
         )
         assert code == 1
         assert "resonance" in capsys.readouterr().err
+
+    def test_qubit_at_the_straddling_point_is_a_configuration_error(self, tmp_path, capsys):
+        # delta + alpha = 850 MHz - 850 MHz = 0
+        code = run_cli(
+            "run", "ramsey_sweep", "--set", "alpha_mhz=-850", "--out", str(tmp_path / "q")
+        )
+        assert code == 1
+        assert "straddling" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+    def test_resonance_on_the_way_to_the_finished_system_is_accepted(self, tmp_path):
+        # omega_q_ghz=6.07 meets the default resonator, but the run moves it to 5 GHz
+        code = run_cli(
+            "run", "ramsey_sweep", "--set", "omega_q_ghz=6.07", "--set", "omega_r_ghz=5.0",
+            "--n-points", "4", "--set", "tau_points=24", "--out", str(tmp_path / "q"),
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("t_min", ["1.0", "0.5"])
     def test_planck_range_must_increase(self, tmp_path, capsys, t_min):

@@ -1,10 +1,14 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, or imports
+inside a function or class.
 
 An unused import hides which helpers a module really depends on, and it
-outlives the code that needed it.  Each module of ``src/mwphoton`` is read
-with the standard library's ``ast``: every name that a module-level import
-binds must be read somewhere in the module or listed in its ``__all__``.
-``__init__`` is exempt, because its imports are the package's re-exports.
+outlives the code that needed it; an import inside a function or class
+hides a dependency from the top of the module.  Each module of
+``src/mwphoton`` is read with the standard library's ``ast``: every name
+that a module-level import binds must be read somewhere in the module or
+listed in its ``__all__``, and no function or class body may import.
+``__init__`` is exempt from the first rule, because its imports are the
+package's re-exports.
 """
 
 import ast
@@ -63,6 +67,19 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read | _exported(tree)]
 
 
+def local_imports(source: str) -> list:
+    """Line numbers of the imports inside a function or class body of ``source``."""
+    lines = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines.update(
+                node.lineno
+                for node in ast.walk(scope)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
 def test_detector_finds_unused_imports():
     source = (
         "from __future__ import annotations\n"
@@ -82,11 +99,36 @@ def test_detector_finds_unused_imports():
     assert unused_imports(source) == ["os", "osp", "Dict", "json", "csv"]
 
 
+def test_detector_finds_local_imports():
+    source = (
+        "import os\n"
+        "if os.name:\n"
+        "    import json\n"
+        "def f():\n"
+        "    from .states import helper\n"
+        "    return helper\n"
+        "class C:\n"
+        "    import math\n"
+        "    def g(self):\n"
+        "        try:\n"
+        "            import csv\n"
+        "        except ImportError:\n"
+        "            pass\n"
+    )
+    assert local_imports(source) == [5, 8, 11]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_level_import(module):
     unused = unused_imports((PACKAGE / f"{module}.py").read_text())
     unexpected = [name for name in unused if (module, name) not in DELIBERATE]
     assert unexpected == [], f"mwphoton.{module} imports names it never reads: {unexpected}"
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_import_inside_a_function_or_class(module):
+    lines = local_imports((PACKAGE / f"{module}.py").read_text())
+    assert lines == [], f"mwphoton.{module} imports inside a function or class at lines {lines}"
 
 
 @pytest.mark.parametrize("module, name", sorted(DELIBERATE))

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
+from mwphoton import _constants
 from mwphoton.cavity import Resonator, correlator, correlator_value
 from mwphoton.chains import BeamSplitterStage, attenuate
 from mwphoton.defaults import SAMPLE_QUBIT, SAMPLE_SYSTEM
@@ -75,19 +76,19 @@ class TestFluxTuning:
         assert flux_tuned_frequency(SAMPLE_QUBIT, 0.0) == pytest.approx(6.92e9)
 
     def test_node_at_half_quantum(self):
-        phi0 = SAMPLE_QUBIT.flux_quantum
+        phi0 = _constants.flux_quantum
         # cos(pi/2) rounds to ~6e-17, so the node sits at sqrt of that times 6.92 GHz
         assert flux_tuned_frequency(SAMPLE_QUBIT, phi0 / 2.0) == pytest.approx(0.0, abs=100.0)
 
     def test_quarter_quantum(self):
-        phi0 = SAMPLE_QUBIT.flux_quantum
+        phi0 = _constants.flux_quantum
         expected = math.sqrt(math.cos(math.pi / 4.0))  # = 0.8409
         assert flux_tuned_frequency(SAMPLE_QUBIT, phi0 / 4.0) == pytest.approx(
             expected * 6.92e9, rel=1e-9
         )
 
     def test_periodicity(self):
-        phi0 = SAMPLE_QUBIT.flux_quantum
+        phi0 = _constants.flux_quantum
         assert flux_tuned_frequency(SAMPLE_QUBIT, 0.3 * phi0) == pytest.approx(
             flux_tuned_frequency(SAMPLE_QUBIT, 1.3 * phi0), rel=1e-9
         )
@@ -136,14 +137,56 @@ class TestDispersiveSystem:
         assert system.chi == pytest.approx(-3.11e6, rel=0.01)
         assert system.theta0 == math.atan(2.0 * system.chi / system.resonator.external_rate)
 
+    @pytest.mark.parametrize(
+        "qubit_change, resonator_change, g, delta, alpha",
+        [
+            ({"max_frequency": 7.1e9}, {}, 67e6, 7.1e9 - 6.07e9, -315e6),
+            ({"coupling": 90e6}, {}, 90e6, 6.92e9 - 6.07e9, -315e6),
+            ({"anharmonicity": -200e6}, {}, 67e6, 6.92e9 - 6.07e9, -200e6),
+            ({}, {"resonance_frequency": 5.0e9}, 67e6, 6.92e9 - 5.0e9, -315e6),
+        ],
+        ids=["max_frequency", "coupling", "anharmonicity", "resonance_frequency"],
+    )
+    def test_replaced_part_reports_its_own_derived_parameters(
+        self, system, qubit_change, resonator_change, g, delta, alpha
+    ):
+        moved = replace(
+            system,
+            qubit=replace(system.qubit, **qubit_change),
+            resonator=replace(system.resonator, **resonator_change),
+        )
+        assert moved.detuning == delta
+        assert moved.chi == dispersive_shift(g, delta, alpha)
+        assert moved.chi != system.chi
+        assert moved.theta0 == math.atan(2.0 * moved.chi / moved.resonator.external_rate)
+
+    @pytest.mark.parametrize(
+        "max_frequency, match", [(6.07e9, "resonance"), (6.385e9, "straddling")]
+    )
+    def test_chi_diverges_on_resonance_and_at_the_straddling_point(
+        self, system, max_frequency, match
+    ):
+        # the system is built, and the divergence shows when chi is read
+        moved = replace(system, qubit=replace(system.qubit, max_frequency=max_frequency))
+        with pytest.raises(ZeroDivisionError, match=match):
+            _ = moved.chi
+
     def test_relaxation_rate_by_kind(self, system):
         q = system.qubit
         assert q.relaxation_rate(StateKind.THERMAL, 1.0) == pytest.approx(4.7e6)
         assert q.relaxation_rate(StateKind.COHERENT, 1.0) == pytest.approx(3.87e6)
+        # shot noise relaxes like a coherent tone, and the vacuum adds nothing
+        assert q.relaxation_rate(StateKind.SHOT_NOISE, 0.7) == q.relaxation_rate(
+            StateKind.COHERENT, 0.7
+        )
+        assert q.relaxation_rate(StateKind.VACUUM, 0.7) == q.intrinsic_relaxation
 
     def test_anharmonicity_sign_enforced(self):
         with pytest.raises(ValueError):
-            QubitParams(6.92e9, 67e6, +315e6, 3.9e6, {}, 0.05e6)
+            QubitParams(6.92e9, 67e6, +315e6, 3.9e6, 0.0, 0.0, 0.05e6)
+
+
+OTHER_SYSTEM = DispersiveSystem(SAMPLE_QUBIT, Resonator(5.9e9, 13.3e6, 0.05e6))
 
 
 class TestDephasingRate:
@@ -180,37 +223,43 @@ class TestDephasingRate:
                 coupling=rng.uniform(30e6, 120e6),
                 anharmonicity=-rng.uniform(150e6, 400e6),
                 intrinsic_relaxation=rng.uniform(0.5e6, 5e6),
-                relaxation_per_photon={},
+                thermal_relaxation_per_photon=0.0,
+                coherent_relaxation_per_photon=0.0,
                 intrinsic_dephasing=rng.uniform(0.0, 1e6),
             )
             resonator = Resonator(rng.uniform(4e9, 7e9), rng.uniform(2e6, 20e6))
-            system = DispersiveSystem.derive(qubit, resonator)
+            system = DispersiveSystem(qubit, resonator)
             n_r = rng.uniform(0.01, 2.0)
             assert dephasing_rate(StateKind.COHERENT, n_r, system) == pytest.approx(
                 2.0 * dephasing_rate(StateKind.SHOT_NOISE, n_r, system), rel=1e-12
             )
 
     def test_background_mixing_enhances_slope(self, system):
+        # a thermal field behind a beam splitter with a thermal background stays
+        # thermal: its mean is attenuate's n_tot and its variance n_tot^2 + n_tot
         stage = BeamSplitterStage(transmissivity=0.9, background_photons=0.15)
-        n_b = 0.3
-        plain = dephasing_rate(StateKind.THERMAL, n_b, system)
-        mixed = dephasing_rate(StateKind.THERMAL, n_b, system, background=stage)
         scale = system.resonator.external_rate * system.theta0 ** 2
-        _, variance = attenuate(StateKind.THERMAL, n_b, stage)
-        assert mixed == pytest.approx(scale * variance, rel=1e-12)
-        assert mixed > 0
-        transparent = BeamSplitterStage(1.0, 0.15)
-        assert dephasing_rate(
-            StateKind.THERMAL, n_b, system, background=transparent
-        ) == pytest.approx(plain, rel=1e-12)
+        for n_b in (0.0, 0.3):
+            n_tot, variance = attenuate(StateKind.THERMAL, n_b, stage)
+            mixed = dephasing_rate(StateKind.THERMAL, n_tot, system)
+            assert mixed == pytest.approx(scale * variance, rel=1e-12)
+            # residual background photons dephase the qubit even without signal
+            assert mixed > 0
+        n_tot, _ = attenuate(StateKind.THERMAL, 0.3, BeamSplitterStage(1.0, 0.15))
+        assert dephasing_rate(StateKind.THERMAL, n_tot, system) == pytest.approx(
+            dephasing_rate(StateKind.THERMAL, 0.3, system), rel=1e-12
+        )
 
-    @pytest.mark.parametrize("kind", [StateKind.SHOT_NOISE, StateKind.VACUUM])
-    def test_background_mixing_needs_thermal_or_coherent_field(self, kind, system):
-        with pytest.raises(ValueError, match="thermal and coherent"):
-            dephasing_rate(kind, 0.3, system, background=BeamSplitterStage(0.9, 0.15))
-
-
-OTHER_SYSTEM = DispersiveSystem.derive(SAMPLE_QUBIT, Resonator(5.9e9, 13.3e6, 0.05e6))
+    @pytest.mark.parametrize("n_r", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("stage", [(0.9, 0.15), (0.4, 1.2), (1.0, 0.0)])
+    @pytest.mark.parametrize("sys", [SAMPLE_SYSTEM, OTHER_SYSTEM], ids=["sample", "other"])
+    def test_thermal_field_behind_beam_splitter(self, n_r, stage, sys):
+        # the rate at the mixed mean is the Gaussian law on attenuate's variance
+        n_tot, variance = attenuate(StateKind.THERMAL, n_r, BeamSplitterStage(*stage))
+        scale = sys.resonator.external_rate * sys.theta0 ** 2
+        assert dephasing_rate(StateKind.THERMAL, n_tot, sys) == pytest.approx(
+            scale * variance, rel=1e-12, abs=0.0
+        )
 
 
 class TestDephasingRateBitIdentity:
@@ -226,18 +275,6 @@ class TestDephasingRateBitIdentity:
         )
         assert dephasing_rate(kind, n_r, sys) == expected
 
-    @pytest.mark.parametrize("kind", [StateKind.THERMAL, StateKind.COHERENT])
-    @pytest.mark.parametrize("n_r", [0.0, 0.3, 1.5])
-    @pytest.mark.parametrize("stage", [(0.9, 0.15), (0.4, 1.2), (1.0, 0.0)])
-    @pytest.mark.parametrize("sys", [SAMPLE_SYSTEM, OTHER_SYSTEM], ids=["sample", "other"])
-    def test_behind_beam_splitter(self, kind, n_r, stage, sys):
-        stage = BeamSplitterStage(*stage)
-        _, variance = attenuate(kind, n_r, stage)
-        expected = oracles.gaussian_dephasing_by_kind(
-            kind.value, n_r, sys.resonator.external_rate, sys.theta0, mixed_variance=variance
-        )
-        assert dephasing_rate(kind, n_r, sys, background=stage) == expected
-
 
 class TestGaussianPhaseLawValidity:
     """The rates above are the second cumulant of the phase, exact to O(x^2)
@@ -246,10 +283,13 @@ class TestGaussianPhaseLawValidity:
     @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
     def test_thermal_exact_rate_meets_law_at_small_pull(self, n_r, system):
         # without internal loss the exact rate's kappa_x + kappa_i is kappa_x, and
-        # exact / law = 1 - x^2 (1/3 + 5 n + 5 n^2) + O(x^4)
-        lossless = replace(system.resonator, internal_rate=0.0)
-        for x in (1e-2, 1e-3):
-            small = replace(system, resonator=lossless, chi=x * lossless.external_rate / 2.0)
+        # exact / law = 1 - x^2 (1/3 + 5 n + 5 n^2) + O(x^4); kappa_x sets the
+        # pull x = 2 chi / kappa_x, which is negative because chi is
+        for x in (-1e-2, -1e-3):
+            lossless = replace(
+                system.resonator, internal_rate=0.0, external_rate=2.0 * system.chi / x
+            )
+            small = replace(system, resonator=lossless)
             exact = oracles.thermal_dephasing_exact(lossless.total_rate, small.chi, n_r)
             ratio = exact / dephasing_rate(StateKind.THERMAL, n_r, small)
             assert (1.0 - ratio) / x ** 2 == pytest.approx(
@@ -259,9 +299,9 @@ class TestGaussianPhaseLawValidity:
     @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
     def test_coherent_exact_rate_meets_law_at_small_pull(self, n_r, system):
         # with kappa = kappa_x, exact / law = sin^2(theta0) / theta0^2 = 1 - x^2/3 + O(x^4)
-        kappa_x = system.resonator.external_rate
-        for x in (1e-2, 1e-3):
-            small = replace(system, chi=x * kappa_x / 2.0)
+        for x in (-1e-2, -1e-3):
+            kappa_x = 2.0 * system.chi / x
+            small = replace(system, resonator=replace(system.resonator, external_rate=kappa_x))
             exact = oracles.coherent_dephasing_exact(kappa_x, small.chi, n_r)
             ratio = exact / dephasing_rate(StateKind.COHERENT, n_r, small)
             assert (1.0 - ratio) / x ** 2 == pytest.approx(1.0 / 3.0, rel=0.01)
@@ -384,10 +424,7 @@ class TestRamseyEnvelope:
 class TestSimulateRamsey:
     def test_pure_cosine_without_decay(self, system):
         quiet = DispersiveSystem(
-            QubitParams(6.92e9, 67e6, -315e6, 0.0, {}, 0.0),
-            system.resonator,
-            system.detuning,
-            system.chi,
+            QubitParams(6.92e9, 67e6, -315e6, 0.0, 0.0, 0.0, 0.0), system.resonator
         )
         taus = np.linspace(1e-9, 200e-9, 40)
         # the fringe detuning is 5 / max(tau) = 25 MHz
