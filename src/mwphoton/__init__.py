@@ -23,26 +23,21 @@ from .states import (
 )
 from .cavity import (
     Correlator,
-    QubitState,
     Resonator,
     correlator,
     correlator_value,
     dephasing_gaussian,
     dephasing_master_correction,
     lorentzian_dos,
-    shifted_dos,
 )
 from .qubit import (
     DispersiveSystem,
     EnvelopeForm,
     QubitParams,
-    ac_stark_shift,
     accumulated_phase,
     critical_photons,
     dephasing_rate,
     dispersive_shift,
-    flux_tuned_frequency,
-    photons_from_stark_shift,
     purcell_rate,
     ramsey_envelope,
     simulate_ramsey,

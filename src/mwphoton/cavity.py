@@ -10,10 +10,9 @@ where the decay rate depends on the field: white noise (thermal or shot)
 decays at the energy decay rate kappa_x, a coherent drive at the amplitude
 decay rate kappa_x / 2.  Internal loss is left out of every rate here: it is
 negligible for the devices modelled (kappa_i / kappa_x ~ 0.006).  The module
-also provides the Lorentzian density of states of the resonator, its
-qubit-state-shifted variants, and the photon-induced dephasing rates.  Their
-spectral integrals are integrals of products of Lorentzians over the whole
-line, so both rates are closed forms.
+also provides the Lorentzian density of states of the resonator and the
+photon-induced dephasing rates.  Their spectral integrals are integrals of
+products of Lorentzians over the whole line, so both rates are closed forms.
 
 Rates are stored as ordinary frequencies in Hz (the "/2pi" values); the
 2*pi factors are applied inside formulas that exponentiate a time.
@@ -23,17 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from .states import StateKind, _number_variance
 
 __all__ = [
     "Resonator",
     "Correlator",
-    "QubitState",
     "correlator",
     "correlator_value",
     "lorentzian_dos",
-    "shifted_dos",
     "dephasing_gaussian",
     "dephasing_master_correction",
 ]
@@ -72,11 +68,6 @@ class Correlator:
             raise ValueError("correlator variance must be >= 0")
         if not self.decay_rate > 0:
             raise ValueError("correlator decay rate must be positive")
-
-
-class QubitState(Enum):
-    GROUND = "ground"
-    EXCITED = "excited"
 
 
 def correlator(kind: StateKind, n_r: float, res: Resonator) -> Correlator:
@@ -122,21 +113,6 @@ def lorentzian_dos(omega: float, res: Resonator) -> float:
     delta = res.resonance_frequency - omega
     half = res.external_rate / 2.0
     return half / (half * half + delta * delta)
-
-
-def shifted_dos(omega: float, res: Resonator, chi: float, qubit_state: QubitState) -> float:
-    """Qubit-state-conditioned density of states.
-
-    D_pm(omega) = (k/2) / (k^2/4 + (delta_r +- chi)^2) with delta_r =
-    omega_r - omega; the '+' branch applies when the qubit is excited, so
-    the Lorentzian peaks at omega_r + chi (ground: omega_r - chi).  For
-    chi = 0 both branches collapse onto :func:`lorentzian_dos`.
-    """
-    delta = res.resonance_frequency - omega
-    sign = 1.0 if qubit_state is QubitState.EXCITED else -1.0
-    half = res.external_rate / 2.0
-    offset = delta + sign * chi
-    return half / (half * half + offset * offset)
 
 
 def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:

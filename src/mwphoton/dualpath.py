@@ -70,7 +70,7 @@ from .states import (
     Ordering,
     _batch_layout,
     _batch_seed,
-    _bose_einstein_array,
+    bose_einstein,
     _conjugate_symmetrize,
     _gaussian_shift,
     _segment_sums,
@@ -539,7 +539,7 @@ def jpa_planck_power(
     """
     temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
     quantum = PLANCK_H * mode.frequency
-    occ = _bose_einstein_array(mode, temps)
+    occ = bose_einstein(mode, temps)
     linear = jpa_gain * chain_gain * bandwidth * quantum * (occ + 0.5 + added_photons)
     if saturation_power is None:
         return linear
@@ -583,7 +583,7 @@ def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
         raise ValueError("Planck calibration needs at least 4 sweep points")
     if temps[-1] / temps[0] < 3.0:
         raise ValueError("Planck sweep must span at least a factor 3 in temperature")
-    x = _bose_einstein_array(sweep.mode, temps) + 0.5
+    x = bose_einstein(sweep.mode, temps) + 0.5
     c1, c0, covariance = _planck_linear_fit(x, sweep.powers)
     if c1 <= 0:
         raise NumericalError("Planck fit produced a non-positive gain; sweep is unusable")
@@ -618,7 +618,7 @@ def jpa_planck_fit(sweep: PlanckSweep, fit_range_max_t: float) -> JpaCalibration
     mask = temps <= fit_range_max_t
     if np.count_nonzero(mask) < 3:
         raise ValueError("need at least 3 sweep points inside the fit range")
-    x = _bose_einstein_array(sweep.mode, temps) + 0.5
+    x = bose_einstein(sweep.mode, temps) + 0.5
     c1, c0, _ = _planck_linear_fit(x[mask], sweep.powers[mask])
     if c1 <= 0:
         raise NumericalError("JPA Planck fit produced a non-positive gain")

@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._constants import flux_quantum
 from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
 from .states import StateKind, _number_variance
 
@@ -43,11 +42,8 @@ __all__ = [
     "EnvelopeForm",
     "dispersive_shift",
     "accumulated_phase",
-    "flux_tuned_frequency",
     "critical_photons",
     "purcell_rate",
-    "ac_stark_shift",
-    "photons_from_stark_shift",
     "dephasing_rate",
     "ramsey_envelope",
     "simulate_ramsey",
@@ -152,11 +148,6 @@ def accumulated_phase(chi: float, kappa_x: float) -> float:
     return math.atan(2.0 * chi / kappa_x)
 
 
-def flux_tuned_frequency(params: QubitParams, flux: float) -> float:
-    """SQUID-tuned transition frequency omega_q = omega_q0 sqrt(|cos(pi Phi / Phi0)|)."""
-    return params.max_frequency * math.sqrt(abs(math.cos(math.pi * flux / flux_quantum)))
-
-
 def critical_photons(delta: float, g: float) -> float:
     """n_crit = delta^2 / (4 g^2), where the dispersive approximation breaks down."""
     if not g > 0:
@@ -169,20 +160,6 @@ def purcell_rate(kappa_tot: float, g: float, delta: float) -> float:
     if delta == 0:
         raise ZeroDivisionError("Purcell rate diverges at zero detuning")
     return kappa_tot * (g / delta) ** 2
-
-
-def ac_stark_shift(chi: float, n_r: float) -> float:
-    """AC Stark shift of the qubit frequency, 2 chi n_r (sigma_z = +1 convention)."""
-    if n_r < 0:
-        raise ValueError("resonator population must be >= 0")
-    return 2.0 * chi * n_r
-
-
-def photons_from_stark_shift(chi: float, delta_omega_q: float) -> float:
-    """Calibration inverse of :func:`ac_stark_shift`: n_r = d(omega_q) / (2 chi)."""
-    if chi == 0:
-        raise ZeroDivisionError("cannot calibrate photon number with chi = 0")
-    return delta_omega_q / (2.0 * chi)
 
 
 # ---------------------------------------------------------------------------

@@ -239,20 +239,21 @@ class MomentSet:
 # Closed-form statistics
 # ---------------------------------------------------------------------------
 
-def bose_einstein(mode: ModeSpec, temperature: float) -> float:
-    """Mean thermal occupation n(T) = 1 / (exp(h f / k_B T) - 1)."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = hbar * 2.0 * math.pi * mode.frequency / (k_B * temperature)
-    if x > 700.0:
-        # exp(x) overflows double precision; occupation is exp(-x) to 1e-300
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+def bose_einstein(mode: ModeSpec, temperature: float | np.ndarray) -> float | np.ndarray:
+    """Mean thermal occupation n(T) = 1 / (exp(h f / k_B T) - 1).
 
-
-def _bose_einstein_array(mode: ModeSpec, temperatures) -> np.ndarray:
-    """:func:`bose_einstein` of each temperature."""
-    return np.array([bose_einstein(mode, float(t)) for t in temperatures])
+    One temperature gives a float; a 1-d array of temperatures gives the
+    array of their occupations, each checked and computed on its own.
+    """
+    occupations = []
+    for t in np.atleast_1d(temperature):
+        t = float(t)
+        if not t > 0:
+            raise ValueError(f"temperature must be positive, got {t}")
+        x = hbar * 2.0 * math.pi * mode.frequency / (k_B * t)
+        # past x = 700 exp(x) overflows double precision; occupation is exp(-x) to 1e-300
+        occupations.append(math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x))
+    return np.array(occupations) if np.ndim(temperature) else occupations[0]
 
 
 def effective_temperature(mode: ModeSpec, n: float) -> float:

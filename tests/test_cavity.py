@@ -7,13 +7,11 @@ from scipy.signal import lfilter
 
 from mwphoton.cavity import (
     Correlator,
-    QubitState,
     correlator,
     correlator_value,
     dephasing_gaussian,
     dephasing_master_correction,
     lorentzian_dos,
-    shifted_dos,
 )
 from mwphoton.states import MicrowaveState, StateKind, photon_variance
 
@@ -149,41 +147,6 @@ class TestDensityOfStates:
             points=[center], limit=400,
         )
         assert integral / math.pi == pytest.approx(1.0, rel=1e-3)
-
-    def test_shifted_dos_collapses_at_zero_pull(self, resonator):
-        for omega in np.linspace(6.0e9, 6.14e9, 7):
-            assert shifted_dos(omega, resonator, 0.0, QubitState.EXCITED) == pytest.approx(
-                lorentzian_dos(omega, resonator), rel=1e-12
-            )
-
-    @pytest.mark.parametrize("qubit_state", [QubitState.GROUND, QubitState.EXCITED])
-    def test_shifted_peak_offset_magnitude(self, qubit_state, resonator):
-        omegas = np.linspace(6.05e9, 6.09e9, 20001)
-        values = [shifted_dos(w, resonator, CHI, qubit_state) for w in omegas]
-        peak_at = omegas[int(np.argmax(values))]
-        assert abs(peak_at - resonator.resonance_frequency) == pytest.approx(
-            abs(CHI), rel=1e-3
-        )
-
-    def test_steady_state_calibration_unbiased(self, resonator):
-        # flat noise through the state-resolved responses: the calibrated mean
-        # photon number (n+ + n-)/2 equals the weak-pull value
-        center = resonator.resonance_frequency
-        window = 4000.0 * resonator.external_rate
-
-        def occupancy(qubit_state):
-            integral, _ = quad(
-                lambda w: shifted_dos(w, resonator, CHI, qubit_state),
-                center - window, center + window, points=[center], limit=400,
-            )
-            return integral / math.pi
-
-        reference, _ = quad(
-            lambda w: lorentzian_dos(w, resonator), center - window, center + window,
-            points=[center], limit=400,
-        )
-        n_cal = 0.5 * (occupancy(QubitState.GROUND) + occupancy(QubitState.EXCITED))
-        assert n_cal == pytest.approx(reference / math.pi, rel=1e-6)
 
 
 class TestDephasingGaussian:

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from mwphoton import _constants
 from mwphoton.cavity import Resonator, correlator, correlator_value
 from mwphoton.chains import BeamSplitterStage, attenuate
 from mwphoton.defaults import SAMPLE_QUBIT, SAMPLE_SYSTEM
@@ -14,13 +13,10 @@ from mwphoton.qubit import (
     DispersiveSystem,
     EnvelopeForm,
     QubitParams,
-    ac_stark_shift,
     accumulated_phase,
     critical_photons,
     dephasing_rate,
     dispersive_shift,
-    flux_tuned_frequency,
-    photons_from_stark_shift,
     purcell_rate,
     ramsey_envelope,
     simulate_ramsey,
@@ -71,29 +67,6 @@ class TestAccumulatedPhase:
         assert accumulated_phase(-2e6, 8.5e6) == -accumulated_phase(2e6, 8.5e6)
 
 
-class TestFluxTuning:
-    def test_sweet_spot(self):
-        assert flux_tuned_frequency(SAMPLE_QUBIT, 0.0) == pytest.approx(6.92e9)
-
-    def test_node_at_half_quantum(self):
-        phi0 = _constants.flux_quantum
-        # cos(pi/2) rounds to ~6e-17, so the node sits at sqrt of that times 6.92 GHz
-        assert flux_tuned_frequency(SAMPLE_QUBIT, phi0 / 2.0) == pytest.approx(0.0, abs=100.0)
-
-    def test_quarter_quantum(self):
-        phi0 = _constants.flux_quantum
-        expected = math.sqrt(math.cos(math.pi / 4.0))  # = 0.8409
-        assert flux_tuned_frequency(SAMPLE_QUBIT, phi0 / 4.0) == pytest.approx(
-            expected * 6.92e9, rel=1e-9
-        )
-
-    def test_periodicity(self):
-        phi0 = _constants.flux_quantum
-        assert flux_tuned_frequency(SAMPLE_QUBIT, 0.3 * phi0) == pytest.approx(
-            flux_tuned_frequency(SAMPLE_QUBIT, 1.3 * phi0), rel=1e-9
-        )
-
-
 class TestCriticalPhotons:
     def test_reference_sample(self):
         assert critical_photons(850e6, 67e6) == pytest.approx(40.0, rel=0.02)
@@ -117,18 +90,6 @@ class TestPurcellRate:
         assert purcell_rate(8.55e6, 67e6, 2 * 850e6) == pytest.approx(
             purcell_rate(8.55e6, 67e6, 850e6) / 4.0
         )
-
-
-class TestStarkShift:
-    def test_zero_photons(self):
-        assert ac_stark_shift(-3.11e6, 0.0) == 0.0
-
-    def test_single_photon_shift(self):
-        assert ac_stark_shift(-3.11e6, 1.0) == pytest.approx(-6.22e6)
-
-    def test_calibration_round_trip(self):
-        shift = ac_stark_shift(-3.11e6, 0.73)
-        assert photons_from_stark_shift(-3.11e6, shift) == pytest.approx(0.73, rel=1e-12)
 
 
 class TestDispersiveSystem:

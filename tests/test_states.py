@@ -48,7 +48,14 @@ class TestBoseEinstein:
         occ = [bose_einstein(MODE, float(t)) for t in temps]
         assert np.all(np.diff(occ) > 0)
 
-    @pytest.mark.parametrize("temperature", [0.0, -0.1])
+    def test_array_of_temperatures_gives_each_occupation(self):
+        temps = np.array([1e-4, 0.03, 0.143, 0.2914, 2.0])
+        occ = bose_einstein(MODE, temps)
+        assert isinstance(occ, np.ndarray) and occ.shape == temps.shape
+        assert occ.tolist() == [bose_einstein(MODE, float(t)) for t in temps]
+        assert type(bose_einstein(MODE, np.float64(0.143))) is float
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.1, np.array([0.1, 0.0, 0.2])])
     def test_rejects_nonpositive_temperature(self, temperature):
         with pytest.raises(ValueError):
             bose_einstein(MODE, temperature)
