@@ -6,9 +6,11 @@ statistics laws (rho n^2 + xi n and its degenerate forms) and the
 dephasing-rate decomposition.  Linear-in-parameter models are solved by
 normal equations with column scaling; the Ramsey fit uses an unweighted,
 damped Gauss-Newton iteration with analytic Jacobians (max 200
-iterations, relative step tolerance 1e-10).  Fits never fabricate
-parameters: when the iteration fails to converge the result carries
-``converged=False`` and the last iterate.
+iterations, relative step tolerance 1e-10, and a flat-cost stop once a
+rejected trial's cost is within the rounding bound ``cost * n * eps`` of
+the current one).  Fits never fabricate parameters: when the iteration
+fails to converge the result carries ``converged=False`` and the last
+iterate.
 
 The Gauss-Newton engine solves a stack of problems in lockstep:
 :func:`fit_ramsey_traces` fits every trace of an (m, n, 2) stack with one
@@ -172,8 +174,13 @@ def _damped_gauss_newton(
     (k, n, p) Jacobians; only the problems still searching are evaluated.
     The problems run in lockstep but never mix: each keeps its own damping
     parameter on a fixed multiplicative schedule (shrinking on accepted
-    steps, growing on rejected or singular trials) and its own stop rule, so
+    steps, growing on rejected or singular trials) and its own stop rules, so
     it takes exactly the steps it would take alone, in the same arithmetic.
+    A problem converges when an accepted step is within the relative step
+    tolerance, or when a rejected trial's cost exceeds its current cost by
+    no more than ``cost * n * eps`` (``n`` residuals, float64 ``eps``), the
+    rounding bound of an n-term sum: its cost is flat, so it stops where it
+    stands instead of raising the damping until some tiny step rounds down.
     A problem whose Jacobian or normal matrix is not finite raises
     NumericalError naming its row.  Returns the (m, p) solutions, the
     (m, p, p) covariances and the per-problem ``converged`` flags and
@@ -184,6 +191,7 @@ def _damped_gauss_newton(
     everyone = np.arange(count)
     r = residual(x, everyone)
     cost = np.sum(r * r, axis=1)
+    flat_bound = 1.0 + r.shape[1] * np.finfo(float).eps
     lam = np.full(count, 1e-3)
     converged = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
@@ -202,6 +210,7 @@ def _damped_gauss_newton(
         diag[:, diagonal, diagonal] = np.clip(hess[:, diagonal, diagonal], 1e-300, None)
         step = np.zeros((searching.size, size))
         accepted = np.zeros(searching.size, dtype=bool)
+        flat_stop = np.zeros(searching.size, dtype=bool)
         trying = np.ones(searching.size, dtype=bool)
         for _ in range(60):
             if not trying.any():
@@ -225,13 +234,19 @@ def _damped_gauss_newton(
             accepted[slots[better]] = True
             step[slots[better]] = steps[better]
             trying[slots[better]] = False
-            lost = rows[~better]
+            # a rejected trial within the rounding bound of the n-term cost
+            # sum is flat: the problem has converged where it stands
+            flat = ~better & (cost_try <= cost[rows] * flat_bound)
+            flat_stop[slots[flat]] = True
+            trying[slots[flat]] = False
+            worse = ~better & ~flat
+            lost = rows[worse]
             lam[lost] *= 10.0
-            trying[slots[~better][lam[lost] > 1e14]] = False
+            trying[slots[worse][lam[lost] > 1e14]] = False
         done = np.all(
             np.abs(step) <= STEP_TOLERANCE * (np.abs(x[searching]) + STEP_TOLERANCE), axis=1
         )
-        converged[searching[accepted & done]] = True
+        converged[searching[(accepted & done) | flat_stop]] = True
         searching = searching[accepted & ~done]
     # covariance at the solution, on column-scaled normal equations so mixed
     # parameter magnitudes (Hz next to dimensionless) stay well conditioned;
@@ -260,35 +275,47 @@ def _ramsey_model(tau, offset, amplitude, frequency, gamma2, phase):
     )
 
 
-def _ramsey_initial_guess(tau: np.ndarray, p: np.ndarray):
-    offset = float(np.mean(p))
-    detrended = p - offset
-    amplitude = max(float(np.max(np.abs(detrended))), 1e-6)
-    # frequency and phase from the FFT peak on a uniform resampling
-    uniform_tau = np.linspace(tau[0], tau[-1], 4 * tau.size)
-    uniform = np.interp(uniform_tau, tau, detrended)
-    spectrum = np.fft.rfft(uniform)
-    freqs = np.fft.rfftfreq(uniform_tau.size, uniform_tau[1] - uniform_tau[0])
-    peak = 1 + int(np.argmax(np.abs(spectrum[1:])))
-    frequency = float(freqs[peak])
-    phase = float(np.angle(spectrum[peak]))
+def _ramsey_initial_guesses(tau: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Starting (offset, amplitude, frequency, gamma2, phase) of each (tau, p) row.
+
+    One pass over the (m, n) stack: row means and maxima, a uniform
+    resampling whose grids come from one ``np.linspace`` with array
+    endpoints, one 2-D FFT and block maxima from one gather.  Each row gets
+    the bits a one-trace guess gives it.  Three parts stay per row because
+    only they keep those bits: ``np.interp``, the ``polyfit`` and the block
+    means of tau (a stacked (m * blocks, size) mean sums in another order).
+    """
+    count, size = tau.shape
+    offset = np.mean(p, axis=1)
+    detrended = p - offset[:, None]
+    amplitude = np.maximum(np.max(np.abs(detrended), axis=1), 1e-6)
+    # frequency and phase from the FFT peak on a uniform resampling;
+    # rfftfreq's bin k is k * (1 / (N d))
+    points = 4 * size
+    uniform_tau = np.linspace(tau[:, 0], tau[:, -1], points, axis=1)
+    uniform = np.array([np.interp(u, t, d) for u, t, d in zip(uniform_tau, tau, detrended)])
+    spectrum = np.fft.rfft(uniform, axis=1)
+    peak = 1 + np.argmax(np.abs(spectrum[:, 1:]), axis=1)
+    frequency = peak * (1.0 / (points * (uniform_tau[:, 1] - uniform_tau[:, 0])))
+    phase = np.angle(spectrum[np.arange(count), peak])
     # decay from a log-envelope regression on block maxima; the np.linspace
     # blocks come in at most two sizes, and the blocks of one size are
-    # gathered into one (blocks, size) array, whose row means keep the bits
-    # of np.mean on each slice (np.add.reduceat would sum in sequence)
-    edges = np.linspace(0, tau.size, max(4, tau.size // 8) + 1).astype(int)
+    # gathered into one (blocks, size) array per row, whose row means keep
+    # the bits of np.mean on each slice (np.add.reduceat would sum in sequence)
+    edges = np.linspace(0, size, max(4, size // 8) + 1).astype(int)
     starts, sizes = edges[:-1], np.diff(edges)
-    env_t = np.empty(starts.size)
-    env_v = np.empty(starts.size)
-    for size in np.unique(sizes):
-        same = sizes == size
-        gather = starts[same, None] + np.arange(size)
-        env_t[same] = np.mean(tau[gather], axis=1)
-        env_v[same] = np.max(np.abs(detrended[gather]), axis=1)
+    env_t = np.empty((count, starts.size))
+    env_v = np.empty((count, starts.size))
+    for block in np.unique(sizes):
+        same = sizes == block
+        gather = starts[same, None] + np.arange(block)
+        env_v[:, same] = np.max(np.abs(detrended[:, gather]), axis=2)
+        for row in range(count):
+            env_t[row, same] = np.mean(tau[row, gather], axis=1)
     env_v = np.clip(env_v, 1e-9, None)
-    slope = np.polyfit(env_t, np.log(env_v), 1)[0]
-    gamma2 = max(-slope / _TWO_PI, 1e-3 / (tau[-1] - tau[0]))
-    return offset, amplitude, frequency, gamma2, phase
+    slope = np.array([np.polyfit(t, np.log(v), 1)[0] for t, v in zip(env_t, env_v)])
+    gamma2 = np.maximum(-slope / _TWO_PI, 1e-3 / (tau[:, -1] - tau[:, 0]))
+    return np.column_stack([offset, amplitude, frequency, gamma2, phase])
 
 
 _RAMSEY_NAMES = ("offset", "amplitude", "frequency", "gamma2", "phase")
@@ -299,13 +326,15 @@ def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
 
     ``traces`` is an (m, n, 2) stack of traces that each hold (tau, p_e)
     rows.  Initial guesses come from the FFT peak (frequency, phase) and a
-    log-envelope regression (gamma2), one trace at a time; the Gauss-Newton
+    log-envelope regression (gamma2), computed for the whole stack in one
+    pass with the bits each trace would get alone; the Gauss-Newton
     iterations of all traces then run in one lockstep solve, each trace
-    taking the steps it would take alone.  The returned ``gamma2`` is the
-    "/2pi" decay rate in Hz.  Non-finite values and delays that do not
-    strictly increase are rejected with a ``ValueError``; a trace whose
-    Jacobian or normal matrix overflows raises ``NumericalError`` naming its
-    index in the stack.
+    taking the steps it would take alone and stopping once its step is
+    within tolerance or its cost is flat to rounding.  The returned
+    ``gamma2`` is the "/2pi" decay rate in Hz.  Non-finite values and
+    delays that do not strictly increase are rejected with a
+    ``ValueError``; a trace whose Jacobian or normal matrix overflows
+    raises ``NumericalError`` naming its index in the stack.
     """
     traces = np.asarray(traces, dtype=float)
     if traces.ndim != 3 or traces.shape[2] != 2 or traces.shape[1] < 8:
@@ -320,7 +349,7 @@ def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
         raise ValueError("Ramsey delays tau must be strictly increasing")
     tau = traces[:, :, 0]
     p = traces[:, :, 1]
-    x0 = np.array([_ramsey_initial_guess(t, q) for t, q in zip(tau, p)])
+    x0 = _ramsey_initial_guesses(tau, p)
 
     def residual(x, rows):
         return p[rows] - _ramsey_model(tau[rows], *x.T[:, :, None])

@@ -680,17 +680,6 @@ def wigner_gaussian_contour(n: float) -> float:
 # Record import/export
 # ---------------------------------------------------------------------------
 
-def _complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Complex array with exactly these parts.
-
-    ``re + 1j * im`` would turn a -0.0 real part into +0.0.
-    """
-    z = np.empty(re.size, dtype=complex)
-    z.real = re
-    z.imag = im
-    return z
-
-
 def save_record_binary(rec: DetectionRecord, data_path) -> None:
     """Write little-endian float64 interleaved (I1, Q1, I2, Q2) plus a JSON sidecar.
 
@@ -698,12 +687,9 @@ def save_record_binary(rec: DetectionRecord, data_path) -> None:
     """
     data_path = Path(data_path)
     sidecar = data_path.with_suffix(data_path.suffix + ".json")
-    interleaved = np.empty(4 * rec.sample_count, dtype="<f8")
-    interleaved[0::4] = rec.envelopes_1.real
-    interleaved[1::4] = rec.envelopes_1.imag
-    interleaved[2::4] = rec.envelopes_2.real
-    interleaved[3::4] = rec.envelopes_2.imag
-    data_path.write_bytes(interleaved.tobytes())
+    # each (z1, z2) row of complex pairs is the four floats I1, Q1, I2, Q2
+    pairs = np.stack((rec.envelopes_1, rec.envelopes_2), axis=1)
+    pairs.astype("<c16", copy=False).tofile(data_path)
     sidecar.write_text(
         json.dumps(
             {
@@ -723,16 +709,20 @@ def load_record_binary(data_path) -> DetectionRecord:
     data_path = Path(data_path)
     sidecar = data_path.with_suffix(data_path.suffix + ".json")
     meta = json.loads(sidecar.read_text())
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
+    raw = np.fromfile(data_path, dtype="<f8")
     count = int(meta["sample_count"])
     if raw.size != 4 * count:
         raise ValueError(
             f"binary record holds {raw.size} float64 values, expected {4 * count}"
         )
-    z1 = _complex_from_parts(raw[0::4], raw[1::4])
-    z2 = _complex_from_parts(raw[2::4], raw[3::4])
+    # a view does no arithmetic, so every part keeps its bits (and -0.0 its sign)
+    pairs = raw.view("<c16").reshape(count, 2)
     return DetectionRecord(
-        z1, z2, tuple(meta["chain_gains"]), meta["if_frequency"], int(meta["seed"])
+        pairs[:, 0],
+        pairs[:, 1],
+        tuple(meta["chain_gains"]),
+        meta["if_frequency"],
+        int(meta["seed"]),
     )
 
 
@@ -763,6 +753,5 @@ def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUE
             raise ValueError(f"CSV header must be {_CSV_HEADER}, got {header}")
         # a header-only file loads as shape (0, 1)
         table = np.loadtxt(handle, delimiter=",", ndmin=2).reshape(-1, len(_CSV_HEADER))
-    z1 = _complex_from_parts(table[:, 1], table[:, 2])
-    z2 = _complex_from_parts(table[:, 3], table[:, 4])
-    return DetectionRecord(z1, z2, tuple(chain_gains), if_frequency, seed)
+    pairs = table[:, 1:].view(complex)
+    return DetectionRecord(pairs[:, 0], pairs[:, 1], tuple(chain_gains), if_frequency, seed)

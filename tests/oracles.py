@@ -420,12 +420,17 @@ def damped_gauss_newton(residual, jacobian, x0):
     for bit: the damping parameter starts at 1e-3, shrinks tenfold (down to
     1e-14) on an accepted step and grows tenfold on a rejected or singular
     trial; an iteration gives up after 60 trials or once a rejected trial
-    lifts it past 1e14.  Returns (x, covariance, residuals, converged,
-    iterations).
+    lifts it past 1e14.  The problem converges on an accepted step within
+    the relative step tolerance, or on a rejected trial whose cost is no
+    more than ``cost * (1 + n * eps)`` for ``n`` residuals: that is the
+    rounding bound of the n-term cost sum, so the cost is flat and the
+    problem stops at its current x.  Returns (x, covariance, residuals,
+    converged, iterations).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
     cost = float(np.sum(r * r))
+    flat_bound = 1.0 + r.size * np.finfo(float).eps
     lam = 1e-3
     converged = False
     iterations = 0
@@ -434,7 +439,7 @@ def damped_gauss_newton(residual, jacobian, x0):
         grad = jac.T @ r
         hess = jac.T @ jac
         diag = np.diag(np.clip(np.diag(hess), 1e-300, None))
-        accepted = False
+        accepted = flat = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(hess + lam * diag, -grad)
@@ -449,9 +454,15 @@ def damped_gauss_newton(residual, jacobian, x0):
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break
+            if cost_try <= cost * flat_bound:
+                flat = True
+                break
             lam *= 10.0
             if lam > 1e14:
                 break
+        if flat:
+            converged = True
+            break
         if not accepted:
             break
         if np.all(np.abs(step) <= RAMSEY_STEP_TOLERANCE * (np.abs(x) + RAMSEY_STEP_TOLERANCE)):

@@ -464,14 +464,31 @@ class TestRecordIO:
         assert restored.seed == rec.seed
 
     def test_binary_layout_is_interleaved_little_endian(self, tmp_path):
-        rec = self._record()
-        path = tmp_path / "record.bin"
-        save_record_binary(rec, path)
-        raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-        assert raw[0] == rec.envelopes_1[0].real
-        assert raw[1] == rec.envelopes_1[0].imag
-        assert raw[2] == rec.envelopes_2[0].real
-        assert raw[3] == rec.envelopes_2[0].imag
+        # more than one sample batch too, with -0.0, subnormal and huge parts
+        for count in (257, SAMPLE_BATCH + 5):
+            rec = simulate_detection(
+                MicrowaveState.thermal(0.8), (0.3, 0.1), (1.5, 2.0), count=count, seed=23
+            )
+            z1 = rec.envelopes_1.copy()
+            z1[:3] = [complex(-0.0, 5e-324), complex(1e300, -0.0), complex(-5e-324, -1e300)]
+            rec = DetectionRecord(z1, rec.envelopes_2, rec.chain_gains, rec.if_frequency, rec.seed)
+            path = tmp_path / f"record-{count}.bin"
+            save_record_binary(rec, path)
+            raw = np.frombuffer(path.read_bytes(), dtype="<f8")
+            assert raw[0] == rec.envelopes_1[0].real
+            assert raw[1] == rec.envelopes_1[0].imag
+            assert raw[2] == rec.envelopes_2[0].real
+            assert raw[3] == rec.envelopes_2[0].imag
+            # oracle: the four strided scatters of the layout's first writer
+            interleaved = np.empty(4 * count, dtype="<f8")
+            interleaved[0::4] = rec.envelopes_1.real
+            interleaved[1::4] = rec.envelopes_1.imag
+            interleaved[2::4] = rec.envelopes_2.real
+            interleaved[3::4] = rec.envelopes_2.imag
+            assert path.read_bytes() == interleaved.tobytes()
+            restored = load_record_binary(path)
+            assert restored.envelopes_1.tobytes() == rec.envelopes_1.tobytes()
+            assert restored.envelopes_2.tobytes() == rec.envelopes_2.tobytes()
 
     def test_binary_size_mismatch_detected(self, tmp_path):
         rec = self._record()

@@ -83,20 +83,25 @@ def test_capped_trace_leaves_its_neighbours_alone(sweep_traces, one_by_one):
     assert_same_fit(results[2], one_by_one[1])
 
 
+def noisy_traces():
+    """120 short fringes under heavy noise: (120, 40, 2)."""
+    tau = np.linspace(2e-9, 260e-9, 40)
+    fringe = 0.5 + 0.4 * np.cos(2 * np.pi * 21e6 * tau) * np.exp(-2 * np.pi * 2e6 * tau)
+    return np.stack(
+        [
+            np.column_stack([tau, fringe + np.random.default_rng(seed).normal(0.0, 0.3, tau.size)])
+            for seed in range(120)
+        ]
+    )
+
+
 # trial steps of the noisiest fits overflow before they are rejected
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_stopped_traces_leave_their_neighbours_alone():
     # short fringes under heavy noise: some fits converge, some run into the
     # iteration cap and some stop once no damping gives a downhill step
-    tau = np.linspace(2e-9, 260e-9, 40)
-    fringe = 0.5 + 0.4 * np.cos(2 * np.pi * 21e6 * tau) * np.exp(-2 * np.pi * 2e6 * tau)
-    traces, outcomes = [], []
-    for seed in range(120):
-        noise = np.random.default_rng(seed).normal(0.0, 0.3, tau.size)
-        trace = np.column_stack([tau, fringe + noise])
-        expected = oracles.fit_ramsey_one(trace)
-        traces.append(trace)
-        outcomes.append(expected)
+    traces = noisy_traces()
+    outcomes = [oracles.fit_ramsey_one(trace) for trace in traces]
     stops = {
         "converged": [i for i, o in enumerate(outcomes) if o[3]],
         "capped": [i for i, o in enumerate(outcomes) if not o[3] and o[4] == analysis.MAX_ITERATIONS],
@@ -156,6 +161,56 @@ def test_singular_damped_system_leaves_its_neighbours_alone(sweep_traces, one_by
     assert_same_fit(results[1], expected)
     assert_same_fit(results[0], one_by_one[0])
     assert_same_fit(results[2], one_by_one[1])
+
+
+@pytest.mark.parametrize("stack", ["sweep", "noisy"])
+def test_stacked_starting_values_match_the_one_trace_guess(sweep_traces, stack):
+    traces = sweep_traces if stack == "sweep" else noisy_traces()
+    guesses = analysis._ramsey_initial_guesses(traces[:, :, 0], traces[:, :, 1])
+    assert guesses.shape == (len(traces), 5)
+    for guess, trace in zip(guesses, traces):
+        expected = np.array(oracles._ramsey_initial_guess(trace[:, 0], trace[:, 1]))
+        assert guess.tobytes() == expected.tobytes()
+
+
+def test_sweep_fits_stop_once_their_cost_is_flat(monkeypatch):
+    # without the flat-cost stop a default sweep's fit makes 31-35 stacked
+    # damped solves, most of them trials rejected on rounding noise alone
+    solves = []
+    solve_each = analysis._solve_each
+
+    def counted(matrices, rhs):
+        solves[-1] += 1
+        return solve_each(matrices, rhs)
+
+    monkeypatch.setattr(analysis, "_solve_each", counted)
+    for state in STATES:
+        solves.append(0)
+        experiments.ramsey_sweep(state=state, seed=3)
+    assert all(0 < count <= 10 for count in solves), solves
+
+
+def test_sweep_fits_reach_the_least_squares_minimum(sweep_traces):
+    # the flat-cost stop leaves each fit at the minimum that a tightly
+    # converged Levenberg-Marquardt run finds from the same starting values
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    results = fit_ramsey_traces(sweep_traces)
+    starts = analysis._ramsey_initial_guesses(sweep_traces[:, :, 0], sweep_traces[:, :, 1])
+    for trace, start, result in zip(sweep_traces, starts, results):
+        tau, p = trace[:, 0], trace[:, 1]
+
+        def residual(x):
+            return p - analysis._ramsey_model(tau, *x)
+
+        reference = least_squares(
+            residual, start, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+        ).x
+        fitted = np.array([result.parameters[name] for name in analysis._RAMSEY_NAMES])
+        assert result.converged
+        gamma2_shift = abs(result.parameters["gamma2"] - reference[3])
+        assert gamma2_shift <= 1e-5 * result.std_error("gamma2")
+        cost, reference_cost = np.sum(residual(fitted) ** 2), np.sum(residual(reference) ** 2)
+        assert cost - reference_cost <= 1e-13 * reference_cost
 
 
 def test_one_fit_call_per_sweep(monkeypatch):
