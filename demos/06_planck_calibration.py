@@ -2,10 +2,10 @@
 
 Sweeping the emitter temperature and recording the detected power traces
 out P(T) = G B h f [n(T) + 1/2 + n_chain]; a two-parameter fit pins the
-total chain gain and its noise temperature.  With the preamplifier on, the
-same fit on the uncompressed low-temperature points yields the JPA gain
-and added photons, and the departure of the data from the fitted line
-locates the 1 dB compression temperature.
+total chain gain and its noise temperature.  With the preamplifier on, a
+fit of the whole sweep to the saturating forward model yields the JPA gain,
+its added photons and its saturation power, which places the 1 dB
+compression temperature in closed form.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ print(f"  noise = {noisy_cal.chain_noise_temperature:.2f} +/- "
       f"{noisy_cal.chain_noise_temperature_std:.2f} K")
 
 # --- JPA characterization -----------------------------------------------------
-print("\npreamplified sweeps (fit below 200 mK, saturating forward model):")
+print("\npreamplified sweeps (whole-sweep fit of the saturating forward model):")
 result = run_experiment("planck_calibration", seed=1)
 for name, fit in result["fits"]["jpa_calibrations"].items():
     t_1db = f"{fit['t_1db']*1e3:.0f} mK" if fit["t_1db"] else "outside range"

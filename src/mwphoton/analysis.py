@@ -12,12 +12,12 @@ the current one).  Fits never fabricate parameters: when the iteration
 fails to converge the result carries ``converged=False`` and the last
 iterate.
 
-The Gauss-Newton engine solves a stack of problems in lockstep:
-:func:`fit_ramsey_traces` fits every trace of an (m, n, 2) stack with one
-call, and :func:`fit_ramsey` is that call on a stack of one.  Each problem
-keeps its own damping schedule and stop rule and its own arithmetic order,
-so a trace gets the same bits, step for step, alone or in any stack; only
-the numpy call overhead is shared.
+The Gauss-Newton engine solves a stack of problems in lockstep: one call
+fits an (m, n, 2) stack in :func:`fit_ramsey_traces` (:func:`fit_ramsey` is
+a stack of one) or the sweeps of ``dualpath.jpa_planck_fit``.  Each problem
+keeps its own damping schedule, stop rule and arithmetic order, so it gets
+the same bits, step for step, alone or in any stack; only the numpy call
+overhead is shared.
 
 All rates handed in and out are "/2pi" values in Hz, matching the rest of
 the package.

@@ -589,12 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for key in _FLAGS:
         schema = _TABLE[key].schema
+        served = ", ".join(name for name in sorted(EXPERIMENTS) if key in _rows(name))
         run.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
             type={"integer": int, "number": float}.get(schema.get("type")),
             choices=schema.get("enum"),
-            help=f"set config field {key}",
+            help=f"set config field {key} ({served})",
         )
     run.add_argument(
         "--set",

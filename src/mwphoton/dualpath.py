@@ -59,7 +59,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._constants import h as PLANCK_H, k as k_B
-from .analysis import NumericalError, _linear_least_squares
+from .analysis import NumericalError, _damped_gauss_newton, _linear_least_squares
 from .chains import g2_unnormalized, linear_to_db
 from .states import (
     SAMPLE_BATCH,
@@ -72,6 +72,7 @@ from .states import (
     _batch_seed,
     bose_einstein,
     _conjugate_symmetrize,
+    effective_temperature,
     _gaussian_shift,
     _segment_sums,
     _wigner_gaussian,
@@ -482,7 +483,6 @@ class PlanckCalibration:
     chain_gain: float
     chain_noise_temperature: float
     chain_noise_photons: float
-    residuals: np.ndarray
     fitted_powers: np.ndarray
     chain_gain_std: float = 0.0
     chain_noise_temperature_std: float = 0.0
@@ -518,6 +518,8 @@ def planck_power(
 
 #: Knee sharpness m of the soft JPA saturation model.
 _SATURATION_SHARPNESS = 20.0
+#: Linear power at the 1 dB compression point over P_sat: (10^(m/10) - 1)^(1/m).
+_KNEE = (10.0 ** (_SATURATION_SHARPNESS / 10.0) - 1.0) ** (1.0 / _SATURATION_SHARPNESS)
 
 
 def jpa_planck_power(
@@ -557,18 +559,7 @@ def saturation_power_for_t1db(
 ) -> float:
     """Saturation power placing the 1 dB compression point at ``t_1db``."""
     linear = jpa_planck_power([t_1db], mode, bandwidth, jpa_gain, added_photons, chain_gain)[0]
-    m = _SATURATION_SHARPNESS
-    return float(linear / (10.0 ** (m / 10.0) - 1.0) ** (1.0 / m))
-
-
-def _planck_linear_fit(x: np.ndarray, y: np.ndarray):
-    """LSQ of y = c1 * x + c0; returns (c1, c0) and their covariance."""
-    design = np.column_stack([x, np.ones_like(x)])
-    try:
-        beta, covariance, _ = _linear_least_squares(design, y, None)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"degenerate Planck sweep: {exc}") from exc
-    return beta[0], beta[1], covariance
+    return float(linear / _KNEE)
 
 
 def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
@@ -584,58 +575,71 @@ def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
     if temps[-1] / temps[0] < 3.0:
         raise ValueError("Planck sweep must span at least a factor 3 in temperature")
     x = bose_einstein(sweep.mode, temps) + 0.5
-    c1, c0, covariance = _planck_linear_fit(x, sweep.powers)
+    design = np.column_stack([x, np.ones_like(x)])
+    try:
+        (c1, c0), covariance, _ = _linear_least_squares(design, sweep.powers, None)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"degenerate Planck sweep: {exc}") from exc
     if c1 <= 0:
         raise NumericalError("Planck fit produced a non-positive gain; sweep is unusable")
     quantum = PLANCK_H * sweep.mode.frequency
     gain = c1 / (sweep.bandwidth * quantum)
     n_chain = c0 / c1
     t_chain = n_chain * quantum / k_B
-    fitted = c1 * x + c0
     gain_std = math.sqrt(max(covariance[0, 0], 0.0)) / (sweep.bandwidth * quantum)
     # n_chain = c0/c1: first-order propagation with the full covariance
     grad = np.array([-c0 / (c1 * c1), 1.0 / c1])
-    n_chain_var = float(grad @ covariance @ grad)
-    t_chain_std = math.sqrt(max(n_chain_var, 0.0)) * quantum / k_B
-    return PlanckCalibration(
-        gain, t_chain, n_chain, sweep.powers - fitted, fitted, gain_std, t_chain_std
-    )
+    t_chain_std = math.sqrt(max(float(grad @ covariance @ grad), 0.0)) * quantum / k_B
+    return PlanckCalibration(gain, t_chain, n_chain, c1 * x + c0, gain_std, t_chain_std)
 
 
-def jpa_planck_fit(sweep: PlanckSweep, fit_range_max_t: float) -> JpaCalibration:
-    """Extract total gain, added noise and compression from a preamplified Planck sweep.
+def jpa_planck_fit(sweeps: list[PlanckSweep]) -> list[JpaCalibration]:
+    """Fit total gain, added photons and 1 dB point to preamplified Planck sweeps.
 
-    Only points at T <= fit_range_max_t (below compression) enter the
-    linear fit P = C1 [n(T) + 1/2] + C0, giving the total gain and
-    n_n = C0 / C1.  The fitted line is then extended over the full sweep;
-    the 1 dB compression temperature is the first crossing where the
-    measured power falls 1 dB below the line (linear interpolation in the
-    dB deficit), reported as absent when no crossing exists in range.
+    Each sweep, of at least 4 points on one shared temperature grid and mode,
+    is fitted whole in logs by its generator :func:`jpa_planck_power` in
+    (log C1, n_n, log P_sat), C1 = G B h f, from n_n = 0, the coldest point
+    and P_sat = max P, all sweeps in one lockstep solve with the bits of a
+    lone fit.  t_1db is closed form: the linear power C1 (n(T) + 1/2 + n_n)
+    equals P_sat * _KNEE there; it is ``None`` beyond the hottest point or at
+    or below the vacuum bracket.  The fit shares the generator's knee, so a
+    noiseless round trip tests the fit, not the knee's shape.
     """
-    temps = sweep.temperatures
-    if not np.any(temps > fit_range_max_t):
-        raise ValueError("sweep must extend beyond the fit range to probe compression")
-    mask = temps <= fit_range_max_t
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("need at least 3 sweep points inside the fit range")
-    x = bose_einstein(sweep.mode, temps) + 0.5
-    c1, c0, _ = _planck_linear_fit(x[mask], sweep.powers[mask])
-    if c1 <= 0:
-        raise NumericalError("JPA Planck fit produced a non-positive gain")
-    quantum = PLANCK_H * sweep.mode.frequency
-    total_gain = c1 / (sweep.bandwidth * quantum)
-    added = c0 / c1
+    temps, mode = sweeps[0].temperatures, sweeps[0].mode
+    if temps.size < 4:
+        raise ValueError("JPA Planck fit needs at least 4 sweep points")
+    if any(not np.array_equal(s.temperatures, temps) or s.mode != mode for s in sweeps):
+        raise ValueError("JPA Planck sweeps must share one temperature grid and mode")
+    x = bose_einstein(mode, temps) + 0.5
+    log_p = np.log([s.powers for s in sweeps])
+    m = _SATURATION_SHARPNESS
 
-    line = c1 * x + c0
-    deficit_db = 10.0 * np.log10(line / sweep.powers)
-    t_1db = None
-    for i in range(1, temps.size):
-        if deficit_db[i] >= 1.0:
-            lo, hi = deficit_db[i - 1], deficit_db[i]
-            frac = (1.0 - lo) / (hi - lo) if hi > lo else 1.0
-            t_1db = float(temps[i - 1] + frac * (temps[i] - temps[i - 1]))
-            break
-    return JpaCalibration(total_gain, added, t_1db)
+    def residual_and_knee(params, rows):
+        log_c1, n_n, log_sat = params.T[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_l = log_c1 + np.log(x + n_n)
+        log_u = m * (log_l - log_sat)
+        softplus = np.logaddexp(0.0, log_u)
+        return log_p[rows] - (log_l - softplus / m), np.exp(log_u - softplus)
+
+    def residual(params, rows):
+        return residual_and_knee(params, rows)[0]
+
+    def jacobian(params, rows):
+        s = residual_and_knee(params, rows)[1]
+        return -np.stack([1.0 - s, (1.0 - s) / (x + params[:, 1, None]), s], axis=2)
+
+    x0 = np.column_stack([log_p[:, 0] - math.log(x[0]), np.zeros(len(sweeps)), log_p.max(axis=1)])
+    fitted, _, _, _ = _damped_gauss_newton(residual, jacobian, x0)
+    calibrations = []
+    for sweep, (log_c1, n_n, log_sat) in zip(sweeps, fitted):
+        # compare in logs: an uncompressed sweep sends P_sat past overflow
+        log_1db = log_sat - log_c1 + math.log(_KNEE)
+        occupation = 0.0 if log_1db > math.log(x[-1] + n_n) else math.exp(log_1db) - n_n - 0.5
+        t_1db = effective_temperature(mode, occupation) if occupation > 0 else None
+        gain = math.exp(log_c1) / (sweep.bandwidth * PLANCK_H * mode.frequency)
+        calibrations.append(JpaCalibration(gain, float(n_n), t_1db))
+    return calibrations
 
 
 # ---------------------------------------------------------------------------

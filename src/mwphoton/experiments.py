@@ -375,39 +375,36 @@ def planck_calibration(
 
     The emitter is swept over ``n_temperatures`` evenly spaced temperatures
     from ``t_min`` to ``t_max`` (K).  The chain sweep recovers the total
-    gain and noise temperature; the sweep of each JPA operating point (with
-    a soft saturation placing the 1 dB compression at the tabulated
-    temperature) recovers the added photons, the compression temperature,
-    and the compression power.
+    gain and noise temperature; the sweeps of the JPA operating points
+    (with a soft saturation placing the 1 dB compression at the tabulated
+    temperature) are fitted whole in one :func:`jpa_planck_fit` call for
+    the added photons, the compression temperature and power.
     """
     temps = np.linspace(t_min, t_max, n_temperatures)
     chain_gain = db_to_linear(chain_gain_db)
     rng = np.random.default_rng(seed)
-    powers = planck_power(temps, mode, bandwidth, chain_gain, chain_noise_temperature)
-    if power_noise_fraction > 0:
-        powers = powers * (1.0 + power_noise_fraction * rng.standard_normal(temps.size))
-    sweep = PlanckSweep(temps, powers, mode, bandwidth)
-    cal = planck_fit(sweep)
+
+    def measured(powers):
+        if power_noise_fraction > 0:
+            powers = powers * (1.0 + power_noise_fraction * rng.standard_normal(temps.size))
+        return powers
+
+    powers = measured(planck_power(temps, mode, bandwidth, chain_gain, chain_noise_temperature))
+    cal = planck_fit(PlanckSweep(temps, powers, mode, bandwidth))
     chain_rows = [
         [float(t), float(p), float(f)] for t, p, f in zip(temps, powers, cal.fitted_powers)
     ]
 
-    jpa_rows = []
-    jpa_fits = {}
+    jpa_sweeps, jpa_rows = [], []
     for name, stage in JPA_OPERATING_POINTS.items():
+        device = (mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain)
+        saturation = saturation_power_for_t1db(JPA_METADATA[name]["t_1db"], *device)
+        jpa_powers = measured(jpa_planck_power(temps, *device, saturation))
+        jpa_sweeps.append(PlanckSweep(temps, jpa_powers, mode, bandwidth))
+        jpa_rows.extend([name, float(t), float(p)] for t, p in zip(temps, jpa_powers))
+    jpa_fits = {}
+    for (name, stage), jcal in zip(JPA_OPERATING_POINTS.items(), jpa_planck_fit(jpa_sweeps)):
         meta = JPA_METADATA[name]
-        saturation = saturation_power_for_t1db(
-            meta["t_1db"], mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain
-        )
-        jpa_powers = jpa_planck_power(
-            temps, mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain, saturation
-        )
-        if power_noise_fraction > 0:
-            jpa_powers = jpa_powers * (
-                1.0 + power_noise_fraction * rng.standard_normal(temps.size)
-            )
-        jpa_sweep_data = PlanckSweep(temps, jpa_powers, mode, bandwidth)
-        jcal = jpa_planck_fit(jpa_sweep_data, 0.2)
         p_1db = None if jcal.t_1db is None else compression_power(meta["kappa_x"], jcal.t_1db)
         jpa_fits[name] = {
             "jpa_gain_db": linear_to_db(jcal.total_gain / chain_gain),
@@ -416,8 +413,6 @@ def planck_calibration(
             "t_1db": jcal.t_1db,
             "p_1db_dbm": None if p_1db is None else p_1db.dbm,
         }
-        for t, p in zip(temps, jpa_powers):
-            jpa_rows.append([name, float(t), float(p)])
     return {
         "tables": {
             "chain_sweep": {

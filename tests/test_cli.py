@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -850,6 +851,17 @@ class TestParserReuse:
         # the shared parser's ``--set`` default is copied, never appended to
         assert cli.build_parser().parse_args(["run", "variance_curves"]).set == []
         assert cli.build_parser() is cli.build_parser()
+
+    def test_each_flag_names_the_experiments_it_serves(self):
+        (subparsers,) = (
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        helps = {action.dest: action.help for action in subparsers.choices["run"]._actions}
+        for key in cli._FLAGS:
+            served = ", ".join(name for name in sorted(DEFAULTS) if key in DEFAULTS[name])
+            assert helps[key] == f"set config field {key} ({served})"
 
 
 def _old_csv(table):
