@@ -225,8 +225,10 @@ def _damped_gauss_newton(
             lam[rows[~solved]] *= 10.0
             slots, rows, steps = slots[solved], rows[solved], steps[solved]
             x_try = x[rows] + steps
-            r_try = residual(x_try, rows)
-            cost_try = np.sum(r_try * r_try, axis=1)
+            # a trial may overflow; its non-finite cost rejects it below
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_try = residual(x_try, rows)
+                cost_try = np.sum(r_try * r_try, axis=1)
             better = np.isfinite(cost_try) & (cost_try <= cost[rows])
             won = rows[better]
             x[won], r[won], cost[won] = x_try[better], r_try[better], cost_try[better]

@@ -109,13 +109,8 @@ class JpaStage:
             raise ValueError("added noise photons must be >= 0")
 
     @classmethod
-    def from_db(
-        cls,
-        gain_db: float,
-        added_noise_photons: float = 0.0,
-        noise_statistics: NoiseStatistics = NoiseStatistics.QUANTUM_THERMAL,
-    ) -> "JpaStage":
-        return cls(db_to_linear(gain_db), added_noise_photons, noise_statistics)
+    def from_db(cls, gain_db: float, added_noise_photons: float = 0.0) -> "JpaStage":
+        return cls(db_to_linear(gain_db), added_noise_photons)
 
     @property
     def gain_db(self) -> float:

@@ -102,6 +102,8 @@ __all__ = [
 
 #: Number of batches used for moment accumulation and standard errors.
 ERROR_BATCHES = 20
+#: Smallest ratio of hottest to coldest temperature a Planck sweep may span.
+PLANCK_MIN_SPAN = 3.0
 
 DEFAULT_IF_FREQUENCY = 11e6  # Hz
 
@@ -572,8 +574,8 @@ def planck_fit(sweep: PlanckSweep) -> PlanckCalibration:
     temps = sweep.temperatures
     if temps.size < 4:
         raise ValueError("Planck calibration needs at least 4 sweep points")
-    if temps[-1] / temps[0] < 3.0:
-        raise ValueError("Planck sweep must span at least a factor 3 in temperature")
+    if temps[-1] / temps[0] < PLANCK_MIN_SPAN:
+        raise ValueError(f"Planck sweep must span a factor {PLANCK_MIN_SPAN:g} in temperature")
     x = bose_einstein(sweep.mode, temps) + 0.5
     design = np.column_stack([x, np.ones_like(x)])
     try:

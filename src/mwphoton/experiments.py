@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import (
+    NumericalError,
     VarianceLawModel,
     _points_needed,
     extract_dephasing,
@@ -113,6 +114,17 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
 # ramsey_sweep
 # ---------------------------------------------------------------------------
 
+def _fit_weights(name: str, points: Sequence[float], errors: Sequence[float]) -> np.ndarray:
+    """Law-fit weights 1/sigma^2; NumericalError names the first ``name`` whose sigma is not > 0."""
+    errors = np.asarray(errors, dtype=float)
+    for point, error in zip(points, errors):
+        if not 0 < error < math.inf:  # a runaway fit can report sigma = 0
+            raise NumericalError(
+                f"{name} = {float(point)!r}: standard error {error:g} cannot weight the law fit"
+            )
+    return 1.0 / errors ** 2
+
+
 def _require_fit_points(arg: str, points: int, model: VarianceLawModel) -> None:
     """Reject a sweep too short for its photon-statistics fit, naming the argument ``arg``."""
     needed = _points_needed(model)
@@ -176,7 +188,7 @@ def ramsey_sweep(
         # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
         rows.append([n_r, gamma2, sigma2, gphi, sigma2, truth, int(fit.converged)])
     table = np.asarray(rows)
-    law = fit_variance_law(table[:, [0, 3]], model, 1.0 / table[:, 4] ** 2)
+    law = fit_variance_law(table[:, [0, 3]], model, _fit_weights("n_r", grid, table[:, 4]))
     return {
         "tables": {
             "dephasing_vs_n": {
@@ -213,7 +225,6 @@ def dualpath_sweep(
     temperatures: Optional[Sequence[float]] = None,
     count: int = 1_000_000,
     chain_noise_photons: Tuple[float, float] = (1.0, 1.0),
-    gains: Tuple[float, float] = (1.0, 1.0),
     seed: int = 0,
     mode: ModeSpec = DETECTION_MODE,
 ) -> dict:
@@ -230,13 +241,10 @@ def dualpath_sweep(
         ]
     _require_fit_points("temperatures", len(temperatures), VarianceLawModel.PURE_QUADRATIC)
     rows = []
-    g2_points = []
-    g2_weights = []
-    detection = {"chain_noise_photons": chain_noise_photons, "gains": gains}
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
         _, point, errors = _detect_point(
-            MicrowaveState.thermal(n_true), count, seed + 7919 * index, **detection
+            MicrowaveState.thermal(n_true), count, seed + 7919 * index, chain_noise_photons
         )
         rows.append(
             [
@@ -249,11 +257,9 @@ def dualpath_sweep(
                 2.0 * n_true * n_true,
             ]
         )
-        g2_points.append((point["n"], point["g2"]))
-        g2_weights.append(1.0 / max(errors["g2"], 1e-12) ** 2)
-    law = fit_variance_law(
-        np.asarray(g2_points), VarianceLawModel.PURE_QUADRATIC, np.asarray(g2_weights)
-    )
+    table = np.asarray(rows)
+    weights = _fit_weights("temperature", table[:, 0], table[:, 5])
+    law = fit_variance_law(table[:, [2, 4]], VarianceLawModel.PURE_QUADRATIC, weights)
     return {
         "tables": {
             "g2_vs_n": {
@@ -285,7 +291,6 @@ def dualpath_sweep(
 # ---------------------------------------------------------------------------
 
 def jpa_sweep(
-    noise_statistics: str = "quantum_thermal",
     n_max: float = 1.5,
     n_points: int = 16,
     operating_point: str = "jpa2a",
@@ -293,36 +298,30 @@ def jpa_sweep(
     """JPA-referred correlation table g2 - offset versus input photons.
 
     The amplifier is the tabulated operating point.  Emits the strong-gain
-    law for the requested noise statistics next to the two alternative
-    noise conventions (classical variance and commutator-free idler) so the
+    law for thermal amplifier noise next to the two alternative noise
+    conventions (classical variance and commutator-free idler) so the
     offset/xi sensitivity to the noise model is explicit.  The
-    rho n^2 + xi n fit runs on the requested variant; the summary carries
+    rho n^2 + xi n fit runs on the thermal column; the summary carries
     the point's measured coefficients as comparators.
     """
-    stats = NoiseStatistics(noise_statistics)
     _require_fit_points("n_points", n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     stage = JPA_OPERATING_POINTS[operating_point]
     meta = JPA_METADATA[operating_point]
     n_n = stage.added_noise_photons
-    quantum_stage = JpaStage(stage.gain, n_n, NoiseStatistics.QUANTUM_THERMAL)
     classical_stage = JpaStage(stage.gain, n_n, NoiseStatistics.CLASSICAL)
 
     rows = []
-    fit_points = []
     n_cf0, var_cf0 = amplify_commutator_free(0.0, stage.gain, n_n)
     off_cf = g2_unnormalized(n_cf0, var_cf0) / stage.gain ** 2
     for n_jpa in np.linspace(0.0, n_max, n_points):
         n_jpa = float(n_jpa)
-        g2_q, off_q = g2_jpa_referred(n_jpa, quantum_stage)
+        g2_q, off_q = g2_jpa_referred(n_jpa, stage)
         g2_c, off_c = g2_jpa_referred(n_jpa, classical_stage)
         n_cf, var_cf = amplify_commutator_free(n_jpa, stage.gain, n_n)
         g2_cf = g2_unnormalized(n_cf, var_cf) / stage.gain ** 2
         rows.append([n_jpa, g2_q - off_q, g2_c - off_c, g2_cf - off_cf, off_q, off_c, off_cf])
-        selected = (g2_c - off_c) if stats is NoiseStatistics.CLASSICAL else (g2_q - off_q)
-        fit_points.append((n_jpa, selected))
-    law = fit_variance_law(np.asarray(fit_points), VarianceLawModel.QUADRATIC_PLUS_LINEAR)
+    law = fit_variance_law(np.asarray(rows)[:, :2], VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     summary = {
-        "noise_statistics": stats.value,
         "n_n": n_n,
         "gain_db": stage.gain_db,
         "rho": law.parameters["rho"],

@@ -2,7 +2,8 @@
 
 `.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
 command, the `requires-python` and numpy floors of pyproject.toml and the
-experiment registry, so that an edit to one of them cannot leave the
+experiment registry, and every ``mwphoton run`` line against the CLI's
+parser and config table, so that an edit to one of them cannot leave the
 workflow behind.  The benchmark smoke job is held to the runs it must make
 and to the check that fails it on any failed operation.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from mwphoton import cli
 from mwphoton.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +73,22 @@ def test_scipy_free_runs_name_experiments_and_pass_their_reports():
         report = later.index(["mwphoton", "report", out])
         # report exits 0 after failed checks too, so all_passed must be read
         assert later[report + 1] == ["python", "-c", "$ALL_PASSED", f"{out}/report.json"]
+
+
+def test_every_run_line_parses_and_resolves():
+    runs = [
+        words
+        for job in WORKFLOW["jobs"]
+        for words in _commands(job)
+        if words[:2] == ["mwphoton", "run"]
+    ]
+    assert runs
+    for words in runs:
+        # a removed flag or key raises ConfigError here
+        args = cli.build_parser().parse_args(words[1:])
+        file_config = None if args.config is None else cli._read_json_object(ROOT / args.config)
+        config = cli.resolve_config(args.experiment, file_config, cli._collect_overrides(args))
+        cli._experiment_kwargs(args.experiment, config)
 
 
 def test_benchmark_smoke_job_fails_on_any_failed_operation(tmp_path):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from mwphoton.cli import (
     main,
     resolve_config,
 )
-from mwphoton.chains import NoiseStatistics
 from mwphoton.defaults import JPA_OPERATING_POINTS, SAMPLE_QUBIT, SAMPLE_RESONATOR
 from mwphoton.experiments import EXPERIMENTS, PipelineArgumentError
 from mwphoton.qubit import DispersiveSystem
@@ -63,14 +63,11 @@ DEFAULTS = {
         "count": 1_000_000,
         "n_chain_1": 1.0,
         "n_chain_2": 1.0,
-        "gain_1": 1.0,
-        "gain_2": 1.0,
         "mode_ghz": 5.4,
         "temperatures_k": None,
         "seed": 0,
     },
     "jpa_sweep": {
-        "noise_statistics": "quantum_thermal",
         "n_max": 1.5,
         "n_points": 16,
         "operating_point": "jpa2a",
@@ -110,11 +107,8 @@ OUT_OF_RANGE = {
     "count": 39,
     "n_chain_1": -1e-3,
     "n_chain_2": -1e-3,
-    "gain_1": 0.0,
-    "gain_2": 0.0,
     "mode_ghz": 0.0,
     "temperatures_k": [0.3, 0.0],
-    "noise_statistics": "quantum",
     "operating_point": "jpa3",
     "t_chain_k": -1e-3,
     "bandwidth_khz": 0.0,
@@ -224,9 +218,8 @@ class TestConfigTable:
         # shot noise relaxes like a coherent tone
         assert system.qubit.relaxation_rate(StateKind.SHOT_NOISE, 1.0) == 3.9e6 - 10e3
 
-        config = resolve_config("dualpath_sweep", None, {"gain_1": 1.7, "n_chain_2": 0.5})
+        config = resolve_config("dualpath_sweep", None, {"n_chain_2": 0.5})
         kwargs = _experiment_kwargs("dualpath_sweep", config)
-        assert kwargs["gains"] == (1.7, 1.0)
         assert kwargs["chain_noise_photons"] == (1.0, 0.5)
 
         config = resolve_config(
@@ -275,13 +268,13 @@ class TestConfigTable:
             jsonschema.validate(resolve_config(experiment, None, {}), schema)
 
     def test_schema_names_the_rule_across_keys(self, tmp_path):
-        # run rejects t_min_k >= t_max_k, a rule draft-07 cannot state
+        # run rejects t_max_k / t_min_k < 3, a rule draft-07 cannot state
         schema = _config_schema(tmp_path)
         assert "one rule across keys" in schema["description"]
         texts = [schema["description"]]
         texts += [schema["properties"][key]["description"] for key in ("t_min_k", "t_max_k")]
         for text in texts:
-            assert "t_min_k < t_max_k" in text
+            assert "t_max_k / t_min_k >= 3" in text
         described = [key for key, fragment in schema["properties"].items() if "description" in fragment]
         assert described == ["t_min_k", "t_max_k"]
 
@@ -501,19 +494,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'n_max'" in err
 
-    def test_noise_statistics_flag_takes_every_schema_value(self, tmp_path):
-        choices = _config_schema(tmp_path)["properties"]["noise_statistics"]["enum"]
-        assert choices == [s.value for s in NoiseStatistics]
-        for value in choices:
-            out = tmp_path / value
-            code = run_cli(
-                "run", "jpa_sweep", "--noise-statistics", value, "--n-points", "4",
-                "--out", str(out),
-            )
-            assert code == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["config"]["noise_statistics"] == value
-
     def test_qubit_on_resonance_is_a_configuration_error(self, tmp_path, capsys):
         code = run_cli(
             "run", "ramsey_sweep", "--set", "omega_q_ghz=6.07", "--out", str(tmp_path / "q")
@@ -548,6 +528,60 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'t_min_k'" in err and "'t_max_k'" in err
         assert not (tmp_path / "p").exists()
+
+    def test_planck_range_must_span_the_fit_factor(self, tmp_path, capsys):
+        # planck_fit needs t_max / t_min >= 3; run checks the same ratio up front
+        code = run_cli(
+            "run", "planck_calibration", "--set", "t_min_k=0.5", "--set", "t_max_k=1.0",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'t_min_k'" in err and "'t_max_k'" in err
+        assert not (tmp_path / "p").exists()
+        code = run_cli(
+            "run", "planck_calibration", "--set", "t_min_k=0.5", "--set", "t_max_k=1.5",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["jpa_sweep", "--noise-statistics", "classical"], "--noise-statistics"),
+            (["dualpath_sweep", "--set", "gain_1=2"], "'gain_1'"),
+        ],
+    )
+    def test_removed_inputs_fail_loudly(self, tmp_path, capsys, args, named):
+        code = run_cli("run", *args, "--out", str(tmp_path / "r"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        if named.startswith("'"):
+            assert f"allowed: {sorted(DEFAULTS[args[0]])}" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_removed_key_in_a_config_file_fails_loudly(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"noise_statistics": "classical"}))
+        code = run_cli("run", "jpa_sweep", "--config", str(config), "--out", str(tmp_path / "r"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'noise_statistics'" in err and f"allowed: {sorted(DEFAULTS['jpa_sweep'])}" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_runaway_ramsey_fit_names_its_point(self, tmp_path, capsys):
+        # at seed 0 the fit at n_r = 0.05 runs away to gamma2 ~ 1e21 Hz with sigma = 0,
+        # which would weight the law fit with inf
+        code = run_cli(
+            "run", "ramsey_sweep", "--n-points", "4", "--set", "tau_points=16",
+            "--shots", "300", "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "n_r = 0.05" in err
+        assert not (tmp_path / "r").exists()
 
     def test_operating_point_runs_with_its_own_values(self, tmp_path):
         config = tmp_path / "config.json"
@@ -595,6 +629,17 @@ class TestRunCommand:
             "--shots", "100", "--n-points", "4", "--set", "tau_points=24",
         )
         assert code == 1
+
+
+class TestFitWeights:
+    def test_weights_are_inverse_variances(self):
+        weights = experiments._fit_weights("n_r", [0.1, 0.2], [0.5, 0.25])
+        np.testing.assert_array_equal(weights, [4.0, 16.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_unusable_error_names_the_first_point(self, bad):
+        with pytest.raises(NumericalError, match=r"temperature = 0\.2:"):
+            experiments._fit_weights("temperature", [0.1, 0.2, 0.3], [1e-3, bad, bad])
 
 
 class TestReportCommand:
@@ -808,7 +853,7 @@ class TestSchemaCommand:
         run_cli("schema", "--out", str(schemas))
         out = tmp_path / "run"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"operating_point": "jpa1", "noise_statistics": "classical"}))
+        config.write_text(json.dumps({"operating_point": "jpa1"}))
         assert run_cli("run", "jpa_sweep", "--config", str(config), "--out", str(out)) == 0
         assert run_cli("report", str(out)) == 0
         pairs = [
@@ -862,6 +907,134 @@ class TestParserReuse:
         for key in cli._FLAGS:
             served = ", ".join(name for name in sorted(DEFAULTS) if key in DEFAULTS[name])
             assert helps[key] == f"set config field {key} ({served})"
+
+
+# Guard: every run key changes a result.  Each key of each experiment is
+# moved from a small base config to SECOND[key]; the run must move some
+# table or fit number by more than RESULT_TOLERANCE relative, or change a
+# table's shape or a string cell.
+RESULT_TOLERANCE = 1e-9
+
+BASE = {
+    "variance_curves": {"n_max": 2.0, "n_points": 5},
+    "ramsey_sweep": {"n_points": 4, "shots": 1000, "tau_points": 24},
+    "dualpath_sweep": {"count": 4000, "temperatures_k": [0.25, 0.35, 0.45, 0.55]},
+    "jpa_sweep": {"n_points": 5},
+    "planck_calibration": {"n_temperatures": 10},
+    "quadrature_check": {"count": 4000},
+}
+
+# Keys that act only beside another get that other key in their base.
+BASE_OVERRIDES = {
+    ("ramsey_sweep", "gamma1_d_coherent_khz"): {"state": "coherent"},
+    ("planck_calibration", "seed"): {"power_noise_fraction": 0.01},
+}
+
+SECOND = {
+    "seed": 1,
+    "state": "coherent",
+    "n_points": 6,
+    "n_min": 0.1,
+    "n_max": 1.0,
+    "shots": 400,
+    "tau_points": 32,
+    "decay_spans": 2.5,
+    "omega_q_ghz": 6.9,
+    "omega_r_ghz": 6.1,
+    "g_mhz": 60.0,
+    "alpha_mhz": -300.0,
+    "kappa_x_mhz": 9.0,
+    "kappa_i_khz": 5000.0,
+    "gamma1_mhz": 3.0,
+    "gamma1_d_thermal_khz": 500.0,
+    "gamma1_d_coherent_khz": -10.0,
+    "gamma_phi0_mhz": 0.1,
+    "count": 8000,
+    "n_chain_1": 0.5,
+    "n_chain_2": 2.0,
+    "mode_ghz": 6.0,
+    "temperatures_k": [0.25, 0.35, 0.45, 0.6],
+    "operating_point": "jpa1",
+    "chain_gain_db": 140.0,
+    "t_chain_k": 4.0,
+    "bandwidth_khz": 300.0,
+    "power_noise_fraction": 0.01,
+    "t_min_k": 0.1,
+    "t_max_k": 1.2,
+    "n_temperatures": 12,
+    "occupations": [0.2, 1.0],
+}
+
+# Keys that change no result, each with the reason it is kept.
+DELIBERATE = {
+    ("ramsey_sweep", "kappa_i_khz"): (
+        "Resonator.internal_rate enters no rate yet: the dephasing law reads kappa_x only, "
+        "until the exact law decides whether it uses kappa_x + kappa_i (ROADMAP item 2)"
+    ),
+}
+
+RUN_KEYS = [(name, key) for name in sorted(EXPERIMENTS) for key in sorted(_rows(name))]
+
+
+def _result(experiment, config):
+    """The tables and fits of one run through the CLI's config path."""
+    kwargs = _experiment_kwargs(experiment, resolve_config(experiment, None, config))
+    result = EXPERIMENTS[experiment](**kwargs)
+    return cli._plain({"tables": result["tables"], "fits": result["fits"]})
+
+
+def _leaves(value, path=()):
+    """(path, leaf) of every scalar in a nested result; a sequence also gives its length."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], path + (key,))
+    elif isinstance(value, list):
+        yield path + ("len",), len(value)
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def _moves(before, after):
+    """Whether ``after`` differs from ``before`` beyond RESULT_TOLERANCE."""
+    old, new = dict(_leaves(before)), dict(_leaves(after))
+    if old.keys() != new.keys():
+        return True
+    for path, a in old.items():
+        b = new[path]
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if not numbers:
+            if a != b:
+                return True
+        elif not (math.isnan(a) and math.isnan(b)):
+            if not abs(a - b) <= RESULT_TOLERANCE * max(abs(a), abs(b)):
+                return True
+    return False
+
+
+def _moved_by(experiment, key):
+    base = {**BASE[experiment], **BASE_OVERRIDES.get((experiment, key), {})}
+    assert base.get(key) != SECOND[key]
+    return _moves(_result(experiment, base), _result(experiment, {**base, key: SECOND[key]}))
+
+
+class TestEveryKeyChangesAResult:
+    @pytest.mark.parametrize(
+        "experiment, key", [pair for pair in RUN_KEYS if pair not in DELIBERATE]
+    )
+    def test_key_moves_a_table_or_fit(self, experiment, key):
+        assert _moved_by(experiment, key), f"{experiment} {key} changes no result"
+
+    @pytest.mark.parametrize("experiment, key", sorted(DELIBERATE))
+    def test_deliberate_key_still_changes_nothing(self, experiment, key):
+        assert key in _rows(experiment)
+        assert not _moved_by(experiment, key), f"drop {experiment} {key} from DELIBERATE"
+
+    def test_tables_name_run_keys_only(self):
+        assert set(SECOND) == {key for _, key in RUN_KEYS}
+        assert set(BASE_OVERRIDES) <= set(RUN_KEYS)
+        assert set(DELIBERATE) <= set(RUN_KEYS)
 
 
 def _old_csv(table):
