@@ -5,7 +5,8 @@ whose added noise is independent; averaged products that combine one path
 with the conjugate of the other are therefore free of amplifier noise, and
 from the 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4, all
 signal moments <(a^dag)^n a^m> at the beam-splitter input can be
-recovered, from a record or at a sweep point (:func:`_detect_point`).
+recovered from a record.  A sweep point (:func:`_detect_point`) recovers
+only the moments its values read, from 7 of those means.
 The same module hosts the Planck-spectroscopy calibration that ties
 detected power to emitter temperature, and the quadrature-variance /
 Gaussian-Wigner readouts used to rule out squeezing.
@@ -26,11 +27,12 @@ Work runs on a thread pool with one worker per available CPU
 runs array loops.  Each task draws one batch.  :func:`simulate_detection`
 draws it into the batch's slice of a record.  A sweep point
 (:func:`_detect_point`) draws it into the task's own buffers and keeps
-only the sums of the cross-path products over each error-block
-segment the batch overlaps (``states._segment_sums``), so a sweep point
-never holds a record.  A task's numbers depend on its batch alone, and
-results are combined in batch order, so every record and every sum is
-bit-identical for any worker count.
+only the sums of the 7 cross-path products its values read
+(``_POINT_KEYS``) over each error-block segment the batch overlaps
+(``states._segment_sums``), so a sweep point never holds a record.  A
+task's numbers depend on its batch alone, and results are combined in
+batch order, so every record and every sum is bit-identical for any
+worker count.
 
 Rescaled by the gains and the hybrid's sqrt(2), the product means are
 the normally ordered signal moments behind a vacuum fourth port, and one
@@ -40,14 +42,19 @@ the products over the same ERROR_BATCHES blocks and take the compensated
 total of the block sums over the sample count (:func:`_product_means`):
 a sweep point inverts that estimate and each block's own mean for the
 error bars, and :func:`cross_moments` returns it for a record, which
-:func:`reconstruct_signal_moments` inverts.  A record sums each block
-whole, which is faster than splitting it at batch bounds (``docs/notes.md``).
+:func:`reconstruct_signal_moments` inverts.  A record keeps all 15
+products; the 7 of a sweep point are summed with the same operations as
+among the 15, so they and every point value keep their bits.  A record
+sums each block whole, which is faster than splitting it at batch bounds
+(``docs/notes.md``).
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import ctypes
+import functools
 import json
 import math
 import os
@@ -129,9 +136,7 @@ class DetectionRecord:
             raise ValueError("the two envelope sequences must be 1-d and of equal length")
         if self.envelopes_1.size < 2:
             raise ValueError("a detection record needs at least 2 samples")
-        g1, g2 = self.chain_gains
-        if not (g1 > 0 and g2 > 0):
-            raise ValueError("chain gains must be positive")
+        _require_finite("chain_gains", self.chain_gains, positive=True)
 
     @property
     def sample_count(self) -> int:
@@ -153,6 +158,14 @@ class CrossMomentSet:
         for key, value in self.entries.items():
             if not cmath.isfinite(value):
                 raise ValueError(f"non-finite cross moment at {key}")
+
+
+def _require_finite(name: str, values, positive: bool) -> None:
+    """Raise a ValueError naming ``name`` unless every value is finite and > 0 (or >= 0)."""
+    for value in values:
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +203,33 @@ def _map_on_cpus(fn, items) -> list:
     """
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(fn, items))
+
+
+#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_batches() -> None:
+    """Let the C allocator keep the memory that sweep-point tasks free.
+
+    A task frees about 1.5 MiB at once: its two batch buffers, the normals
+    and the segment powers.  glibc returns the free memory at the top of a
+    thread's heap to the kernel once it exceeds the trim threshold, which
+    it sets to twice the largest block it has unmapped so far, here the
+    512 KiB normals.  Unless a live block sits above a task's arrays, the
+    next task then faults them all back in.  Fixed thresholds above a
+    task's footprint leave the memory in the heap for the next task; the
+    tasks reach that footprint anyway, so the peak does not rise.  Without
+    glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 20)  # every batch array comes from the heap
+    mallopt(_M_TRIM_THRESHOLD, 4 << 20)  # and a task's freed arrays stay there
 
 
 def _record_model(
@@ -255,6 +295,10 @@ def simulate_detection(
 def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons):
     """Check the arguments of :func:`simulate_detection`; return its batch drawer.
 
+    Every gain must be finite and > 0, and the chain-noise photons and the
+    fourth port's occupation finite and >= 0, or a ValueError naming the
+    argument is raised before any batch is drawn.
+
     ``draw(index, out1, out2)`` fills ``out1`` and ``out2`` with batch
     ``index`` of the record: its joint law (:func:`_record_model`) drawn
     from the Cholesky factor L, with e1, e2 standard complex normals,
@@ -265,11 +309,9 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
-    n1, n2 = chain_noise_photons
-    if n1 < 0 or n2 < 0:
-        raise ValueError("chain noise photons must be >= 0")
-    if vacuum_port_photons < 0:
-        raise ValueError("vacuum-port occupation must be >= 0")
+    _require_finite("gains", gains, positive=True)
+    _require_finite("chain_noise_photons", chain_noise_photons, positive=False)
+    _require_finite("vacuum_port_photons", (vacuum_port_photons,), positive=False)
     carrier, random_phase, covariance = _record_model(
         state, chain_noise_photons, vacuum_port_photons
     )
@@ -313,17 +355,18 @@ def _error_blocks(count: int):
 
 
 def _product_means(block_sums, count: int) -> Dict[Tuple[int, int], complex]:
-    """The 15 product means of ``count`` samples from their per-block sums.
+    """The product means of ``count`` samples from their per-block sums.
 
-    Each mean is the compensated total (``math.fsum``) of its block sums
-    over ``count``, so it does not depend on how the blocks were scheduled.
+    Every block holds the same keys, and each key's mean is the compensated
+    total (``math.fsum``) of its block sums over ``count``, so it does not
+    depend on how the blocks were scheduled.
     """
     return {
         key: complex(
             math.fsum(s[key].real for s in block_sums), math.fsum(s[key].imag for s in block_sums)
         )
         / count
-        for key in _MOMENT_KEYS
+        for key in block_sums[0]
     }
 
 
@@ -335,8 +378,18 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     blocks, and :func:`_product_means` combines them.
     """
     blocks = _error_blocks(rec.sample_count)
-    sums = [_segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi]) for lo, hi in blocks]
+    sums = [
+        _segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi], _MOMENT_KEYS)
+        for lo, hi in blocks
+    ]
     return CrossMomentSet(_product_means(sums, rec.sample_count), rec.sample_count)
+
+
+#: The keys :func:`_point_values` reads, directly and through
+#: :func:`quadrature_variances`.  The set is closed under conjugation and
+#: under the Gaussian shift, which takes (2, 2) from (1, 1) and (0, 0) alone,
+#: so a sweep point sums and inverts only these products.
+_POINT_KEYS = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (2, 2))
 
 
 def _point_values(moments) -> Dict[str, float]:
@@ -352,29 +405,33 @@ def _point_values(moments) -> Dict[str, float]:
 def _detect_point(
     state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0), vacuum_port_photons=0.0
 ):
-    """Moments, point values and block errors of one sweep point, built from no record.
+    """Point values and block errors of one sweep point, built from no record.
 
     One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
-    would, into its own buffers, and sums the 15 cross-path products over
-    each error-block segment the batch overlaps; each block adds its
-    segments in batch order.  The estimate inverts the compensated total of
-    the block sums (:func:`_product_means`, as for an exported record);
-    each block of >= 2 samples inverts its own mean.
+    would, into its own buffers, and sums the 7 cross-path products of
+    ``_POINT_KEYS`` over each error-block segment the batch overlaps; each
+    block adds its segments in batch order.  The estimate inverts the
+    compensated total of the block sums (:func:`_product_means`, as for an
+    exported record); each block of >= 2 samples inverts its own mean.
+    Those 7 sums have the bits they would have among all 15, so the values
+    are those of the 15-key inversion.
     """
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
+    _keep_freed_batches()
 
     def batch_segments(batch):
         index, lo, size = batch
         z1, z2 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
         draw(index, z1, z2)
+        segments = [(block, max(a - lo, 0), b - lo) for block, (a, b) in enumerate(blocks)]
         return [
-            (block, _segment_sums(z1[max(a - lo, 0) : b - lo], z2[max(a - lo, 0) : b - lo]))
-            for block, (a, b) in enumerate(blocks)
-            if a < lo + size and b > lo
+            (block, _segment_sums(z1[a:b], z2[a:b], _POINT_KEYS))
+            for block, a, b in segments
+            if a < size and b > 0
         ]
 
-    sums = [dict.fromkeys(_MOMENT_KEYS, 0j) for _ in blocks]
+    sums = [dict.fromkeys(_POINT_KEYS, 0j) for _ in blocks]
     for segments in _map_on_cpus(batch_segments, _batch_layout(count)):
         for block, segment in segments:
             for key, value in segment.items():
@@ -394,7 +451,7 @@ def _detect_point(
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         for key, vals in block_values.items()
     }
-    return moments, _point_values(moments), errors
+    return _point_values(moments), errors
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +471,8 @@ def reconstruct_signal_moments(
     missing = [key for key in _MOMENT_KEYS if key not in cm.entries]
     if missing:
         raise ValueError(f"cross-moment set incomplete; missing {missing}")
-    return _moments_from_products(cm.entries, gains, vacuum_port_photons, cm.sample_count)
+    products = {key: cm.entries[key] for key in _MOMENT_KEYS}
+    return _moments_from_products(products, gains, vacuum_port_photons, cm.sample_count)
 
 
 def _moments_from_products(
@@ -436,16 +494,16 @@ def _moments_from_products(
     Wigner width enters with a minus sign.  As -1/2 is the shift from
     symmetrized to normal order, ``raw`` holds <(a^dag)^n a^m> behind a
     vacuum port, and one :func:`~mwphoton.states._gaussian_shift` by +n_v
-    undoes a warm one.  ``raw`` is conjugate-symmetrized first.
+    undoes a warm one.  ``raw`` is conjugate-symmetrized first.  Only the
+    keys of ``products`` are inverted, so they must include (0, 0) and be
+    closed under conjugation and under the shift's lower keys (n-k, m-k).
     """
+    _require_finite("gains", gains, positive=True)
+    _require_finite("vacuum_port_photons", (vacuum_port_photons,), positive=False)
     g1, g2 = gains
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("reconstruction is singular for non-positive chain gains")
-    if vacuum_port_photons < 0:
-        raise ValueError("vacuum-port occupation must be >= 0")
     raw = {}
-    for n, m in _MOMENT_KEYS:
-        total = products[(n, m)] / (g1 ** (m / 2.0) * g2 ** (n / 2.0))
+    for (n, m), product in products.items():
+        total = product / (g1 ** (m / 2.0) * g2 ** (n / 2.0))
         raw[(n, m)] = total * 2.0 ** ((n + m) / 2.0)
     _conjugate_symmetrize(raw)
     raw[(0, 0)] = 1.0 + 0j

@@ -243,7 +243,7 @@ def dualpath_sweep(
     rows = []
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
-        _, point, errors = _detect_point(
+        point, errors = _detect_point(
             MicrowaveState.thermal(n_true), count, seed + 7919 * index, chain_noise_photons
         )
         rows.append(
@@ -448,7 +448,7 @@ def quadrature_check(
     rows = []
     for index, n in enumerate(occupations):
         n = float(n)
-        _, point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
+        point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
         rows.append(
             [
                 n,

@@ -11,9 +11,10 @@ microwave source (Poissonian, Var(n) = n), broadband electronic shot noise
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
 * seeded Monte Carlo samplers for the symmetrized (Wigner) phase-space
   envelope of each state,
-* the moment algebra: one ``(n, m)`` key tuple, the sums of the 15
-  products z1^m conj(z2)^n behind every moment estimate, conjugate
-  symmetrization and the Gaussian-shift map between orderings.
+* the moment algebra: one ``(n, m)`` key tuple, the sums of the products
+  z1^m conj(z2)^n (n + m <= 4) behind every moment estimate, for the keys
+  an estimate reads, conjugate symmetrization and the Gaussian-shift map
+  between orderings, both over the keys they are given.
 
 Conventions.  Monte Carlo samples always represent the Wigner
 quasi-distribution, because heterodyne records estimate symmetrized
@@ -28,6 +29,7 @@ statistics and no phase coherence between samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -142,39 +144,53 @@ def moment_keys() -> Tuple[Tuple[int, int], ...]:
     return _MOMENT_KEYS
 
 
-#: Keys (n, m) of the products z1^m conj(z2)^n with n, m >= 1, by max(n, m).
-#: For n + m <= 4 the smaller exponent is 1 or equals the larger one.
-_MIXED_KEYS = {
-    k: [(n, m) for n, m in _MOMENT_KEYS if min(n, m) >= 1 and max(n, m) == k]
-    for k in range(1, MAX_MOMENT_ORDER + 1)
-}
-assert all(min(key) in (1, k) for k, keys in _MIXED_KEYS.items() for key in keys)
+# For n + m <= 4 the smaller exponent of a key (n, m) is 0, 1 or max(n, m),
+# so its product is formed at step max(n, m) from the stepped powers and the
+# first powers z1 and conj(z2).
+assert all(min(key) in (0, 1, max(key)) for key in _MOMENT_KEYS)
 
 
-def _segment_sums(z1: np.ndarray, z2: np.ndarray) -> Dict[Tuple[int, int], complex]:
-    """Sums of the 15 products z1^m conj(z2)^n, n + m <= 4, over a segment.
+@functools.cache
+def _keys_by_step(keys: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """``keys`` grouped by the step max(n, m) that forms them, from step 0 to the last."""
+    return tuple(
+        tuple(key for key in keys if max(key) == k) for k in range(max(map(max, keys)) + 1)
+    )
 
-    ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n; every product
-    is built from shared powers of z1 and conj(z2).  With z1 = z2 = z the
-    sums are those of conj(z)^n z^m.
+
+def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys) -> Dict[Tuple[int, int], complex]:
+    """Sums of the products z1^m conj(z2)^n over a segment, for each (n, m) in ``keys``.
+
+    ``keys`` is a tuple of (n, m) with n + m <= 4, and ``sums[(n, m)]`` is
+    the complex sum of z1^m conj(z2)^n, in the order of ``keys``.  The
+    powers of z1 and conj(z2) are raised only up to the highest exponent a
+    key names, and only the mixed products the keys name are formed, each
+    from those shared powers; a key's sum has the same bits whatever else
+    ``keys`` holds.  With z1 = z2 = z the sums are those of conj(z)^n z^m.
     """
+    steps = _keys_by_step(keys)
     z2_bar = np.conj(z2)
     product = np.empty_like(z2_bar)
-    sums = {(0, 0): complex(z1.size)}
+    sums = dict.fromkeys(keys)
+    for key in steps[0]:
+        sums[key] = complex(z1.size)
     # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
-    # segment holds four arrays at a time
+    # segment holds at most four arrays at a time
     pow1, pow2 = z1, z2_bar
-    for k in range(1, MAX_MOMENT_ORDER + 1):
+    for k in range(1, len(steps)):
         if k == 2:
             pow1, pow2 = pow1 * z1, pow2 * z2_bar
         elif k > 2:
             np.multiply(pow1, z1, out=pow1)
             np.multiply(pow2, z2_bar, out=pow2)
-        sums[(0, k)] = complex(pow1.sum())
-        sums[(k, 0)] = complex(pow2.sum())
-        for n, m in _MIXED_KEYS[k]:
-            np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
-            sums[(n, m)] = complex(product.sum())
+        for n, m in steps[k]:
+            if n == 0:
+                sums[(n, m)] = complex(pow1.sum())
+            elif m == 0:
+                sums[(n, m)] = complex(pow2.sum())
+            else:
+                np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
+                sums[(n, m)] = complex(product.sum())
     return sums
 
 
@@ -384,7 +400,7 @@ def empirical_moments(samples: np.ndarray) -> MomentSet:
     z = np.asarray(samples)
     if z.size < 2:
         raise ValueError(f"need at least 2 samples to estimate moments, got {z.size}")
-    entries = {key: total / z.size for key, total in _segment_sums(z, z).items()}
+    entries = {key: total / z.size for key, total in _segment_sums(z, z, _MOMENT_KEYS).items()}
     _conjugate_symmetrize(entries)
     # physicality checked at the statistical resolution of the estimate
     return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))
@@ -395,8 +411,11 @@ def empirical_moments(samples: np.ndarray) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 def _conjugate_symmetrize(entries: Dict[Tuple[int, int], complex]) -> None:
-    """Make ``entries[(m, n)] == conj(entries[(n, m)])`` exact, in place, by averaging."""
-    for n, m in _MOMENT_KEYS:
+    """Make ``entries[(m, n)] == conj(entries[(n, m)])`` exact, in place, by averaging.
+
+    Every key of ``entries`` is visited, so its mirror (m, n) must be there too.
+    """
+    for n, m in entries:
         if n < m:
             avg = 0.5 * (entries[(n, m)] + entries[(m, n)].conjugate())
             entries[(n, m)] = avg
@@ -406,13 +425,14 @@ def _conjugate_symmetrize(entries: Dict[Tuple[int, int], complex]) -> None:
 
 
 def _gaussian_shift(entries: Dict[Tuple[int, int], complex], shift: float) -> dict:
-    """sum_k k! C(n,k) C(m,k) shift^k entries[(n-k, m-k)] for every key (n, m).
+    """sum_k k! C(n,k) C(m,k) shift^k entries[(n-k, m-k)] for every key (n, m) of ``entries``.
 
     The moments <conj(z)^n z^m> of z + g, with g circular Gaussian noise of
-    <|g|^2> = ``shift``.  Shifts add, so -``shift`` undoes ``shift``.
+    <|g|^2> = ``shift``.  Shifts add, so -``shift`` undoes ``shift``.  Each
+    key's lower keys (n-k, m-k) must be in ``entries`` too.
     """
     shifted = {}
-    for n, m in _MOMENT_KEYS:
+    for n, m in entries:
         total = 0j
         for k in range(min(n, m) + 1):
             coeff = math.comb(n, k) * math.comb(m, k) * math.factorial(k) * shift ** k

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 import oracles
 from mwphoton.chains import compression_power, db_to_linear, linear_to_db
 from mwphoton.defaults import JPA_METADATA, JPA_OPERATING_POINTS
+from mwphoton import dualpath
 from mwphoton.dualpath import (
     CrossMomentSet,
     DetectionRecord,
     PlanckSweep,
+    _detect_point,
     cross_moments,
     hybrid_split,
     jpa_planck_fit,
@@ -151,6 +154,30 @@ class TestSimulateDetection:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             simulate_detection(MicrowaveState.vacuum(), (-1.0, 0.0), count=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("gains", (-1.0, 1.0)),
+            ("gains", (1.0, 0.0)),
+            ("gains", (math.nan, 1.0)),
+            ("gains", (math.inf, 1.0)),
+            ("chain_noise_photons", (-1.0, 0.0)),
+            ("chain_noise_photons", (0.0, math.nan)),
+            ("chain_noise_photons", (math.inf, 0.0)),
+            ("vacuum_port_photons", -0.5),
+            ("vacuum_port_photons", math.nan),
+            ("vacuum_port_photons", math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("route", [simulate_detection, _detect_point])
+    def test_bad_argument_named_before_any_draw(self, monkeypatch, route, argument, value):
+        def no_draw(fn, items):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(dualpath, "_map_on_cpus", no_draw)
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            route(MicrowaveState.thermal(0.5), count=1000, seed=0, **{argument: value})
 
     def test_deterministic(self):
         a = simulate_detection(MicrowaveState.thermal(0.3), count=1000, seed=3)
@@ -307,6 +334,15 @@ class TestReconstruction:
         cm = analytic_cross_moments(1.0)
         with pytest.raises(ValueError):
             reconstruct_signal_moments(cm, (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "gains, port", [((math.inf, 1.0), 0.0), ((1.0, math.nan), 0.0), ((1.0, 1.0), math.inf)]
+    )
+    def test_gain_or_port_not_finite_rejected(self, gains, port):
+        # an infinite gain would rescale every product to zero without a word
+        cm = analytic_cross_moments(1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            reconstruct_signal_moments(cm, gains, vacuum_port_photons=port)
 
     def test_incomplete_set_rejected(self):
         cm = analytic_cross_moments(1.0)
@@ -544,6 +580,24 @@ class TestRecordIO:
             restored = load_record_binary(path)
             assert restored.envelopes_1.tobytes() == rec.envelopes_1.tobytes()
             assert restored.envelopes_2.tobytes() == rec.envelopes_2.tobytes()
+
+    @pytest.mark.parametrize("gains", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (-2.0, 1.0)])
+    def test_record_rejects_gain_not_finite_and_positive(self, gains):
+        z = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="chain_gains must be finite and > 0"):
+            DetectionRecord(z, z, gains)
+
+    def test_binary_sidecar_with_infinite_gain_rejected(self, tmp_path):
+        rec = self._record()
+        path = tmp_path / "record.bin"
+        save_record_binary(rec, path)
+        sidecar = tmp_path / "record.bin.json"
+        meta = json.loads(sidecar.read_text())
+        meta["chain_gains"] = [math.inf, 1.0]
+        sidecar.write_text(json.dumps(meta))
+        assert "Infinity" in sidecar.read_text()
+        with pytest.raises(ValueError, match="chain_gains must be finite and > 0"):
+            load_record_binary(path)
 
     def test_binary_size_mismatch_detected(self, tmp_path):
         rec = self._record()

@@ -1,17 +1,22 @@
 """The fused moment engine, the record route and the copy-free samplers
 against the routes they replaced, kept here as oracles.
 
-Sweep points and exported records sum the same 15 cross-path products
-z1^m conj(z2)^n over the same 20 error blocks.  A sweep point draws each
-sample batch and sums the products over every block segment it overlaps,
-building no record; ``cross_moments`` sums each block of a record of
-``simulate_detection``.  The old sweep route built that record and
-estimated the product means over the whole record and again over every
-block.  The oracle, ``oracles.product_block_means``, forms each product
-as its own power of z1 times its own power of conj(z2), one block at a
-time.  Summation order differs, so each pair agrees to rounding (relative
-1e-12).  ``sample_envelopes`` draws the same numbers in the same order as
-its loop form, so their output bytes must be identical.
+Sweep points and exported records sum the cross-path products
+z1^m conj(z2)^n over the same 20 error blocks: a record all 15 with
+n + m <= 4, a sweep point only the 7 of ``_POINT_KEYS`` that its values
+read.  A sweep point draws each sample batch and sums the products over
+every block segment it overlaps, building no record; ``cross_moments``
+sums each block of a record of ``simulate_detection``.  The old sweep
+route built that record and estimated the product means over the whole
+record and again over every block.  The oracle,
+``oracles.product_block_means``, forms each product as its own power of
+z1 times its own power of conj(z2), one block at a time.  Summation order
+differs, so each pair agrees to rounding (relative 1e-12).  A sweep
+point's 7 sums are the same operations as among all 15, so its values and
+block errors equal those of the 15-key inversion bit for bit, and the key
+set is closed under the inversion's conjugation and Gaussian shift.
+``sample_envelopes`` draws the same numbers in the same order as its loop
+form, so their output bytes must be identical.
 ``simulate_detection`` draws each sample of the record from its joint
 law, where the layered route of ``oracles.layered_detection`` splits and
 adds noise draw by draw: the two agree in law, exactly in their second
@@ -24,11 +29,14 @@ import numpy as np
 import pytest
 
 import oracles
+from mwphoton import dualpath
 from mwphoton.chains import g2_unnormalized
 from mwphoton.dualpath import (
+    _POINT_KEYS,
     CrossMomentSet,
     DetectionRecord,
     _detect_point,
+    _point_values,
     _record_model,
     cross_moments,
     hybrid_split,
@@ -39,8 +47,14 @@ from mwphoton.dualpath import (
 from mwphoton.states import (
     SAMPLE_BATCH,
     MicrowaveState,
+    MomentSet,
+    Ordering,
     StateKind,
     _batch_seed,
+    _conjugate_symmetrize,
+    _gaussian_shift,
+    _segment_sums,
+    analytic_moments,
     moment_keys,
     sample_envelopes,
 )
@@ -98,7 +112,7 @@ def _old_reconstruct_with_errors(record, gains, block_count=20):
         key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         for key, vals in block_values.items()
     }
-    return moments, _old_point(moments), errors
+    return _old_point(moments), errors
 
 
 def _old_sample_envelopes(state, count, seed):
@@ -128,13 +142,9 @@ def _old_sample_envelopes(state, count, seed):
 @pytest.mark.parametrize("kind", ["thermal", "coherent", "shot_noise"])
 def test_single_pass_engine_matches_block_route(kind):
     detection = dict(chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6))
-    moments, point, errors = _detect_point(STATES[kind], 60_013, 11, **detection)
+    point, errors = _detect_point(STATES[kind], 60_013, 11, **detection)
     record = simulate_detection(STATES[kind], count=60_013, seed=11, **detection)
-    old_moments, old_point, old_errors = _old_reconstruct_with_errors(record, detection["gains"])
-    for key in moment_keys():
-        new, old = moments.entry(*key), old_moments.entry(*key)
-        assert new.real == pytest.approx(old.real, rel=RTOL, abs=0.0), key
-        assert new.imag == pytest.approx(old.imag, rel=RTOL, abs=0.0), key
+    old_point, old_errors = _old_reconstruct_with_errors(record, detection["gains"])
     for name in ("n", "g2", "var_p", "var_q"):
         assert point[name] == pytest.approx(old_point[name], rel=RTOL, abs=0.0), name
         assert errors[name] == pytest.approx(old_errors[name], rel=RTOL, abs=0.0), name
@@ -150,14 +160,67 @@ FUSED = dict(chain_noise_photons=(0.4, 2.3), gains=(2.5, 0.8), vacuum_port_photo
 def test_fused_moments_match_export_route(kind, count):
     # 40 samples give 20 blocks of two inside one batch; the other counts
     # end in a short batch, and 1e6 + 7 puts block edges inside batches
-    moments, _, _ = _detect_point(STATES[kind], count, count + 3, **FUSED)
+    point, _ = _detect_point(STATES[kind], count, count + 3, **FUSED)
     record = simulate_detection(STATES[kind], count=count, seed=count + 3, **FUSED)
-    exported = reconstruct_signal_moments(
+    moments = reconstruct_signal_moments(
         cross_moments(record), FUSED["gains"], FUSED["vacuum_port_photons"]
     )
-    for key in moment_keys():
-        new, old = moments.entry(*key), exported.entry(*key)
-        assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), key
+    exported = _point_values(moments)
+    assert list(point) == list(exported)
+    for name, old in exported.items():
+        assert abs(point[name] - old) <= 1e-12 * max(1.0, abs(old)), name
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("count", [40, SAMPLE_BATCH - 1, SAMPLE_BATCH + 1, 1_000_007])
+def test_point_keeps_the_bits_of_the_full_key_sums(monkeypatch, kind, count):
+    point, errors = _detect_point(STATES[kind], count, count + 5, **FUSED)
+    # the reference sums and inverts all 15 products, as sweep points once did
+    monkeypatch.setattr(dualpath, "_POINT_KEYS", moment_keys())
+    full_point, full_errors = _detect_point(STATES[kind], count, count + 5, **FUSED)
+    assert point == full_point
+    assert errors == full_errors
+
+
+def test_segment_sums_of_a_key_subset_keep_their_bits():
+    rng = np.random.default_rng(8)
+    z1, z2 = (rng.normal(size=(1001, 2)).view(complex)[:, 0] for _ in range(2))
+    full = _segment_sums(z1, z2, moment_keys())
+    assert list(full) == list(moment_keys())
+    for keys in (_POINT_KEYS, ((1, 1),), ((0, 0),), ((3, 1), (0, 1), (2, 0)), moment_keys()[::-1]):
+        subset = _segment_sums(z1, z2, keys)
+        assert list(subset) == list(keys)
+        assert all(subset[key] == full[key] for key in keys), keys
+
+
+# ---------------------------------------------------------------------------
+# The keys a sweep point sums
+# ---------------------------------------------------------------------------
+
+def test_point_keys_closed_under_conjugation_and_gaussian_shift():
+    keys = set(_POINT_KEYS)
+    assert len(_POINT_KEYS) == len(keys) == 7 and keys <= set(moment_keys())
+    assert all((m, n) in keys for n, m in keys)
+    assert all((n - k, m - k) in keys for n, m in keys for k in range(min(n, m) + 1))
+    # both maps run on the set alone and return exactly its keys
+    entries = {(n, m): complex(n + 1, m - n) for n, m in _POINT_KEYS}
+    _conjugate_symmetrize(entries)
+    assert list(entries) == list(_POINT_KEYS)
+    assert list(_gaussian_shift(entries, 0.15)) == list(_POINT_KEYS)
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_point_values_read_only_the_point_keys(kind):
+    full = analytic_moments(STATES[kind]).entries
+    restricted = {key: full[key] for key in _POINT_KEYS}
+    # a warm fourth port shifts each set as the inversion does
+    expected = _point_values(MomentSet(Ordering.NORMAL, _gaussian_shift(full, 0.15)))
+    assert _point_values(MomentSet(Ordering.NORMAL, _gaussian_shift(restricted, 0.15))) == expected
+    # and every key of the set is read
+    for key in _POINT_KEYS[1:]:
+        entries = {k: v for k, v in restricted.items() if k != key}
+        with pytest.raises(ValueError, match="not present|required"):
+            _point_values(MomentSet(Ordering.NORMAL, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sample batches run on worker threads: results must not depend on the
 worker count, and no public function may run off the main thread.  Sweep
 points run one after another and build no record, so their memory does
-not grow with the sample count.
+not grow with the sample count, and each task reuses the heap memory the
+last one freed.
 
 Instrumentation that wraps the public functions (those named in a
 module's ``__all__``) keeps one stack of open calls, which only holds
@@ -10,6 +11,8 @@ while every such call is made from the calling thread.
 
 import importlib
 import inspect
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -154,6 +157,33 @@ def test_point_memory_does_not_grow_with_count(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1_000_000] - peaks[200_000] < 1 << 20, peaks
+
+
+_FAULTS_OF_THREE_POINTS = """
+import resource
+from mwphoton import experiments
+from mwphoton.states import MicrowaveState
+
+def point(seed):
+    experiments._detect_point(MicrowaveState.thermal(0.5), 1_000_000, seed, (1.0, 1.0))
+
+point(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in (1, 2, 3):
+    point(seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_sweep_points_reuse_freed_batch_memory():
+    # a fresh process, because the allocator's thresholds are set per process;
+    # a task that faulted its ~1.5 MiB back in would cost ~380 faults per
+    # batch, ~70 000 over the 183 batches of three points
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_THREE_POINTS], capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) < 5_000, done.stdout
 
 
 def test_public_calls_run_on_the_main_thread(monkeypatch):
