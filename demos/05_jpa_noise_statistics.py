@@ -5,9 +5,11 @@ thermal idler the input-referred correlation law is
 g2(0) = 2 (n_jpa + n_n + 1)^2: quadratic coefficient rho = 2 regardless of
 the noise, linear coefficient xi = 4 + 4 n_n, and an input-independent
 offset 2 (n_n + 1)^2.  Measured offsets and xi come out roughly a factor
-two below that, which is why alternative noise conventions are tabled
-here: dropping the linear idler variance ("classical") only trims the
-offset, while a commutator-free classical idler halves xi as well.
+two below that, which is why the closed-form alternatives are printed
+here: dropping the linear idler variance (the "classical" offset
+2 (n_n + 1)^2 - n_n) only trims the offset, while a commutator-free
+idler halves xi as well.  The offsets are the strong-gain closed forms of
+jpa_sweep's summary.
 """
 
 from mwphoton import amplify
@@ -21,21 +23,21 @@ print(f"JPA 2a (G = {stage.gain_db:.1f} dB, n_n = {stage.added_noise_photons}):"
 print(f"  n_jpa = 0.5 -> n_bs = {n_bs:.2f}, Var = {variance:.2f}, Var/n_bs^2 = {variance/n_bs**2:.3f}")
 print("  strong amplification drives every field toward Var = n^2 (thermal-like).")
 
-# --- the three noise conventions -------------------------------------------------
-print("\nper operating point: xi and offset under each noise convention")
-print(f"{'device':>7} {'xi model':>9} {'xi comm-free':>13} {'xi meas':>8}"
-      f" {'off model':>10} {'off classical':>14} {'off comm-free':>14} {'off meas':>9}")
+# --- closed-form xi and offsets against the measured comparators ----------------
+print("\nper operating point: strong-gain xi and offset, thermal idler and alternatives")
+print(f"{'device':>7} {'xi thermal':>10} {'xi comm-free':>13} {'xi meas':>8}"
+      f" {'off thermal':>11} {'off classical':>14} {'off comm-free':>14} {'off meas':>9}")
 for name in ("jpa1", "jpa2a", "jpa2b"):
     result = run_experiment("jpa_sweep", operating_point=name)
     s = result["summary"]
     print(
-        f"{name:>7} {s['xi_thermal_model']:9.2f} {s['xi_commutator_free']:13.2f} "
-        f"{s['measured_xi']:8.2f} {s['offset_thermal_model']:10.2f} "
+        f"{name:>7} {s['xi_thermal_model']:10.2f} {s['xi_commutator_free']:13.2f} "
+        f"{s['measured_xi']:8.2f} {s['offset_thermal_model']:11.2f} "
         f"{s['offset_classical_model']:14.2f} {s['offset_commutator_free']:14.2f} "
         f"{s['measured_offset']:9.2f}"
     )
 print("\nthe quadratic coefficient is rho = 2 in every convention; the measured")
-print("xi and offset sit closest to the commutator-free column, consistent with")
+print("xi and offset sit closest to the commutator-free values, consistent with")
 print("a sizeable classical contribution Var(n_n) = n_n^2 in the amplifier noise.")
 
 # --- compression points -----------------------------------------------------------

@@ -46,7 +46,6 @@ from .chains import (
     BeamSplitterStage,
     JpaStage,
     LinearChain,
-    NoiseStatistics,
     amplify,
     amplify_commutator_free,
     attenuate,

@@ -11,7 +11,10 @@ the unnormalized second-order correlation
 
 follows.  For strong gain the amplified thermal field obeys
 g2_tilde(0) = 2 (n_jpa + n_n + 1)^2 with an input-independent offset
-2 n_n^2 + 4 n_n + 2 set by the amplifier noise alone.
+2 n_n^2 + 4 n_n + 2 set by the amplifier noise alone.  The amplifier has
+two noise conventions: a thermal idler (:class:`JpaStage`, :func:`amplify`,
+:func:`g2_jpa_referred`) and a commutator-free one that treats the idler
+as a classical complex amplitude (:func:`amplify_commutator_free`).
 
 Gains are stored in linear power units; dB conversions live here and
 nowhere else.  Powers are handled in watts, with dBm (1 mW reference) as a
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Tuple
 
 from ._constants import k as k_B
@@ -33,7 +35,6 @@ __all__ = [
     "BeamSplitterStage",
     "JpaStage",
     "LinearChain",
-    "NoiseStatistics",
     "CompressionPoint",
     "db_to_linear",
     "linear_to_db",
@@ -63,19 +64,6 @@ def watts_to_dbm(power: float) -> float:
     return 10.0 * math.log10(power / 1e-3)
 
 
-class NoiseStatistics(Enum):
-    """Statistics of the amplifier noise mode.
-
-    QUANTUM_THERMAL keeps the full thermal idler variance
-    Var(n_n) = n_n^2 + n_n.  CLASSICAL drops the linear piece,
-    Var(n_n) = n_n^2, leaving all commutator (+1) terms intact; this is the
-    minimal power-independent "classical noise" modification.
-    """
-
-    QUANTUM_THERMAL = "quantum_thermal"
-    CLASSICAL = "classical"
-
-
 @dataclass(frozen=True)
 class BeamSplitterStage:
     """Attenuator with transmissivity eta and thermal background occupation n_n."""
@@ -95,12 +83,12 @@ class JpaStage:
     """Phase-preserving parametric amplifier stage.
 
     ``gain`` is the linear power gain G >= 1; ``added_noise_photons`` the
-    idler occupation n_n referred to the input.
+    occupation n_n of the thermal idler, Var(n_n) = n_n^2 + n_n, referred
+    to the input.
     """
 
     gain: float
     added_noise_photons: float = 0.0
-    noise_statistics: NoiseStatistics = NoiseStatistics.QUANTUM_THERMAL
 
     def __post_init__(self):
         if not self.gain >= 1.0:
@@ -194,9 +182,6 @@ def amplify(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
         n_bs  = G n_jpa + (G - 1)(n_n + 1)
         Var   = G^2 n_jpa^2 + G^2 n_jpa + G(G-1) n_jpa + 2 G(G-1) n_jpa n_n
                 + (G-1)^2 n_n^2 + (G-1)^2 n_n + G(G-1) n_n + G(G-1).
-
-    CLASSICAL noise statistics remove the (G-1)^2 n_n term, the piece that
-    descends from the linear part of the idler variance.
     """
     if n_jpa < 0:
         raise ValueError("input occupation must be >= 0")
@@ -213,8 +198,6 @@ def amplify(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
         + g * (g - 1.0) * n_n
         + g * (g - 1.0)
     )
-    if stage.noise_statistics is NoiseStatistics.CLASSICAL:
-        variance -= (g - 1.0) ** 2 * n_n
     return n_bs, variance
 
 
@@ -259,11 +242,9 @@ def g2_unnormalized(n: float, variance: float) -> float:
 def g2_jpa_referred(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
     """Strong-gain g2_tilde(0) referred to the amplifier input, and its offset.
 
-    QUANTUM_THERMAL noise gives g2 = 2 (n_jpa + n_n + 1)^2 with the
+    A thermal idler gives g2 = 2 (n_jpa + n_n + 1)^2 with the
     n_jpa-independent offset 2 n_n^2 + 4 n_n + 2, so that
-    g2 - offset = 2 n_jpa^2 + (4 + 4 n_n) n_jpa.  CLASSICAL noise lowers
-    both by the dropped idler term: g2 = 2 (n_jpa + n_n + 1)^2 - n_n and
-    offset = 2 (n_n + 1)^2 - n_n, leaving the linear coefficient unchanged.
+    g2 - offset = 2 n_jpa^2 + (4 + 4 n_n) n_jpa.
     """
     if n_jpa < 0:
         raise ValueError("input occupation must be >= 0")
@@ -275,9 +256,6 @@ def g2_jpa_referred(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
     n_n = stage.added_noise_photons
     g2 = 2.0 * (n_jpa + n_n + 1.0) ** 2
     offset = 2.0 * (n_n + 1.0) ** 2
-    if stage.noise_statistics is NoiseStatistics.CLASSICAL:
-        g2 -= n_n
-        offset -= n_n
     return g2, offset
 
 

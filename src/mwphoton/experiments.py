@@ -30,8 +30,6 @@ from .analysis import (
 )
 from .cavity import dephasing_gaussian
 from .chains import (
-    JpaStage,
-    NoiseStatistics,
     amplify_commutator_free,
     compression_power,
     db_to_linear,
@@ -297,18 +295,21 @@ def jpa_sweep(
 ) -> dict:
     """JPA-referred correlation table g2 - offset versus input photons.
 
-    The amplifier is the tabulated operating point.  Emits the strong-gain
-    law for thermal amplifier noise next to the two alternative noise
-    conventions (classical variance and commutator-free idler) so the
-    offset/xi sensitivity to the noise model is explicit.  The
-    rho n^2 + xi n fit runs on the thermal column; the summary carries
-    the point's measured coefficients as comparators.
+    The amplifier is the tabulated operating point.  The table has three
+    columns: ``n_jpa``, the strong-gain law for a thermal idler, and the
+    finite-gain law for a commutator-free idler, each with its offset at
+    n_jpa = 0 taken off.  The rho n^2 + xi n fit runs on the thermal
+    column.  The summary's offsets are strong-gain closed forms: thermal
+    2 (n_n + 1)^2, classical 2 (n_n + 1)^2 - n_n (the linear idler
+    variance dropped) and commutator-free 2 n_n^2 + n_n.  The offset taken
+    off the commutator-free column is its finite-gain value
+    (1 - 1/G)^2 (2 n_n^2 + n_n).  The summary also carries the point's
+    measured coefficients as comparators.
     """
     _require_fit_points("n_points", n_points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     stage = JPA_OPERATING_POINTS[operating_point]
     meta = JPA_METADATA[operating_point]
     n_n = stage.added_noise_photons
-    classical_stage = JpaStage(stage.gain, n_n, NoiseStatistics.CLASSICAL)
 
     rows = []
     n_cf0, var_cf0 = amplify_commutator_free(0.0, stage.gain, n_n)
@@ -316,10 +317,9 @@ def jpa_sweep(
     for n_jpa in np.linspace(0.0, n_max, n_points):
         n_jpa = float(n_jpa)
         g2_q, off_q = g2_jpa_referred(n_jpa, stage)
-        g2_c, off_c = g2_jpa_referred(n_jpa, classical_stage)
         n_cf, var_cf = amplify_commutator_free(n_jpa, stage.gain, n_n)
         g2_cf = g2_unnormalized(n_cf, var_cf) / stage.gain ** 2
-        rows.append([n_jpa, g2_q - off_q, g2_c - off_c, g2_cf - off_cf, off_q, off_c, off_cf])
+        rows.append([n_jpa, g2_q - off_q, g2_cf - off_cf])
     law = fit_variance_law(np.asarray(rows)[:, :2], VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     summary = {
         "n_n": n_n,
@@ -338,15 +338,7 @@ def jpa_sweep(
     return {
         "tables": {
             "g2_minus_offset": {
-                "columns": [
-                    "n_jpa",
-                    "g2_minus_offset_thermal",
-                    "g2_minus_offset_classical",
-                    "g2_minus_offset_commutator_free",
-                    "offset_thermal",
-                    "offset_classical",
-                    "offset_commutator_free",
-                ],
+                "columns": ["n_jpa", "g2_minus_offset_thermal", "g2_minus_offset_commutator_free"],
                 "rows": rows,
             }
         },

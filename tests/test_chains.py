@@ -8,7 +8,6 @@ from mwphoton.chains import (
     BeamSplitterStage,
     JpaStage,
     LinearChain,
-    NoiseStatistics,
     amplify,
     amplify_commutator_free,
     attenuate,
@@ -19,6 +18,8 @@ from mwphoton.chains import (
     linear_to_db,
 )
 from mwphoton.analysis import VarianceLawModel, fit_variance_law
+from mwphoton.defaults import JPA_OPERATING_POINTS
+from mwphoton.experiments import jpa_sweep
 from mwphoton.states import MicrowaveState, StateKind, photon_variance
 
 
@@ -95,12 +96,6 @@ class TestAmplify:
         assert n_bs == pytest.approx(mean_oracle, rel=1e-6)
         assert variance == pytest.approx(var_oracle, rel=1e-6)
 
-    def test_classical_statistics_drop_linear_idler_term(self):
-        gain, n_jpa, n_n = 8.0, 0.4, 0.9
-        _, quantum = amplify(n_jpa, JpaStage(gain, n_n, NoiseStatistics.QUANTUM_THERMAL))
-        _, classical = amplify(n_jpa, JpaStage(gain, n_n, NoiseStatistics.CLASSICAL))
-        assert quantum - classical == pytest.approx((gain - 1.0) ** 2 * n_n, rel=1e-12)
-
     @pytest.mark.parametrize("gain,n_jpa,n_n", [(6.0, 0.5, 0.8), (12.0, 0.2, 1.5)])
     def test_commutator_free_matches_semi_analytic_oracle(self, gain, n_jpa, n_n):
         n_bs, variance = amplify_commutator_free(n_jpa, gain, n_n)
@@ -158,18 +153,19 @@ class TestG2JpaReferred:
         assert fit.parameters["rho"] == pytest.approx(2.0, abs=1e-9)
         assert fit.parameters["xi"] == pytest.approx(4.0 + 4.0 * n_n, abs=1e-9)
 
-    def test_classical_variant_lowers_offset_not_xi(self):
-        n_n = 0.66
-        quantum = JpaStage(db_to_linear(15.8), n_n, NoiseStatistics.QUANTUM_THERMAL)
-        classical = JpaStage(db_to_linear(15.8), n_n, NoiseStatistics.CLASSICAL)
-        _, offset_q = g2_jpa_referred(0.0, quantum)
-        _, offset_c = g2_jpa_referred(0.0, classical)
-        assert offset_c < offset_q
-        assert offset_q - offset_c == pytest.approx(n_n, rel=1e-12)
-        for n in (0.2, 0.8, 1.4):
-            gq, oq = g2_jpa_referred(n, quantum)
-            gc, oc = g2_jpa_referred(n, classical)
-            assert gq - oq == pytest.approx(gc - oc, rel=1e-12)
+    @pytest.mark.parametrize("name", sorted(JPA_OPERATING_POINTS))
+    def test_jpa_sweep_summary_offsets(self, name):
+        # the classical offset drops the linear idler variance n_n; the
+        # summary's commutator-free offset is the strong-gain limit of the
+        # finite-gain offset the sweep takes off its commutator-free column
+        gain = JPA_OPERATING_POINTS[name].gain
+        summary = jpa_sweep(n_points=5, operating_point=name)["summary"]
+        n_n = summary["n_n"]
+        assert summary["offset_classical_model"] == summary["offset_thermal_model"] - n_n
+        n_bs, variance = amplify_commutator_free(0.0, gain, n_n)
+        assert g2_unnormalized(n_bs, variance) / gain ** 2 == pytest.approx(
+            (1.0 - 1.0 / gain) ** 2 * summary["offset_commutator_free"], rel=1e-12
+        )
 
     def test_weak_gain_flagged(self):
         with pytest.warns(UserWarning, match="strong gain"):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import inspect
+import itertools
 import json
 import math
 import shutil
@@ -1035,6 +1036,58 @@ class TestEveryKeyChangesAResult:
         assert set(SECOND) == {key for _, key in RUN_KEYS}
         assert set(BASE_OVERRIDES) <= set(RUN_KEYS)
         assert set(DELIBERATE) <= set(RUN_KEYS)
+
+
+# Guard: every table column carries information.  A column that is constant
+# down its rows, or bit-equal to another column, tells a reader nothing the
+# summary or that other column does not.  Each experiment runs at its BASE
+# config, jpa_sweep at every operating point.
+COLUMN_RUNS = [(name, BASE[name]) for name in sorted(BASE) if name != "jpa_sweep"] + [
+    ("jpa_sweep", {**BASE["jpa_sweep"], "operating_point": point})
+    for point in sorted(JPA_OPERATING_POINTS)
+]
+
+
+def _uninformative(experiment, config):
+    """Each constant column, and each ``a == b`` pair of bit-equal columns, of one run."""
+    hits = set()
+    for table in _result(experiment, config)["tables"].values():
+        cells = {
+            name: [repr(row[index]) for row in table["rows"]]
+            for index, name in enumerate(table["columns"])
+        }
+        hits.update(name for name, column in cells.items() if len(set(column)) == 1)
+        hits.update(
+            f"{a} == {b}" for a, b in itertools.combinations(sorted(cells), 2) if cells[a] == cells[b]
+        )
+    return hits
+
+
+class TestEveryColumnCarriesInformation:
+    # Columns kept although they carry no information at BASE, each with its reason.
+    DELIBERATE = {
+        ("ramsey_sweep", "fit_converged"): (
+            "a flag: constant only while every fit converges (ROADMAP item 2)"
+        ),
+        ("ramsey_sweep", "gamma2_err_hz == gamma_phi_n_err_hz"): (
+            "equal by construction; test_dephasing_error_is_the_gamma2_error asserts it"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "experiment, config",
+        COLUMN_RUNS,
+        ids=[f"{name}-{config.get('operating_point', 'base')}" for name, config in COLUMN_RUNS],
+    )
+    def test_columns_vary_and_differ(self, experiment, config):
+        kept = {hit for name, hit in self.DELIBERATE if name == experiment}
+        assert not _uninformative(experiment, config) - kept
+
+    @pytest.mark.parametrize("experiment, hit", sorted(DELIBERATE))
+    def test_deliberate_column_still_carries_nothing(self, experiment, hit):
+        assert hit in _uninformative(experiment, BASE[experiment]), (
+            f"drop {experiment} {hit} from DELIBERATE"
+        )
 
 
 def _old_csv(table):
