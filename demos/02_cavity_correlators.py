@@ -4,8 +4,8 @@ The readout resonator hands the qubit photon-number fluctuations with a
 memory set by its linewidth: incoherent fields (thermal, shot noise)
 decorrelate at the energy decay rate kappa_x, coherent fields at the
 amplitude decay rate kappa_x / 2.  The dephasing rate is the variance
-times kappa_x theta0^2, and the weak-pull (Gaussian) approximation is good
-to about 4% at this sample's pull.
+times kappa_x theta0^2: the Gaussian phase law, exact only to second order
+in the pull x = 2 chi / kappa_x.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from mwphoton import (
     correlator,
     correlator_value,
     dephasing_gaussian,
-    dephasing_master_correction,
     lorentzian_dos,
 )
 from mwphoton.defaults import SAMPLE_RESONATOR, SAMPLE_SYSTEM
@@ -45,10 +44,7 @@ print(f"\nfilter function: peak {peak:.3e} /Hz = 2/kappa_x, half maximum at +kap
 scale = dephasing_gaussian(1.0, res, system.theta0)
 print(f"\nper-unit-variance dephasing: kappa_x theta0^2 = {scale/1e6:.3f} MHz")
 
-correction = dephasing_master_correction(res, system.chi)
-print(
-    f"state-resolved (master-equation) correction at pull |chi|/kappa_x = "
-    f"{system.dispersive_pull:.2f}: {correction:.3f}"
-)
-print("the Gaussian approximation thus overestimates the rate by ~4%,")
-print("far too small to explain the observed slope enhancement.")
+pull = 2.0 * system.chi / res.external_rate
+print(f"pull x = 2 chi/kappa_x = {pull:.3f}")
+print("the Gaussian law is exact only to O(x^2); at this pull the exact rates")
+print('fall well below it (docs/notes.md, "When the Gaussian phase law holds").')

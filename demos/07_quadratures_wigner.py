@@ -3,7 +3,7 @@
 Amplified thermal fields stay Gaussian and unsqueezed: both quadratures
 p = i(a^dag - a)/2 and q = (a^dag + a)/2 carry variance n/2 + 1/4, and the
 Wigner function is a circle whose 1/e radius grows as sqrt(n + 1/2).  The
-reconstruction pipeline reproduces both from simulated records.
+reconstruction pipeline recovers the two variances from simulated records.
 """
 
 import numpy as np

@@ -27,7 +27,6 @@ from .cavity import (
     correlator,
     correlator_value,
     dephasing_gaussian,
-    dephasing_master_correction,
     lorentzian_dos,
 )
 from .qubit import (

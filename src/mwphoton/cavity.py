@@ -11,8 +11,8 @@ decays at the energy decay rate kappa_x, a coherent drive at the amplitude
 decay rate kappa_x / 2.  Internal loss is left out of every rate here: it is
 negligible for the devices modelled (kappa_i / kappa_x ~ 0.006).  The module
 also provides the Lorentzian density of states of the resonator and the
-photon-induced dephasing rates.  Their spectral integrals are integrals of
-products of Lorentzians over the whole line, so both rates are closed forms.
+photon-induced dephasing rate.  Its spectral integral is the integral of a
+squared Lorentzian over the whole line, so the rate is a closed form.
 
 Rates are stored as ordinary frequencies in Hz (the "/2pi" values); the
 2*pi factors are applied inside formulas that exponentiate a time.
@@ -31,7 +31,6 @@ __all__ = [
     "correlator_value",
     "lorentzian_dos",
     "dephasing_gaussian",
-    "dephasing_master_correction",
 ]
 
 
@@ -50,10 +49,6 @@ class Resonator:
             raise ValueError("external coupling rate must be positive")
         if self.internal_rate < 0:
             raise ValueError("internal loss rate must be >= 0")
-
-    @property
-    def total_rate(self) -> float:
-        return self.external_rate + self.internal_rate
 
 
 @dataclass(frozen=True)
@@ -129,46 +124,3 @@ def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:
         raise ValueError("photon-number variance must be >= 0")
     return res.external_rate * theta0 ** 2 * var_n
 
-
-def dephasing_master_correction(res: Resonator, chi: float) -> float:
-    """Relative deviation of the Gaussian dephasing rate from the
-    state-resolved (master-equation) rate.
-
-    Beyond the weak-pull limit the resonator response differs between the
-    qubit ground and excited states.  In the dressed calibration frame the
-    two responses sit at +-chi/2 around the probe, and the fluctuation
-    spectrum acquires the overlap structure
-
-        (k^2/4) [D_+ + D_-] / (k^2/4 + delta_r^2 + (chi/2)^2)
-
-    with D_pm offset by +-chi/2.  With a = kappa_x/2, s = chi/2 and
-    b = sqrt(a^2 + s^2), each term is a product of two Lorentzians, one of
-    half-width a at -+s and one of half-width b at 0.  Over the whole line
-
-        int dx / ((g1^2 + (x - x1)^2) (g2^2 + (x - x2)^2))
-            = pi (g1 + g2) / (g1 g2 ((x1 - x2)^2 + (g1 + g2)^2)),
-
-    so the spectrum integrates to 2 pi a^2 (a + b) / (b (s^2 + (a + b)^2)),
-    which is pi at chi = 0, where the spectrum collapses onto the Gaussian
-    one.  The ratio of the two is weighted by the squared phase kick
-    relative to the squared accumulated phase, and the routine returns
-
-        (gamma_gauss - gamma_resolved) / gamma_gauss.
-
-    The result is even in chi, vanishes as chi -> 0, and is about 0.04 for
-    a pull |chi| / kappa_x ~ 0.35.
-    """
-    kappa = res.external_rate
-    if abs(chi) >= kappa:
-        raise ValueError(
-            "state-resolved correction assumes the weak-pull regime |chi| < kappa_x"
-        )
-    if chi == 0.0:
-        return 0.0
-    a = kappa / 2.0
-    s = chi / 2.0
-    b = math.hypot(a, s)
-    spectral_ratio = 2.0 * a * a * (a + b) / (b * (s * s + (a + b) ** 2))
-    pull = s / a
-    kick_ratio = pull * pull / math.atan(pull) ** 2
-    return 1.0 - kick_ratio * spectral_ratio

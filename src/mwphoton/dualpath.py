@@ -69,8 +69,8 @@ from ._constants import h as PLANCK_H, k as k_B
 from .analysis import NumericalError, _damped_gauss_newton, _linear_least_squares
 from .chains import g2_unnormalized, linear_to_db
 from .states import (
+    MOMENT_KEYS,
     SAMPLE_BATCH,
-    _MOMENT_KEYS,
     MicrowaveState,
     ModeSpec,
     MomentSet,
@@ -379,7 +379,7 @@ def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     """
     blocks = _error_blocks(rec.sample_count)
     sums = [
-        _segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi], _MOMENT_KEYS)
+        _segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi], MOMENT_KEYS)
         for lo, hi in blocks
     ]
     return CrossMomentSet(_product_means(sums, rec.sample_count), rec.sample_count)
@@ -468,10 +468,10 @@ def reconstruct_signal_moments(
     The product means are inverted as described in
     :func:`_moments_from_products`.
     """
-    missing = [key for key in _MOMENT_KEYS if key not in cm.entries]
+    missing = [key for key in MOMENT_KEYS if key not in cm.entries]
     if missing:
         raise ValueError(f"cross-moment set incomplete; missing {missing}")
-    products = {key: cm.entries[key] for key in _MOMENT_KEYS}
+    products = {key: cm.entries[key] for key in MOMENT_KEYS}
     return _moments_from_products(products, gains, vacuum_port_photons, cm.sample_count)
 
 

@@ -53,7 +53,6 @@ from .dualpath import (
     planck_power,
     saturation_power_for_t1db,
     simulate_detection,  # unused here; benchmarks/workloads.py probes it by this name
-    wigner_gaussian_contour,
 )
 from .qubit import DispersiveSystem, _rate_per_variance, dephasing_rate, simulate_ramsey
 from .states import (
@@ -436,7 +435,7 @@ def quadrature_check(
     count: int = 400_000,
     seed: int = 0,
 ) -> dict:
-    """Reconstructed quadrature variances and Wigner contours for thermal states."""
+    """Reconstructed quadrature variances of thermal states beside their model n/2 + 1/4."""
     rows = []
     for index, n in enumerate(occupations):
         n = float(n)
@@ -449,9 +448,6 @@ def quadrature_check(
                 point["var_q"],
                 errors["var_q"],
                 n / 2.0 + 0.25,
-                wigner_gaussian_contour(n),
-                wigner_gaussian_contour(n) / wigner_gaussian_contour(0.0),
-                math.sqrt(2.0 * n + 1.0),
             ]
         )
     return {
@@ -464,9 +460,6 @@ def quadrature_check(
                     "var_q",
                     "var_q_err",
                     "var_model",
-                    "contour_radius",
-                    "contour_ratio_to_vacuum",
-                    "contour_ratio_model",
                 ],
                 "rows": rows,
             }

@@ -115,10 +115,6 @@ class DispersiveSystem:
     def theta0(self) -> float:
         return accumulated_phase(self.chi, self.resonator.external_rate)
 
-    @property
-    def dispersive_pull(self) -> float:
-        return abs(self.chi) / self.resonator.external_rate
-
 
 class EnvelopeForm(Enum):
     ASYMPTOTIC_RATE = "asymptotic_rate"

@@ -41,6 +41,7 @@ from ._constants import hbar, k as k_B
 
 __all__ = [
     "MAX_MOMENT_ORDER",
+    "MOMENT_KEYS",
     "SAMPLE_BATCH",
     "StateKind",
     "ModeSpec",
@@ -54,7 +55,6 @@ __all__ = [
     "sample_envelopes",
     "empirical_moments",
     "ordering_convert",
-    "moment_keys",
 ]
 
 #: Moments are carried up to total order n + m <= 4.
@@ -124,30 +124,20 @@ class MicrowaveState:
     def shot_noise(cls, n: float) -> "MicrowaveState":
         return cls(StateKind.SHOT_NOISE, n)
 
-    @classmethod
-    def vacuum(cls) -> "MicrowaveState":
-        return cls(StateKind.VACUUM, 0.0)
-
 
 class Ordering(Enum):
     NORMAL = "normal"
     SYMMETRIZED = "symmetrized"
 
 
-#: The (n, m) keys by total order, built once; the package's loops read this
-#: tuple, so worker tasks never call the public :func:`moment_keys`.
-_MOMENT_KEYS = tuple((n, t - n) for t in range(MAX_MOMENT_ORDER + 1) for n in range(t + 1))
-
-
-def moment_keys() -> Tuple[Tuple[int, int], ...]:
-    """All (n, m) index pairs with 0 <= n + m <= MAX_MOMENT_ORDER."""
-    return _MOMENT_KEYS
+#: All (n, m) index pairs with 0 <= n + m <= MAX_MOMENT_ORDER, by total order.
+MOMENT_KEYS = tuple((n, t - n) for t in range(MAX_MOMENT_ORDER + 1) for n in range(t + 1))
 
 
 # For n + m <= 4 the smaller exponent of a key (n, m) is 0, 1 or max(n, m),
 # so its product is formed at step max(n, m) from the stepped powers and the
 # first powers z1 and conj(z2).
-assert all(min(key) in (0, 1, max(key)) for key in _MOMENT_KEYS)
+assert all(min(key) in (0, 1, max(key)) for key in MOMENT_KEYS)
 
 
 @functools.cache
@@ -245,10 +235,10 @@ class MomentSet:
             raise ValueError(f"moment ({n}, {m}) not present in this set") from None
 
     def is_complete(self) -> bool:
-        return all(k in self.entries for k in _MOMENT_KEYS)
+        return all(k in self.entries for k in MOMENT_KEYS)
 
     def missing_keys(self):
-        return [k for k in _MOMENT_KEYS if k not in self.entries]
+        return [k for k in MOMENT_KEYS if k not in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,7 @@ def analytic_moments(state: MicrowaveState) -> MomentSet:
     n = state.mean_photons
     alpha = state.amplitude
     entries: Dict[Tuple[int, int], complex] = {}
-    for nn, mm in _MOMENT_KEYS:
+    for nn, mm in MOMENT_KEYS:
         if state.kind is StateKind.THERMAL:
             value = math.factorial(nn) * n ** nn if nn == mm else 0.0
         elif state.kind is StateKind.COHERENT:
@@ -400,7 +390,7 @@ def empirical_moments(samples: np.ndarray) -> MomentSet:
     z = np.asarray(samples)
     if z.size < 2:
         raise ValueError(f"need at least 2 samples to estimate moments, got {z.size}")
-    entries = {key: total / z.size for key, total in _segment_sums(z, z, _MOMENT_KEYS).items()}
+    entries = {key: total / z.size for key, total in _segment_sums(z, z, MOMENT_KEYS).items()}
     _conjugate_symmetrize(entries)
     # physicality checked at the statistical resolution of the estimate
     return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))

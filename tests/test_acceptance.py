@@ -35,11 +35,11 @@ from mwphoton.dualpath import (
 from mwphoton.experiments import run_experiment
 from mwphoton.qubit import critical_photons, dispersive_shift, purcell_rate
 from mwphoton.states import (
+    MOMENT_KEYS,
     MicrowaveState,
     ModeSpec,
     Ordering,
     empirical_moments,
-    moment_keys,
     ordering_convert,
     sample_envelopes,
 )
@@ -291,12 +291,12 @@ def test_criterion_8_moment_oracle_equivalence():
         samples = sample_envelopes(state, count, seed)
         normal = ordering_convert(empirical_moments(samples), Ordering.NORMAL)
         bounds = np.linspace(0, count, blocks + 1).astype(int)
-        block_entries = {key: [] for key in moment_keys()}
+        block_entries = {key: [] for key in MOMENT_KEYS}
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             block = ordering_convert(empirical_moments(samples[lo:hi]), Ordering.NORMAL)
-            for key in moment_keys():
+            for key in MOMENT_KEYS:
                 block_entries[key].append(block.entries[key])
-        for key in moment_keys():
+        for key in MOMENT_KEYS:
             values = np.asarray(block_entries[key])
             stderr = float(np.std(values, ddof=1)) / math.sqrt(blocks)
             if stderr == 0.0:

@@ -10,12 +10,9 @@ from mwphoton.cavity import (
     correlator,
     correlator_value,
     dephasing_gaussian,
-    dephasing_master_correction,
     lorentzian_dos,
 )
 from mwphoton.states import MicrowaveState, StateKind, photon_variance
-
-CHI = -3.11e6  # Hz, reference dispersive shift
 
 #: Window of the spectral quadrature oracle, in units of kappa_x around the
 #: resonance.  The Lorentzian-squared tail beyond 40 kappa_x contributes less
@@ -36,25 +33,6 @@ def gaussian_rate_by_quadrature(var_n, res, theta0):
     )
     assert abserr <= 1e-6 * abs(integral)
     return theta0 * theta0 * (4.0 / math.pi) * integral
-
-
-def master_correction_by_quadrature(pull):
-    """Oracle: the state-resolved correction from the dimensionless overlap
-    spectrum, x = delta_r / (kappa_x/2) and p = chi / kappa_x, integrated
-    over the whole line."""
-
-    def overlap(p):
-        def integrand(x):
-            d_plus = 1.0 / (1.0 + (x + p) ** 2)
-            d_minus = 1.0 / (1.0 + (x - p) ** 2)
-            return (d_plus + d_minus) / (1.0 + x * x + p * p)
-
-        value, abserr = quad(integrand, -math.inf, math.inf, epsrel=1e-10, epsabs=0.0, limit=200)
-        assert abserr <= 1e-9 * value
-        return value
-
-    kick_ratio = pull * pull / math.atan(pull) ** 2
-    return 1.0 - kick_ratio * overlap(pull) / overlap(0.0)
 
 
 class TestCorrelator:
@@ -84,7 +62,7 @@ class TestCorrelator:
             MicrowaveState.thermal(0.8),
             MicrowaveState.coherent(0.9),
             MicrowaveState.shot_noise(1.2),
-            MicrowaveState.vacuum(),
+            MicrowaveState(StateKind.VACUUM, 0.0),
         ],
     )
     def test_variance_agrees_with_state_statistics(self, state, resonator):
@@ -170,29 +148,6 @@ class TestDephasingGaussian:
         closed = dephasing_gaussian(1.3, resonator, theta0)
         numeric = gaussian_rate_by_quadrature(1.3, resonator, theta0)
         assert numeric == pytest.approx(closed, rel=1e-6)
-
-
-class TestMasterEquationCorrection:
-    def test_reference_pull_gives_four_percent(self, resonator):
-        assert dephasing_master_correction(resonator, CHI) == pytest.approx(0.04, abs=0.01)
-
-    def test_vanishes_at_zero_pull(self, resonator):
-        assert dephasing_master_correction(resonator, 0.0) == 0.0
-        assert dephasing_master_correction(resonator, 1e3) < 1e-4
-
-    def test_even_in_chi(self, resonator):
-        plus = dephasing_master_correction(resonator, CHI)
-        minus = dephasing_master_correction(resonator, -CHI)
-        assert plus == pytest.approx(minus, rel=1e-9)
-
-    def test_strong_pull_rejected(self, resonator):
-        with pytest.raises(ValueError):
-            dephasing_master_correction(resonator, resonator.external_rate)
-
-    @pytest.mark.parametrize("pull", [1e-4, 0.1, 0.3658, 0.5, 0.9, -0.3658])
-    def test_closed_form_matches_quadrature(self, pull, resonator):
-        closed = dephasing_master_correction(resonator, pull * resonator.external_rate)
-        assert closed == pytest.approx(master_correction_by_quadrature(pull), rel=1e-9)
 
 
 class TestDampedModeStochastics:

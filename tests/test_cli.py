@@ -749,6 +749,14 @@ class TestReportPhysicsChecks:
         ]
         assert all(c["band"] == [-5.0, 5.0] for c in report["checks"])
 
+    def test_quadrature_table_holds_what_it_measures(self, quadrature_run):
+        # the reconstructed variances, their errors and the model they are read
+        # against; closed forms of n alone (Wigner contour radii) are not written
+        lines = (quadrature_run / "quadratures.csv").read_text().splitlines()
+        assert lines[0] == "n,var_p,var_p_err,var_q,var_q_err,var_model"
+        for row in csv.DictReader(lines):
+            assert float(row["var_model"]) == float(row["n"]) / 2.0 + 0.25
+
     @pytest.mark.parametrize("row, quad", [(0, "var_p"), (0, "var_q"), (1, "var_p"), (1, "var_q")])
     def test_tampered_quadrature_variance_fails(self, quadrature_run, tmp_path, row, quad):
         run = tmp_path / "run"
@@ -970,7 +978,7 @@ SECOND = {
 DELIBERATE = {
     ("ramsey_sweep", "kappa_i_khz"): (
         "Resonator.internal_rate enters no rate yet: the dephasing law reads kappa_x only, "
-        "until the exact law decides whether it uses kappa_x + kappa_i (ROADMAP item 2)"
+        "until the exact law decides whether it uses kappa_x + kappa_i (ROADMAP item 3)"
     ),
 }
 

@@ -31,16 +31,18 @@ from mwphoton.dualpath import (
     wigner_gaussian_contour,
 )
 from mwphoton.states import (
+    MOMENT_KEYS,
     SAMPLE_BATCH,
     MicrowaveState,
     ModeSpec,
     Ordering,
+    StateKind,
     analytic_moments,
-    moment_keys,
     sample_envelopes,
 )
 
 MODE = ModeSpec(5.4e9)
+VACUUM = MicrowaveState(StateKind.VACUUM, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def analytic_cross_moments(
     }
     entries = {
         (n, m): oracles.gaussian_product_moment([(1, False)] * m + [(2, True)] * n, cov, means)
-        for n, m in moment_keys()
+        for n, m in MOMENT_KEYS
     }
     return CrossMomentSet(entries, sample_count=0)
 
@@ -104,7 +106,7 @@ class TestHybridSplit:
     def test_cross_correlation_reveals_signal_photons(self):
         n = 0.8
         s = sample_envelopes(MicrowaveState.thermal(n), 1_000_000, seed=5)
-        v = sample_envelopes(MicrowaveState.vacuum(), 1_000_000, seed=6)
+        v = sample_envelopes(VACUUM, 1_000_000, seed=6)
         out1, out2 = hybrid_split(s, v)
         observed = np.mean(out1 * np.conj(out2))
         # Wick oracle: <out1 conj(out2)> = (<|s|^2> - <|v|^2>)/2 = n/2
@@ -123,7 +125,7 @@ class TestHybridSplit:
 
 class TestSimulateDetection:
     def test_vacuum_noiseless_power(self):
-        rec = simulate_detection(MicrowaveState.vacuum(), count=1_000_000, seed=1)
+        rec = simulate_detection(VACUUM, count=1_000_000, seed=1)
         assert np.mean(np.abs(rec.envelopes_1) ** 2) == pytest.approx(0.5, abs=0.004)
         assert np.mean(np.abs(rec.envelopes_2) ** 2) == pytest.approx(0.5, abs=0.004)
 
@@ -146,14 +148,14 @@ class TestSimulateDetection:
         )
 
     def test_chain_noise_adds_exactly_requested_power(self):
-        quiet = simulate_detection(MicrowaveState.vacuum(), (0.0, 0.0), count=500_000, seed=10)
-        loud = simulate_detection(MicrowaveState.vacuum(), (3.0, 0.0), count=500_000, seed=10)
+        quiet = simulate_detection(VACUUM, (0.0, 0.0), count=500_000, seed=10)
+        loud = simulate_detection(VACUUM, (3.0, 0.0), count=500_000, seed=10)
         added = np.mean(np.abs(loud.envelopes_1) ** 2) - np.mean(np.abs(quiet.envelopes_1) ** 2)
         assert added == pytest.approx(3.0, rel=0.02)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
-            simulate_detection(MicrowaveState.vacuum(), (-1.0, 0.0), count=100, seed=0)
+            simulate_detection(VACUUM, (-1.0, 0.0), count=100, seed=0)
 
     @pytest.mark.parametrize(
         "argument, value",
@@ -190,7 +192,7 @@ class TestCrossMoments:
     def test_entry_count_is_fifteen(self):
         rec = simulate_detection(MicrowaveState.thermal(0.4), count=1_000, seed=14)
         cm = cross_moments(rec)
-        assert list(cm.entries) == list(moment_keys())
+        assert list(cm.entries) == list(MOMENT_KEYS)
         # pairs (n, m) with n + m <= 4: C(6, 2) = 15
         assert len(cm.entries) == math.comb(6, 2) == 15
         assert cm.sample_count == 1_000
@@ -203,12 +205,12 @@ class TestCrossMoments:
         assert cm.entries[(2, 1)] == pytest.approx(1.0)
 
     def test_vacuum_odd_moments_vanish(self):
-        rec = simulate_detection(MicrowaveState.vacuum(), count=400_000, seed=11)
+        rec = simulate_detection(VACUUM, count=400_000, seed=11)
         cm = cross_moments(rec)
-        _, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, moment_keys())
+        _, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, MOMENT_KEYS)
         spread = np.hypot(np.std(means.real, axis=0, ddof=1), np.std(means.imag, axis=0, ddof=1))
         errors = spread / math.sqrt(len(means))
-        for key, error in zip(moment_keys(), errors):
+        for key, error in zip(MOMENT_KEYS, errors):
             if sum(key) % 2 == 1:
                 sigma = max(error, 1e-6)
                 assert abs(cm.entries[key]) < 5.0 * sigma, key
@@ -226,7 +228,7 @@ class TestCrossMoments:
         rec = simulate_detection(MicrowaveState.thermal(1.2), count=100_000, seed=13)
         a = cross_moments(rec)
         b = cross_moments(rec)
-        for key in moment_keys():
+        for key in MOMENT_KEYS:
             assert a.entries[key] == b.entries[key]
 
 
@@ -242,7 +244,7 @@ class TestReconstruction:
         )
         moments = reconstruct_signal_moments(cm, gains)
         expected = analytic_moments(MicrowaveState.thermal(n_thermal))
-        for key in moment_keys():
+        for key in MOMENT_KEYS:
             assert moments.entries[key] == pytest.approx(
                 expected.entries[key], abs=1e-9
             ), key
@@ -255,7 +257,7 @@ class TestReconstruction:
         )
         moments = reconstruct_signal_moments(cm, gains)
         expected = analytic_moments(MicrowaveState.coherent(alpha))
-        for key in moment_keys():
+        for key in MOMENT_KEYS:
             assert moments.entries[key] == pytest.approx(
                 expected.entries[key], abs=1e-9
             ), key
@@ -265,7 +267,7 @@ class TestReconstruction:
         cm = analytic_cross_moments(1.0 + 0.5, vacuum_port_power=n_port + 0.5)
         moments = reconstruct_signal_moments(cm, (1.0, 1.0), vacuum_port_photons=n_port)
         expected = analytic_moments(MicrowaveState.thermal(1.0))
-        for key in moment_keys():
+        for key in MOMENT_KEYS:
             assert moments.entries[key] == pytest.approx(expected.entries[key], abs=1e-9)
 
     def test_thermal_occupation_recovered_statistically(self):
@@ -276,7 +278,7 @@ class TestReconstruction:
         assert moments.entry(1, 1).real == pytest.approx(1.0, abs=0.02)
 
     def test_vacuum_occupation_is_statistical_zero(self):
-        rec = simulate_detection(MicrowaveState.vacuum(), count=500_000, seed=16)
+        rec = simulate_detection(VACUUM, count=500_000, seed=16)
         moments = reconstruct_signal_moments(cross_moments(rec), rec.chain_gains)
         assert abs(moments.entry(1, 1).real) < 0.01
 
@@ -321,7 +323,7 @@ class TestReconstruction:
             rec = simulate_detection(state, (0.5, 0.5), count=count, seed=seed)
             moments = reconstruct_signal_moments(cross_moments(rec), rec.chain_gains)
             errs = [
-                abs(moments.entries[key] - expected.entries[key]) for key in moment_keys()
+                abs(moments.entries[key] - expected.entries[key]) for key in MOMENT_KEYS
             ]
             return math.sqrt(sum(e * e for e in errs) / len(errs))
 
@@ -493,7 +495,7 @@ class TestJpaPlanckFit:
 
 class TestQuadratures:
     def test_vacuum(self):
-        var_p, var_q = quadrature_variances(analytic_moments(MicrowaveState.vacuum()))
+        var_p, var_q = quadrature_variances(analytic_moments(VACUUM))
         assert (var_p, var_q) == (0.25, 0.25)
 
     def test_thermal(self):

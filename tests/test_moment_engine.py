@@ -45,6 +45,7 @@ from mwphoton.dualpath import (
     simulate_detection,
 )
 from mwphoton.states import (
+    MOMENT_KEYS,
     SAMPLE_BATCH,
     MicrowaveState,
     MomentSet,
@@ -55,7 +56,6 @@ from mwphoton.states import (
     _gaussian_shift,
     _segment_sums,
     analytic_moments,
-    moment_keys,
     sample_envelopes,
 )
 
@@ -65,7 +65,7 @@ STATES = {
     "thermal": MicrowaveState.thermal(0.7),
     "coherent": MicrowaveState.coherent(0.9 * np.exp(0.4j)),
     "shot_noise": MicrowaveState.shot_noise(1.2),
-    "vacuum": MicrowaveState.vacuum(),
+    "vacuum": MicrowaveState(StateKind.VACUUM, 0.0),
 }
 
 
@@ -75,11 +75,11 @@ STATES = {
 
 def _per_key_cross_moments(rec):
     """Product means from per-key block means, the block sums added with ``math.fsum``."""
-    sizes, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, moment_keys())
+    sizes, means = oracles.product_block_means(rec.envelopes_1, rec.envelopes_2, MOMENT_KEYS)
     sums = sizes[:, None] * means
     entries = {
         key: complex(math.fsum(sums[:, j].real), math.fsum(sums[:, j].imag)) / rec.sample_count
-        for j, key in enumerate(moment_keys())
+        for j, key in enumerate(MOMENT_KEYS)
     }
     return CrossMomentSet(entries, rec.sample_count)
 
@@ -176,7 +176,7 @@ def test_fused_moments_match_export_route(kind, count):
 def test_point_keeps_the_bits_of_the_full_key_sums(monkeypatch, kind, count):
     point, errors = _detect_point(STATES[kind], count, count + 5, **FUSED)
     # the reference sums and inverts all 15 products, as sweep points once did
-    monkeypatch.setattr(dualpath, "_POINT_KEYS", moment_keys())
+    monkeypatch.setattr(dualpath, "_POINT_KEYS", MOMENT_KEYS)
     full_point, full_errors = _detect_point(STATES[kind], count, count + 5, **FUSED)
     assert point == full_point
     assert errors == full_errors
@@ -185,9 +185,9 @@ def test_point_keeps_the_bits_of_the_full_key_sums(monkeypatch, kind, count):
 def test_segment_sums_of_a_key_subset_keep_their_bits():
     rng = np.random.default_rng(8)
     z1, z2 = (rng.normal(size=(1001, 2)).view(complex)[:, 0] for _ in range(2))
-    full = _segment_sums(z1, z2, moment_keys())
-    assert list(full) == list(moment_keys())
-    for keys in (_POINT_KEYS, ((1, 1),), ((0, 0),), ((3, 1), (0, 1), (2, 0)), moment_keys()[::-1]):
+    full = _segment_sums(z1, z2, MOMENT_KEYS)
+    assert list(full) == list(MOMENT_KEYS)
+    for keys in (_POINT_KEYS, ((1, 1),), ((0, 0),), ((3, 1), (0, 1), (2, 0)), MOMENT_KEYS[::-1]):
         subset = _segment_sums(z1, z2, keys)
         assert list(subset) == list(keys)
         assert all(subset[key] == full[key] for key in keys), keys
@@ -199,7 +199,7 @@ def test_segment_sums_of_a_key_subset_keep_their_bits():
 
 def test_point_keys_closed_under_conjugation_and_gaussian_shift():
     keys = set(_POINT_KEYS)
-    assert len(_POINT_KEYS) == len(keys) == 7 and keys <= set(moment_keys())
+    assert len(_POINT_KEYS) == len(keys) == 7 and keys <= set(MOMENT_KEYS)
     assert all((m, n) in keys for n, m in keys)
     assert all((n - k, m - k) in keys for n, m in keys for k in range(min(n, m) + 1))
     # both maps run on the set alone and return exactly its keys
@@ -238,8 +238,8 @@ def test_cross_moments_match_per_key_loop(kind, count):
     new = cross_moments(record)
     old = _per_key_cross_moments(record)
     assert new.sample_count == old.sample_count == count
-    assert list(new.entries) == list(old.entries) == list(moment_keys())
-    for key in moment_keys():
+    assert list(new.entries) == list(old.entries) == list(MOMENT_KEYS)
+    for key in MOMENT_KEYS:
         assert new.entries[key] == pytest.approx(old.entries[key], rel=RTOL, abs=1e-15), key
     assert new.entries[(0, 0)] == 1.0
 
@@ -326,7 +326,7 @@ def test_joint_sampler_agrees_in_law_with_layered_route(kind):
     count = 200_000
 
     def product_means(z1, z2):
-        sizes, means = oracles.product_block_means(z1, z2, moment_keys())
+        sizes, means = oracles.product_block_means(z1, z2, MOMENT_KEYS)
         spread = np.sqrt(np.var(means.real, axis=0, ddof=1) + np.var(means.imag, axis=0, ddof=1))
         return sizes @ means / count, spread / math.sqrt(len(sizes))
 
@@ -338,5 +338,5 @@ def test_joint_sampler_agrees_in_law_with_layered_route(kind):
             *oracles.layered_detection(STATES[kind], count=count, seed=seed, **LAYERED)
         )
         budget = 4.0 * np.hypot(joint_err, layered_err)
-        for j, key in enumerate(moment_keys()[1:], 1):
+        for j, key in enumerate(MOMENT_KEYS[1:], 1):
             assert abs(joint[j] - layered[j]) <= budget[j], (seed, key)

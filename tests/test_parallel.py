@@ -22,13 +22,13 @@ import pytest
 
 from mwphoton import dualpath, experiments
 from mwphoton.dualpath import simulate_detection
-from mwphoton.states import SAMPLE_BATCH, MicrowaveState
+from mwphoton.states import SAMPLE_BATCH, MicrowaveState, StateKind
 
 STATES = {
     "thermal": MicrowaveState.thermal(0.7),
     "coherent": MicrowaveState.coherent(0.9 * np.exp(0.4j)),
     "shot_noise": MicrowaveState.shot_noise(1.2),
-    "vacuum": MicrowaveState.vacuum(),
+    "vacuum": MicrowaveState(StateKind.VACUUM, 0.0),
 }
 
 WORKER_COUNTS = (1, 2, 3)

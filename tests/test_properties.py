@@ -19,11 +19,11 @@ import oracles
 from mwphoton.dualpath import _moments_from_products, reconstruct_signal_moments
 from mwphoton.experiments import EXPERIMENTS
 from mwphoton.states import (
+    MOMENT_KEYS,
     MicrowaveState,
     MomentSet,
     Ordering,
     analytic_moments,
-    moment_keys,
     ordering_convert,
 )
 from test_dualpath import analytic_cross_moments
@@ -163,7 +163,7 @@ def test_exact_gaussian_cross_moments_invert_to_analytic_moments(
     )
     moments = reconstruct_signal_moments(cm, gains, vacuum_port_photons=vacuum_port_photons)
     expected = analytic_moments(state)
-    for key in moment_keys():
+    for key in MOMENT_KEYS:
         assert abs(moments.entries[key] - expected.entries[key]) <= 1e-9, key
 
 
@@ -182,7 +182,7 @@ def normal_entries(draw, drift=st.just(0j)):
     ``drift`` perturbs each mirror entry (m, n), as estimation noise would.
     """
     entries = {(0, 0): 1.0 + 0j}
-    for n, m in moment_keys():
+    for n, m in MOMENT_KEYS:
         if (n, m) == (0, 0) or n > m:
             continue
         if n == m:
@@ -213,7 +213,7 @@ def test_inversion_matches_the_symmetrized_route(raw, gains, vacuum_port_photons
     moments = _moments_from_products(products, gains, vacuum_port_photons, 0)
     assert moments.ordering is Ordering.NORMAL
     expected = oracles.symmetrized_route_inversion(products, gains, vacuum_port_photons)
-    for key in moment_keys():
+    for key in MOMENT_KEYS:
         _close(moments.entries[key], expected[key], key)
 
 
@@ -224,5 +224,5 @@ def test_ordering_round_trip_is_the_identity(entries):
     there = ordering_convert(original, Ordering.SYMMETRIZED)
     back = ordering_convert(there, Ordering.NORMAL)
     assert there.ordering is Ordering.SYMMETRIZED and back.ordering is Ordering.NORMAL
-    for key in moment_keys():
+    for key in MOMENT_KEYS:
         _close(back.entries[key], entries[key], key)

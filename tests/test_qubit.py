@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from mwphoton.cavity import Resonator, correlator, correlator_value
+from mwphoton.cavity import Resonator, correlator, correlator_value, dephasing_gaussian
 from mwphoton.chains import BeamSplitterStage, attenuate
 from mwphoton.defaults import SAMPLE_QUBIT, SAMPLE_SYSTEM
 from mwphoton.qubit import (
@@ -251,7 +251,9 @@ class TestGaussianPhaseLawValidity:
                 system.resonator, internal_rate=0.0, external_rate=2.0 * system.chi / x
             )
             small = replace(system, resonator=lossless)
-            exact = oracles.thermal_dephasing_exact(lossless.total_rate, small.chi, n_r)
+            exact = oracles.thermal_dephasing_exact(
+                lossless.external_rate + lossless.internal_rate, small.chi, n_r
+            )
             ratio = exact / dephasing_rate(StateKind.THERMAL, n_r, small)
             assert (1.0 - ratio) / x ** 2 == pytest.approx(
                 1.0 / 3.0 + 5.0 * n_r + 5.0 * n_r * n_r, rel=0.01
@@ -269,9 +271,32 @@ class TestGaussianPhaseLawValidity:
 
     @pytest.mark.parametrize("n_r, expected", [(0.05, 0.820), (0.5, 0.517), (1.5, 0.261)])
     def test_thermal_law_overestimates_at_the_sample_point(self, n_r, expected, system):
-        exact = oracles.thermal_dephasing_exact(system.resonator.total_rate, system.chi, n_r)
+        res = system.resonator
+        exact = oracles.thermal_dephasing_exact(
+            res.external_rate + res.internal_rate, system.chi, n_r
+        )
         ratio = exact / dephasing_rate(StateKind.THERMAL, n_r, system)
         assert ratio == pytest.approx(expected, abs=5e-4)
+
+    @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("kind", [StateKind.THERMAL, StateKind.COHERENT], ids=lambda k: k.value)
+    def test_law_and_exact_rates_are_even_in_the_pull(self, kind, n_r, system):
+        # the sample's pull x = 2 chi / kappa_x is negative; flipping chi leaves
+        # the law's theta0^2 bit for bit and the exact rates to rounding, so
+        # the law's error at the sample point depends on |x| only
+        res = system.resonator
+        law = [
+            dephasing_gaussian(1.0, res, accumulated_phase(chi, res.external_rate))
+            for chi in (system.chi, -system.chi)
+        ]
+        assert law[0] == law[1] > 0
+        if kind is StateKind.THERMAL:
+            kappa, exact = res.external_rate + res.internal_rate, oracles.thermal_dephasing_exact
+        else:
+            kappa, exact = res.external_rate, oracles.coherent_dephasing_exact
+        assert exact(kappa, -system.chi, n_r) == pytest.approx(
+            exact(kappa, system.chi, n_r), rel=1e-12, abs=0.0
+        )
 
     @pytest.mark.parametrize("n_r", [0.05, 0.5, 1.5])
     def test_coherent_law_overestimates_at_the_sample_point(self, n_r, system):

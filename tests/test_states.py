@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from mwphoton import states
 from mwphoton.states import (
+    MAX_MOMENT_ORDER,
+    MOMENT_KEYS,
     MicrowaveState,
     ModeSpec,
     MomentSet,
@@ -15,7 +18,6 @@ from mwphoton.states import (
     bose_einstein,
     effective_temperature,
     empirical_moments,
-    moment_keys,
     ordering_convert,
     photon_variance,
     sample_envelopes,
@@ -100,7 +102,7 @@ class TestPhotonVariance:
         assert photon_variance(MicrowaveState.thermal(0.5), classical_limit=True) == 0.25
 
     def test_vacuum(self):
-        assert photon_variance(MicrowaveState.vacuum()) == 0.0
+        assert photon_variance(MicrowaveState(StateKind.VACUUM, 0.0)) == 0.0
 
     def test_classical_limit_restricted_to_thermal(self):
         with pytest.raises(ValueError):
@@ -121,6 +123,21 @@ class TestStateValidation:
             MicrowaveState.thermal(-0.1)
 
 
+class TestMomentKeys:
+    def test_each_key_up_to_the_highest_order_once(self):
+        # (n, m) for n + m <= 4: 1 + 2 + 3 + 4 + 5 keys, lower total order first
+        assert "MOMENT_KEYS" in states.__all__
+        assert isinstance(MOMENT_KEYS, tuple) and len(MOMENT_KEYS) == 15
+        expected = {(n, m) for n in range(5) for m in range(5) if n + m <= MAX_MOMENT_ORDER}
+        assert set(MOMENT_KEYS) == expected
+        orders = [n + m for n, m in MOMENT_KEYS]
+        assert orders == sorted(orders)
+
+    @pytest.mark.parametrize("state", [MicrowaveState.thermal(0.7), MicrowaveState.coherent(0.9 + 0.1j)])
+    def test_analytic_entries_follow_the_key_order(self, state):
+        assert list(analytic_moments(state).entries) == list(MOMENT_KEYS)
+
+
 class TestAnalyticMoments:
     def test_thermal_fourth_moment(self):
         # k! n^k at k = 2, n = 1; frozen against the Fock oracle and a direct
@@ -138,7 +155,7 @@ class TestAnalyticMoments:
         assert analytic_moments(MicrowaveState.coherent(1.0)).entry(2, 2) == pytest.approx(1.0)
 
     def test_vacuum_occupation(self):
-        assert analytic_moments(MicrowaveState.vacuum()).entry(1, 1) == 0.0
+        assert analytic_moments(MicrowaveState(StateKind.VACUUM, 0.0)).entry(1, 1) == 0.0
 
     def test_shot_noise_intensity_moments(self):
         moments = analytic_moments(MicrowaveState.shot_noise(0.8))
@@ -152,7 +169,7 @@ class TestAnalyticMoments:
             MicrowaveState.thermal(0.7),
             MicrowaveState.coherent(1.3 - 0.4j),
             MicrowaveState.shot_noise(0.4),
-            MicrowaveState.vacuum(),
+            MicrowaveState(StateKind.VACUUM, 0.0),
         ],
     )
     def test_occupation_entry_matches_mean_photons(self, state):
@@ -165,7 +182,7 @@ class TestAnalyticMoments:
         [
             MicrowaveState.thermal(0.7),
             MicrowaveState.coherent(0.9 + 0.1j),
-            MicrowaveState.vacuum(),
+            MicrowaveState(StateKind.VACUUM, 0.0),
         ],
     )
     def test_variance_from_moments_matches_closed_form(self, state):
@@ -177,21 +194,21 @@ class TestAnalyticMoments:
     @pytest.mark.parametrize("n_mean", [0.3, 1.0, 1.5])
     def test_thermal_moments_match_fock_oracle(self, n_mean):
         moments = analytic_moments(MicrowaveState.thermal(n_mean))
-        for n, m in moment_keys():
+        for n, m in MOMENT_KEYS:
             oracle = oracles.fock_normal_moment_thermal(n_mean, n, m)
             assert moments.entry(n, m) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
     def test_coherent_moments_match_fock_oracle(self):
         alpha = 0.8 + 0.5j
         moments = analytic_moments(MicrowaveState.coherent(alpha))
-        for n, m in moment_keys():
+        for n, m in MOMENT_KEYS:
             oracle = oracles.fock_normal_moment_coherent(alpha, n, m, cutoff=40)
             assert moments.entry(n, m) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
 
 class TestSampleEnvelopes:
     def test_vacuum_quadrature_variance(self):
-        z = sample_envelopes(MicrowaveState.vacuum(), 1_000_000, seed=1)
+        z = sample_envelopes(MicrowaveState(StateKind.VACUUM, 0.0), 1_000_000, seed=1)
         # variance-of-variance for a Gaussian: sigma = var * sqrt(2/N)
         stat = 0.25 * math.sqrt(2.0 / z.size)
         assert np.var(z.real) == pytest.approx(0.25, abs=3 * stat)
@@ -207,7 +224,7 @@ class TestSampleEnvelopes:
         assert np.mean(z) == pytest.approx(2.0 + 0j, abs=5e-3)
 
     def test_empty_request(self):
-        assert sample_envelopes(MicrowaveState.vacuum(), 0, seed=0).size == 0
+        assert sample_envelopes(MicrowaveState(StateKind.VACUUM, 0.0), 0, seed=0).size == 0
 
     def test_deterministic_and_partition_independent(self):
         state = MicrowaveState.thermal(0.5)
@@ -237,7 +254,7 @@ class TestEmpiricalMoments:
         assert m.entry(1, 1) == pytest.approx(1.0)
 
     def test_vacuum_occupation_moment(self):
-        z = sample_envelopes(MicrowaveState.vacuum(), 1_000_000, seed=6)
+        z = sample_envelopes(MicrowaveState(StateKind.VACUUM, 0.0), 1_000_000, seed=6)
         # Wick: symmetrized <a^dag a> of vacuum is 1/2
         assert empirical_moments(z).entry(1, 1).real == pytest.approx(0.5, abs=0.003)
 
@@ -260,7 +277,7 @@ class TestEmpiricalMoments:
     def test_matches_per_key_means(self, state):
         z = sample_envelopes(state, 10_000, seed=8)
         observed = empirical_moments(z)
-        for n, m in moment_keys():
+        for n, m in MOMENT_KEYS:
             expected = complex(np.mean(np.conj(z) ** n * z ** m))
             assert observed.entry(n, m) == pytest.approx(expected, rel=1e-12), (n, m)
 
@@ -273,7 +290,7 @@ class TestEmpiricalMoments:
             observed = empirical_moments(sample_envelopes(state, count, seed))
             errs = [
                 abs(observed.entry(n, m) - expected.entry(n, m))
-                for n, m in moment_keys()
+                for n, m in MOMENT_KEYS
             ]
             return math.sqrt(sum(e * e for e in errs) / len(errs))
 
@@ -287,7 +304,7 @@ class TestEmpiricalMoments:
 class TestOrderingConvert:
     def test_vacuum_commutator_half(self):
         converted = ordering_convert(
-            analytic_moments(MicrowaveState.vacuum()), Ordering.SYMMETRIZED
+            analytic_moments(MicrowaveState(StateKind.VACUUM, 0.0)), Ordering.SYMMETRIZED
         )
         assert converted.entry(1, 1) == pytest.approx(0.5)
 
@@ -305,7 +322,7 @@ class TestOrderingConvert:
         converted = ordering_convert(
             analytic_moments(MicrowaveState.thermal(n_mean)), Ordering.SYMMETRIZED
         )
-        for n, m in moment_keys():
+        for n, m in MOMENT_KEYS:
             oracle = oracles.fock_symmetrized_moment_thermal(n_mean, n, m)
             assert converted.entry(n, m) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
@@ -314,7 +331,7 @@ class TestOrderingConvert:
         converted = ordering_convert(
             analytic_moments(MicrowaveState.coherent(alpha)), Ordering.SYMMETRIZED
         )
-        for n, m in moment_keys():
+        for n, m in MOMENT_KEYS:
             oracle = oracles.fock_symmetrized_moment_coherent(alpha, n, m, cutoff=40)
             assert converted.entry(n, m) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
@@ -322,7 +339,7 @@ class TestOrderingConvert:
         rng = np.random.default_rng(21)
         for _ in range(10):
             entries = {}
-            for n, m in moment_keys():
+            for n, m in MOMENT_KEYS:
                 if n == m:
                     entries[(n, m)] = complex(rng.uniform(0.0, 3.0))
                 elif n < m:
