@@ -46,7 +46,8 @@ for row in sweep["tables"]["g2_vs_n"]["rows"][::3]:
         f"  T = {row[0]*1e3:5.0f} mK   n = {row[2]:.3f} +/- {row[3]:.3f}   "
         f"g2 = {row[4]:6.3f} +/- {row[5]:.3f}   (2 n^2 = {row[6]:.3f})"
     )
+law = sweep["fits"]["g2_quadratic"]
 print(
-    f"quadratic fit: g2 = rho n^2 with rho = {sweep['summary']['rho']:.3f} "
-    f"+/- {sweep['summary']['rho_err']:.3f}"
+    f"quadratic fit: g2 = rho n^2 with rho = {law['parameters']['rho']:.3f} "
+    f"+/- {law['standard_errors']['rho']:.3f}"
 )

@@ -42,9 +42,10 @@ print("a sizeable classical contribution Var(n_n) = n_n^2 in the amplifier noise
 
 # --- compression points -----------------------------------------------------------
 from mwphoton import compression_power
+from mwphoton.chains import watts_to_dbm
 
 print("\n1 dB compression from the tabulated temperatures:")
 for name, meta in JPA_METADATA.items():
-    point = compression_power(meta["kappa_x"], meta["t_1db"])
+    p_1db = watts_to_dbm(compression_power(meta["kappa_x"], meta["t_1db"]))
     flag = " (estimate)" if meta["t_1db_estimated"] else ""
-    print(f"  {name}: T_1dB = {meta['t_1db']*1e3:.0f} mK -> P_1dB = {point.dbm:.1f} dBm{flag}")
+    print(f"  {name}: T_1dB = {meta['t_1db']*1e3:.0f} mK -> P_1dB = {p_1db:.1f} dBm{flag}")

@@ -80,6 +80,8 @@ class FitResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = self.covariance / np.outer(sigma, sigma)
         corr[~np.isfinite(corr)] = 0.0
+        # cov_ii / sigma_i^2 rounds; a parameter with sigma > 0 correlates 1 with itself
+        corr[np.diag_indices_from(corr)] = np.where(sigma > 0, 1.0, 0.0)
         return corr
 
     def to_json_dict(self) -> dict:

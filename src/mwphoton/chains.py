@@ -35,7 +35,6 @@ __all__ = [
     "BeamSplitterStage",
     "JpaStage",
     "LinearChain",
-    "CompressionPoint",
     "db_to_linear",
     "linear_to_db",
     "watts_to_dbm",
@@ -125,17 +124,6 @@ class LinearChain:
     @property
     def gain_db(self) -> float:
         return linear_to_db(self.gain)
-
-
-@dataclass(frozen=True)
-class CompressionPoint:
-    """1 dB compression point expressed in watts and dBm."""
-
-    watts: float
-
-    @property
-    def dbm(self) -> float:
-        return watts_to_dbm(self.watts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +247,8 @@ def g2_jpa_referred(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
     return g2, offset
 
 
-def compression_power(kappa_x: float, t_1db: float) -> CompressionPoint:
-    """1 dB compression power P_1dB = kappa_x[Hz] * k_B * T_1dB."""
+def compression_power(kappa_x: float, t_1db: float) -> float:
+    """1 dB compression power P_1dB = kappa_x[Hz] * k_B * T_1dB, in watts."""
     if not (kappa_x > 0 and t_1db > 0):
         raise ValueError("kappa_x and T_1dB must be positive")
-    return CompressionPoint(kappa_x * k_B * t_1db)
+    return kappa_x * k_B * t_1db

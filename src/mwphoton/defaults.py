@@ -59,14 +59,12 @@ JPA_OPERATING_POINTS = {
     "jpa2b": JpaStage.from_db(15.2, 0.97),
 }
 
-#: Side parameters per operating point: resonator linewidths (Hz), measured
-#: compression temperatures (K), amplifier bandwidths (Hz), and the measured
-#: correlation-law coefficients kept as comparators for reports.
+#: Side parameters per operating point: external resonator linewidth (Hz),
+#: compression temperature (K) and whether it is an estimate, and the
+#: measured correlation-law coefficients kept as comparators for reports.
 JPA_METADATA = {
     "jpa1": {
         "kappa_x": 18.7e6,
-        "kappa_i": 5.4e6,
-        "bandwidth": 3.2e6,
         "t_1db": 0.70,
         "measured_xi": 8.14,
         "measured_offset": 7.1,
@@ -75,8 +73,6 @@ JPA_METADATA = {
     },
     "jpa2a": {
         "kappa_x": 14.9e6,
-        "kappa_i": 0.2e6,
-        "bandwidth": 2.6e6,
         "t_1db": 0.59,
         "measured_xi": 3.29,
         "measured_offset": 1.1,
@@ -85,8 +81,6 @@ JPA_METADATA = {
     },
     "jpa2b": {
         "kappa_x": 14.6e6,
-        "kappa_i": 0.2e6,
-        "bandwidth": 2.6e6,
         "t_1db": 0.44,
         "measured_xi": 3.29,
         "measured_offset": 1.8,

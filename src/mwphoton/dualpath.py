@@ -586,14 +586,14 @@ def jpa_planck_power(
     temperatures,
     mode: ModeSpec,
     bandwidth: float,
-    jpa_gain: float,
+    gain: float,
     added_photons: float,
-    chain_gain: float = 1.0,
     saturation_power: Optional[float] = None,
 ) -> np.ndarray:
     """Forward model for a Planck sweep with the preamplifier on.
 
-    In the linear regime P(T) = G_jpa G_chain B h f [n(T) + 1/2 + n_n]; an
+    ``gain`` is the total gain G = G_jpa G_chain of preamplifier and chain.
+    In the linear regime P(T) = G B h f [n(T) + 1/2 + n_n]; an
     optional saturation P -> P / (1 + (P / P_sat)^m)^(1/m) models gain
     compression with a knee of sharpness m, putting the 1 dB point at
     P_linear = P_sat (10^(m/10) - 1)^(1/m) while leaving powers well below
@@ -602,7 +602,7 @@ def jpa_planck_power(
     temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
     quantum = PLANCK_H * mode.frequency
     occ = bose_einstein(mode, temps)
-    linear = jpa_gain * chain_gain * bandwidth * quantum * (occ + 0.5 + added_photons)
+    linear = gain * bandwidth * quantum * (occ + 0.5 + added_photons)
     if saturation_power is None:
         return linear
     m = _SATURATION_SHARPNESS
@@ -613,12 +613,11 @@ def saturation_power_for_t1db(
     t_1db: float,
     mode: ModeSpec,
     bandwidth: float,
-    jpa_gain: float,
+    gain: float,
     added_photons: float,
-    chain_gain: float = 1.0,
 ) -> float:
-    """Saturation power placing the 1 dB compression point at ``t_1db``."""
-    linear = jpa_planck_power([t_1db], mode, bandwidth, jpa_gain, added_photons, chain_gain)[0]
+    """Saturation power placing the 1 dB compression point at ``t_1db``, at total gain ``gain``."""
+    linear = jpa_planck_power([t_1db], mode, bandwidth, gain, added_photons)[0]
     return float(linear / _KNEE)
 
 

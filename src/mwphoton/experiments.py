@@ -36,6 +36,7 @@ from .chains import (
     g2_jpa_referred,
     g2_unnormalized,
     linear_to_db,
+    watts_to_dbm,
 )
 from .defaults import (
     DETECTION_MODE,
@@ -103,7 +104,7 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
             "variance_curves": {"columns": ["state", "n", "sqrt_var"], "rows": rows}
         },
         "fits": {},
-        "summary": {"n_max": n_max, "n_points": n_points},
+        "summary": {},
     }
 
 
@@ -203,13 +204,10 @@ def ramsey_sweep(
         },
         "fits": {"photon_statistics_law": law.to_json_dict()},
         "summary": {
-            "state": state,
             "slope_hz": law.parameters[slope_name],
             "slope_err_hz": law.std_error(slope_name),
             "expected_slope_hz": _rate_per_variance(kind, system),
             "kappa_theta0_sq_hz": dephasing_gaussian(1.0, system.resonator, system.theta0),
-            "shots": shots,
-            "seed": seed,
         },
     }
 
@@ -273,13 +271,7 @@ def dualpath_sweep(
             }
         },
         "fits": {"g2_quadratic": law.to_json_dict()},
-        "summary": {
-            "rho": law.parameters["rho"],
-            "rho_err": law.std_error("rho"),
-            "count_per_point": count,
-            "chain_noise_photons": list(chain_noise_photons),
-            "seed": seed,
-        },
+        "summary": {"rho": law.parameters["rho"]},
     }
 
 
@@ -323,8 +315,6 @@ def jpa_sweep(
     summary = {
         "n_n": n_n,
         "gain_db": stage.gain_db,
-        "rho": law.parameters["rho"],
-        "xi": law.parameters["xi"],
         "xi_thermal_model": 4.0 + 4.0 * n_n,
         "xi_commutator_free": 4.0 * n_n + 1.0,
         "offset_thermal_model": 2.0 * (n_n + 1.0) ** 2,
@@ -387,7 +377,7 @@ def planck_calibration(
 
     jpa_sweeps, jpa_rows = [], []
     for name, stage in JPA_OPERATING_POINTS.items():
-        device = (mode, bandwidth, stage.gain, stage.added_noise_photons, chain_gain)
+        device = (mode, bandwidth, stage.gain * chain_gain, stage.added_noise_photons)
         saturation = saturation_power_for_t1db(JPA_METADATA[name]["t_1db"], *device)
         jpa_powers = measured(jpa_planck_power(temps, *device, saturation))
         jpa_sweeps.append(PlanckSweep(temps, jpa_powers, mode, bandwidth))
@@ -401,7 +391,7 @@ def planck_calibration(
             "n_n": jcal.added_photons,
             "n_n_true": stage.added_noise_photons,
             "t_1db": jcal.t_1db,
-            "p_1db_dbm": None if p_1db is None else p_1db.dbm,
+            "p_1db_dbm": None if p_1db is None else watts_to_dbm(p_1db),
         }
     return {
         "tables": {
@@ -417,11 +407,7 @@ def planck_calibration(
         "fits": {"jpa_calibrations": jpa_fits},
         "summary": {
             "chain_gain_db": cal.chain_gain_db,
-            "chain_gain_db_true": chain_gain_db,
             "chain_noise_temperature_k": cal.chain_noise_temperature,
-            "chain_noise_temperature_true_k": chain_noise_temperature,
-            "power_noise_fraction": power_noise_fraction,
-            "seed": seed,
         },
     }
 
@@ -465,7 +451,7 @@ def quadrature_check(
             }
         },
         "fits": {},
-        "summary": {"count_per_point": count, "seed": seed},
+        "summary": {},
     }
 
 

@@ -20,6 +20,7 @@ from mwphoton.chains import (
     compression_power,
     db_to_linear,
     g2_jpa_referred,
+    watts_to_dbm,
 )
 from mwphoton.defaults import SAMPLE_RESONATOR, SAMPLE_SYSTEM
 from mwphoton.dualpath import (
@@ -65,7 +66,7 @@ def test_criterion_1_parameter_formulas():
     checks.append(("n_crit", n_crit, 40.0, abs(n_crit / 40.0 - 1) < 0.02))
     purcell = purcell_rate(8.55e6, 67e6, 850e6)
     checks.append(("purcell", purcell, 53e3, abs(purcell / 53e3 - 1) < 0.03))
-    p1db = compression_power(14.9e6, 0.59).dbm
+    p1db = watts_to_dbm(compression_power(14.9e6, 0.59))
     checks.append(("P_1dB", p1db, -129.0, abs(p1db - (-129.0)) < 0.3))
     passed = all(ok for _, _, _, ok in checks)
     detail = "; ".join(f"{name}={value:.4g} (ref {ref:.4g})" for name, value, ref, _ in checks)

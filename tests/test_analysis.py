@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mwphoton.analysis import (
+    FitResult,
     NumericalError,
     VarianceLawModel,
     extract_dephasing,
@@ -92,7 +93,17 @@ class TestFitRamsey:
         assert set(payload["parameters"]) == set(self.TRUTH)
         matrix = np.asarray(payload["correlation_matrix"])
         assert matrix.shape == (5, 5)
-        assert np.allclose(np.diag(matrix), 1.0, atol=1e-9)
+        assert np.all(np.diag(matrix) == 1.0)
+
+    def test_correlation_diagonal_is_exact(self):
+        # 2 / sqrt(2)**2 = 0.9999999999999998; a sigma = 0 parameter correlates 0
+        covariance = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 0.0]])
+        fit = FitResult({"a": 1.0, "b": 2.0, "c": 3.0}, ("a", "b", "c"), covariance, 0.0, True, 1)
+        assert 2.0 / math.sqrt(2.0) ** 2 != 1.0
+        matrix = fit.correlation_matrix()
+        np.testing.assert_array_equal(np.diag(matrix), [1.0, 1.0, 0.0])
+        assert matrix[0, 1] == matrix[1, 0] == 0.5 / (math.sqrt(2.0) * math.sqrt(3.0))
+        assert not np.any(matrix[2, :2]) and not np.any(matrix[:2, 2])
 
 
 class TestExtractDephasing:

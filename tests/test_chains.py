@@ -16,6 +16,7 @@ from mwphoton.chains import (
     g2_jpa_referred,
     g2_unnormalized,
     linear_to_db,
+    watts_to_dbm,
 )
 from mwphoton.analysis import VarianceLawModel, fit_variance_law
 from mwphoton.defaults import JPA_OPERATING_POINTS
@@ -182,16 +183,15 @@ class TestG2JpaReferred:
 
 class TestCompressionPower:
     def test_reference_operating_point(self):
-        point = compression_power(14.9e6, 0.59)
-        assert point.dbm == pytest.approx(-129.0, abs=0.3)
+        assert watts_to_dbm(compression_power(14.9e6, 0.59)) == pytest.approx(-129.0, abs=0.3)
 
     def test_second_operating_point(self):
-        assert compression_power(14.6e6, 0.44).dbm == pytest.approx(-130.5, abs=0.3)
+        assert watts_to_dbm(compression_power(14.6e6, 0.44)) == pytest.approx(-130.5, abs=0.3)
 
     def test_doubling_temperature_adds_three_db(self):
-        low = compression_power(14.9e6, 0.3)
-        high = compression_power(14.9e6, 0.6)
-        assert high.dbm - low.dbm == pytest.approx(10.0 * math.log10(2.0), rel=1e-9)
+        low = watts_to_dbm(compression_power(14.9e6, 0.3))
+        high = watts_to_dbm(compression_power(14.9e6, 0.6))
+        assert high - low == pytest.approx(10.0 * math.log10(2.0), rel=1e-9)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):

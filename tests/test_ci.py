@@ -4,7 +4,8 @@
 command, the `requires-python` and numpy floors of pyproject.toml and the
 experiment registry, and every ``mwphoton run`` line against the CLI's
 parser and config table, so that an edit to one of them cannot leave the
-workflow behind.  The benchmark smoke job is held to the runs it must make
+workflow behind.  The scipy-free job also reruns two pipelines and diffs
+each pair of run directories.  The benchmark smoke job is held to the runs it must make
 and to the check that fails it on any failed operation.
 """
 
@@ -73,6 +74,23 @@ def test_scipy_free_runs_name_experiments_and_pass_their_reports():
         report = later.index(["mwphoton", "report", out])
         # report exits 0 after failed checks too, so all_passed must be read
         assert later[report + 1] == ["python", "-c", "$ALL_PASSED", f"{out}/report.json"]
+
+
+def test_scipy_free_reruns_are_diffed_against_their_first_runs():
+    commands = list(_commands("runtime-without-scipy"))
+    runs = {}
+    for words in commands:
+        if words[:2] == ["mwphoton", "run"]:
+            at = words.index("--out")
+            runs[words[at + 1]] = words[:at] + words[at + 2 :]
+    diffs = [words[2:] for words in commands if words[:2] == ["diff", "-r"]]
+    assert sorted(runs[first][2] for first, _ in diffs) == ["jpa_sweep", "planck_calibration"]
+    for first, second in diffs:
+        # the same run, reported before the compare, so report.json is compared too
+        assert first != second and runs[first] == runs[second]
+        diff = commands.index(["diff", "-r", first, second])
+        for out in (first, second):
+            assert commands.index(["mwphoton", "report", out]) < diff
 
 
 def test_every_run_line_parses_and_resolves():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import inspect
 import itertools
 import json
@@ -299,15 +300,17 @@ class TestRunCommand:
         assert (out / "fits.json").exists()
         assert (out / "manifest.json").exists()
 
-    def test_byte_identical_reruns(self, tmp_path):
-        first = tmp_path / "a"
-        second = tmp_path / "b"
-        args = ("run", "ramsey_sweep", "--shots", "200", "--n-points", "4",
-                "--set", "tau_points=24", "--seed", "5")
-        assert run_cli(*args, "--out", str(first)) == 0
-        assert run_cli(*args, "--out", str(second)) == 0
-        for name in ("dephasing_vs_n.csv", "fits.json", "manifest.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_byte_identical_reruns(self, tmp_path, experiment):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE[experiment]))
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert run_cli("run", experiment, "--config", str(config), "--out", str(out)) == 0
+        names = sorted(path.name for path in runs[0].iterdir())
+        assert names == sorted(path.name for path in runs[1].iterdir())
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -387,7 +390,7 @@ class TestRunCommand:
         code = run_cli("run", "jpa_sweep", "--out", str(out))
         assert code == 0
         fits = json.loads((out / "fits.json").read_text())
-        assert fits["summary"]["xi"] == pytest.approx(6.64, abs=1e-9)
+        assert fits["fits"]["g2_law"]["parameters"]["xi"] == pytest.approx(6.64, abs=1e-9)
 
     def test_wrote_lists_only_this_runs_files(self, tmp_path, capsys):
         out = tmp_path / "shared"
@@ -695,6 +698,31 @@ class TestReportCommand:
         assert run_cli("report", str(out)) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "fits.json" in err and "'fits'" in err
+        assert not (out / "report.json").exists()
+
+    def test_report_reads_run_keys_from_the_manifest_config(self, tmp_path, capsys):
+        out = tmp_path / "planck"
+        assert run_cli("run", "planck_calibration", "--seed", "3", "--out", str(out)) == 0
+        report = generate_report(out)
+        assert report["seed"] == 3 and report["all_passed"]
+        # a run written while fits.json and manifest.json restated run keys
+        manifest = json.loads((out / "manifest.json").read_text())
+        payload = json.loads((out / "fits.json").read_text())
+        payload["summary"].update(chain_gain_db_true=145.0, chain_noise_temperature_true_k=3.0, seed=3)
+        (out / "fits.json").write_text(json.dumps(payload))
+        (out / "manifest.json").write_text(json.dumps({**manifest, "seed": 3}))
+        assert generate_report(out)["checks"] == report["checks"]
+        manifest["config"]["chain_gain_db"] += 1.0
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert _failed_checks(out) == ["chain_gain_recovery_db"]
+        del manifest["config"]["t_chain_k"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("report", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err and "'t_chain_k'" in err
+        (out / "manifest.json").write_text(json.dumps({**manifest, "config": []}))
+        assert run_cli("report", str(out)) == 1
+        assert "config as a JSON object" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_unknown_experiment_in_manifest_rejected(self, tmp_path, capsys):
@@ -1096,6 +1124,84 @@ class TestEveryColumnCarriesInformation:
         assert hit in _uninformative(experiment, BASE[experiment]), (
             f"drop {experiment} {hit} from DELIBERATE"
         )
+
+
+# Guard: every number a run writes has one home.  A run key's is the
+# manifest's config and a fit parameter's its fit entry, so a summary entry
+# fails if one of its leaves equals a run key's value (in config or in
+# pipeline units) both at BASE and with that key moved to SECOND, or is
+# bit-equal to a parameter or standard error of a fit entry.  One BASE run
+# is not enough: there the noiseless Planck fit returns chain_gain_db =
+# 145.0 exactly, the key's value, and 139.99999999999997 at SECOND.
+
+
+def _scalars(value):
+    """(path, leaf) of every number or string in a nested value; lengths and None left out."""
+    return [
+        (path, leaf)
+        for path, leaf in _leaves(value)
+        if path[-1:] != ("len",) and leaf is not None and not isinstance(leaf, bool)
+    ]
+
+
+def _summary_run(experiment, config):
+    """A run's summary leaves, its fits, and each run key's values in both units."""
+    resolved = resolve_config(experiment, None, config)
+    kwargs = _experiment_kwargs(experiment, resolved)
+    result = cli._plain(EXPERIMENTS[experiment](**kwargs))
+    values = {}
+    for key, row in _rows(experiment).items():
+        both_units = [resolved[key], cli._plain(cli._get(kwargs[row.arg], row.part))]
+        values[key] = [leaf for _, leaf in _scalars(both_units)]
+    return dict(_scalars(result["summary"])), result["fits"], values
+
+
+@functools.cache
+def _restated(experiment):
+    """Each summary entry of a BASE run that restates a run key or a fit number, with its sources."""
+    summary, fits, values = _summary_run(experiment, BASE[experiment])
+    fit_numbers = [
+        (f"{name}.{part}.{param}", number)
+        for name, fit in fits.items()
+        for part in ("parameters", "standard_errors")
+        for param, number in fit.get(part, {}).items()
+    ]
+    moved = {}
+    found = {}
+    for path, leaf in summary.items():
+        sources = {name for name, number in fit_numbers if type(leaf) is float and leaf == number}
+        for key in [key for key, keyed in values.items() if leaf in keyed]:
+            if key not in moved:
+                assert BASE[experiment].get(key) != SECOND[key]
+                moved[key] = _summary_run(experiment, {**BASE[experiment], key: SECOND[key]})
+            leaves, _, moved_values = moved[key]
+            if path in leaves and leaves[path] in moved_values[key]:
+                sources.add(key)
+        if sources:
+            found.setdefault(path[0], set()).update(sources)
+    return found
+
+
+_BENCHMARK_READS = "benchmarks/workloads.py reads it from the summary (ROADMAP item 1)"
+
+
+class TestEverySummaryEntryHasOneHome:
+    # Copies kept, each with its reason.
+    DELIBERATE = {
+        ("dualpath_sweep", "rho"): _BENCHMARK_READS,
+        ("ramsey_sweep", "slope_hz"): _BENCHMARK_READS,
+        ("ramsey_sweep", "slope_err_hz"): _BENCHMARK_READS,
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(BASE))
+    def test_summary_restates_no_key_or_fit(self, experiment):
+        kept = {entry for name, entry in self.DELIBERATE if name == experiment}
+        found = _restated(experiment)
+        assert not set(found) - kept, {entry: sorted(found[entry]) for entry in set(found) - kept}
+
+    @pytest.mark.parametrize("experiment, entry", sorted(DELIBERATE))
+    def test_deliberate_entry_is_still_a_copy(self, experiment, entry):
+        assert entry in _restated(experiment), f"drop {experiment} {entry} from DELIBERATE"
 
 
 def _old_csv(table):
