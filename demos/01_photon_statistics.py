@@ -14,6 +14,7 @@ from mwphoton import (
     MicrowaveState,
     ModeSpec,
     Ordering,
+    StateKind,
     analytic_moments,
     bose_einstein,
     effective_temperature,
@@ -36,11 +37,11 @@ print(f"inverse: n = 0.15 corresponds to T = {effective_temperature(mode, 0.15)*
 print("\nsqrt(Var(n)) for n = 0.05 ... 1.5:")
 print(f"{'n':>6} {'thermal':>9} {'classical':>10} {'poissonian':>11}")
 for n in np.geomspace(0.05, 1.5, 7):
-    thermal = MicrowaveState.thermal(float(n))
+    n = float(n)
+    coherent = MicrowaveState.coherent(n**0.5)
     print(
-        f"{n:6.3f} {photon_variance(thermal)**0.5:9.4f} "
-        f"{photon_variance(thermal, classical_limit=True)**0.5:10.4f} "
-        f"{photon_variance(MicrowaveState.coherent(float(n)**0.5))**0.5:11.4f}"
+        f"{n:6.3f} {photon_variance(StateKind.THERMAL, n)**0.5:9.4f} {n:10.4f} "
+        f"{photon_variance(coherent.kind, coherent.mean_photons)**0.5:11.4f}"
     )
 
 # --- moments, analytic and sampled ------------------------------------------

@@ -47,7 +47,7 @@ law = thermal["fits"]["photon_statistics_law"]["parameters"]
 print(
     f"  thermal:  gamma_phi = rho n^2 + xi n with rho = {law['rho']/1e6:.2f} MHz, "
     f"xi = {law['xi']/1e6:.2f} MHz  (n^2 + n law: rho = xi = kappa theta0^2 = "
-    f"{thermal['summary']['kappa_theta0_sq_hz']/1e6:.2f} MHz)"
+    f"{thermal['summary']['expected_slope_hz']/1e6:.2f} MHz)"
 )
 coherent = run_experiment("ramsey_sweep", state="coherent", seed=2)
 shot = run_experiment("ramsey_sweep", state="shot_noise", seed=3)

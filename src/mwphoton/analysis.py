@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -55,10 +55,12 @@ class NumericalError(ValueError):
 
 @dataclass
 class FitResult:
-    """Named parameters with covariance and convergence diagnostics."""
+    """Named parameters with covariance and convergence diagnostics.
+
+    The covariance rows and columns follow the key order of ``parameters``.
+    """
 
     parameters: Dict[str, float]
-    parameter_order: Tuple[str, ...]
     covariance: np.ndarray
     residual_norm: float
     converged: bool
@@ -68,12 +70,12 @@ class FitResult:
         self.covariance = np.asarray(self.covariance, dtype=float)
 
     def std_error(self, name: str) -> float:
-        index = self.parameter_order.index(name)
+        index = tuple(self.parameters).index(name)
         return math.sqrt(max(self.covariance[index, index], 0.0))
 
     @property
     def std_errors(self) -> Dict[str, float]:
-        return {name: self.std_error(name) for name in self.parameter_order}
+        return {name: self.std_error(name) for name in self.parameters}
 
     def correlation_matrix(self) -> np.ndarray:
         sigma = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
@@ -86,7 +88,7 @@ class FitResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "parameters": {k: self.parameters[k] for k in self.parameter_order},
+            "parameters": dict(self.parameters),
             "standard_errors": self.std_errors,
             "correlation_matrix": self.correlation_matrix().tolist(),
             "residual_norm": self.residual_norm,
@@ -391,7 +393,6 @@ def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
     return [
         FitResult(
             params,
-            _RAMSEY_NAMES,
             cov[index],
             float(np.linalg.norm(res[index])),
             bool(converged[index]),
@@ -469,6 +470,5 @@ def fit_variance_law(
         raise ValueError("abscissa values must be distinct")
     design = np.column_stack([n ** power for _, power in columns])
     beta, cov, residuals = _linear_least_squares(design, y, weights)
-    names = tuple(name for name, _ in columns)
-    params = dict(zip(names, (float(b) for b in beta)))
-    return FitResult(params, names, cov, float(np.linalg.norm(residuals)), True, 1)
+    params = {name: float(b) for (name, _), b in zip(columns, beta)}
+    return FitResult(params, cov, float(np.linalg.norm(residuals)), True, 1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .states import StateKind, _number_variance
+from .states import StateKind, photon_variance
 
 __all__ = [
     "Resonator",
@@ -71,13 +71,12 @@ def correlator(kind: StateKind, n_r: float, res: Resonator) -> Correlator:
     Thermal input:   C(tau) = (n_r^2 + n_r) exp(-kappa_x tau)
     Shot noise:      C(tau) = n_r        exp(-kappa_x tau)
     Coherent input:  C(tau) = n_r        exp(-kappa_x tau / 2)
-    Vacuum:          C(tau) = 0
 
     The memory is set by kappa_x alone; internal loss is left out.
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    return Correlator(_number_variance(kind, n_r), _memory_rate(kind, res))
+    return Correlator(photon_variance(kind, n_r), _memory_rate(kind, res))
 
 
 def _memory_rate(kind: StateKind, res: Resonator) -> float:

@@ -28,7 +28,6 @@ from .analysis import (
     fit_ramsey_traces,
     fit_variance_law,
 )
-from .cavity import dephasing_gaussian
 from .chains import (
     amplify_commutator_free,
     compression_power,
@@ -95,9 +94,8 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
     rows = []
     for n in np.linspace(0.0, n_max, n_points):
         n = float(n)
-        thermal = MicrowaveState.thermal(n)
-        rows.append(["thermal", n, math.sqrt(photon_variance(thermal))])
-        rows.append(["classical_limit", n, math.sqrt(photon_variance(thermal, classical_limit=True))])
+        rows.append(["thermal", n, math.sqrt(photon_variance(StateKind.THERMAL, n))])
+        rows.append(["classical_limit", n, n])  # sqrt of the classical Var(n) = n^2
         rows.append(["coherent", n, math.sqrt(n)])
     return {
         "tables": {
@@ -152,9 +150,12 @@ def ramsey_sweep(
     with the photon-statistics law of the field (quadratic plus linear for
     thermal, linear for coherent and shot noise).
     """
-    kind = StateKind(state)
-    if kind is StateKind.VACUUM:
-        raise PipelineArgumentError("'state' must be a non-vacuum field for a photon-number sweep")
+    try:
+        kind = StateKind(state)
+    except ValueError:
+        raise PipelineArgumentError(
+            f"'state' must be one of {[k.value for k in StateKind]}, got {state!r}"
+        ) from None
     if kind is StateKind.THERMAL:
         model, slope_name = VarianceLawModel.QUADRATIC_PLUS_LINEAR, "xi"
     else:
@@ -207,7 +208,6 @@ def ramsey_sweep(
             "slope_hz": law.parameters[slope_name],
             "slope_err_hz": law.std_error(slope_name),
             "expected_slope_hz": _rate_per_variance(kind, system),
-            "kappa_theta0_sq_hz": dephasing_gaussian(1.0, system.resonator, system.theta0),
         },
     }
 

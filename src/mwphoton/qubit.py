@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
-from .states import StateKind, _number_variance
+from .states import StateKind, photon_variance
 
 __all__ = [
     "QubitParams",
@@ -81,12 +81,10 @@ class QubitParams:
     def relaxation_rate(self, kind: StateKind, n_r: float) -> float:
         """Total energy decay rate gamma_1(n_r) = gamma_1 + gamma_1^d * n_r.
 
-        Shot noise relaxes like a coherent tone, and the vacuum adds nothing.
+        Shot noise relaxes like a coherent tone.
         """
         if kind is StateKind.THERMAL:
             per_photon = self.thermal_relaxation_per_photon
-        elif kind is StateKind.VACUUM:
-            per_photon = 0.0
         else:
             per_photon = self.coherent_relaxation_per_photon
         return self.intrinsic_relaxation + per_photon * n_r
@@ -171,7 +169,7 @@ def dephasing_rate(kind: StateKind, n_r: float, sys: DispersiveSystem) -> float:
     """
     if n_r < 0:
         raise ValueError("resonator population must be >= 0")
-    return _rate_per_variance(kind, sys) * _number_variance(kind, n_r)
+    return _rate_per_variance(kind, sys) * photon_variance(kind, n_r)
 
 
 def _rate_per_variance(kind: StateKind, sys: DispersiveSystem) -> float:

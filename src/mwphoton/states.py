@@ -1,13 +1,15 @@
 """Single-mode microwave field states and their photon statistics.
 
 The propagating fields of interest are weak (mean photon number of order
-unity) and come in four flavours: thermal radiation from a black-body
+unity) and come in three flavours: thermal radiation from a black-body
 emitter (super-Poissonian, Var(n) = n^2 + n), coherent tones from a
-microwave source (Poissonian, Var(n) = n), broadband electronic shot noise
-(Poissonian intensity but no stable phase), and vacuum.  This module owns
+microwave source (Poissonian, Var(n) = n), and broadband electronic shot
+noise (Poissonian intensity but no stable phase).  The vacuum is the
+n = 0 limit of each, written ``MicrowaveState.thermal(0.0)``.  This
+module owns
 
 * the Bose-Einstein occupation n(T) and its exact inverse,
-* closed-form photon-number variances, including the classical n^2 limit,
+* the closed-form photon-number variance of each kind,
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
 * seeded Monte Carlo samplers for the symmetrized (Wigner) phase-space
   envelope of each state,
@@ -70,7 +72,6 @@ class StateKind(Enum):
     THERMAL = "thermal"
     COHERENT = "coherent"
     SHOT_NOISE = "shot_noise"
-    VACUUM = "vacuum"
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,6 @@ class MicrowaveState:
         n = self.mean_photons
         if not n >= 0:
             raise ValueError(f"mean photon number must be >= 0, got {n}")
-        if self.kind is StateKind.VACUUM and n != 0:
-            raise ValueError("vacuum state must have mean_photons = 0")
         if self.kind is StateKind.COHERENT:
             if abs(abs(self.amplitude) ** 2 - n) > 1e-12 * max(1.0, n):
                 raise ValueError(
@@ -269,31 +268,14 @@ def effective_temperature(mode: ModeSpec, n: float) -> float:
     return hbar * 2.0 * math.pi * mode.frequency / (k_B * math.log1p(1.0 / n))
 
 
-def photon_variance(state: MicrowaveState, classical_limit: bool = False) -> float:
-    """Photon-number variance Var(n) of the state.
-
-    ``classical_limit`` replaces the thermal n^2 + n law by its classical
-    n^2 limit (the comparison curve of the variance plots); it is only
-    meaningful for thermal states.
-    """
-    n = state.mean_photons
-    if classical_limit:
-        if state.kind is not StateKind.THERMAL:
-            raise ValueError("classical_limit applies to thermal states only")
-        return n * n
-    return _number_variance(state.kind, n)
-
-
-def _number_variance(kind: StateKind, n: float) -> float:
-    """Var(n) of a field of kind ``kind`` and mean occupation ``n``.
+def photon_variance(kind: StateKind, n: float) -> float:
+    """Photon-number variance Var(n) of a field of kind ``kind`` and mean occupation ``n``.
 
     Thermal fields are super-Poissonian (n^2 + n), coherent states and shot
-    noise Poissonian (n); the vacuum does not fluctuate.
+    noise Poissonian (n).
     """
     if kind is StateKind.THERMAL:
         return n * n + n
-    if kind is StateKind.VACUUM:
-        return 0.0
     return n
 
 
@@ -303,7 +285,7 @@ def analytic_moments(state: MicrowaveState) -> MomentSet:
     Thermal: <(a^dag)^k a^k> = k! n^k, phase-carrying entries vanish.
     Coherent: <(a^dag)^n a^m> = conj(alpha)^n alpha^m.
     Shot noise: phase-randomized Poissonian field, <(a^dag)^k a^k> = n^k,
-    phase-carrying entries vanish.  Vacuum: only (0, 0) survives.
+    phase-carrying entries vanish.
     """
     n = state.mean_photons
     alpha = state.amplitude
@@ -313,10 +295,8 @@ def analytic_moments(state: MicrowaveState) -> MomentSet:
             value = math.factorial(nn) * n ** nn if nn == mm else 0.0
         elif state.kind is StateKind.COHERENT:
             value = alpha.conjugate() ** nn * alpha ** mm
-        elif state.kind is StateKind.SHOT_NOISE:
-            value = n ** nn if nn == mm else 0.0
         else:
-            value = 1.0 if nn == mm == 0 else 0.0
+            value = n ** nn if nn == mm else 0.0
         entries[(nn, mm)] = complex(value)
     return MomentSet(Ordering.NORMAL, entries)
 
@@ -338,8 +318,8 @@ def _batch_seed(seed: int, index: int) -> np.random.SeedSequence:
 def sample_envelopes(state: MicrowaveState, count: int, seed: int) -> np.ndarray:
     """Complex envelope samples drawn from the Wigner distribution of ``state``.
 
-    Thermal and vacuum states are circular Gaussians with per-quadrature
-    variance (2n + 1)/4.  Coherent states displace the vacuum Gaussian by
+    Thermal states are circular Gaussians with per-quadrature variance
+    (2n + 1)/4.  Coherent states displace the vacuum Gaussian by
     ``alpha``.  Shot noise displaces it by sqrt(n) exp(i phi), with the
     phase ``phi`` drawn uniformly for each sample.  Batch ``i`` draws from
     ``SeedSequence(seed, spawn_key=(i,))`` of the integer ``seed``, so the

@@ -95,7 +95,7 @@ def test_criterion_3_thermal_law():
     law = result["fits"]["photon_statistics_law"]["parameters"]
     ratio = law["rho"] / law["xi"]
     ratio_ok = abs(ratio - 1.0) <= 0.05
-    scale = result["summary"]["kappa_theta0_sq_hz"]
+    scale = result["summary"]["expected_slope_hz"]  # kappa_x theta0^2 for a thermal field
     coefficients_ok = abs(law["rho"] / scale - 1) <= 0.05 and abs(law["xi"] / scale - 1) <= 0.05
 
     rows = np.asarray(result["tables"]["dephasing_vs_n"]["rows"], dtype=float)

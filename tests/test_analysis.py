@@ -98,7 +98,7 @@ class TestFitRamsey:
     def test_correlation_diagonal_is_exact(self):
         # 2 / sqrt(2)**2 = 0.9999999999999998; a sigma = 0 parameter correlates 0
         covariance = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 0.0]])
-        fit = FitResult({"a": 1.0, "b": 2.0, "c": 3.0}, ("a", "b", "c"), covariance, 0.0, True, 1)
+        fit = FitResult({"a": 1.0, "b": 2.0, "c": 3.0}, covariance, 0.0, True, 1)
         assert 2.0 / math.sqrt(2.0) ** 2 != 1.0
         matrix = fit.correlation_matrix()
         np.testing.assert_array_equal(np.diag(matrix), [1.0, 1.0, 0.0])

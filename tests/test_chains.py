@@ -21,14 +21,14 @@ from mwphoton.chains import (
 from mwphoton.analysis import VarianceLawModel, fit_variance_law
 from mwphoton.defaults import JPA_OPERATING_POINTS
 from mwphoton.experiments import jpa_sweep
-from mwphoton.states import MicrowaveState, StateKind, photon_variance
+from mwphoton.states import StateKind, photon_variance
 
 
 class TestAttenuate:
     def test_transparent_stage_keeps_thermal_statistics(self):
         n_tot, variance = attenuate(StateKind.THERMAL, 0.8, BeamSplitterStage(1.0, 0.3))
         assert n_tot == pytest.approx(0.8)
-        assert variance == pytest.approx(photon_variance(MicrowaveState.thermal(0.8)))
+        assert variance == pytest.approx(photon_variance(StateKind.THERMAL, 0.8))
 
     def test_opaque_stage_keeps_background_statistics(self):
         n_tot, variance = attenuate(StateKind.THERMAL, 0.8, BeamSplitterStage(0.0, 0.3))

@@ -4,9 +4,10 @@
 command, the `requires-python` and numpy floors of pyproject.toml and the
 experiment registry, and every ``mwphoton run`` line against the CLI's
 parser and config table, so that an edit to one of them cannot leave the
-workflow behind.  The scipy-free job also reruns two pipelines and diffs
-each pair of run directories.  The benchmark smoke job is held to the runs it must make
-and to the check that fails it on any failed operation.
+workflow behind.  The scipy-free job also reruns four pipelines at their
+defaults and diffs each pair of run directories.  The benchmark smoke job
+is held to the runs it must make and to the check that fails it on any
+failed operation.
 """
 
 import re
@@ -84,7 +85,11 @@ def test_scipy_free_reruns_are_diffed_against_their_first_runs():
             at = words.index("--out")
             runs[words[at + 1]] = words[:at] + words[at + 2 :]
     diffs = [words[2:] for words in commands if words[:2] == ["diff", "-r"]]
-    assert sorted(runs[first][2] for first, _ in diffs) == ["jpa_sweep", "planck_calibration"]
+    # each at its defaults, so the Ramsey rerun is the thermal sweep
+    assert sorted(runs[first] for first, _ in diffs) == [
+        ["mwphoton", "run", name]
+        for name in ("jpa_sweep", "planck_calibration", "ramsey_sweep", "variance_curves")
+    ]
     for first, second in diffs:
         # the same run, reported before the compare, so report.json is compared too
         assert first != second and runs[first] == runs[second]

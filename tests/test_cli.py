@@ -234,6 +234,13 @@ class TestConfigTable:
         np.testing.assert_array_equal([row[0] for row in rows], np.linspace(0.05, 1.2, 24))
         assert kwargs["bandwidth"] == 300e3
 
+    # Guard: a state kind that no run accepts is surface that only tests reach.
+    @pytest.mark.parametrize("kind", list(StateKind), ids=lambda kind: kind.value)
+    def test_every_state_kind_is_a_state_the_cli_accepts(self, kind):
+        args = cli.build_parser().parse_args(["run", "ramsey_sweep", "--state", kind.value])
+        config = resolve_config("ramsey_sweep", None, cli._collect_overrides(args))
+        assert _experiment_kwargs("ramsey_sweep", config)["state"] == kind.value
+
     def test_every_bounded_key_has_an_out_of_range_case(self, tmp_path):
         bounded = {
             key
@@ -370,7 +377,8 @@ class TestRunCommand:
         assert not (tmp_path / "r").exists()
 
     def test_vacuum_sweep_names_the_state(self):
-        # the CLI schema has no vacuum state; a direct call meets the pipeline's check
+        # the vacuum is a thermal field at n = 0, not a state kind; a direct
+        # call with an unknown state meets the pipeline's check
         with pytest.raises(PipelineArgumentError, match="'state'"):
             EXPERIMENTS["ramsey_sweep"](state="vacuum")
 
@@ -704,9 +712,10 @@ class TestReportCommand:
         out = tmp_path / "planck"
         assert run_cli("run", "planck_calibration", "--seed", "3", "--out", str(out)) == 0
         report = generate_report(out)
-        assert report["seed"] == 3 and report["all_passed"]
-        # a run written while fits.json and manifest.json restated run keys
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 3 and report["all_passed"]
+        assert not {"seed", "summary"} & set(report)  # the report restates no number of the run
+        # a run written while fits.json and manifest.json restated run keys
         payload = json.loads((out / "fits.json").read_text())
         payload["summary"].update(chain_gain_db_true=145.0, chain_noise_temperature_true_k=3.0, seed=3)
         (out / "fits.json").write_text(json.dumps(payload))
@@ -1130,9 +1139,11 @@ class TestEveryColumnCarriesInformation:
 # manifest's config and a fit parameter's its fit entry, so a summary entry
 # fails if one of its leaves equals a run key's value (in config or in
 # pipeline units) both at BASE and with that key moved to SECOND, or is
-# bit-equal to a parameter or standard error of a fit entry.  One BASE run
-# is not enough: there the noiseless Planck fit returns chain_gain_db =
-# 145.0 exactly, the key's value, and 139.99999999999997 at SECOND.
+# bit-equal to a parameter or standard error of a fit entry or to another
+# leaf of the same summary (the later of the two in sorted order is named).
+# One BASE run is not enough: there the noiseless Planck fit returns
+# chain_gain_db = 145.0 exactly, the key's value, and 139.99999999999997 at
+# SECOND.
 
 
 def _scalars(value):
@@ -1158,9 +1169,11 @@ def _summary_run(experiment, config):
 
 @functools.cache
 def _restated(experiment):
-    """Each summary entry of a BASE run that restates a run key or a fit number, with its sources."""
+    """Each summary entry of a BASE run that restates a run key, a fit number or an earlier
+    summary leaf, with its sources."""
     summary, fits, values = _summary_run(experiment, BASE[experiment])
-    fit_numbers = [
+    # the fit numbers, then each summary leaf once it is passed
+    numbers = [
         (f"{name}.{part}.{param}", number)
         for name, fit in fits.items()
         for part in ("parameters", "standard_errors")
@@ -1169,7 +1182,8 @@ def _restated(experiment):
     moved = {}
     found = {}
     for path, leaf in summary.items():
-        sources = {name for name, number in fit_numbers if type(leaf) is float and leaf == number}
+        sources = {name for name, number in numbers if type(leaf) is float and leaf == number}
+        numbers.append((f"summary.{'.'.join(map(str, path))}", leaf))
         for key in [key for key, keyed in values.items() if leaf in keyed]:
             if key not in moved:
                 assert BASE[experiment].get(key) != SECOND[key]

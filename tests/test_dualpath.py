@@ -42,7 +42,7 @@ from mwphoton.states import (
 )
 
 MODE = ModeSpec(5.4e9)
-VACUUM = MicrowaveState(StateKind.VACUUM, 0.0)
+VACUUM = MicrowaveState.thermal(0.0)
 
 
 # ---------------------------------------------------------------------------

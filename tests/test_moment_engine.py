@@ -65,7 +65,7 @@ STATES = {
     "thermal": MicrowaveState.thermal(0.7),
     "coherent": MicrowaveState.coherent(0.9 * np.exp(0.4j)),
     "shot_noise": MicrowaveState.shot_noise(1.2),
-    "vacuum": MicrowaveState(StateKind.VACUUM, 0.0),
+    "vacuum": MicrowaveState.thermal(0.0),
 }
 
 
@@ -121,7 +121,7 @@ def _old_sample_envelopes(state, count, seed):
     for index, start in enumerate(range(0, count, SAMPLE_BATCH)):
         size = min(SAMPLE_BATCH, count - start)
         rng = np.random.default_rng(_batch_seed(seed, index))
-        if state.kind in (StateKind.THERMAL, StateKind.VACUUM):
+        if state.kind is StateKind.THERMAL:
             quads = rng.normal(0.0, math.sqrt((2.0 * n + 1.0) / 4.0), size=(size, 2))
             z = quads[:, 0] + 1j * quads[:, 1]
         elif state.kind is StateKind.COHERENT:

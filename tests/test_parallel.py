@@ -28,7 +28,7 @@ STATES = {
     "thermal": MicrowaveState.thermal(0.7),
     "coherent": MicrowaveState.coherent(0.9 * np.exp(0.4j)),
     "shot_noise": MicrowaveState.shot_noise(1.2),
-    "vacuum": MicrowaveState(StateKind.VACUUM, 0.0),
+    "vacuum": MicrowaveState.thermal(0.0),
 }
 
 WORKER_COUNTS = (1, 2, 3)

@@ -136,11 +136,10 @@ class TestDispersiveSystem:
         q = system.qubit
         assert q.relaxation_rate(StateKind.THERMAL, 1.0) == pytest.approx(4.7e6)
         assert q.relaxation_rate(StateKind.COHERENT, 1.0) == pytest.approx(3.87e6)
-        # shot noise relaxes like a coherent tone, and the vacuum adds nothing
+        # shot noise relaxes like a coherent tone
         assert q.relaxation_rate(StateKind.SHOT_NOISE, 0.7) == q.relaxation_rate(
             StateKind.COHERENT, 0.7
         )
-        assert q.relaxation_rate(StateKind.VACUUM, 0.7) == q.intrinsic_relaxation
 
     def test_anharmonicity_sign_enforced(self):
         with pytest.raises(ValueError):
@@ -414,7 +413,7 @@ class TestSimulateRamsey:
         )
         taus = np.linspace(1e-9, 200e-9, 40)
         # the fringe detuning is 5 / max(tau) = 25 MHz
-        trace = simulate_ramsey(quiet, StateKind.VACUUM, 0.0, taus, shots=100_000, seed=3)
+        trace = simulate_ramsey(quiet, StateKind.THERMAL, 0.0, taus, shots=100_000, seed=3)
         expected = 0.5 * (1.0 + np.cos(TWO_PI * 25e6 * taus))
         sigma = np.sqrt(np.clip(expected * (1 - expected), 1e-12, None) / 100_000) + 1e-4
         assert np.all(np.abs(trace[:, 1] - expected) < 5 * sigma)
