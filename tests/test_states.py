@@ -6,6 +6,9 @@ import pytest
 
 import oracles
 from mwphoton import states
+from mwphoton.defaults import SAMPLE_SYSTEM
+from mwphoton.dualpath import simulate_detection
+from mwphoton.qubit import EnvelopeForm, dephasing_rate, ramsey_envelope, simulate_ramsey
 from mwphoton.states import (
     MAX_MOMENT_ORDER,
     MOMENT_KEYS,
@@ -380,3 +383,49 @@ class TestMomentSetValidation:
     def test_modulus_overflow_names_the_key(self, entries, key):
         with pytest.raises(ValueError, match=re.escape(key)):
             MomentSet(Ordering.NORMAL, entries)
+
+
+# The vacuum is the n = 0 limit of every kind, so a zero-photon field of any
+# kind reads with the bits of MicrowaveState.thermal(0.0) wherever a state
+# or its kind enters: no kind needs a vacuum of its own.
+RAMSEY_DELAYS = np.linspace(0.0, 2e-6, 9)
+
+ZERO_PHOTON_READS = {
+    "analytic_moments": lambda state: analytic_moments(state).entries,
+    "photon_variance": lambda state: photon_variance(state.kind, state.mean_photons),
+    "sample_envelopes": lambda state: sample_envelopes(
+        state, 3 * states.SAMPLE_BATCH // 2, seed=4
+    ),
+    "simulate_detection": lambda state: [
+        getattr(simulate_detection(state, (1.5, 2.0), (2.0, 3.0), 3000, 4, 0.1), name)
+        for name in ("envelopes_1", "envelopes_2")
+    ],
+    "relaxation_rate": lambda state: SAMPLE_SYSTEM.qubit.relaxation_rate(
+        state.kind, state.mean_photons
+    ),
+    "dephasing_rate": lambda state: dephasing_rate(state.kind, state.mean_photons, SAMPLE_SYSTEM),
+    "ramsey_envelope_asymptotic_rate": lambda state: ramsey_envelope(
+        SAMPLE_SYSTEM, state.kind, state.mean_photons, RAMSEY_DELAYS, EnvelopeForm.ASYMPTOTIC_RATE
+    ),
+    "ramsey_envelope_gaussian_integral": lambda state: ramsey_envelope(
+        SAMPLE_SYSTEM, state.kind, state.mean_photons, RAMSEY_DELAYS, EnvelopeForm.GAUSSIAN_INTEGRAL
+    ),
+    "simulate_ramsey": lambda state: simulate_ramsey(
+        SAMPLE_SYSTEM, state.kind, state.mean_photons, RAMSEY_DELAYS, shots=500, seed=8
+    ),
+}
+
+
+class TestZeroPhotonFieldIsTheVacuum:
+    @pytest.mark.parametrize("read", ZERO_PHOTON_READS.values(), ids=ZERO_PHOTON_READS.keys())
+    @pytest.mark.parametrize(
+        "state",
+        [MicrowaveState.coherent(0.0), MicrowaveState.shot_noise(0.0)],
+        ids=["coherent", "shot_noise"],
+    )
+    def test_reads_as_thermal_at_zero_photons(self, state, read):
+        vacuum = read(MicrowaveState.thermal(0.0))
+        if isinstance(vacuum, dict):
+            assert read(state) == vacuum
+        else:
+            np.testing.assert_array_equal(read(state), vacuum, strict=True)
