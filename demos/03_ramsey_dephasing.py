@@ -12,7 +12,7 @@ import numpy as np
 
 from mwphoton import EnvelopeForm, StateKind, fit_ramsey, ramsey_envelope, simulate_ramsey
 from mwphoton.defaults import SAMPLE_SYSTEM
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import ramsey_sweep
 
 system = SAMPLE_SYSTEM
 
@@ -42,15 +42,15 @@ print(
 
 # --- full sweeps: the three statistics -----------------------------------------
 print("\nphoton-number sweeps (12 points, 1e4 shots each):")
-thermal = run_experiment("ramsey_sweep", state="thermal", seed=1)
+thermal = ramsey_sweep(state="thermal", seed=1)
 law = thermal["fits"]["photon_statistics_law"]["parameters"]
 print(
     f"  thermal:  gamma_phi = rho n^2 + xi n with rho = {law['rho']/1e6:.2f} MHz, "
     f"xi = {law['xi']/1e6:.2f} MHz  (n^2 + n law: rho = xi = kappa theta0^2 = "
     f"{thermal['summary']['expected_slope_hz']/1e6:.2f} MHz)"
 )
-coherent = run_experiment("ramsey_sweep", state="coherent", seed=2)
-shot = run_experiment("ramsey_sweep", state="shot_noise", seed=3)
+coherent = ramsey_sweep(state="coherent", seed=2)
+shot = ramsey_sweep(state="shot_noise", seed=3)
 s_coh = coherent["summary"]["slope_hz"]
 s_sh = shot["summary"]["slope_hz"]
 print(f"  coherent: slope {s_coh/1e6:.2f} MHz;  shot noise: slope {s_sh/1e6:.2f} MHz")

@@ -16,7 +16,7 @@ from mwphoton import (
     reconstruct_signal_moments,
     simulate_detection,
 )
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import dualpath_sweep
 
 # --- noise cancellation, the core of the method -------------------------------
 state = MicrowaveState.thermal(1.0)
@@ -40,7 +40,7 @@ print(f"  g2(0) = Var - n + n^2 = {g2_unnormalized(n, variance):.4f}   (2 n^2 = 
 
 # --- temperature sweep: the quadratic law ---------------------------------------
 print("\ntemperature sweep through the receiver (10 points, 2e5 samples each):")
-sweep = run_experiment("dualpath_sweep", count=200_000, seed=7)
+sweep = dualpath_sweep(count=200_000, seed=7)
 for row in sweep["tables"]["g2_vs_n"]["rows"][::3]:
     print(
         f"  T = {row[0]*1e3:5.0f} mK   n = {row[2]:.3f} +/- {row[3]:.3f}   "

@@ -14,7 +14,7 @@ jpa_sweep's summary.
 
 from mwphoton import amplify
 from mwphoton.defaults import JPA_METADATA, JPA_OPERATING_POINTS
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import jpa_sweep
 
 # --- exact variance algebra, checked against two-mode Fock brute force ----------
 stage = JPA_OPERATING_POINTS["jpa2a"]
@@ -28,7 +28,7 @@ print("\nper operating point: strong-gain xi and offset, thermal idler and alter
 print(f"{'device':>7} {'xi thermal':>10} {'xi comm-free':>13} {'xi meas':>8}"
       f" {'off thermal':>11} {'off classical':>14} {'off comm-free':>14} {'off meas':>9}")
 for name in ("jpa1", "jpa2a", "jpa2b"):
-    result = run_experiment("jpa_sweep", operating_point=name)
+    result = jpa_sweep(operating_point=name)
     s = result["summary"]
     print(
         f"{name:>7} {s['xi_thermal_model']:10.2f} {s['xi_commutator_free']:13.2f} "

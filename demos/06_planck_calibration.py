@@ -12,7 +12,7 @@ import numpy as np
 
 from mwphoton import ModeSpec, PlanckSweep, planck_fit, planck_power
 from mwphoton.chains import db_to_linear
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import planck_calibration
 
 mode = ModeSpec(5.4e9)
 bandwidth = 400e3
@@ -37,7 +37,7 @@ print(f"  noise = {noisy_cal.chain_noise_temperature:.2f} +/- "
 
 # --- JPA characterization -----------------------------------------------------
 print("\npreamplified sweeps (whole-sweep fit of the saturating forward model):")
-result = run_experiment("planck_calibration", seed=1)
+result = planck_calibration(seed=1)
 for name, fit in result["fits"]["jpa_calibrations"].items():
     t_1db = f"{fit['t_1db']*1e3:.0f} mK" if fit["t_1db"] else "outside range"
     p_1db = f"{fit['p_1db_dbm']:.1f} dBm" if fit["p_1db_dbm"] else "n/a"

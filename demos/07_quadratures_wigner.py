@@ -14,7 +14,7 @@ from mwphoton import (
     quadrature_variances,
     wigner_gaussian_contour,
 )
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import quadrature_check
 
 # --- closed forms -----------------------------------------------------------
 print("quadrature variance n/2 + 1/4 and 1/e contour radius sqrt(n + 1/2):")
@@ -29,7 +29,7 @@ for n in (0.0, 0.1, 0.5, 1.0, 1.5):
 
 # --- reconstructed from detection records --------------------------------------
 print("\nreconstructed from simulated dual-path records (4e5 samples each):")
-result = run_experiment("quadrature_check", occupations=(0.1, 1.0), count=400_000, seed=3)
+result = quadrature_check(occupations=(0.1, 1.0), count=400_000, seed=3)
 for row in result["tables"]["quadratures"]["rows"]:
     n, var_p, err_p, var_q, err_q, model = row[:6]
     print(

@@ -8,12 +8,13 @@ Subcommands:
   seed included, and with the package version it reproduces a run
   bit-identically.  ``fits.json`` holds the fit entries (parameters,
   standard errors, correlations) and a ``summary`` of derived numbers that
-  restates no run key.  The summary copies three fit numbers only, because
-  ``benchmarks/workloads.py`` reads them there: ``dualpath_sweep``'s
-  ``rho`` and ``ramsey_sweep``'s ``slope_hz`` and ``slope_err_hz``.
+  restates no run key.
 * ``report <run_dir>``: check a completed run against the reference
   expectations and write the pass/fail checks to ``report.json``, which
   restates no number of the run, plus a human-readable table on stdout.
+  Each experiment's checks live beside its pipeline, in
+  ``experiments.CHECKS``; this module reads the run's files and names no
+  experiment, table, column or entry.
 * ``schema``: emit the JSON schemas the artifacts validate against.
 
 Configuration comes from an optional JSON file plus command-line
@@ -60,7 +61,7 @@ from . import __version__
 from .analysis import NumericalError
 from .defaults import JPA_OPERATING_POINTS
 from .dualpath import ERROR_BATCHES, PLANCK_MIN_SPAN
-from .experiments import EXPERIMENTS, PipelineArgumentError, run_experiment
+from .experiments import CHECKS, EXPERIMENTS, PipelineArgumentError
 from .states import StateKind
 
 __all__ = ["main", "build_parser", "ConfigError", "NumericalError"]
@@ -336,7 +337,8 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
 # Report generation
 # ---------------------------------------------------------------------------
 
-def _check(name, value, band, reference=None):
+def _check(name, value, band, reference):
+    """The ``report.json`` entry of one ``(name, value, band, reference)`` check."""
     passed = band[0] <= value <= band[1] if math.isfinite(value) else False
     return {
         "name": name,
@@ -347,132 +349,25 @@ def _check(name, value, band, reference=None):
     }
 
 
-#: Width, in standard errors, of the quadrature-variance report checks.
-_QUADRATURE_K_SIGMA = 5.0
-
-
 def _read_table(path: Path) -> Dict[str, list]:
-    """The columns of a CSV table written by ``run``, by name, as strings."""
-    with open(path, newline="") as handle:
-        header, *rows = csv.reader(handle)
-    columns = list(zip(*rows)) or [()] * len(header)
-    return {name: list(column) for name, column in zip(header, columns)}
+    """The columns of a CSV table written by ``run``, by name, as strings.
 
-
-def _build_checks(experiment: str, config: dict, fits: dict, summary: dict, read_table) -> list:
-    """Pass/fail checks of a run; ``read_table(name)`` gives the columns of one of its tables.
-
-    ``config`` is the manifest's, the one home of each run key.
+    ConfigError naming the file unless it has a header, at least one row
+    and as many cells in each row as in the header.
     """
-    checks = []
-    if experiment == "ramsey_sweep":
-        slope = summary["slope_hz"]
-        expected = summary["expected_slope_hz"]
-        checks.append(
-            _check(
-                "photon_statistics_slope_vs_model",
-                slope / expected,
-                (0.9, 1.1),
-                "slope / (kappa_x theta0^2 scale) = 1",
+    try:
+        with open(path, newline="") as handle:
+            header, *rows = list(csv.reader(handle)) or [[]]
+    except (OSError, ValueError, csv.Error) as exc:  # unreadable or not UTF-8
+        raise ConfigError(f"cannot read {path} as CSV: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path} holds no rows")
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path} row {number} has {len(row)} cells, but its header has {len(header)}"
             )
-        )
-        law = fits["photon_statistics_law"]["parameters"]
-        if "xi" in law and law.get("xi"):
-            checks.append(
-                _check(
-                    "thermal_rho_over_xi",
-                    law["rho"] / law["xi"],
-                    (0.95, 1.05),
-                    "n^2 + n law: rho = xi",
-                )
-            )
-        converged = np.array(read_table("dephasing_vs_n")["fit_converged"], dtype=float)
-        checks.append(
-            _check(
-                "ramsey_fits_converged",
-                float(np.count_nonzero(converged != 1.0)),
-                (0.0, 0.0),
-                "number of points whose Ramsey fit did not converge",
-            )
-        )
-    elif experiment == "dualpath_sweep":
-        checks.append(
-            _check("g2_quadratic_rho", summary["rho"], (1.9, 2.1), "thermal g2 = 2 n^2; measured comparator rho = 2.07")
-        )
-    elif experiment == "jpa_sweep":
-        law = fits["g2_law"]["parameters"]
-        checks.append(_check("rho", law["rho"], (2.0 - 1e-9, 2.0 + 1e-9), "rho = 2"))
-        xi_ref = summary["xi_thermal_model"]
-        checks.append(
-            _check("xi_vs_4_plus_4nn", law["xi"], (xi_ref - 1e-9, xi_ref + 1e-9), "xi = 4 + 4 n_n")
-        )
-        checks.append(
-            _check(
-                "classical_offset_below_thermal",
-                summary["offset_thermal_model"] - summary["offset_classical_model"],
-                (0.0, math.inf),
-                "classical noise lowers the offset",
-            )
-        )
-    elif experiment == "planck_calibration":
-        checks.append(
-            _check(
-                "chain_gain_recovery_db",
-                abs(summary["chain_gain_db"] - config["chain_gain_db"]),
-                (0.0, 0.09),
-                "recovered within 2% (0.09 dB)",
-            )
-        )
-        ratio = summary["chain_noise_temperature_k"] / config["t_chain_k"]
-        checks.append(_check("chain_noise_temperature_recovery", ratio, (0.98, 1.02)))
-        for name, cal in fits.get("jpa_calibrations", {}).items():
-            checks.append(
-                _check(
-                    f"{name}_n_n_recovery",
-                    cal["n_n"] / cal["n_n_true"],
-                    (0.95, 1.05),
-                    "added photons within 5%",
-                )
-            )
-    elif experiment == "quadrature_check":
-        k = _QUADRATURE_K_SIGMA
-        table = read_table("quadratures")
-        for row, n in enumerate(table["n"]):
-            model = float(n) / 2.0 + 0.25
-            for quad in ("var_p", "var_q"):
-                err = float(table[f"{quad}_err"][row])
-                pull = (float(table[quad][row]) - model) / err if err > 0 else math.inf
-                checks.append(
-                    _check(
-                        f"{quad}_at_n_{n}",
-                        pull,
-                        (-k, k),
-                        f"({quad} - (n/2 + 1/4)) / {quad}_err within {k:g} sigma",
-                    )
-                )
-    elif experiment == "variance_curves":
-        table = read_table("variance_curves")
-        state = np.array(table["state"])
-        n = np.array(table["n"], dtype=float)
-        sqrt_var = np.array(table["sqrt_var"], dtype=float)
-        closed_forms = (
-            ("thermal", np.sqrt(n * n + n)),
-            ("classical_limit", n),
-            ("coherent", np.sqrt(n)),
-        )
-        for name, model in closed_forms:
-            rows = state == name
-            deviation = np.abs(sqrt_var[rows] - model[rows])
-            scale = np.where(model[rows] > 0, model[rows], 1.0)  # absolute at sqrt_var = 0
-            checks.append(
-                _check(
-                    f"{name}_sqrt_var_closed_form",
-                    float(np.max(deviation / scale, initial=0.0)),
-                    (0.0, 1e-12),
-                    "largest relative deviation of any row from its closed form",
-                )
-            )
-    return checks
+    return {name: list(column) for name, column in zip(header, zip(*rows))}
 
 
 def _read_json_object(path: Path, keys: tuple = ()) -> dict:
@@ -516,18 +411,23 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} holds unknown experiment {experiment!r}; "
             f"choose one of {sorted(EXPERIMENTS)}"
         )
+    entries = CHECKS[experiment](
+        config,
+        fits_payload["fits"],
+        fits_payload["summary"],
+        lambda name: _read_table(run_dir / f"{name}.csv"),
+    )
     try:
-        checks = _build_checks(
-            experiment,
-            config,
-            fits_payload["fits"],
-            fits_payload["summary"],
-            lambda name: _read_table(run_dir / f"{name}.csv"),
-        )
+        checks = [_check(*entry) for entry in entries]
     except KeyError as exc:  # a config key, a fits.json entry or a table column the checks read
         raise ConfigError(
             f"run directory {run_dir} lacks the key {exc.args[0]!r} that the "
             f"{experiment} report reads"
+        ) from exc
+    except ValueError as exc:  # a table cell that is not a number
+        raise ConfigError(
+            f"run directory {run_dir} holds a value that the {experiment} report "
+            f"cannot read as a number: {exc}"
         ) from exc
     return {
         "experiment": experiment,
@@ -648,7 +548,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if out_dir.is_file() or any(out_dir.iterdir()):
             raise ConfigError(f"--out {out_dir} holds files but no manifest.json; not replacing it")
     try:
-        result = run_experiment(args.experiment, **kwargs)
+        result = EXPERIMENTS[args.experiment](**kwargs)
     except PipelineArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     except NumericalError:

@@ -6,9 +6,20 @@ photon number for each field flavour, the dual-path temperature sweep with
 moment reconstruction, the JPA-referred correlation table, the Planck
 calibrations, and the quadrature/no-squeezing check.  They return plain
 dictionaries (tables, fit summaries, headline numbers) so the CLI can
-serialize them and the demos can pick out what they need.  The dual-path
-pipelines estimate each sweep point with ``dualpath._detect_point``
-through this module's binding, which instrumentation may patch.
+serialize them and the demos can pick out what they need.  The summary
+copies three fit numbers only, because ``benchmarks/workloads.py`` reads
+them there: ``dualpath_sweep``'s ``rho`` and ``ramsey_sweep``'s
+``slope_hz`` and ``slope_err_hz``.  The dual-path pipelines estimate each
+sweep point with ``dualpath._detect_point`` through this module's binding,
+which instrumentation may patch.
+
+Below each pipeline sits the private generator of its report checks,
+which reads back what the pipeline wrote; ``CHECKS`` maps each name of
+``EXPERIMENTS`` to it.  A check generator takes the manifest's
+``config``, the ``fits`` and ``summary`` of ``fits.json`` and
+``table(name)``, the columns of a run table by name as strings, and
+yields ``(name, value, band, reference)``; ``mwphoton report`` turns each
+into a pass/fail entry of ``report.json``.
 
 Everything is deterministic given the seed in the configuration.
 """
@@ -65,6 +76,7 @@ from .states import (
 )
 
 __all__ = [
+    "CHECKS",
     "EXPERIMENTS",
     "PipelineArgumentError",
     "variance_curves",
@@ -73,7 +85,6 @@ __all__ = [
     "jpa_sweep",
     "planck_calibration",
     "quadrature_check",
-    "run_experiment",
 ]
 
 
@@ -104,6 +115,28 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
         "fits": {},
         "summary": {},
     }
+
+
+def _variance_curves_checks(config, fits, summary, table):
+    table = table("variance_curves")
+    state = np.array(table["state"])
+    n = np.array(table["n"], dtype=float)
+    sqrt_var = np.array(table["sqrt_var"], dtype=float)
+    closed_forms = (
+        ("thermal", np.sqrt(n * n + n)),
+        ("classical_limit", n),
+        ("coherent", np.sqrt(n)),
+    )
+    for name, model in closed_forms:
+        rows = state == name
+        deviation = np.abs(sqrt_var[rows] - model[rows])
+        scale = np.where(model[rows] > 0, model[rows], 1.0)  # absolute at sqrt_var = 0
+        yield (
+            f"{name}_sqrt_var_closed_form",
+            float(np.max(deviation / scale)) if rows.any() else math.nan,  # no rows fail
+            (0.0, 1e-12),
+            "largest relative deviation of any row from its closed form",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +245,25 @@ def ramsey_sweep(
     }
 
 
+def _ramsey_sweep_checks(config, fits, summary, table):
+    yield (
+        "photon_statistics_slope_vs_model",
+        summary["slope_hz"] / summary["expected_slope_hz"],
+        (0.9, 1.1),
+        "slope / (kappa_x theta0^2 scale) = 1",
+    )
+    law = fits["photon_statistics_law"]["parameters"]
+    if law.get("xi"):  # thermal runs only
+        yield ("thermal_rho_over_xi", law["rho"] / law["xi"], (0.95, 1.05), "n^2 + n law: rho = xi")
+    converged = np.array(table("dephasing_vs_n")["fit_converged"], dtype=float)
+    yield (
+        "ramsey_fits_converged",
+        float(np.count_nonzero(converged != 1.0)),
+        (0.0, 0.0),
+        "number of points whose Ramsey fit did not converge",
+    )
+
+
 # ---------------------------------------------------------------------------
 # dualpath_sweep
 # ---------------------------------------------------------------------------
@@ -275,6 +327,10 @@ def dualpath_sweep(
     }
 
 
+def _dualpath_sweep_checks(config, fits, summary, table):
+    yield ("g2_quadratic_rho", summary["rho"], (1.9, 2.1), "thermal g2 = 2 n^2; measured comparator rho = 2.07")
+
+
 # ---------------------------------------------------------------------------
 # jpa_sweep
 # ---------------------------------------------------------------------------
@@ -334,6 +390,19 @@ def jpa_sweep(
         "fits": {"g2_law": law.to_json_dict()},
         "summary": summary,
     }
+
+
+def _jpa_sweep_checks(config, fits, summary, table):
+    law = fits["g2_law"]["parameters"]
+    yield ("rho", law["rho"], (2.0 - 1e-9, 2.0 + 1e-9), "rho = 2")
+    xi_ref = summary["xi_thermal_model"]
+    yield ("xi_vs_4_plus_4nn", law["xi"], (xi_ref - 1e-9, xi_ref + 1e-9), "xi = 4 + 4 n_n")
+    yield (
+        "classical_offset_below_thermal",
+        summary["offset_thermal_model"] - summary["offset_classical_model"],
+        (0.0, math.inf),
+        "classical noise lowers the offset",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +481,19 @@ def planck_calibration(
     }
 
 
+def _planck_calibration_checks(config, fits, summary, table):
+    yield (
+        "chain_gain_recovery_db",
+        abs(summary["chain_gain_db"] - config["chain_gain_db"]),
+        (0.0, 0.09),
+        "recovered within 2% (0.09 dB)",
+    )
+    ratio = summary["chain_noise_temperature_k"] / config["t_chain_k"]
+    yield ("chain_noise_temperature_recovery", ratio, (0.98, 1.02), None)
+    for name, cal in fits["jpa_calibrations"].items():
+        yield (f"{name}_n_n_recovery", cal["n_n"] / cal["n_n_true"], (0.95, 1.05), "added photons within 5%")
+
+
 # ---------------------------------------------------------------------------
 # quadrature_check
 # ---------------------------------------------------------------------------
@@ -455,6 +537,26 @@ def quadrature_check(
     }
 
 
+#: Width, in standard errors, of the quadrature-variance report checks.
+_QUADRATURE_K_SIGMA = 5.0
+
+
+def _quadrature_check_checks(config, fits, summary, table):
+    k = _QUADRATURE_K_SIGMA
+    table = table("quadratures")
+    for row, n in enumerate(table["n"]):
+        model = float(n) / 2.0 + 0.25
+        for quad in ("var_p", "var_q"):
+            err = float(table[f"{quad}_err"][row])
+            pull = (float(table[quad][row]) - model) / err if err > 0 else math.inf
+            yield (
+                f"{quad}_at_n_{n}",
+                pull,
+                (-k, k),
+                f"({quad} - (n/2 + 1/4)) / {quad}_err within {k:g} sigma",
+            )
+
+
 EXPERIMENTS = {
     "variance_curves": variance_curves,
     "ramsey_sweep": ramsey_sweep,
@@ -464,13 +566,11 @@ EXPERIMENTS = {
     "quadrature_check": quadrature_check,
 }
 
-
-def run_experiment(name: str, **kwargs) -> dict:
-    """Dispatch to one of the named experiment pipelines."""
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {name!r}; choose one of {sorted(EXPERIMENTS)}"
-        ) from None
-    return runner(**kwargs)
+CHECKS = {
+    "variance_curves": _variance_curves_checks,
+    "ramsey_sweep": _ramsey_sweep_checks,
+    "dualpath_sweep": _dualpath_sweep_checks,
+    "jpa_sweep": _jpa_sweep_checks,
+    "planck_calibration": _planck_calibration_checks,
+    "quadrature_check": _quadrature_check_checks,
+}

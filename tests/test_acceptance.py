@@ -33,7 +33,13 @@ from mwphoton.dualpath import (
     simulate_detection,
     wigner_gaussian_contour,
 )
-from mwphoton.experiments import run_experiment
+from mwphoton.experiments import (
+    dualpath_sweep,
+    jpa_sweep,
+    planck_calibration,
+    quadrature_check,
+    ramsey_sweep,
+)
 from mwphoton.qubit import critical_photons, dispersive_shift, purcell_rate
 from mwphoton.states import (
     MOMENT_KEYS,
@@ -78,8 +84,8 @@ def test_criterion_1_parameter_formulas():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_factor_two_law():
-    coherent = run_experiment("ramsey_sweep", state="coherent", n_points=12, shots=10_000, seed=101)
-    shot = run_experiment("ramsey_sweep", state="shot_noise", n_points=12, shots=10_000, seed=202)
+    coherent = ramsey_sweep(state="coherent", n_points=12, shots=10_000, seed=101)
+    shot = ramsey_sweep(state="shot_noise", n_points=12, shots=10_000, seed=202)
     ratio = coherent["summary"]["slope_hz"] / shot["summary"]["slope_hz"]
     passed = abs(ratio - 2.0) <= 0.05
     report(2, "s_coh / s_sh from simulated Ramsey sweeps = 2.00 +/- 0.05", passed,
@@ -91,7 +97,7 @@ def test_criterion_2_factor_two_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_thermal_law():
-    result = run_experiment("ramsey_sweep", state="thermal", n_points=12, shots=10_000, seed=303)
+    result = ramsey_sweep(state="thermal", n_points=12, shots=10_000, seed=303)
     law = result["fits"]["photon_statistics_law"]["parameters"]
     ratio = law["rho"] / law["xi"]
     ratio_ok = abs(ratio - 1.0) <= 0.05
@@ -138,7 +144,7 @@ def test_criterion_3_thermal_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_dualpath_rho():
-    sweep = run_experiment("dualpath_sweep", count=1_000_000, seed=404)
+    sweep = dualpath_sweep(count=1_000_000, seed=404)
     rho = sweep["summary"]["rho"]
     rho_ok = 1.9 <= rho <= 2.1
 
@@ -198,7 +204,7 @@ def test_criterion_5_jpa_statistics():
                 oracle_ok &= abs(n_bs / mean_ref - 1) < 1e-6
                 oracle_ok &= abs(variance / var_ref - 1) < 1e-6
 
-    table = run_experiment("jpa_sweep", operating_point="jpa2a")
+    table = jpa_sweep(operating_point="jpa2a")
     summary = table["summary"]
     offsets_ok = (
         summary["offset_classical_model"] < summary["offset_thermal_model"]
@@ -238,7 +244,7 @@ def test_criterion_6_planck_round_trip():
         abs(noisy.chain_gain / gain - 1) < 0.02
         and abs(noisy.chain_noise_temperature / 3.0 - 1) < 0.02
     )
-    jpa = run_experiment("planck_calibration", seed=607)
+    jpa = planck_calibration(seed=607)
     recoveries = {
         name: cal["n_n"] / cal["n_n_true"] for name, cal in jpa["fits"]["jpa_calibrations"].items()
     }
@@ -258,7 +264,7 @@ def test_criterion_6_planck_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_quadratures():
-    result = run_experiment("quadrature_check", occupations=(0.1, 1.0), count=400_000, seed=707)
+    result = quadrature_check(occupations=(0.1, 1.0), count=400_000, seed=707)
     rows = result["tables"]["quadratures"]["rows"]
     quad_ok = True
     details = []

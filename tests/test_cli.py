@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import functools
 import inspect
@@ -439,7 +440,7 @@ class TestRunCommand:
             raise NumericalError("injected failure")
 
         if stage == "pipeline":
-            monkeypatch.setattr(cli, "run_experiment", fail)
+            monkeypatch.setitem(EXPERIMENTS, "jpa_sweep", fail)
         else:
             write = cli._write_run_outputs
 
@@ -734,6 +735,17 @@ class TestReportCommand:
         assert "config as a JSON object" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_planck_report_without_its_amplifier_fits_names_the_entry(self, tmp_path, capsys):
+        out = tmp_path / "planck"
+        assert run_cli("run", "planck_calibration", "--set", "n_temperatures=10", "--out", str(out)) == 0
+        payload = json.loads((out / "fits.json").read_text())
+        del payload["fits"]["jpa_calibrations"]
+        (out / "fits.json").write_text(json.dumps(payload))
+        assert run_cli("report", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err and "'jpa_calibrations'" in err
+        assert not (out / "report.json").exists()
+
     def test_unknown_experiment_in_manifest_rejected(self, tmp_path, capsys):
         out = tmp_path / "curves"
         assert run_cli("run", "variance_curves", "--out", str(out)) == 0
@@ -854,6 +866,65 @@ class TestReportPhysicsChecks:
         assert "configuration error" in err and str(run) in err and "'fit_converged'" in err
         assert not (run / "report.json").exists()
 
+    # every pipeline writes at least one row to each table
+    @pytest.mark.parametrize("fixture, table", [("quadrature_run", "quadratures"), ("ramsey_run", "dephasing_vs_n")])
+    def test_table_without_rows_names_the_file(self, request, tmp_path, capsys, fixture, table):
+        run = tmp_path / "run"
+        shutil.copytree(request.getfixturevalue(fixture), run)
+        path = run / f"{table}.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{path} holds no rows" in err
+        assert not (run / "report.json").exists()
+
+    @pytest.mark.parametrize("content", [b"", b"n,var_p\xff\n0.1,0.3\n"], ids=["empty", "not_utf8"])
+    def test_empty_or_undecodable_table_names_the_file(self, quadrature_run, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        shutil.copytree(quadrature_run, run)
+        (run / "quadratures.csv").write_bytes(content)
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(run / "quadratures.csv") in err
+        assert not (run / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "change, cells",
+        [(lambda cells: cells[:-2], 5), (lambda cells: cells + ["1"], 8)],
+        ids=["two_short", "one_long"],
+    )
+    def test_row_of_the_wrong_length_names_file_and_row(self, ramsey_run, tmp_path, capsys, change, cells):
+        run = tmp_path / "run"
+        shutil.copytree(ramsey_run, run)
+        path = run / "dephasing_vs_n.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(change(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert f"{path} row 3 has {cells} cells, but its header has 7" in err
+        assert not (run / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "fixture, table, column",
+        [("quadrature_run", "quadratures", "var_q"), ("ramsey_run", "dephasing_vs_n", "fit_converged")],
+    )
+    def test_cell_that_is_not_a_number_names_run_and_value(
+        self, request, tmp_path, capsys, fixture, table, column
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(request.getfixturevalue(fixture), run)
+        path = run / f"{table}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = "abc"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", str(run)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(run) in err and "'abc'" in err
+        assert not (run / "report.json").exists()
+
     @pytest.fixture(scope="class")
     def curves_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("curves") / "run"
@@ -878,6 +949,15 @@ class TestReportPhysicsChecks:
         run = tmp_path / "run"
         shutil.copytree(curves_run, run)
         _tamper(run / "variance_curves.csv", row, "sqrt_var", lambda value: value * (1 + 1e-11) + 1e-11)
+        assert _failed_checks(run) == [f"{state}_sqrt_var_closed_form"]
+
+    @pytest.mark.parametrize("state", ["thermal", "classical_limit", "coherent"])
+    def test_closed_form_without_its_rows_fails(self, curves_run, tmp_path, state):
+        run = tmp_path / "run"
+        shutil.copytree(curves_run, run)
+        path = run / "variance_curves.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if not line.startswith(f"{state},")) + "\n")
         assert _failed_checks(run) == [f"{state}_sqrt_var_closed_form"]
 
 
@@ -1015,7 +1095,8 @@ SECOND = {
 DELIBERATE = {
     ("ramsey_sweep", "kappa_i_khz"): (
         "Resonator.internal_rate enters no rate yet: the dephasing law reads kappa_x only, "
-        "until the exact law decides whether it uses kappa_x + kappa_i (ROADMAP item 3)"
+        "until the exact law decides whether it uses kappa_x + kappa_i (ROADMAP: "
+        "\"Exact long-time Ramsey rates beside the Gaussian law\")"
     ),
 }
 
@@ -1112,7 +1193,8 @@ class TestEveryColumnCarriesInformation:
     # Columns kept although they carry no information at BASE, each with its reason.
     DELIBERATE = {
         ("ramsey_sweep", "fit_converged"): (
-            "a flag: constant only while every fit converges (ROADMAP item 2)"
+            "a flag: constant only while every fit converges (ROADMAP: "
+            "\"A fit that cannot identify a parameter says so\")"
         ),
         ("ramsey_sweep", "gamma2_err_hz == gamma_phi_n_err_hz"): (
             "equal by construction; test_dephasing_error_is_the_gamma2_error asserts it"
@@ -1216,6 +1298,43 @@ class TestEverySummaryEntryHasOneHome:
     @pytest.mark.parametrize("experiment, entry", sorted(DELIBERATE))
     def test_deliberate_entry_is_still_a_copy(self, experiment, entry):
         assert entry in _restated(experiment), f"drop {experiment} {entry} from DELIBERATE"
+
+
+# Guard: the CLI names no experiment.  Each experiment's report checks live
+# beside its pipeline in experiments.CHECKS, so cli.py holds no string equal
+# to an experiment name or to a table name; a run's table names do not
+# depend on its config, so the BASE runs name them all.
+class TestCliNamesNoExperiment:
+    @pytest.fixture(scope="class")
+    def base_runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("base")
+        runs = {}
+        for name, config in BASE.items():
+            (root / f"{name}.json").write_text(json.dumps(config))
+            runs[name] = root / name
+            assert run_cli("run", name, "--config", str(root / f"{name}.json"), "--out", str(runs[name])) == 0
+        return runs
+
+    def test_cli_holds_no_experiment_or_table_name(self, base_runs):
+        tables = {
+            table
+            for run in base_runs.values()
+            for table in json.loads((run / "manifest.json").read_text())["tables"]
+        }
+        assert "dephasing_vs_n" in tables
+        strings = {
+            node.value
+            for node in ast.walk(ast.parse(inspect.getsource(cli)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert sorted(strings & (set(EXPERIMENTS) | tables)) == []
+
+    def test_every_experiment_has_its_checks(self):
+        assert experiments.CHECKS.keys() == EXPERIMENTS.keys()
+
+    @pytest.mark.parametrize("experiment", sorted(BASE))
+    def test_report_at_base_holds_a_check(self, base_runs, experiment):
+        assert generate_report(base_runs[experiment])["checks"]
 
 
 def _old_csv(table):
