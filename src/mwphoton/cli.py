@@ -136,7 +136,8 @@ _TABLE = {
     ),
     "operating_point": _Key("operating_point", {"enum": list(JPA_OPERATING_POINTS)}),
     "chain_gain_db": _Key("chain_gain_db", _number()),
-    "t_chain_k": _Key("chain_noise_temperature", _NON_NEGATIVE),
+    # report judges its recovery as a ratio to it
+    "t_chain_k": _Key("chain_noise_temperature", _POSITIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
     "power_noise_fraction": _Key("power_noise_fraction", _NON_NEGATIVE),
     "t_min_k": _Key("t_min", _PLANCK_TEMPERATURE),
@@ -370,6 +371,16 @@ def _read_table(path: Path) -> Dict[str, list]:
     return {name: list(column) for name, column in zip(header, zip(*rows))}
 
 
+def _leaves(value, path: str = ""):
+    """(dotted path, leaf) of every leaf of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(item, (dict, list)):
+            yield from _leaves(item, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", item
+
+
 def _read_json_object(path: Path, keys: tuple = ()) -> dict:
     """The JSON object in ``path``; ConfigError naming the file unless it is one with ``keys``."""
     try:
@@ -428,6 +439,16 @@ def generate_report(run_dir: Path) -> dict:
         raise ConfigError(
             f"run directory {run_dir} holds a value that the {experiment} report "
             f"cannot read as a number: {exc}"
+        ) from exc
+    except TypeError as exc:  # a fits.json or config value that is not a number
+        strays = {
+            path: leaf
+            for path, leaf in _leaves({key: fits_payload[key] for key in ("fits", "summary")})
+            if leaf is None or isinstance(leaf, str)
+        }
+        raise ConfigError(
+            f"run directory {run_dir} holds a value that the {experiment} report "
+            f"cannot compute with ({exc}); the fits.json values that are not numbers: {strays}"
         ) from exc
     return {
         "experiment": experiment,

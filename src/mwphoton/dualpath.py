@@ -26,13 +26,14 @@ Work runs on a thread pool with one worker per available CPU
 (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
 runs array loops.  Each task draws one batch.  :func:`simulate_detection`
 draws it into the batch's slice of a record.  A sweep point
-(:func:`_detect_point`) draws it into the task's own buffers and keeps
-only the sums of the 7 cross-path products its values read
-(``_POINT_KEYS``) over each error-block segment the batch overlaps
-(``states._segment_sums``), so a sweep point never holds a record.  A
-task's numbers depend on its batch alone, and results are combined in
-batch order, so every record and every sum is bit-identical for any
-worker count.
+(:func:`_detect_point`) draws it into arrays that its worker thread owns
+for the whole point, and keeps only the sums of the 7 cross-path products
+its values read (``_POINT_KEYS``) over each error-block segment the batch
+overlaps (``states._segment_sums``, whose temporaries the worker owns
+too), so a sweep point never holds a record and allocates per worker, not
+per batch.  A task's numbers depend on its batch alone, and results are
+combined in batch order, so every record and every sum is bit-identical
+for any worker count.
 
 Rescaled by the gains and the hybrid's sqrt(2), the product means are
 the normally ordered signal moments behind a vacuum fourth port, and one
@@ -53,11 +54,10 @@ from __future__ import annotations
 
 import cmath
 import csv
-import ctypes
-import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,33 +205,6 @@ def _map_on_cpus(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-@functools.cache
-def _keep_freed_batches() -> None:
-    """Let the C allocator keep the memory that sweep-point tasks free.
-
-    A task frees about 1.5 MiB at once: its two batch buffers, the normals
-    and the segment powers.  glibc returns the free memory at the top of a
-    thread's heap to the kernel once it exceeds the trim threshold, which
-    it sets to twice the largest block it has unmapped so far, here the
-    512 KiB normals.  Unless a live block sits above a task's arrays, the
-    next task then faults them all back in.  Fixed thresholds above a
-    task's footprint leave the memory in the heap for the next task; the
-    tasks reach that footprint anyway, so the peak does not rise.  Without
-    glibc this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)  # every batch array comes from the heap
-    mallopt(_M_TRIM_THRESHOLD, 4 << 20)  # and a task's freed arrays stay there
-
-
 def _record_model(
     state: MicrowaveState, chain_noise_photons: Tuple[float, float], vacuum_port_photons: float
 ) -> Tuple[complex, bool, np.ndarray]:
@@ -299,13 +272,15 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     fourth port's occupation finite and >= 0, or a ValueError naming the
     argument is raised before any batch is drawn.
 
-    ``draw(index, out1, out2)`` fills ``out1`` and ``out2`` with batch
-    ``index`` of the record: its joint law (:func:`_record_model`) drawn
-    from the Cholesky factor L, with e1, e2 standard complex normals,
+    ``draw(index, out1, out2, normals=None)`` fills ``out1`` and ``out2``
+    with batch ``index`` of the record: its joint law (:func:`_record_model`)
+    drawn from the Cholesky factor L, with e1, e2 standard complex normals,
     z1 = sqrt(g1) (mu/sqrt(2) + L11 e1) and
     z2 = sqrt(g2) (mu/sqrt(2) + L21 e1 + L22 e2), where the shot-noise
     carrier mu takes a uniform phase per sample.  Each batch comes from a
-    generator keyed by (seed, batch) alone.
+    generator keyed by (seed, batch) alone.  The normals are drawn into
+    ``normals``, a C-contiguous (size, 4) float array, or into a temporary
+    without it.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -322,17 +297,17 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     mean = carrier / math.sqrt(2.0)
     root_g1, root_g2 = (math.sqrt(g) for g in gains)
 
-    def draw(index, out1, out2):
+    def draw(index, out1, out2, normals=None):
         size = out1.size
         rng = np.random.default_rng(_batch_seed(seed, index))
         # (I, Q) pairs of e1 and e2 per row, so a short final batch is a
         # prefix of the full batch it replaces
-        e = rng.standard_normal((size, 4)).view(complex)
+        e = rng.standard_normal((size, 4), out=normals).view(complex)
         np.multiply(e[:, 0], l11, out=out1)
         np.multiply(e[:, 0], l21, out=out2)
         e[:, 1] *= l22
         out2 += e[:, 1]
-        del e  # a task holds one temporary of at most (size, 4) floats
+        del e  # a temporary block of normals is freed before the phases are drawn
         if random_phase:
             mu = 1j * rng.uniform(0.0, 2.0 * math.pi, size)
             np.exp(mu, out=mu)
@@ -408,27 +383,37 @@ def _detect_point(
     """Point values and block errors of one sweep point, built from no record.
 
     One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
-    would, into its own buffers, and sums the 7 cross-path products of
-    ``_POINT_KEYS`` over each error-block segment the batch overlaps; each
-    block adds its segments in batch order.  The estimate inverts the
-    compensated total of the block sums (:func:`_product_means`, as for an
-    exported record); each block of >= 2 samples inverts its own mean.
+    would and sums the 7 cross-path products of ``_POINT_KEYS`` over each
+    error-block segment the batch overlaps; each block adds its segments in
+    batch order.  Every array a task touches, its normals, z1, z2 and the
+    segment temporaries, belongs to its worker thread, which allocates them
+    on its first batch and reuses them for every batch after.  The estimate
+    inverts the compensated total of the block sums (:func:`_product_means`,
+    as for an exported record); each block of >= 2 samples inverts its own
+    mean.
     Those 7 sums have the bits they would have among all 15, so the values
     are those of the 15-key inversion.
     """
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
-    _keep_freed_batches()
+    owned = threading.local()
 
     def batch_segments(batch):
         index, lo, size = batch
-        z1, z2 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        draw(index, z1, z2)
-        segments = [(block, max(a - lo, 0), b - lo) for block, (a, b) in enumerate(blocks)]
+        if not hasattr(owned, "arrays"):
+            owned.arrays = np.empty((6, SAMPLE_BATCH), dtype=complex)
+            # the normals are spent once z1 and z2 hold the batch, so they
+            # are drawn into the rows of the first two segment temporaries
+            owned.normals = owned.arrays[2:4].view(float).reshape(SAMPLE_BATCH, 4)
+        z1, z2, *temps = owned.arrays[:, :size]
+        draw(index, z1, z2, owned.normals[:size])
+        segments = [
+            (block, max(a - lo, 0), min(b - lo, size)) for block, (a, b) in enumerate(blocks)
+        ]
         return [
-            (block, _segment_sums(z1[a:b], z2[a:b], _POINT_KEYS))
+            (block, _segment_sums(z1[a:b], z2[a:b], _POINT_KEYS, [t[a:b] for t in temps]))
             for block, a, b in segments
-            if a < size and b > 0
+            if a < b
         ]
 
     sums = [dict.fromkeys(_POINT_KEYS, 0j) for _ in blocks]

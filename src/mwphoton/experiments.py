@@ -217,10 +217,10 @@ def ramsey_sweep(
     for n_r, gamma1, truth, fit in zip(grid, gamma1s, truths, fits):
         gamma2, sigma2 = fit.parameters["gamma2"], fit.std_error("gamma2")
         gphi = extract_dephasing(gamma2, gamma1, system.qubit.intrinsic_dephasing)
-        # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
-        rows.append([n_r, gamma2, sigma2, gphi, sigma2, truth, int(fit.converged)])
+        rows.append([n_r, gamma2, sigma2, gphi, truth, int(fit.converged)])
     table = np.asarray(rows)
-    law = fit_variance_law(table[:, [0, 3]], model, _fit_weights("n_r", grid, table[:, 4]))
+    # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
+    law = fit_variance_law(table[:, [0, 3]], model, _fit_weights("n_r", grid, table[:, 2]))
     return {
         "tables": {
             "dephasing_vs_n": {
@@ -229,7 +229,6 @@ def ramsey_sweep(
                     "gamma2_hz",
                     "gamma2_err_hz",
                     "gamma_phi_n_hz",
-                    "gamma_phi_n_err_hz",
                     "gamma_phi_n_model_hz",
                     "fit_converged",
                 ],

@@ -147,7 +147,9 @@ def _keys_by_step(keys: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple[int, i
     )
 
 
-def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys) -> Dict[Tuple[int, int], complex]:
+def _segment_sums(
+    z1: np.ndarray, z2: np.ndarray, keys, temps=None
+) -> Dict[Tuple[int, int], complex]:
     """Sums of the products z1^m conj(z2)^n over a segment, for each (n, m) in ``keys``.
 
     ``keys`` is a tuple of (n, m) with n + m <= 4, and ``sums[(n, m)]`` is
@@ -156,10 +158,12 @@ def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys) -> Dict[Tuple[int, int],
     key names, and only the mixed products the keys name are formed, each
     from those shared powers; a key's sum has the same bits whatever else
     ``keys`` holds.  With z1 = z2 = z the sums are those of conj(z)^n z^m.
+    ``temps`` are four arrays like ``z2`` to hold conj(z2), the two powers
+    and one product; without them the four are allocated here.
     """
     steps = _keys_by_step(keys)
-    z2_bar = np.conj(z2)
-    product = np.empty_like(z2_bar)
+    z2_bar, pow1_out, pow2_out, product = temps or [np.empty_like(z2) for _ in range(4)]
+    np.conjugate(z2, out=z2_bar)
     sums = dict.fromkeys(keys)
     for key in steps[0]:
         sums[key] = complex(z1.size)
@@ -167,11 +171,9 @@ def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys) -> Dict[Tuple[int, int],
     # segment holds at most four arrays at a time
     pow1, pow2 = z1, z2_bar
     for k in range(1, len(steps)):
-        if k == 2:
-            pow1, pow2 = pow1 * z1, pow2 * z2_bar
-        elif k > 2:
-            np.multiply(pow1, z1, out=pow1)
-            np.multiply(pow2, z2_bar, out=pow2)
+        if k > 1:
+            pow1 = np.multiply(pow1, z1, out=pow1_out)
+            pow2 = np.multiply(pow2, z2_bar, out=pow2_out)
         for n, m in steps[k]:
             if n == 0:
                 sums[(n, m)] = complex(pow1.sum())

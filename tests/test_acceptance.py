@@ -104,16 +104,19 @@ def test_criterion_3_thermal_law():
     scale = result["summary"]["expected_slope_hz"]  # kappa_x theta0^2 for a thermal field
     coefficients_ok = abs(law["rho"] / scale - 1) <= 0.05 and abs(law["xi"] / scale - 1) <= 0.05
 
-    rows = np.asarray(result["tables"]["dephasing_vs_n"]["rows"], dtype=float)
+    table = result["tables"]["dephasing_vs_n"]
+    column = dict(zip(table["columns"], np.asarray(table["rows"], dtype=float).T))
     # per-point loop closure: extracted gamma_phi_n tracks the model within
-    # 5% (or 3 sigma where the point's own statistics are coarser than 5%)
-    rel_err = rows[:, 3] / rows[:, 5] - 1.0
-    rel_sigma = rows[:, 4] / rows[:, 5]
+    # 5% (or 3 sigma where the point's own statistics are coarser than 5%);
+    # gamma_phi_n carries gamma2's error
+    expected = column["gamma_phi_n_model_hz"]
+    rel_err = column["gamma_phi_n_hz"] / expected - 1.0
+    rel_sigma = column["gamma2_err_hz"] / expected
     loop_ok = bool(np.all(np.abs(rel_err) <= np.maximum(0.05, 3.0 * rel_sigma)))
 
-    low = rows[rows[:, 0] < 0.5]
-    points = low[:, [0, 3]]
-    weights = 1.0 / low[:, 4] ** 2
+    low = column["n_r"] < 0.5
+    points = np.column_stack([column["n_r"][low], column["gamma_phi_n_hz"][low]])
+    weights = 1.0 / column["gamma2_err_hz"][low] ** 2
 
     def chi_square(model):
         fit = fit_variance_law(points, model, weights)

@@ -4,7 +4,7 @@
 command, the `requires-python` and numpy floors of pyproject.toml and the
 experiment registry, and every ``mwphoton run`` line against the CLI's
 parser and config table, so that an edit to one of them cannot leave the
-workflow behind.  The scipy-free job also reruns four pipelines at their
+workflow behind.  The scipy-free job also reruns six pipelines at their
 defaults and diffs each pair of run directories.  The benchmark smoke job
 is held to the runs it must make and to the check that fails it on any
 failed operation.
@@ -88,7 +88,14 @@ def test_scipy_free_reruns_are_diffed_against_their_first_runs():
     # each at its defaults, so the Ramsey rerun is the thermal sweep
     assert sorted(runs[first] for first, _ in diffs) == [
         ["mwphoton", "run", name]
-        for name in ("jpa_sweep", "planck_calibration", "ramsey_sweep", "variance_curves")
+        for name in (
+            "dualpath_sweep",
+            "jpa_sweep",
+            "planck_calibration",
+            "quadrature_check",
+            "ramsey_sweep",
+            "variance_curves",
+        )
     ]
     for first, second in diffs:
         # the same run, reported before the compare, so report.json is compared too

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from mwphoton import cli, experiments
+from mwphoton.analysis import VarianceLawModel, fit_variance_law
 from mwphoton.cli import (
     ConfigError,
     NumericalError,
@@ -113,7 +114,7 @@ OUT_OF_RANGE = {
     "mode_ghz": 0.0,
     "temperatures_k": [0.3, 0.0],
     "operating_point": "jpa3",
-    "t_chain_k": -1e-3,
+    "t_chain_k": 0.0,
     "bandwidth_khz": 0.0,
     "power_noise_fraction": -1e-3,
     "t_min_k": 0.0,
@@ -136,7 +137,6 @@ AT_BOUND = {
     "count": 40,
     "n_chain_1": 0.0,
     "n_chain_2": 0.0,
-    "t_chain_k": 0.0,
     "power_noise_fraction": 0.0,
     "n_temperatures": 4,
     "occupations": [0.0],
@@ -333,16 +333,26 @@ class TestRunCommand:
         assert manifest["config"]["state"] == "coherent"
         assert manifest["config"]["shots"] == 300
 
-    def test_dephasing_error_is_the_gamma2_error(self, tmp_path):
-        # gamma1 and gamma_phi0 enter the extraction as exact model values
+    def test_law_is_weighted_by_the_gamma2_error(self, tmp_path):
+        # gamma1 and gamma_phi0 enter the extraction as exact model values, so
+        # gamma_phi_n carries gamma2's error, and the law refits from the CSV
         out = tmp_path / "run"
         args = ("--shots", "300", "--n-points", "4", "--set", "tau_points=24")
         assert run_cli("run", "ramsey_sweep", *args, "--out", str(out)) == 0
         with (out / "dephasing_vs_n.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
-        for row in rows:
-            assert row["gamma_phi_n_err_hz"] == row["gamma2_err_hz"]
+        n_r, gamma_phi_n, error = (
+            [float(row[name]) for row in rows] for name in ("n_r", "gamma_phi_n_hz", "gamma2_err_hz")
+        )
+        law = fit_variance_law(
+            np.column_stack([n_r, gamma_phi_n]),
+            VarianceLawModel.QUADRATIC_PLUS_LINEAR,
+            experiments._fit_weights("n_r", n_r, error),
+        )
+        fits = json.loads((out / "fits.json").read_text())["fits"]["photon_statistics_law"]
+        assert law.parameters == fits["parameters"]
+        assert law.std_errors == fits["standard_errors"]
 
     @pytest.mark.parametrize("coherent_khz", [-10, 25])
     def test_shot_noise_sweep_matches_the_library(self, tmp_path, coherent_khz):
@@ -735,6 +745,25 @@ class TestReportCommand:
         assert "config as a JSON object" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_fits_value_that_is_not_a_number_names_run_and_value(self, tmp_path, capsys):
+        out = self._completed_run(tmp_path)
+        payload = json.loads((out / "fits.json").read_text())
+        payload["summary"]["xi_thermal_model"] = "abc"
+        (out / "fits.json").write_text(json.dumps(payload))
+        assert run_cli("report", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err
+        assert "'summary.xi_thermal_model': 'abc'" in err
+        assert not (out / "report.json").exists()
+
+    def test_zero_chain_noise_temperature_is_rejected(self, tmp_path, capsys):
+        # report judges the recovered chain noise temperature as a ratio to t_chain_k
+        out = tmp_path / "planck"
+        code = run_cli("run", "planck_calibration", "--set", "t_chain_k=0", "--out", str(out))
+        assert code == 1
+        assert "t_chain_k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_planck_report_without_its_amplifier_fits_names_the_entry(self, tmp_path, capsys):
         out = tmp_path / "planck"
         assert run_cli("run", "planck_calibration", "--set", "n_temperatures=10", "--out", str(out)) == 0
@@ -889,20 +918,21 @@ class TestReportPhysicsChecks:
         assert not (run / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "change, cells",
-        [(lambda cells: cells[:-2], 5), (lambda cells: cells + ["1"], 8)],
+        "change, extra",
+        [(lambda cells: cells[:-2], -2), (lambda cells: cells + ["1"], 1)],
         ids=["two_short", "one_long"],
     )
-    def test_row_of_the_wrong_length_names_file_and_row(self, ramsey_run, tmp_path, capsys, change, cells):
+    def test_row_of_the_wrong_length_names_file_and_row(self, ramsey_run, tmp_path, capsys, change, extra):
         run = tmp_path / "run"
         shutil.copytree(ramsey_run, run)
         path = run / "dephasing_vs_n.csv"
         lines = path.read_text().splitlines()
+        width = len(lines[0].split(","))
         lines[3] = ",".join(change(lines[3].split(",")))
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("report", str(run)) == 1
         err = capsys.readouterr().err
-        assert f"{path} row 3 has {cells} cells, but its header has 7" in err
+        assert f"{path} row 3 has {width + extra} cells, but its header has {width}" in err
         assert not (run / "report.json").exists()
 
     @pytest.mark.parametrize(
@@ -1196,9 +1226,6 @@ class TestEveryColumnCarriesInformation:
             "a flag: constant only while every fit converges (ROADMAP: "
             "\"A fit that cannot identify a parameter says so\")"
         ),
-        ("ramsey_sweep", "gamma2_err_hz == gamma_phi_n_err_hz"): (
-            "equal by construction; test_dephasing_error_is_the_gamma2_error asserts it"
-        ),
     }
 
     @pytest.mark.parametrize(
@@ -1300,21 +1327,46 @@ class TestEverySummaryEntryHasOneHome:
         assert entry in _restated(experiment), f"drop {experiment} {entry} from DELIBERATE"
 
 
+@pytest.fixture(scope="module")
+def base_runs(tmp_path_factory):
+    """A run directory of each experiment at its BASE config."""
+    root = tmp_path_factory.mktemp("base")
+    runs = {}
+    for name, config in BASE.items():
+        (root / f"{name}.json").write_text(json.dumps(config))
+        runs[name] = root / name
+        assert run_cli("run", name, "--config", str(root / f"{name}.json"), "--out", str(runs[name])) == 0
+    return runs
+
+
+# Guard: a corrupted run never crashes report.  Each leaf of a BASE run's
+# fits.json, one at a time, becomes a string, null or nothing; report then
+# passes, fails its checks or exits 1 naming the fault, but never raises.
+@pytest.mark.parametrize("corruption", ["string", "null", "removed"])
+@pytest.mark.parametrize("experiment", sorted(BASE))
+def test_corrupted_fits_leaf_never_crashes_report(base_runs, experiment, corruption, tmp_path):
+    run = tmp_path / experiment
+    shutil.copytree(base_runs[experiment], run)
+    text = (run / "fits.json").read_text()
+    original = json.loads(text)
+    leaves = _leaves({key: original[key] for key in ("fits", "summary")})
+    for path in [path for path, _ in leaves if path[-1] != "len"]:
+        payload = json.loads(text)
+        *parents, last = path
+        container = functools.reduce(lambda value, key: value[key], parents, payload)
+        if corruption == "removed":
+            del container[last]
+        else:
+            container[last] = "abc" if corruption == "string" else None
+        (run / "fits.json").write_text(json.dumps(payload))
+        assert cli.main(["report", str(run)]) in (0, 1), path
+
+
 # Guard: the CLI names no experiment.  Each experiment's report checks live
 # beside its pipeline in experiments.CHECKS, so cli.py holds no string equal
 # to an experiment name or to a table name; a run's table names do not
 # depend on its config, so the BASE runs name them all.
 class TestCliNamesNoExperiment:
-    @pytest.fixture(scope="class")
-    def base_runs(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("base")
-        runs = {}
-        for name, config in BASE.items():
-            (root / f"{name}.json").write_text(json.dumps(config))
-            runs[name] = root / name
-            assert run_cli("run", name, "--config", str(root / f"{name}.json"), "--out", str(runs[name])) == 0
-        return runs
-
     def test_cli_holds_no_experiment_or_table_name(self, base_runs):
         tables = {
             table

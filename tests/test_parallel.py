@@ -1,8 +1,9 @@
 """Sample batches run on worker threads: results must not depend on the
 worker count, and no public function may run off the main thread.  Sweep
 points run one after another and build no record, so their memory does
-not grow with the sample count, and each task reuses the heap memory the
-last one freed.
+not grow with the sample count, and each worker draws and sums every batch
+it runs in the same arrays, so a point does not fault its memory back in
+batch after batch.
 
 Instrumentation that wraps the public functions (those named in a
 module's ``__all__``) keeps one stack of open calls, which only holds
@@ -11,7 +12,6 @@ while every such call is made from the calling thread.
 
 import importlib
 import inspect
-import platform
 import subprocess
 import sys
 import threading
@@ -161,8 +161,10 @@ def test_point_memory_does_not_grow_with_count(monkeypatch):
 
 _FAULTS_OF_THREE_POINTS = """
 import resource
-from mwphoton import experiments
+from mwphoton import dualpath, experiments
 from mwphoton.states import MicrowaveState
+
+dualpath._WORKERS = 2
 
 def point(seed):
     experiments._detect_point(MicrowaveState.thermal(0.5), 1_000_000, seed, (1.0, 1.0))
@@ -175,11 +177,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
 def test_sweep_points_reuse_freed_batch_memory():
-    # a fresh process, because the allocator's thresholds are set per process;
-    # a task that faulted its ~1.5 MiB back in would cost ~380 faults per
-    # batch, ~70 000 over the 183 batches of three points
+    # a fresh process, so no earlier test has shaped its heap, and two
+    # workers, as each faults its 1.5 MiB of arrays in once (~380 faults);
+    # tasks that faulted their arrays back in for every batch would cost
+    # ~70 000 over the 186 batches of three points
     done = subprocess.run(
         [sys.executable, "-c", _FAULTS_OF_THREE_POINTS], capture_output=True, text=True, check=True
     )
