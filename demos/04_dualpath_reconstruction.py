@@ -41,10 +41,12 @@ print(f"  g2(0) = Var - n + n^2 = {g2_unnormalized(n, variance):.4f}   (2 n^2 = 
 # --- temperature sweep: the quadratic law ---------------------------------------
 print("\ntemperature sweep through the receiver (10 points, 2e5 samples each):")
 sweep = dualpath_sweep(count=200_000, seed=7)
-for row in sweep["tables"]["g2_vs_n"]["rows"][::3]:
+for row in sweep["tables"]["g2_vs_n"][::3]:
     print(
-        f"  T = {row[0]*1e3:5.0f} mK   n = {row[2]:.3f} +/- {row[3]:.3f}   "
-        f"g2 = {row[4]:6.3f} +/- {row[5]:.3f}   (2 n^2 = {row[6]:.3f})"
+        f"  T = {row['temperature_k']*1e3:5.0f} mK   "
+        f"n = {row['n_reconstructed']:.3f} +/- {row['n_err']:.3f}   "
+        f"g2 = {row['g2_tilde']:6.3f} +/- {row['g2_tilde_err']:.3f}   "
+        f"(2 n^2 = {row['g2_tilde_model']:.3f})"
     )
 law = sweep["fits"]["g2_quadratic"]
 print(

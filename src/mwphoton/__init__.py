@@ -44,7 +44,6 @@ from .qubit import (
 from .chains import (
     BeamSplitterStage,
     JpaStage,
-    LinearChain,
     amplify,
     amplify_commutator_free,
     attenuate,

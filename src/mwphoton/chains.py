@@ -34,7 +34,6 @@ from .states import StateKind
 __all__ = [
     "BeamSplitterStage",
     "JpaStage",
-    "LinearChain",
     "db_to_linear",
     "linear_to_db",
     "watts_to_dbm",
@@ -98,28 +97,6 @@ class JpaStage:
     @classmethod
     def from_db(cls, gain_db: float, added_noise_photons: float = 0.0) -> "JpaStage":
         return cls(db_to_linear(gain_db), added_noise_photons)
-
-    @property
-    def gain_db(self) -> float:
-        return linear_to_db(self.gain)
-
-
-@dataclass(frozen=True)
-class LinearChain:
-    """HEMT-plus-room-temperature amplification chain, summarized by its total
-    gain, effective noise temperature, and measurement bandwidth."""
-
-    gain: float
-    noise_temperature: float
-    bandwidth: float
-
-    def __post_init__(self):
-        if not self.gain > 0:
-            raise ValueError("chain gain must be positive")
-        if self.noise_temperature < 0:
-            raise ValueError("noise temperature must be >= 0")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
 
     @property
     def gain_db(self) -> float:

@@ -3,16 +3,20 @@
 Subcommands:
 
 * ``run <experiment>``: execute one of the experiment pipelines and write
-  plot-ready CSV tables, a ``fits.json`` and a ``manifest.json``.  Each
-  number has one home.  The manifest's ``config`` holds every run key, the
-  seed included, and with the package version it reproduces a run
-  bit-identically.  ``fits.json`` holds the fit entries (parameters,
-  standard errors, correlations) and a ``summary`` of derived numbers that
-  restates no run key.
+  plot-ready CSV tables, a ``fits.json`` and a ``manifest.json``.  A
+  pipeline's table is a list of rows, each a dict from column name to
+  cell; its CSV header is the first row's keys.  Each number has one home.
+  The manifest's ``config`` holds every run key, the seed included, and
+  with the package version it reproduces a run bit-identically.
+  ``fits.json`` holds the fit entries (parameters, standard errors,
+  correlations) and a ``summary`` of derived numbers that restates no run
+  key.
 * ``report <run_dir>``: check a completed run against the reference
   expectations and write the pass/fail checks to ``report.json``, which
   restates no number of the run, plus a human-readable table on stdout.
-  Each experiment's checks live beside its pipeline, in
+  The manifest's ``config`` must first pass the checks ``run`` applies to
+  each key, with exactly the experiment's keys; otherwise ``report`` exits
+  1 naming the key.  Each experiment's checks live beside its pipeline, in
   ``experiments.CHECKS``; this module reads the run's files and names no
   experiment, table, column or entry.
 * ``schema``: emit the JSON schemas the artifacts validate against.
@@ -33,7 +37,8 @@ Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 given.  ``run`` swaps its files in only once all are written; it replaces
 an empty directory or an earlier run (one holding ``manifest.json``) and
 refuses any other existing path.  Exit codes: 0 success, 1 configuration
-error (a pipeline's ``PipelineArgumentError`` included), 2 numerical
+error (a pipeline's ``PipelineArgumentError`` included, reported with the
+config fields that feed the arguments it names), 2 numerical
 failure (anything else a pipeline raises).  The parser is built once per
 process and shared; see :func:`build_parser`.
 """
@@ -305,12 +310,26 @@ def _plain(value):
 
 
 def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dict) -> list:
-    """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted."""
+    """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted.
+
+    Each table is a list of rows, each a dict from column name to cell; the
+    first row's keys are the CSV header.  ValueError naming the table if it
+    has no rows, or a row whose keys differ from the header's, in order too.
+    """
     out_dir.mkdir()
-    for name, table in result["tables"].items():
+    for name, rows in result["tables"].items():
+        if not rows:
+            raise ValueError(f"table {name!r} has no rows")
+        header = list(rows[0])
+        lines = [",".join(header)]
         # one conversion per table; each cell then prints as str(_plain(cell))
-        lines = [",".join(table["columns"])]
-        lines.extend(",".join(map(str, row)) for row in _plain(table["rows"]))
+        for number, row in enumerate(_plain(rows), start=1):
+            if list(row) != header:
+                raise ValueError(
+                    f"table {name!r} row {number} has the columns {list(row)}, "
+                    f"but its header has {header}"
+                )
+            lines.append(",".join(map(str, row.values())))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     fits_payload = _plain(
         {
@@ -422,6 +441,19 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} holds unknown experiment {experiment!r}; "
             f"choose one of {sorted(EXPERIMENTS)}"
         )
+    # the checks read the config, so it must hold the keys and values run would write
+    rows = _rows(experiment)
+    unknown = {key: value for key, value in config.items() if key not in rows}
+    missing = [key for key in rows if key not in config]
+    if unknown or missing:
+        raise ConfigError(
+            f"{run_dir / 'manifest.json'} config must hold exactly the {experiment} keys; "
+            f"unknown: {unknown}, missing: {missing}"
+        )
+    try:
+        config = {key: _conform(key, config[key], row.schema) for key, row in rows.items()}
+    except ConfigError as exc:
+        raise ConfigError(f"{run_dir / 'manifest.json'}: {exc}") from exc
     entries = CHECKS[experiment](
         config,
         fits_payload["fits"],
@@ -430,7 +462,7 @@ def generate_report(run_dir: Path) -> dict:
     )
     try:
         checks = [_check(*entry) for entry in entries]
-    except KeyError as exc:  # a config key, a fits.json entry or a table column the checks read
+    except KeyError as exc:  # a fits.json entry or a table column the checks read
         raise ConfigError(
             f"run directory {run_dir} lacks the key {exc.args[0]!r} that the "
             f"{experiment} report reads"
@@ -440,7 +472,7 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} holds a value that the {experiment} report "
             f"cannot read as a number: {exc}"
         ) from exc
-    except TypeError as exc:  # a fits.json or config value that is not a number
+    except TypeError as exc:  # a fits.json value that is not a number
         strays = {
             path: leaf
             for path, leaf in _leaves({key: fits_payload[key] for key in ("fits", "summary")})
@@ -570,8 +602,10 @@ def _command_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"--out {out_dir} holds files but no manifest.json; not replacing it")
     try:
         result = EXPERIMENTS[args.experiment](**kwargs)
-    except PipelineArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
+    except PipelineArgumentError as exc:  # name the config fields that feed the arguments
+        rows = _rows(args.experiment)
+        keys = [key for arg in exc.arguments for key, row in rows.items() if row.arg == arg]
+        raise ConfigError(f"{' and '.join(map(repr, keys))} {exc.requirement}") from exc
     except NumericalError:
         raise
     except Exception as exc:  # e.g. a ValueError from inside a fit

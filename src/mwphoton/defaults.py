@@ -1,16 +1,18 @@
 """Reference device parameters used throughout the demos and the CLI.
 
 These numbers describe a representative flux-tunable transmon dispersively
-coupled to a quarter-wavelength readout resonator, the amplification chain
-of a dual-path receiver, and three operating points of quarter-wavelength
+coupled to a quarter-wavelength readout resonator, the detection mode of a
+dual-path receiver, and three operating points of quarter-wavelength
 flux-driven parametric amplifiers.  They are defaults, not constraints:
-every entry can be overridden through the experiment configuration.
+every entry can be overridden through the experiment configuration.  The
+receiver's amplification chain has one reader, so its defaults live in the
+signature of ``experiments.planck_calibration``.
 """
 
 from __future__ import annotations
 
 from .cavity import Resonator
-from .chains import JpaStage, LinearChain, db_to_linear
+from .chains import JpaStage
 from .qubit import DispersiveSystem, QubitParams
 from .states import ModeSpec
 
@@ -19,7 +21,6 @@ __all__ = [
     "SAMPLE_RESONATOR",
     "SAMPLE_SYSTEM",
     "DETECTION_MODE",
-    "SAMPLE_CHAIN",
     "JPA_OPERATING_POINTS",
     "JPA_METADATA",
 ]
@@ -44,13 +45,6 @@ SAMPLE_SYSTEM = DispersiveSystem(SAMPLE_QUBIT, SAMPLE_RESONATOR)
 
 #: Mode at which the dual-path receiver operates.
 DETECTION_MODE = ModeSpec(5.4e9)
-
-#: Cryogenic-plus-room-temperature amplification chain of the receiver.
-SAMPLE_CHAIN = LinearChain(
-    gain=db_to_linear(145.0),
-    noise_temperature=3.0,
-    bandwidth=400e3,
-)
 
 #: Parametric-amplifier operating points (linear gain, added photons).
 JPA_OPERATING_POINTS = {

@@ -4,9 +4,11 @@ Each function here reproduces one of the measurement campaigns at desk
 scale: the variance comparison curves, Ramsey dephasing sweeps against
 photon number for each field flavour, the dual-path temperature sweep with
 moment reconstruction, the JPA-referred correlation table, the Planck
-calibrations, and the quadrature/no-squeezing check.  They return plain
-dictionaries (tables, fit summaries, headline numbers) so the CLI can
-serialize them and the demos can pick out what they need.  The summary
+calibrations, and the quadrature/no-squeezing check.  Each returns a dict
+of ``tables``, ``fits`` and ``summary`` that the CLI serializes.  A table
+is a list of rows, each a dict from column name to cell in column order,
+so each column is named beside its value and every reader picks cells by
+name; the CLI writes the first row's keys as the CSV header.  The summary
 copies three fit numbers only, because ``benchmarks/workloads.py`` reads
 them there: ``dualpath_sweep``'s ``rho`` and ``ramsey_sweep``'s
 ``slope_hz`` and ``slope_err_hz``.  The dual-path pipelines estimate each
@@ -52,7 +54,6 @@ from .defaults import (
     DETECTION_MODE,
     JPA_METADATA,
     JPA_OPERATING_POINTS,
-    SAMPLE_CHAIN,
     SAMPLE_SYSTEM,
 )
 from .dualpath import (
@@ -89,11 +90,22 @@ __all__ = [
 
 
 class PipelineArgumentError(ValueError):
-    """A pipeline argument, named in the message, that the pipeline rejects before any work.
+    """Pipeline arguments that the pipeline rejects before any work.
 
-    The CLI reports it as a configuration error; any other ``ValueError`` a
-    pipeline raises comes from inside its computation.
+    ``arguments`` names them and ``requirement`` says what they must meet;
+    the message is the quoted names followed by the requirement.  The CLI
+    reports it as a configuration error naming the config fields that feed
+    those arguments; any other ``ValueError`` a pipeline raises comes from
+    inside its computation.
     """
+
+    def __init__(self, arguments: Tuple[str, ...], requirement: str):
+        super().__init__(arguments, requirement)  # both in args, so a copy or pickle rebuilds it
+        self.arguments = arguments
+        self.requirement = requirement
+
+    def __str__(self) -> str:
+        return f"{' and '.join(map(repr, self.arguments))} {self.requirement}"
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +117,12 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
     rows = []
     for n in np.linspace(0.0, n_max, n_points):
         n = float(n)
-        rows.append(["thermal", n, math.sqrt(photon_variance(StateKind.THERMAL, n))])
-        rows.append(["classical_limit", n, n])  # sqrt of the classical Var(n) = n^2
-        rows.append(["coherent", n, math.sqrt(n)])
+        thermal = math.sqrt(photon_variance(StateKind.THERMAL, n))
+        rows.append({"state": "thermal", "n": n, "sqrt_var": thermal})
+        rows.append({"state": "classical_limit", "n": n, "sqrt_var": n})  # classical Var(n) = n^2
+        rows.append({"state": "coherent", "n": n, "sqrt_var": math.sqrt(n)})
     return {
-        "tables": {
-            "variance_curves": {"columns": ["state", "n", "sqrt_var"], "rows": rows}
-        },
+        "tables": {"variance_curves": rows},
         "fits": {},
         "summary": {},
     }
@@ -159,7 +170,7 @@ def _require_fit_points(arg: str, points: int, model: VarianceLawModel) -> None:
     needed = _points_needed(model)
     if points < needed:
         raise PipelineArgumentError(
-            f"{arg!r} must give at least {needed} points for the {model.value} fit, got {points}"
+            (arg,), f"must give at least {needed} points for the {model.value} fit, got {points}"
         )
 
 
@@ -187,7 +198,7 @@ def ramsey_sweep(
         kind = StateKind(state)
     except ValueError:
         raise PipelineArgumentError(
-            f"'state' must be one of {[k.value for k in StateKind]}, got {state!r}"
+            ("state",), f"must be one of {[k.value for k in StateKind]}, got {state!r}"
         ) from None
     if kind is StateKind.THERMAL:
         model, slope_name = VarianceLawModel.QUADRATIC_PLUS_LINEAR, "xi"
@@ -195,7 +206,9 @@ def ramsey_sweep(
         model, slope_name = VarianceLawModel.LINEAR, "s"
     _require_fit_points("n_points", n_points, model)
     if not n_min < n_max:
-        raise PipelineArgumentError(f"'n_min' must be below 'n_max', got {n_min!r} >= {n_max!r}")
+        raise PipelineArgumentError(
+            ("n_min", "n_max"), f"must be in increasing order, got {n_min!r} >= {n_max!r}"
+        )
     grid = [float(n_r) for n_r in np.geomspace(n_min, n_max, n_points)]
     gamma1s, truths, traces = [], [], []
     for index, n_r in enumerate(grid):
@@ -217,24 +230,22 @@ def ramsey_sweep(
     for n_r, gamma1, truth, fit in zip(grid, gamma1s, truths, fits):
         gamma2, sigma2 = fit.parameters["gamma2"], fit.std_error("gamma2")
         gphi = extract_dephasing(gamma2, gamma1, system.qubit.intrinsic_dephasing)
-        rows.append([n_r, gamma2, sigma2, gphi, truth, int(fit.converged)])
-    table = np.asarray(rows)
-    # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
-    law = fit_variance_law(table[:, [0, 3]], model, _fit_weights("n_r", grid, table[:, 2]))
-    return {
-        "tables": {
-            "dephasing_vs_n": {
-                "columns": [
-                    "n_r",
-                    "gamma2_hz",
-                    "gamma2_err_hz",
-                    "gamma_phi_n_hz",
-                    "gamma_phi_n_model_hz",
-                    "fit_converged",
-                ],
-                "rows": rows,
+        rows.append(
+            {
+                "n_r": n_r,
+                "gamma2_hz": gamma2,
+                "gamma2_err_hz": sigma2,
+                "gamma_phi_n_hz": gphi,
+                "gamma_phi_n_model_hz": truth,
+                "fit_converged": int(fit.converged),
             }
-        },
+        )
+    # gamma1 and gamma_phi0 are known exactly, so gamma_phi_n has gamma2's error
+    points = [(row["n_r"], row["gamma_phi_n_hz"]) for row in rows]
+    errors = [row["gamma2_err_hz"] for row in rows]
+    law = fit_variance_law(points, model, _fit_weights("n_r", grid, errors))
+    return {
+        "tables": {"dephasing_vs_n": rows},
         "fits": {"photon_statistics_law": law.to_json_dict()},
         "summary": {
             "slope_hz": law.parameters[slope_name],
@@ -293,34 +304,21 @@ def dualpath_sweep(
             MicrowaveState.thermal(n_true), count, seed + 7919 * index, chain_noise_photons
         )
         rows.append(
-            [
-                float(temp),
-                n_true,
-                point["n"],
-                errors["n"],
-                point["g2"],
-                errors["g2"],
-                2.0 * n_true * n_true,
-            ]
-        )
-    table = np.asarray(rows)
-    weights = _fit_weights("temperature", table[:, 0], table[:, 5])
-    law = fit_variance_law(table[:, [2, 4]], VarianceLawModel.PURE_QUADRATIC, weights)
-    return {
-        "tables": {
-            "g2_vs_n": {
-                "columns": [
-                    "temperature_k",
-                    "n_input",
-                    "n_reconstructed",
-                    "n_err",
-                    "g2_tilde",
-                    "g2_tilde_err",
-                    "g2_tilde_model",
-                ],
-                "rows": rows,
+            {
+                "temperature_k": float(temp),
+                "n_input": n_true,
+                "n_reconstructed": point["n"],
+                "n_err": errors["n"],
+                "g2_tilde": point["g2"],
+                "g2_tilde_err": errors["g2"],
+                "g2_tilde_model": 2.0 * n_true * n_true,
             }
-        },
+        )
+    points = [(row["n_reconstructed"], row["g2_tilde"]) for row in rows]
+    weights = _fit_weights("temperature", temperatures, [row["g2_tilde_err"] for row in rows])
+    law = fit_variance_law(points, VarianceLawModel.PURE_QUADRATIC, weights)
+    return {
+        "tables": {"g2_vs_n": rows},
         "fits": {"g2_quadratic": law.to_json_dict()},
         "summary": {"rho": law.parameters["rho"]},
     }
@@ -365,8 +363,15 @@ def jpa_sweep(
         g2_q, off_q = g2_jpa_referred(n_jpa, stage)
         n_cf, var_cf = amplify_commutator_free(n_jpa, stage.gain, n_n)
         g2_cf = g2_unnormalized(n_cf, var_cf) / stage.gain ** 2
-        rows.append([n_jpa, g2_q - off_q, g2_cf - off_cf])
-    law = fit_variance_law(np.asarray(rows)[:, :2], VarianceLawModel.QUADRATIC_PLUS_LINEAR)
+        rows.append(
+            {
+                "n_jpa": n_jpa,
+                "g2_minus_offset_thermal": g2_q - off_q,
+                "g2_minus_offset_commutator_free": g2_cf - off_cf,
+            }
+        )
+    points = [(row["n_jpa"], row["g2_minus_offset_thermal"]) for row in rows]
+    law = fit_variance_law(points, VarianceLawModel.QUADRATIC_PLUS_LINEAR)
     summary = {
         "n_n": n_n,
         "gain_db": stage.gain_db,
@@ -380,12 +385,7 @@ def jpa_sweep(
         "measured_rho": meta["measured_rho"],
     }
     return {
-        "tables": {
-            "g2_minus_offset": {
-                "columns": ["n_jpa", "g2_minus_offset_thermal", "g2_minus_offset_commutator_free"],
-                "rows": rows,
-            }
-        },
+        "tables": {"g2_minus_offset": rows},
         "fits": {"g2_law": law.to_json_dict()},
         "summary": summary,
     }
@@ -413,16 +413,19 @@ def planck_calibration(
     t_max: float = 1.5,
     n_temperatures: int = 30,
     mode: ModeSpec = DETECTION_MODE,
-    bandwidth: float = SAMPLE_CHAIN.bandwidth,
-    chain_gain_db: float = SAMPLE_CHAIN.gain_db,
-    chain_noise_temperature: float = SAMPLE_CHAIN.noise_temperature,
+    bandwidth: float = 400e3,
+    chain_gain_db: float = 145.0,
+    chain_noise_temperature: float = 3.0,
     power_noise_fraction: float = 0.0,
     seed: int = 0,
 ) -> dict:
     """Synthetic Planck spectroscopy: generate sweeps, fit them back.
 
     The emitter is swept over ``n_temperatures`` evenly spaced temperatures
-    from ``t_min`` to ``t_max`` (K).  The chain sweep recovers the total
+    from ``t_min`` to ``t_max`` (K).  The receiver's cryogenic-plus-room-
+    temperature chain has a total gain of ``chain_gain_db``, a noise
+    temperature of ``chain_noise_temperature`` (K) and a measurement
+    bandwidth of ``bandwidth`` (Hz).  The chain sweep recovers the total
     gain and noise temperature; the sweeps of the JPA operating points
     (with a soft saturation placing the 1 dB compression at the tabulated
     temperature) are fitted whole in one :func:`jpa_planck_fit` call for
@@ -440,7 +443,8 @@ def planck_calibration(
     powers = measured(planck_power(temps, mode, bandwidth, chain_gain, chain_noise_temperature))
     cal = planck_fit(PlanckSweep(temps, powers, mode, bandwidth))
     chain_rows = [
-        [float(t), float(p), float(f)] for t, p, f in zip(temps, powers, cal.fitted_powers)
+        {"temperature_k": float(t), "power_w": float(p), "fitted_power_w": float(f)}
+        for t, p, f in zip(temps, powers, cal.fitted_powers)
     ]
 
     jpa_sweeps, jpa_rows = [], []
@@ -449,7 +453,10 @@ def planck_calibration(
         saturation = saturation_power_for_t1db(JPA_METADATA[name]["t_1db"], *device)
         jpa_powers = measured(jpa_planck_power(temps, *device, saturation))
         jpa_sweeps.append(PlanckSweep(temps, jpa_powers, mode, bandwidth))
-        jpa_rows.extend([name, float(t), float(p)] for t, p in zip(temps, jpa_powers))
+        jpa_rows.extend(
+            {"device": name, "temperature_k": float(t), "power_w": float(p)}
+            for t, p in zip(temps, jpa_powers)
+        )
     jpa_fits = {}
     for (name, stage), jcal in zip(JPA_OPERATING_POINTS.items(), jpa_planck_fit(jpa_sweeps)):
         meta = JPA_METADATA[name]
@@ -462,16 +469,7 @@ def planck_calibration(
             "p_1db_dbm": None if p_1db is None else watts_to_dbm(p_1db),
         }
     return {
-        "tables": {
-            "chain_sweep": {
-                "columns": ["temperature_k", "power_w", "fitted_power_w"],
-                "rows": chain_rows,
-            },
-            "jpa_sweeps": {
-                "columns": ["device", "temperature_k", "power_w"],
-                "rows": jpa_rows,
-            },
-        },
+        "tables": {"chain_sweep": chain_rows, "jpa_sweeps": jpa_rows},
         "fits": {"jpa_calibrations": jpa_fits},
         "summary": {
             "chain_gain_db": cal.chain_gain_db,
@@ -508,29 +506,17 @@ def quadrature_check(
         n = float(n)
         point, errors = _detect_point(MicrowaveState.thermal(n), count, seed + 104729 * index)
         rows.append(
-            [
-                n,
-                point["var_p"],
-                errors["var_p"],
-                point["var_q"],
-                errors["var_q"],
-                n / 2.0 + 0.25,
-            ]
+            {
+                "n": n,
+                "var_p": point["var_p"],
+                "var_p_err": errors["var_p"],
+                "var_q": point["var_q"],
+                "var_q_err": errors["var_q"],
+                "var_model": n / 2.0 + 0.25,
+            }
         )
     return {
-        "tables": {
-            "quadratures": {
-                "columns": [
-                    "n",
-                    "var_p",
-                    "var_p_err",
-                    "var_q",
-                    "var_q_err",
-                    "var_model",
-                ],
-                "rows": rows,
-            }
-        },
+        "tables": {"quadratures": rows},
         "fits": {},
         "summary": {},
     }

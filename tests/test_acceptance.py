@@ -104,8 +104,8 @@ def test_criterion_3_thermal_law():
     scale = result["summary"]["expected_slope_hz"]  # kappa_x theta0^2 for a thermal field
     coefficients_ok = abs(law["rho"] / scale - 1) <= 0.05 and abs(law["xi"] / scale - 1) <= 0.05
 
-    table = result["tables"]["dephasing_vs_n"]
-    column = dict(zip(table["columns"], np.asarray(table["rows"], dtype=float).T))
+    rows = result["tables"]["dephasing_vs_n"]
+    column = {name: np.array([row[name] for row in rows], dtype=float) for name in rows[0]}
     # per-point loop closure: extracted gamma_phi_n tracks the model within
     # 5% (or 3 sigma where the point's own statistics are coarser than 5%);
     # gamma_phi_n carries gamma2's error
@@ -212,7 +212,7 @@ def test_criterion_5_jpa_statistics():
     offsets_ok = (
         summary["offset_classical_model"] < summary["offset_thermal_model"]
         and {"measured_xi", "measured_offset"} <= set(summary)
-        and len(table["tables"]["g2_minus_offset"]["rows"]) > 0
+        and len(table["tables"]["g2_minus_offset"]) > 0
     )
     passed = algebra_ok and oracle_ok and offsets_ok
     report(
@@ -268,11 +268,12 @@ def test_criterion_6_planck_round_trip():
 
 def test_criterion_7_quadratures():
     result = quadrature_check(occupations=(0.1, 1.0), count=400_000, seed=707)
-    rows = result["tables"]["quadratures"]["rows"]
     quad_ok = True
     details = []
-    for row in rows:
-        n, var_p, err_p, var_q, err_q, model = row[:6]
+    for row in result["tables"]["quadratures"]:
+        n, var_p, err_p, var_q, err_q, model = (
+            row[name] for name in ("n", "var_p", "var_p_err", "var_q", "var_q_err", "var_model")
+        )
         quad_ok &= abs(var_p - model) < 5.0 * err_p
         quad_ok &= abs(var_q - model) < 5.0 * err_q
         quad_ok &= abs(var_p - var_q) < 5.0 * math.hypot(err_p, err_q)

@@ -7,7 +7,6 @@ import oracles
 from mwphoton.chains import (
     BeamSplitterStage,
     JpaStage,
-    LinearChain,
     amplify,
     amplify_commutator_free,
     attenuate,
@@ -206,7 +205,3 @@ class TestUnitHelpers:
         stage = JpaStage.from_db(15.8, 0.66)
         assert stage.gain == pytest.approx(10 ** 1.58)
         assert stage.gain_db == pytest.approx(15.8)
-
-    def test_linear_chain_validation(self):
-        with pytest.raises(ValueError):
-            LinearChain(gain=-1.0, noise_temperature=3.0, bandwidth=400e3)

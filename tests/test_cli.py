@@ -231,8 +231,10 @@ class TestConfigTable:
         kwargs = _experiment_kwargs("planck_calibration", config)
         assert kwargs["t_max"] == 1.2
         assert kwargs["n_temperatures"] == 24
-        rows = EXPERIMENTS["planck_calibration"](**kwargs)["tables"]["chain_sweep"]["rows"]
-        np.testing.assert_array_equal([row[0] for row in rows], np.linspace(0.05, 1.2, 24))
+        rows = EXPERIMENTS["planck_calibration"](**kwargs)["tables"]["chain_sweep"]
+        np.testing.assert_array_equal(
+            [row["temperature_k"] for row in rows], np.linspace(0.05, 1.2, 24)
+        )
         assert kwargs["bandwidth"] == 300e3
 
     # Guard: a state kind that no run accepts is surface that only tests reach.
@@ -368,23 +370,29 @@ class TestRunCommand:
         )
         with (out / "dephasing_vs_n.csv").open() as handle:
             rows = list(csv.DictReader(handle))
-        expected = result["tables"]["dephasing_vs_n"]["rows"]
-        assert [row["gamma2_hz"] for row in rows] == [str(float(row[1])) for row in expected]
+        expected = result["tables"]["dephasing_vs_n"]
+        assert [row["gamma2_hz"] for row in rows] == [
+            str(float(row["gamma2_hz"])) for row in expected
+        ]
 
+    # One case per PipelineArgumentError that a run can reach; the state
+    # check is not one, since the config schema rejects an unknown state first.
     @pytest.mark.parametrize(
-        "args, key",
+        "args, keys",
         [
-            (("ramsey_sweep", "--set", "n_min=1.5"), "'n_min'"),
-            (("ramsey_sweep", "--n-points", "2"), "'n_points'"),
-            (("jpa_sweep", "--n-points", "2"), "'n_points'"),
-            (("dualpath_sweep", "--count", "40", "--set", "temperatures_k=[0.1]"), "'temperatures'"),
+            (("ramsey_sweep", "--set", "n_min=1.5"), ("n_min", "n_max")),
+            (("ramsey_sweep", "--n-points", "2"), ("n_points",)),
+            (("jpa_sweep", "--n-points", "2"), ("n_points",)),
+            (("dualpath_sweep", "--count", "40", "--set", "temperatures_k=[0.1]"), ("temperatures_k",)),
         ],
     )
-    def test_unfittable_sweep_names_the_key(self, tmp_path, capsys, args, key):
+    def test_unfittable_sweep_names_the_key(self, tmp_path, capsys, args, keys):
         code = run_cli("run", *args, "--out", str(tmp_path / "r"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err and key in err
+        assert "configuration error" in err
+        for key in keys:
+            assert key in _rows(args[0]) and repr(key) in err, key
         assert not (tmp_path / "r").exists()
 
     def test_vacuum_sweep_names_the_state(self):
@@ -1207,11 +1215,8 @@ COLUMN_RUNS = [(name, BASE[name]) for name in sorted(BASE) if name != "jpa_sweep
 def _uninformative(experiment, config):
     """Each constant column, and each ``a == b`` pair of bit-equal columns, of one run."""
     hits = set()
-    for table in _result(experiment, config)["tables"].values():
-        cells = {
-            name: [repr(row[index]) for row in table["rows"]]
-            for index, name in enumerate(table["columns"])
-        }
+    for rows in _result(experiment, config)["tables"].values():
+        cells = {name: [repr(row[name]) for row in rows] for name in rows[0]}
         hits.update(name for name, column in cells.items() if len(set(column)) == 1)
         hits.update(
             f"{a} == {b}" for a, b in itertools.combinations(sorted(cells), 2) if cells[a] == cells[b]
@@ -1362,6 +1367,35 @@ def test_corrupted_fits_leaf_never_crashes_report(base_runs, experiment, corrupt
         assert cli.main(["report", str(run)]) in (0, 1), path
 
 
+# Guard: report holds a run's manifest config to the checks run applies to
+# each key.  Each key of a BASE run's config, one at a time, becomes a
+# string, null, true or an out-of-range number (inf for a key without
+# bounds), or is removed; an unknown key is added too.  report then exits 1
+# naming the key.  Null is skipped where the key's schema allows it.
+REMOVED = object()
+
+
+@pytest.mark.parametrize("experiment", sorted(BASE))
+def test_corrupted_manifest_config_names_the_key(base_runs, experiment, tmp_path, capsys):
+    run = tmp_path / experiment
+    shutil.copytree(base_runs[experiment], run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    cases = [("kappa_y_mhz", 1.0)]
+    for key, row in _rows(experiment).items():
+        bound = OUT_OF_RANGE.get(key)
+        number = bound if type(bound) in (int, float) else math.inf
+        for value in ("abc", None, True, number, REMOVED):
+            if not (value is None and "null" in row.schema.get("type", ())):
+                cases.append((key, value))
+    for key, value in cases:
+        config = {k: v for k, v in manifest["config"].items() if k != key}
+        if value is not REMOVED:
+            config[key] = value
+        (run / "manifest.json").write_text(json.dumps({**manifest, "config": config}))
+        assert cli.main(["report", str(run)]) == 1, (key, value)
+        assert repr(key) in capsys.readouterr().err, (key, value)
+
+
 # Guard: the CLI names no experiment.  Each experiment's report checks live
 # beside its pipeline in experiments.CHECKS, so cli.py holds no string equal
 # to an experiment name or to a table name; a run's table names do not
@@ -1389,35 +1423,48 @@ class TestCliNamesNoExperiment:
         assert generate_report(base_runs[experiment])["checks"]
 
 
-def _old_csv(table):
+def _old_csv(rows):
     """A table's CSV as each cell printed through ``_plain`` on its own."""
-    lines = [",".join(table["columns"])]
-    lines.extend(",".join(str(cli._plain(cell)) for cell in row) for row in table["rows"])
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(str(cli._plain(cell)) for cell in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
 
 
+MIXED_ROWS = [
+    dict(zip(("state", "f64", "i64", "float", "int", "flag", "array"), cells))
+    for cells in (
+        ("thermal", np.float64(0.1), np.int64(3), 0.30000000000000004, 7, True,
+         np.array([1.5, 2.0])),
+        ("coherent", np.float64(1e-300), np.int64(-2), float("inf"), 0, False, np.arange(2)),
+        ("shot_noise", np.float64(-0.0), np.int64(2**62), 1e22, -1, np.bool_(True),
+         np.array([])),
+    )
+]
+
+
 class TestTableWriter:
-    TABLES = {
-        "mixed": {
-            "columns": ["state", "f64", "i64", "float", "int", "flag", "array"],
-            "rows": [
-                ["thermal", np.float64(0.1), np.int64(3), 0.30000000000000004, 7, True,
-                 np.array([1.5, 2.0])],
-                ["coherent", np.float64(1e-300), np.int64(-2), float("inf"), 0, False,
-                 np.arange(2)],
-                ("shot_noise", np.float64(-0.0), np.int64(2**62), 1e22, -1, np.bool_(True),
-                 np.array([])),
-            ],
-        },
-        "array": {"columns": ["a", "b"], "rows": np.array([[0.1, 2.0], [1e-5, 3.5e100]])},
-        "empty": {"columns": ["a"], "rows": []},
-    }
+    def _write(self, tmp_path, rows):
+        result = {"tables": {"mixed": rows}, "fits": {}, "summary": {}}
+        cli._write_run_outputs(tmp_path / "run", "variance_curves", {}, result)
 
     def test_each_cell_prints_as_before(self, tmp_path):
-        result = {"tables": self.TABLES, "fits": {}, "summary": {}}
-        cli._write_run_outputs(tmp_path / "run", "variance_curves", {}, result)
-        for name, table in self.TABLES.items():
-            assert (tmp_path / "run" / f"{name}.csv").read_text() == _old_csv(table), name
+        self._write(tmp_path, MIXED_ROWS)
+        assert (tmp_path / "run" / "mixed.csv").read_text() == _old_csv(MIXED_ROWS)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], r"table 'mixed' has no rows"),
+            # row 2 with a column missing, one added, or its columns reversed
+            ([MIXED_ROWS[0], dict(list(MIXED_ROWS[1].items())[:-1])], r"table 'mixed' row 2 "),
+            ([MIXED_ROWS[0], {**MIXED_ROWS[1], "extra": 1}], r"table 'mixed' row 2 "),
+            ([MIXED_ROWS[0], dict(reversed(MIXED_ROWS[1].items()))], r"table 'mixed' row 2 "),
+        ],
+        ids=["empty", "missing", "extra", "reordered"],
+    )
+    def test_empty_or_mismatched_table_is_refused(self, tmp_path, rows, message):
+        with pytest.raises(ValueError, match=message):
+            self._write(tmp_path, rows)
 
 
 class TestEntryPoint:
