@@ -77,4 +77,4 @@ from .analysis import (
     fit_variance_law,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

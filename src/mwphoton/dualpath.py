@@ -18,7 +18,7 @@ metadata only (the statistics under test are envelope moments).
 Every input state is a circular Gaussian around a carrier, so behind the
 hybrid and the two chains the pair (z1, z2) is one circular Gaussian
 around the split carrier (:func:`_record_model`).  :func:`_batch_sampler`
-draws it one ``SAMPLE_BATCH`` at a time from a generator keyed by
+draws it one ``SAMPLE_BATCH`` at a time from an SFC64 generator keyed by
 (seed, batch): four normals per sample, plus one uniform phase per sample
 for shot noise.
 
@@ -277,10 +277,13 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     drawn from the Cholesky factor L, with e1, e2 standard complex normals,
     z1 = sqrt(g1) (mu/sqrt(2) + L11 e1) and
     z2 = sqrt(g2) (mu/sqrt(2) + L21 e1 + L22 e2), where the shot-noise
-    carrier mu takes a uniform phase per sample.  Each batch comes from a
-    generator keyed by (seed, batch) alone.  The normals are drawn into
-    ``normals``, a C-contiguous (size, 4) float array, or into a temporary
-    without it.
+    carrier mu takes a uniform phase per sample.  The gains are folded into
+    the factor and the carrier once, so the draw multiplies each normal by
+    sqrt(g_j) L_jk and adds sqrt(g_j) mu/sqrt(2).  Each batch comes from an
+    SFC64 generator keyed by (seed, batch) alone.  The normals are drawn
+    into ``normals``, a C-contiguous (size, 4) float array, or into a
+    temporary without it; once spent, that block holds the shot-noise
+    phases too, so the draw allocates nothing else.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -294,31 +297,42 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     l11 = math.sqrt(covariance[0, 0])
     l21 = covariance[1, 0] / l11
     l22 = math.sqrt(covariance[1, 1] - l21 * l21)
-    mean = carrier / math.sqrt(2.0)
+    # row j of the factor, and the split carrier on path j, times sqrt(g_j)
     root_g1, root_g2 = (math.sqrt(g) for g in gains)
+    a11, a21, a22 = root_g1 * l11, root_g2 * l21, root_g2 * l22
+    mean = carrier / math.sqrt(2.0)
+    mean1, mean2 = root_g1 * mean, root_g2 * mean
 
     def draw(index, out1, out2, normals=None):
         size = out1.size
-        rng = np.random.default_rng(_batch_seed(seed, index))
-        # (I, Q) pairs of e1 and e2 per row, so a short final batch is a
-        # prefix of the full batch it replaces
-        e = rng.standard_normal((size, 4), out=normals).view(complex)
-        np.multiply(e[:, 0], l11, out=out1)
-        np.multiply(e[:, 0], l21, out=out2)
-        e[:, 1] *= l22
+        rng = np.random.Generator(np.random.SFC64(_batch_seed(seed, index)))
+        # (I, Q) pairs of e1 and e2 per row, so without a random phase a
+        # short final batch is a prefix of the full batch it replaces
+        normals = rng.standard_normal((size, 4), out=normals)
+        e = normals.view(complex)
+        np.multiply(e[:, 0], a11, out=out1)
+        np.multiply(e[:, 0], a21, out=out2)
+        e[:, 1] *= a22
         out2 += e[:, 1]
-        del e  # a temporary block of normals is freed before the phases are drawn
         if random_phase:
-            mu = 1j * rng.uniform(0.0, 2.0 * math.pi, size)
-            np.exp(mu, out=mu)
-            mu *= mean
+            # the normals are spent, so their block takes the phases in its
+            # first quarter, exp(i phase) in its second half and then each
+            # path's carrier in its first half; as the phases follow all of
+            # the batch's normals, a short shot-noise batch is no prefix
+            spare = normals.reshape(-1)
+            phase = spare[:size]
+            rng.random(out=phase)
+            turn = spare[2 * size :].view(complex)
+            np.multiply(phase, 2j * math.pi, out=turn)
+            np.exp(turn, out=turn)
+            mu = spare[: 2 * size].view(complex)
+            np.multiply(turn, mean1, out=mu)
             out1 += mu
+            np.multiply(turn, mean2, out=mu)
             out2 += mu
         elif mean:
-            out1 += mean
-            out2 += mean
-        out1 *= root_g1
-        out2 *= root_g2
+            out1 += mean1
+            out2 += mean2
 
     return draw
 

@@ -354,9 +354,10 @@ def _sample_batch(state: MicrowaveState, seed: int, index: int, z: np.ndarray) -
 
     Each batch draws from its own generator, so batches can be filled in
     any order, or at once on several threads.  Quadratures are drawn
-    interleaved (I, Q pairs viewed as complex), and a random phase per
-    sample after them, so a short final batch is a prefix of the full batch
-    it replaces.
+    interleaved (I, Q pairs viewed as complex), so without a random phase a
+    short final batch is a prefix of the full batch it replaces.  The
+    shot-noise phases are drawn after all of the batch's quadratures, so
+    there it is not.
     """
     rng = np.random.default_rng(_batch_seed(seed, index))
     carrier, random_phase, variance = _wigner_gaussian(state)

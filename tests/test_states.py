@@ -219,12 +219,23 @@ class TestSampleEnvelopes:
         assert sample_envelopes(MicrowaveState.thermal(0.0), 0, seed=0).size == 0
 
     def test_deterministic_and_partition_independent(self):
-        state = MicrowaveState.thermal(0.5)
-        full = sample_envelopes(state, 50_000, seed=9)
-        again = sample_envelopes(state, 50_000, seed=9)
-        prefix = sample_envelopes(state, 20_000, seed=9)
-        np.testing.assert_array_equal(full, again)
-        np.testing.assert_array_equal(full[:20_000], prefix)
+        # only a field without a random phase: shot noise draws its phases
+        # after all of a batch's normals, so its short final batch is no prefix
+        detection = dict(chain_noise_photons=(0.4, 1.3), gains=(2.0, 0.7), vacuum_port_photons=0.1)
+        for state in (MicrowaveState.thermal(0.5), MicrowaveState.coherent(0.8 - 0.3j)):
+            full = sample_envelopes(state, 50_000, seed=9)
+            again = sample_envelopes(state, 50_000, seed=9)
+            prefix = sample_envelopes(state, 20_000, seed=9)
+            np.testing.assert_array_equal(full, again)
+            np.testing.assert_array_equal(full[:20_000], prefix)
+            record = simulate_detection(state, count=50_000, seed=9, **detection)
+            again = simulate_detection(state, count=50_000, seed=9, **detection)
+            prefix = simulate_detection(state, count=20_000, seed=9, **detection)
+            for path in ("envelopes_1", "envelopes_2"):
+                np.testing.assert_array_equal(getattr(record, path), getattr(again, path))
+                np.testing.assert_array_equal(
+                    getattr(record, path)[:20_000], getattr(prefix, path)
+                )
 
     def test_shot_noise_poissonian_intensity(self):
         n = 0.9
