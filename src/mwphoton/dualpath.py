@@ -282,8 +282,7 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     sqrt(g_j) L_jk and adds sqrt(g_j) mu/sqrt(2).  Each batch comes from an
     SFC64 generator keyed by (seed, batch) alone.  The normals are drawn
     into ``normals``, a C-contiguous (size, 4) float array, or into a
-    temporary without it; once spent, that block holds the shot-noise
-    phases too, so the draw allocates nothing else.
+    temporary without it.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -315,21 +314,11 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
         e[:, 1] *= a22
         out2 += e[:, 1]
         if random_phase:
-            # the normals are spent, so their block takes the phases in its
-            # first quarter, exp(i phase) in its second half and then each
-            # path's carrier in its first half; as the phases follow all of
-            # the batch's normals, a short shot-noise batch is no prefix
-            spare = normals.reshape(-1)
-            phase = spare[:size]
-            rng.random(out=phase)
-            turn = spare[2 * size :].view(complex)
-            np.multiply(phase, 2j * math.pi, out=turn)
-            np.exp(turn, out=turn)
-            mu = spare[: 2 * size].view(complex)
-            np.multiply(turn, mean1, out=mu)
-            out1 += mu
-            np.multiply(turn, mean2, out=mu)
-            out2 += mu
+            # the phases follow all of the batch's normals, so a short
+            # shot-noise batch is no prefix
+            turn = np.exp(2j * math.pi * rng.random(size))
+            out1 += turn * mean1
+            out2 += turn * mean2
         elif mean:
             out1 += mean1
             out2 += mean2

@@ -120,7 +120,8 @@ def variance_curves(n_max: float = 10.0, n_points: int = 201) -> dict:
         thermal = math.sqrt(photon_variance(StateKind.THERMAL, n))
         rows.append({"state": "thermal", "n": n, "sqrt_var": thermal})
         rows.append({"state": "classical_limit", "n": n, "sqrt_var": n})  # classical Var(n) = n^2
-        rows.append({"state": "coherent", "n": n, "sqrt_var": math.sqrt(n)})
+        coherent = math.sqrt(photon_variance(StateKind.COHERENT, n))
+        rows.append({"state": "coherent", "n": n, "sqrt_var": coherent})
     return {
         "tables": {"variance_curves": rows},
         "fits": {},

@@ -8,7 +8,9 @@ runs each experiment at its defaults, ``ramsey_sweep`` once per state and
 stamped with the Python version, the numpy version and the SIMD extensions
 numpy found on this CPU.  ``tests/test_artifact_digests.py`` recomputes
 the digests and compares them under the same stamp.  Rewrite the file only
-for a change meant to move artifacts, and name each file that moved.
+for a change meant to move artifacts, and name each file that moved.  The
+script fails, naming the run, on a run whose report has a failed check;
+the scipy-free CI job runs it twice and compares the two files.
 """
 
 import contextlib
@@ -65,7 +67,10 @@ def stamp() -> dict:
 
 def digests(root: Path) -> dict:
     """``"<run>/<file>"`` -> SHA-256 of every file each run of :func:`runs`
-    writes into ``root/<run>``, after ``report`` on it."""
+    writes into ``root/<run>``, after ``report`` on it.
+
+    Raises RuntimeError, naming the run, if its ``run`` or ``report`` exits
+    nonzero or its ``report.json`` has a failed check."""
     found = {}
     for name, arguments in runs().items():
         out = root / name
@@ -74,6 +79,9 @@ def digests(root: Path) -> dict:
                 raise RuntimeError(f"run {name} failed")
             if cli.main(["report", str(out)]) != 0:
                 raise RuntimeError(f"report {name} failed")
+        # report exits 0 after failed checks too; all_passed decides
+        if not json.loads((out / "report.json").read_text())["all_passed"]:
+            raise RuntimeError(f"report {name} has failed checks")
         for path in sorted(out.iterdir()):
             found[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return found

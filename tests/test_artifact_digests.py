@@ -6,6 +6,7 @@ whose digest moved.  The digests hold only where they were written: the
 same Python and numpy, and the same SIMD extensions found, since float64
 ``np.exp`` and ``np.cos`` can round their last bit differently on another
 SIMD path.  Elsewhere the test skips, and its reason names both stamps.
+A run whose report has a failed check stops the digests, naming the run.
 """
 
 import json
@@ -13,6 +14,7 @@ import json
 import pytest
 
 import artifact_digests
+from mwphoton import experiments
 
 
 def test_default_artifacts_keep_their_digests(tmp_path):
@@ -29,3 +31,15 @@ def test_default_artifacts_keep_their_digests(tmp_path):
         f"these artifacts moved: {moved}; if that is meant, rerun tests/artifact_digests.py "
         "and name each moved file in the change"
     )
+
+
+def test_a_failed_report_check_names_its_run(tmp_path, monkeypatch):
+    passing = experiments.CHECKS["variance_curves"]
+
+    def failing(*args):
+        yield from passing(*args)
+        yield ("never_passes", 1.0, (0.0, 0.5), "a check no run passes")
+
+    monkeypatch.setitem(experiments.CHECKS, "variance_curves", failing)
+    with pytest.raises(RuntimeError, match="report variance_curves has failed checks"):
+        artifact_digests.digests(tmp_path)

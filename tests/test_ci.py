@@ -1,13 +1,14 @@
 """The CI workflow runs what the repository documents.
 
 `.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
-command, the `requires-python` and numpy floors of pyproject.toml and the
-experiment registry, and every ``mwphoton run`` line against the CLI's
-parser and config table, so that an edit to one of them cannot leave the
-workflow behind.  The scipy-free job also reruns six pipelines at their
-defaults and diffs each pair of run directories.  The benchmark smoke job
-is held to the runs it must make and to the check that fails it on any
-failed operation.
+command and the `requires-python` and numpy floors of pyproject.toml, and
+every ``mwphoton run`` line against the CLI's parser and config table, so
+that an edit to one of them cannot leave the workflow behind.  The
+scipy-free job runs one pipeline through the installed console script,
+then walks every default run of ``tests/artifact_digests.py`` twice, each
+walk failing on a failed report check, and compares the two digest files
+byte for byte.  The benchmark smoke job is held to the runs it must make
+and to the check that fails it on any failed operation.
 """
 
 import re
@@ -19,7 +20,6 @@ from pathlib import Path
 import yaml
 
 from mwphoton import cli
-from mwphoton.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
@@ -63,46 +63,19 @@ def test_matrix_pins_the_numpy_floor_on_the_oldest_python():
     assert shlex.split(pin["run"]) == ["python", "-m", "pip", "install", "numpy==${{ matrix.numpy }}"]
 
 
-def test_scipy_free_runs_name_experiments_and_pass_their_reports():
-    commands = list(_commands("runtime-without-scipy"))
-    runs = [(i, words) for i, words in enumerate(commands) if words[:2] == ["mwphoton", "run"]]
-    # every pipeline runs on the runtime-only install
-    assert {words[2] for _, words in runs} == set(EXPERIMENTS)
-    for index, words in runs:
-        assert words[2] in EXPERIMENTS, words
-        out = words[words.index("--out") + 1]
-        later = commands[index + 1 :]
-        report = later.index(["mwphoton", "report", out])
-        # report exits 0 after failed checks too, so all_passed must be read
-        assert later[report + 1] == ["python", "-c", "$ALL_PASSED", f"{out}/report.json"]
-
-
-def test_scipy_free_reruns_are_diffed_against_their_first_runs():
-    commands = list(_commands("runtime-without-scipy"))
-    runs = {}
-    for words in commands:
-        if words[:2] == ["mwphoton", "run"]:
-            at = words.index("--out")
-            runs[words[at + 1]] = words[:at] + words[at + 2 :]
-    diffs = [words[2:] for words in commands if words[:2] == ["diff", "-r"]]
-    # each at its defaults, so the Ramsey rerun is the thermal sweep
-    assert sorted(runs[first] for first, _ in diffs) == [
-        ["mwphoton", "run", name]
-        for name in (
-            "dualpath_sweep",
-            "jpa_sweep",
-            "planck_calibration",
-            "quadrature_check",
-            "ramsey_sweep",
-            "variance_curves",
-        )
+def test_scipy_free_job_walks_the_default_runs_twice():
+    # the script walks artifact_digests.runs() and fails on a nonzero exit
+    # or a failed report check; a second walk in a fresh process must write
+    # the same digests, report.json's included
+    assert list(_commands("runtime-without-scipy")) == [
+        ["python", "-m", "pip", "install", "-e", "."],
+        ["python", "-c", 'import importlib.util; assert importlib.util.find_spec("scipy") is None'],
+        ["mwphoton", "run", "variance_curves", "--out", "runs/variance_curves"],
+        ["python", "tests/artifact_digests.py"],
+        ["cp", "tests/artifact_digests.json", "runs/first_walk.json"],
+        ["python", "tests/artifact_digests.py"],
+        ["cmp", "runs/first_walk.json", "tests/artifact_digests.json"],
     ]
-    for first, second in diffs:
-        # the same run, reported before the compare, so report.json is compared too
-        assert first != second and runs[first] == runs[second]
-        diff = commands.index(["diff", "-r", first, second])
-        for out in (first, second):
-            assert commands.index(["mwphoton", "report", out]) < diff
 
 
 def test_every_run_line_parses_and_resolves():
