@@ -18,9 +18,9 @@ metadata only (the statistics under test are envelope moments).
 Every input state is a circular Gaussian around a carrier, so behind the
 hybrid and the two chains the pair (z1, z2) is one circular Gaussian
 around the split carrier (:func:`_record_model`).  :func:`_batch_sampler`
-draws it one ``SAMPLE_BATCH`` at a time from an SFC64 generator keyed by
-(seed, batch): four normals per sample, plus one uniform phase per sample
-for shot noise.
+draws it one ``SAMPLE_BATCH`` at a time through ``states._draw_paths``, an
+SFC64 generator keyed by (seed, batch): four normals per sample, plus one
+uniform phase per sample for shot noise.
 
 Work runs on a thread pool with one worker per available CPU
 (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
@@ -76,7 +76,7 @@ from .states import (
     MomentSet,
     Ordering,
     _batch_layout,
-    _batch_seed,
+    _draw_paths,
     bose_einstein,
     _conjugate_symmetrize,
     effective_temperature,
@@ -279,10 +279,9 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     z2 = sqrt(g2) (mu/sqrt(2) + L21 e1 + L22 e2), where the shot-noise
     carrier mu takes a uniform phase per sample.  The gains are folded into
     the factor and the carrier once, so the draw multiplies each normal by
-    sqrt(g_j) L_jk and adds sqrt(g_j) mu/sqrt(2).  Each batch comes from an
-    SFC64 generator keyed by (seed, batch) alone.  The normals are drawn
-    into ``normals``, a C-contiguous (size, 4) float array, or into a
-    temporary without it.
+    sqrt(g_j) L_jk and adds sqrt(g_j) mu/sqrt(2): the two-path case of
+    ``states._draw_paths``.  The normals are drawn into ``normals``, a
+    C-contiguous (size, 4) float array, or into a temporary without it.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -298,30 +297,12 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     l22 = math.sqrt(covariance[1, 1] - l21 * l21)
     # row j of the factor, and the split carrier on path j, times sqrt(g_j)
     root_g1, root_g2 = (math.sqrt(g) for g in gains)
-    a11, a21, a22 = root_g1 * l11, root_g2 * l21, root_g2 * l22
+    factor = ((root_g1 * l11,), (root_g2 * l21, root_g2 * l22))
     mean = carrier / math.sqrt(2.0)
-    mean1, mean2 = root_g1 * mean, root_g2 * mean
+    means = (root_g1 * mean, root_g2 * mean)
 
     def draw(index, out1, out2, normals=None):
-        size = out1.size
-        rng = np.random.Generator(np.random.SFC64(_batch_seed(seed, index)))
-        # (I, Q) pairs of e1 and e2 per row, so without a random phase a
-        # short final batch is a prefix of the full batch it replaces
-        normals = rng.standard_normal((size, 4), out=normals)
-        e = normals.view(complex)
-        np.multiply(e[:, 0], a11, out=out1)
-        np.multiply(e[:, 0], a21, out=out2)
-        e[:, 1] *= a22
-        out2 += e[:, 1]
-        if random_phase:
-            # the phases follow all of the batch's normals, so a short
-            # shot-noise batch is no prefix
-            turn = np.exp(2j * math.pi * rng.random(size))
-            out1 += turn * mean1
-            out2 += turn * mean2
-        elif mean:
-            out1 += mean1
-            out2 += mean2
+        _draw_paths(seed, index, factor, means, random_phase, (out1, out2), normals)
 
     return draw
 

@@ -11,8 +11,9 @@ module owns
 * the Bose-Einstein occupation n(T) and its exact inverse,
 * the closed-form photon-number variance of each kind,
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
-* seeded Monte Carlo samplers for the symmetrized (Wigner) phase-space
-  envelope of each state,
+* the one batch kernel of every Monte Carlo draw (:func:`_draw_paths`,
+  one SFC64 generator per batch) and its one-path case, the sampler of the
+  symmetrized (Wigner) phase-space envelope of each state,
 * the moment algebra: one ``(n, m)`` key tuple, the sums of the products
   z1^m conj(z2)^n (n + m <= 4) behind every moment estimate, for the keys
   an estimate reads, conjugate symmetrization and the Gaussian-shift map
@@ -323,15 +324,17 @@ def sample_envelopes(state: MicrowaveState, count: int, seed: int) -> np.ndarray
     Thermal states are circular Gaussians with per-quadrature variance
     (2n + 1)/4.  Coherent states displace the vacuum Gaussian by
     ``alpha``.  Shot noise displaces it by sqrt(n) exp(i phi), with the
-    phase ``phi`` drawn uniformly for each sample.  Batch ``i`` draws from
-    ``SeedSequence(seed, spawn_key=(i,))`` of the integer ``seed``, so the
+    phase ``phi`` drawn uniformly for each sample.  Batch ``i`` is the
+    one-path case of :func:`_draw_paths` for the integer ``seed``, so the
     samples are deterministic given it, whatever order batches run in.
     """
     if count < 0:
         raise ValueError("sample count must be >= 0")
+    carrier, random_phase, variance = _wigner_gaussian(state)
+    factor = ((math.sqrt(variance),),)
     out = np.empty(count, dtype=complex)
     for index, start, size in _batch_layout(count):
-        _sample_batch(state, seed, index, out[start : start + size])
+        _draw_paths(seed, index, factor, (carrier,), random_phase, (out[start : start + size],))
     return out
 
 
@@ -349,23 +352,32 @@ def _wigner_gaussian(state: MicrowaveState) -> Tuple[complex, bool, float]:
     return 0j, False, (2.0 * state.mean_photons + 1.0) / 4.0
 
 
-def _sample_batch(state: MicrowaveState, seed: int, index: int, z: np.ndarray) -> None:
-    """Fill ``z`` with batch ``index`` of :func:`sample_envelopes` for ``seed``.
+def _draw_paths(seed, index, factor, means, random_phase, outs, normals=None) -> None:
+    """Fill ``outs``, one or two paths, with batch ``index`` of a circular Gaussian.
 
-    Each batch draws from its own generator, so batches can be filled in
-    any order, or at once on several threads.  Quadratures are drawn
-    interleaved (I, Q pairs viewed as complex), so without a random phase a
-    short final batch is a prefix of the full batch it replaces.  The
-    shot-noise phases are drawn after all of the batch's quadratures, so
-    there it is not.
+    The batch draws from ``Generator(SFC64(_batch_seed(seed, index)))`` alone,
+    so batches can be filled in any order, or at once on several threads:
+    (size, 2 * paths) standard normals, into ``normals`` or a temporary, read
+    as the complex normals e_k of each sample, then with ``random_phase`` one
+    uniform phase u per sample that all paths share.  Path j is
+    sum_k factor[j][k] e_k + means[j] exp(iu), with ``factor`` lower
+    triangular and u = 0 without a random phase.  The normals are drawn row
+    by row, so without a random phase a short final batch is a prefix of the
+    full batch it replaces; with one it is not.
     """
-    rng = np.random.default_rng(_batch_seed(seed, index))
-    carrier, random_phase, variance = _wigner_gaussian(state)
-    z[:] = rng.normal(0.0, math.sqrt(variance), size=(z.size, 2)).view(complex)[:, 0]
-    if random_phase:
-        z += carrier * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, z.size))
-    elif carrier:
-        z += carrier
+    size = outs[0].size
+    rng = np.random.Generator(np.random.SFC64(_batch_seed(seed, index)))
+    e = rng.standard_normal((size, 2 * len(outs)), out=normals).view(complex)
+    for j, (row, out) in enumerate(zip(factor, outs)):
+        np.multiply(e[:, 0], row[0], out=out)
+        if j:
+            # the second path is the last to read e_2, so it scales it in place
+            e[:, 1] *= row[1]
+            out += e[:, 1]
+    if random_phase or any(means):
+        turn = np.exp(2j * math.pi * rng.random(size)) if random_phase else 1.0
+        for mean, out in zip(means, outs):
+            out += turn * mean
 
 
 def empirical_moments(samples: np.ndarray) -> MomentSet:

@@ -1,5 +1,6 @@
-"""The fused moment engine, the record route and the copy-free samplers
-against the routes they replaced, kept here as oracles.
+"""The fused moment engine, the record route, the copy-free hybrid split
+and the joint-law sampler against the routes they replaced, kept here as
+oracles.
 
 Sweep points and exported records sum the cross-path products
 z1^m conj(z2)^n over the same 20 error blocks: a record all 15 with
@@ -15,8 +16,6 @@ differs, so each pair agrees to rounding (relative 1e-12).  A sweep
 point's 7 sums are the same operations as among all 15, so its values and
 block errors equal those of the 15-key inversion bit for bit, and the key
 set is closed under the inversion's conjugation and Gaussian shift.
-``sample_envelopes`` draws the same numbers in the same order as its loop
-form, so their output bytes must be identical.
 ``simulate_detection`` draws each sample of the record from its joint
 law, where the layered route of ``oracles.layered_detection`` splits and
 adds noise draw by draw: the two agree in law, exactly in their second
@@ -50,13 +49,10 @@ from mwphoton.states import (
     MicrowaveState,
     MomentSet,
     Ordering,
-    StateKind,
-    _batch_seed,
     _conjugate_symmetrize,
     _gaussian_shift,
     _segment_sums,
     analytic_moments,
-    sample_envelopes,
 )
 
 RTOL = 1e-12
@@ -113,26 +109,6 @@ def _old_reconstruct_with_errors(record, gains, block_count=20):
         for key, vals in block_values.items()
     }
     return _old_point(moments), errors
-
-
-def _old_sample_envelopes(state, count, seed):
-    parts = []
-    n = state.mean_photons
-    for index, start in enumerate(range(0, count, SAMPLE_BATCH)):
-        size = min(SAMPLE_BATCH, count - start)
-        rng = np.random.default_rng(_batch_seed(seed, index))
-        if state.kind is StateKind.THERMAL:
-            quads = rng.normal(0.0, math.sqrt((2.0 * n + 1.0) / 4.0), size=(size, 2))
-            z = quads[:, 0] + 1j * quads[:, 1]
-        elif state.kind is StateKind.COHERENT:
-            quads = rng.normal(0.0, 0.5, size=(size, 2))
-            z = state.amplitude + quads[:, 0] + 1j * quads[:, 1]
-        else:
-            quads = rng.normal(0.0, 0.5, size=(size, 2))
-            carrier = math.sqrt(n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size))
-            z = carrier + (quads[:, 0] + 1j * quads[:, 1])
-        parts.append(z)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +241,6 @@ def test_cross_moments_same_bits_for_strided_record_and_its_copy():
 # ---------------------------------------------------------------------------
 # Copy-free sampling
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kind", sorted(STATES))
-def test_sample_envelopes_bytes_unchanged(kind):
-    count = 3 * SAMPLE_BATCH + 5
-    new = sample_envelopes(STATES[kind], count, 3)
-    assert new.tobytes() == _old_sample_envelopes(STATES[kind], count, 3).tobytes()
-
 
 def test_hybrid_split_bytes_unchanged_and_inputs_untouched():
     rng = np.random.default_rng(4)
