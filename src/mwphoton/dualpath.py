@@ -24,30 +24,33 @@ uniform phase per sample for shot noise.
 
 Work runs on a thread pool with one worker per available CPU
 (:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
-runs array loops.  Each task draws one batch.  :func:`simulate_detection`
-draws it into the batch's slice of a record.  A sweep point
-(:func:`_detect_point`) draws it into arrays that its worker thread owns
-for the whole point, and keeps only the sums of the 7 cross-path products
+runs array loops, and hands it back between calls, so a task makes few,
+long numpy calls.  :func:`simulate_detection` runs one task per batch,
+which draws it into the batch's slice of a record.  A sweep point
+(:func:`_detect_point`) runs one task per two consecutive batches, which
+draws each into a ``(6, SAMPLE_BATCH)`` block that its worker thread owns
+for the whole point and keeps only the sums of the 7 cross-path products
 its values read (``_POINT_KEYS``) over each error-block segment the batch
-overlaps (``states._segment_sums``, whose temporaries the worker owns
-too), so a sweep point never holds a record and allocates per worker, not
-per batch.  A task's numbers depend on its batch alone, and results are
-combined in batch order, so every record and every sum is bit-identical
-for any worker count.
+overlaps: ``states._segment_sums`` forms the products once per batch in
+the block's rows and sums each segment's rows in one call.  So a sweep
+point never holds a record and allocates per worker, not per batch.  A
+task's numbers depend on its batches alone, and results are combined in
+batch order, so every record and every sum is bit-identical for any
+worker count.
 
 Rescaled by the gains and the hybrid's sqrt(2), the product means are
 the normally ordered signal moments behind a vacuum fourth port, and one
 Gaussian shift away from them behind a warm one
 (:func:`_moments_from_products`).  Sweep points and exported records sum
 the products over the same ERROR_BATCHES blocks and take the compensated
-total of the block sums over the sample count (:func:`_product_means`):
+total of the block sums over the sample count (``states._product_means``):
 a sweep point inverts that estimate and each block's own mean for the
 error bars, and :func:`cross_moments` returns it for a record, which
 :func:`reconstruct_signal_moments` inverts.  A record keeps all 15
 products; the 7 of a sweep point are summed with the same operations as
 among the 15, so they and every point value keep their bits.  A record
-sums each block whole, which is faster than splitting it at batch bounds
-(``docs/notes.md``).
+forms each block's products in one buffer and sums the block whole,
+which is faster than splitting it at batch bounds (``docs/notes.md``).
 """
 
 from __future__ import annotations
@@ -81,7 +84,10 @@ from .states import (
     _conjugate_symmetrize,
     effective_temperature,
     _gaussian_shift,
+    _product_means,
+    _row_count,
     _segment_sums,
+    _span_sums,
     _wigner_gaussian,
 )
 
@@ -313,35 +319,17 @@ def _error_blocks(count: int):
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def _product_means(block_sums, count: int) -> Dict[Tuple[int, int], complex]:
-    """The product means of ``count`` samples from their per-block sums.
-
-    Every block holds the same keys, and each key's mean is the compensated
-    total (``math.fsum``) of its block sums over ``count``, so it does not
-    depend on how the blocks were scheduled.
-    """
-    return {
-        key: complex(
-            math.fsum(s[key].real for s in block_sums), math.fsum(s[key].imag for s in block_sums)
-        )
-        / count
-        for key in block_sums[0]
-    }
-
-
 def cross_moments(rec: DetectionRecord) -> CrossMomentSet:
     """The 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4, of a record.
 
-    Each of the ERROR_BATCHES contiguous blocks is summed on its own
-    (:func:`~mwphoton.states._segment_sums`), as a sweep point sums its
-    blocks, and :func:`_product_means` combines them.
+    Each of the ERROR_BATCHES contiguous blocks is summed on its own, its
+    14 products formed in one buffer that every block reuses
+    (:func:`~mwphoton.states._span_sums`), as a sweep point sums its
+    blocks, and ``states._product_means`` combines them.
     """
-    blocks = _error_blocks(rec.sample_count)
-    sums = [
-        _segment_sums(rec.envelopes_1[lo:hi], rec.envelopes_2[lo:hi], MOMENT_KEYS)
-        for lo, hi in blocks
-    ]
-    return CrossMomentSet(_product_means(sums, rec.sample_count), rec.sample_count)
+    count = rec.sample_count
+    sums = _span_sums(rec.envelopes_1, rec.envelopes_2, MOMENT_KEYS, _error_blocks(count))
+    return CrossMomentSet(_product_means(sums, count), count)
 
 
 #: The keys :func:`_point_values` reads, directly and through
@@ -366,42 +354,49 @@ def _detect_point(
 ):
     """Point values and block errors of one sweep point, built from no record.
 
-    One task per ``SAMPLE_BATCH`` draws its batch as :func:`simulate_detection`
-    would and sums the 7 cross-path products of ``_POINT_KEYS`` over each
-    error-block segment the batch overlaps; each block adds its segments in
-    batch order.  Every array a task touches, its normals, z1, z2 and the
-    segment temporaries, belongs to its worker thread, which allocates them
-    on its first batch and reuses them for every batch after.  The estimate
-    inverts the compensated total of the block sums (:func:`_product_means`,
-    as for an exported record); each block of >= 2 samples inverts its own
-    mean.
+    Each task draws two consecutive ``SAMPLE_BATCH`` batches, one after the
+    other, as :func:`simulate_detection` would, into a ``(6, SAMPLE_BATCH)``
+    complex block that its worker thread allocates on its first task and
+    reuses for every batch after: z1 into row 0, z2 into row 1 and the
+    normals into rows 2-3.  ``states._segment_sums`` then conjugates z2 in
+    place, forms the 5 products of ``_POINT_KEYS`` beyond z1 and conj(z2)
+    once over the batch into rows 2-5, and sums the 6 rows of each
+    error-block segment the batch overlaps in one call.  The task returns
+    those segment sums in batch order, and each block adds its segments in
+    that order.  The estimate inverts the compensated total of the block
+    sums (``states._product_means``, as for an exported record); each block
+    of >= 2 samples inverts its own mean.
     Those 7 sums have the bits they would have among all 15, so the values
     are those of the 15-key inversion.
     """
+    keys = _POINT_KEYS
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
     owned = threading.local()
 
-    def batch_segments(batch):
-        index, lo, size = batch
-        if not hasattr(owned, "arrays"):
-            owned.arrays = np.empty((6, SAMPLE_BATCH), dtype=complex)
+    def task_segments(batches):
+        if not hasattr(owned, "rows"):
+            owned.rows = np.empty((_row_count(keys), SAMPLE_BATCH), dtype=complex)
             # the normals are spent once z1 and z2 hold the batch, so they
-            # are drawn into the rows of the first two segment temporaries
-            owned.normals = owned.arrays[2:4].view(float).reshape(SAMPLE_BATCH, 4)
-        z1, z2, *temps = owned.arrays[:, :size]
-        draw(index, z1, z2, owned.normals[:size])
-        segments = [
-            (block, max(a - lo, 0), min(b - lo, size)) for block, (a, b) in enumerate(blocks)
-        ]
-        return [
-            (block, _segment_sums(z1[a:b], z2[a:b], _POINT_KEYS, [t[a:b] for t in temps]))
-            for block, a, b in segments
-            if a < b
-        ]
+            # are drawn into the rows the products go to
+            owned.normals = owned.rows[2:4].view(float).reshape(SAMPLE_BATCH, 4)
+        found = []
+        for index, lo, size in batches:
+            rows = owned.rows[:, :size]
+            draw(index, rows[0], rows[1], owned.normals[:size])
+            segments = {
+                block: (max(a - lo, 0), min(b - lo, size))
+                for block, (a, b) in enumerate(blocks)
+                if a < lo + size and b > lo
+            }
+            sums = _segment_sums(rows[0], rows[1], keys, rows, list(segments.values()))
+            found += zip(segments, sums)
+        return found
 
-    sums = [dict.fromkeys(_POINT_KEYS, 0j) for _ in blocks]
-    for segments in _map_on_cpus(batch_segments, _batch_layout(count)):
+    layout = list(_batch_layout(count))
+    tasks = [layout[i : i + 2] for i in range(0, len(layout), 2)]
+    sums = [dict.fromkeys(keys, 0j) for _ in blocks]
+    for segments in _map_on_cpus(task_segments, tasks):
         for block, segment in segments:
             for key, value in segment.items():
                 sums[block][key] += value
@@ -769,12 +764,15 @@ def save_record_csv(rec: DetectionRecord, path) -> None:
     )
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_CSV_HEADER) + "\r\n")
-        # rows go through Python floats (~220 B per row), so convert a batch at a time
+        # rows go through Python floats (~220 B per row), so convert a batch
+        # at a time and write each batch as one string
         for start in range(0, rec.sample_count, SAMPLE_BATCH):
             rows = table[start : start + SAMPLE_BATCH].tolist()
-            handle.writelines(
-                f"{i},{i1!r},{q1!r},{i2!r},{q2!r}\r\n"
-                for i, (i1, q1, i2, q2) in enumerate(rows, start)
+            handle.write(
+                "".join(
+                    f"{i},{i1!r},{q1!r},{i2!r},{q2!r}\r\n"
+                    for i, (i1, q1, i2, q2) in enumerate(rows, start)
+                )
             )
 
 

@@ -134,56 +134,99 @@ class Ordering(Enum):
 MOMENT_KEYS = tuple((n, t - n) for t in range(MAX_MOMENT_ORDER + 1) for n in range(t + 1))
 
 
-# For n + m <= 4 the smaller exponent of a key (n, m) is 0, 1 or max(n, m),
-# so its product is formed at step max(n, m) from the stepped powers and the
-# first powers z1 and conj(z2).
-assert all(min(key) in (0, 1, max(key)) for key in MOMENT_KEYS)
-
-
 @functools.cache
-def _keys_by_step(keys: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """``keys`` grouped by the step max(n, m) that forms them, from step 0 to the last."""
-    return tuple(
-        tuple(key for key in keys if max(key) == k) for k in range(max(map(max, keys)) + 1)
-    )
+def _product_rows(keys: Tuple[Tuple[int, int], ...]):
+    """Where :func:`_segment_sums` forms the product of each key: (top, mixed, rows).
 
-
-def _segment_sums(
-    z1: np.ndarray, z2: np.ndarray, keys, temps=None
-) -> Dict[Tuple[int, int], complex]:
-    """Sums of the products z1^m conj(z2)^n over a segment, for each (n, m) in ``keys``.
-
-    ``keys`` is a tuple of (n, m) with n + m <= 4, and ``sums[(n, m)]`` is
-    the complex sum of z1^m conj(z2)^n, in the order of ``keys``.  The
-    powers of z1 and conj(z2) are raised only up to the highest exponent a
-    key names, and only the mixed products the keys name are formed, each
-    from those shared powers; a key's sum has the same bits whatever else
-    ``keys`` holds.  With z1 = z2 = z the sums are those of conj(z)^n z^m.
-    ``temps`` are four arrays like ``z2`` to hold conj(z2), the two powers
-    and one product; without them the four are allocated here.
+    Rows 2k - 2 and 2k - 1 hold z1^k and conj(z2)^k for k = 1 .. ``top``, the
+    highest exponent a key names (at least 1).  Each key with both exponents
+    >= 1 has a row of its own after them; ``mixed`` lists those as (row, row of
+    z1^m, row of conj(z2)^n).  ``rows`` maps each key to its row, (0, 0) to
+    None.
     """
-    steps = _keys_by_step(keys)
-    z2_bar, pow1_out, pow2_out, product = temps or [np.empty_like(z2) for _ in range(4)]
-    np.conjugate(z2, out=z2_bar)
-    sums = dict.fromkeys(keys)
-    for key in steps[0]:
-        sums[key] = complex(z1.size)
-    # step k raises pow1 = z1^k and pow2 = conj(z2)^k in place, so a
-    # segment holds at most four arrays at a time
-    pow1, pow2 = z1, z2_bar
-    for k in range(1, len(steps)):
-        if k > 1:
-            pow1 = np.multiply(pow1, z1, out=pow1_out)
-            pow2 = np.multiply(pow2, z2_bar, out=pow2_out)
-        for n, m in steps[k]:
-            if n == 0:
-                sums[(n, m)] = complex(pow1.sum())
-            elif m == 0:
-                sums[(n, m)] = complex(pow2.sum())
-            else:
-                np.multiply(pow1 if m == k else z1, pow2 if n == k else z2_bar, out=product)
-                sums[(n, m)] = complex(product.sum())
-    return sums
+    top = max(1, *map(max, keys))
+    rows, mixed = {}, []
+    for n, m in keys:
+        if n and m:
+            rows[(n, m)] = 2 * top + len(mixed)
+            mixed.append((rows[(n, m)], 2 * m - 2, 2 * n - 1))
+        elif n:
+            rows[(n, m)] = 2 * n - 1
+        elif m:
+            rows[(n, m)] = 2 * m - 2
+        else:
+            rows[(n, m)] = None
+    return top, tuple(mixed), rows
+
+
+def _row_count(keys) -> int:
+    """Rows of the buffer :func:`_segment_sums` forms the products of ``keys`` in.
+
+    6 for ``dualpath._POINT_KEYS``, 14 for ``MOMENT_KEYS``.
+    """
+    top, mixed, _ = _product_rows(keys)
+    return 2 * top + len(mixed)
+
+
+def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys, rows=None, segments=None):
+    """Sums of the products z1^m conj(z2)^n over segments of a span, for each (n, m) in ``keys``.
+
+    ``keys`` is a tuple of (n, m) with n + m <= 4, and a segment's
+    ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n, in the order of
+    ``keys``.  Every product is formed once over the whole span, into
+    ``rows``: a complex array of ``_row_count(keys)`` rows as long as the
+    span, allocated here when not given.  z1 goes to row 0 (no copy when it
+    is row 0) and conj(z2) to row 1 (in place when z2 is row 1); then the
+    powers z1^k and conj(z2)^k are raised two rows per call, up to the
+    highest exponent a key names, and each mixed product a key names is
+    formed from them (:func:`_product_rows`).  The products are elementwise,
+    so none depends on where a segment starts or ends.  Each (a, b) of
+    ``segments`` is then summed in one ``rows[:, a:b].sum(axis=1)`` call,
+    whose row sums have the bits of each row's own ``sum()`` (a test pins
+    this), so a key's sum has the same bits whatever else ``keys`` holds
+    and wherever the segment bounds fall.  With z1 = z2 = z the sums are
+    those of conj(z)^n z^m.  Returns one dict per segment; without
+    ``segments``, the dict of the whole span.
+    """
+    top, mixed, key_rows = _product_rows(keys)
+    if rows is None:
+        rows = np.empty((_row_count(keys), z1.size), dtype=complex)
+    rows[0] = z1
+    np.conjugate(z2, out=rows[1])
+    for k in range(2, top + 1):
+        np.multiply(rows[2 * k - 4 : 2 * k - 2], rows[:2], out=rows[2 * k - 2 : 2 * k])
+    for row, power1, power2 in mixed:
+        np.multiply(rows[power1], rows[power2], out=rows[row])
+    sums = []
+    for a, b in ((0, rows.shape[1]),) if segments is None else segments:
+        totals = rows[:, a:b].sum(axis=1)
+        sums.append(
+            {key: complex(b - a if row is None else totals[row]) for key, row in key_rows.items()}
+        )
+    return sums[0] if segments is None else sums
+
+
+def _span_sums(z1: np.ndarray, z2: np.ndarray, keys, bounds):
+    """:func:`_segment_sums` of each (lo, hi) span of ``bounds``, all formed in one buffer."""
+    rows = np.empty((_row_count(keys), max(hi - lo for lo, hi in bounds)), dtype=complex)
+    return [_segment_sums(z1[lo:hi], z2[lo:hi], keys, rows[:, : hi - lo]) for lo, hi in bounds]
+
+
+def _product_means(segment_sums, count: int) -> Dict[Tuple[int, int], complex]:
+    """The product means of ``count`` samples from their per-segment sums.
+
+    Every segment holds the same keys, and each key's mean is the
+    compensated total (``math.fsum``) of its segment sums over ``count``,
+    so it does not depend on how the segments were scheduled.
+    """
+    return {
+        key: complex(
+            math.fsum(s[key].real for s in segment_sums),
+            math.fsum(s[key].imag for s in segment_sums),
+        )
+        / count
+        for key in segment_sums[0]
+    }
 
 
 @dataclass
@@ -382,10 +425,12 @@ def _draw_paths(seed, index, factor, means, random_phase, outs, normals=None) ->
 
 def empirical_moments(samples: np.ndarray) -> MomentSet:
     """Symmetrized moments estimated as averages of conj(z)^n z^m."""
-    z = np.asarray(samples)
+    z = np.ravel(samples)
     if z.size < 2:
         raise ValueError(f"need at least 2 samples to estimate moments, got {z.size}")
-    entries = {key: total / z.size for key, total in _segment_sums(z, z, MOMENT_KEYS).items()}
+    # one SAMPLE_BATCH span at a time, so the 14 product rows stay 3.7 MB
+    spans = [(start, start + size) for _, start, size in _batch_layout(z.size)]
+    entries = _product_means(_span_sums(z, z, MOMENT_KEYS, spans), z.size)
     _conjugate_symmetrize(entries)
     # physicality checked at the statistical resolution of the estimate
     return MomentSet(Ordering.SYMMETRIZED, entries, tolerance=50.0 / math.sqrt(z.size))

@@ -705,6 +705,21 @@ class TestRecordIO:
         assert restored.envelopes_1.tobytes() == rec.envelopes_1.tobytes()
         assert restored.envelopes_2.tobytes() == rec.envelopes_2.tobytes()
 
+    def test_csv_bytes_of_a_short_record_across_batches(self, tmp_path, monkeypatch):
+        # two-row batches, so the five rows are written as three batch strings
+        monkeypatch.setattr(dualpath, "SAMPLE_BATCH", 2)
+        z1 = np.array([complex(-0.0, 1e-05), complex(0.1, -2.5), complex(1.0, 0.0), 3j, -1e-05])
+        z2 = np.array([complex(2.0, -0.0), complex(-0.0, -0.0), complex(1e300, 5e-324), 0.5, 1.25])
+        save_record_csv(DetectionRecord(z1, z2, (1.0, 1.0)), tmp_path / "record.csv")
+        assert (tmp_path / "record.csv").read_bytes() == (
+            b"index,I1,Q1,I2,Q2\r\n"
+            b"0,-0.0,1e-05,2.0,-0.0\r\n"
+            b"1,0.1,-2.5,-0.0,-0.0\r\n"
+            b"2,1.0,0.0,1e+300,5e-324\r\n"
+            b"3,0.0,3.0,0.5,0.0\r\n"
+            b"4,-1e-05,0.0,1.25,0.0\r\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_round_trip_keeps_extreme_values_in_every_column(self, tmp_path, fmt):
         specials = [-0.0, 5e-324, 1e300, -5e-324, -1e300, 0.0]
