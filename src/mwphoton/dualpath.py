@@ -22,19 +22,15 @@ draws it one ``SAMPLE_BATCH`` at a time through ``states._draw_paths``, an
 SFC64 generator keyed by (seed, batch): four normals per sample, plus one
 uniform phase per sample for shot noise.
 
-Work runs on a thread pool with one worker per available CPU
-(:func:`_map_on_cpus`); numpy releases the GIL while it draws normals and
-runs array loops, and hands it back between calls, so a task makes few,
-long numpy calls.  :func:`simulate_detection` runs one task per batch,
-which draws it into the batch's slice of a record.  A sweep point
-(:func:`_detect_point`) runs one task per two consecutive batches, which
-draws each into a ``(6, SAMPLE_BATCH)`` block that its worker thread owns
-for the whole point and keeps only the sums of the 7 cross-path products
-its values read (``_POINT_KEYS``) over each error-block segment the batch
-overlaps: ``states._segment_sums`` forms the products once per batch in
-the block's rows and sums each segment's rows in one call.  So a sweep
-point never holds a record and allocates per worker, not per batch.  A
-task's numbers depend on its batches alone, and results are combined in
+A draw's batches are cut into one contiguous share per available CPU,
+and each share runs as one task on a thread pool (:func:`_map_shares`):
+numpy releases the GIL while it draws normals and runs array loops, so a
+task makes few, long numpy calls.  A :func:`simulate_detection` task
+draws its batches into their slices of a record.  A sweep-point task
+(:func:`_detect_point`) draws them, one after another, into one block it
+allocates and keeps only the sums of the 7 cross-path products its
+values read (``_POINT_KEYS``), so a sweep point never holds a record.  A
+batch's numbers depend on its index alone, and results are combined in
 batch order, so every record and every sum is bit-identical for any
 worker count.
 
@@ -60,7 +56,6 @@ import csv
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,24 +186,30 @@ def hybrid_split(signal: np.ndarray, vacuum: np.ndarray) -> Tuple[np.ndarray, np
     return (s + v) * root_half, (s - v) * root_half
 
 
-#: Worker threads of :func:`_map_on_cpus`: one per CPU this process may use.
+#: Shares, and threads, of :func:`_map_shares`: one per CPU this process may use.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity query on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _map_on_cpus(fn, items) -> list:
-    """``[fn(item) for item in items]``, with the calls spread over ``_WORKERS`` threads.
+def _map_shares(fn, count: int) -> list:
+    """``fn(share)`` for each contiguous share of the batches of a ``count``-sample draw.
 
-    numpy releases the GIL while it draws normals and runs array loops, so
-    the calls proceed side by side.  Each call must depend on its item
-    alone, so the results do not depend on the worker count.  ``fn`` must
-    call no function named in a module's ``__all__``: those are the entry
-    points that callers instrument, and they run on the calling thread only.
+    ``states._batch_layout(count)`` is cut, in order, into at most
+    ``_WORKERS`` shares, lists of (index, start, size) whose lengths differ
+    by at most one; each call runs on a pool thread, and the results come
+    back in share order, which is batch order.  A call must compute each
+    batch from the batch alone, so no result depends on the worker count,
+    and must call no function named in a module's ``__all__``: those are
+    the entry points that callers instrument, and they run on the calling
+    thread only.
     """
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        return list(pool.map(fn, items))
+    layout = list(_batch_layout(count))
+    shares = min(_WORKERS, len(layout))
+    cuts = [len(layout) * k // shares for k in range(shares + 1)]
+    with ThreadPoolExecutor(max_workers=shares) as pool:
+        return list(pool.map(fn, (layout[a:b] for a, b in zip(cuts, cuts[1:]))))
 
 
 def _record_model(
@@ -256,18 +257,18 @@ def simulate_detection(
     Chain noise of n photons has per-quadrature variance n/2 on top of the
     signal's own vacuum, so on a vacuum input each chain output has
     per-quadrature variance (2 n + 1)/4.  Every ``SAMPLE_BATCH`` fills its
-    own slice of the record (:func:`_batch_sampler`), so the batches run on
-    all CPUs and the record does not depend on how many there are.
+    own slice of the record (:func:`_batch_sampler`), one share of them per
+    CPU, so the record does not depend on how many CPUs there are.
     """
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     z1 = np.empty(count, dtype=complex)
     z2 = np.empty(count, dtype=complex)
 
-    def fill(batch):
-        index, lo, size = batch
-        draw(index, z1[lo : lo + size], z2[lo : lo + size])
+    def fill(share):
+        for index, lo, size in share:
+            draw(index, z1[lo : lo + size], z2[lo : lo + size])
 
-    _map_on_cpus(fill, _batch_layout(count))
+    _map_shares(fill, count)
     return DetectionRecord(z1, z2, tuple(gains), seed=seed)
 
 
@@ -354,36 +355,33 @@ def _detect_point(
 ):
     """Point values and block errors of one sweep point, built from no record.
 
-    Each task draws two consecutive ``SAMPLE_BATCH`` batches, one after the
-    other, as :func:`simulate_detection` would, into a ``(6, SAMPLE_BATCH)``
-    complex block that its worker thread allocates on its first task and
-    reuses for every batch after: z1 into row 0, z2 into row 1 and the
-    normals into rows 2-3.  ``states._segment_sums`` then conjugates z2 in
-    place, forms the 5 products of ``_POINT_KEYS`` beyond z1 and conj(z2)
-    once over the batch into rows 2-5, and sums the 6 rows of each
-    error-block segment the batch overlaps in one call.  The task returns
-    those segment sums in batch order, and each block adds its segments in
-    that order.  The estimate inverts the compensated total of the block
-    sums (``states._product_means``, as for an exported record); each block
-    of >= 2 samples inverts its own mean.
-    Those 7 sums have the bits they would have among all 15, so the values
-    are those of the 15-key inversion.
+    Each task allocates one ``(6, SAMPLE_BATCH)`` complex block and draws
+    the batches of its share (:func:`_map_shares`) into it, one after the
+    other, as :func:`simulate_detection` would: z1 into row 0, z2 into
+    row 1 and the normals into rows 2-3.  ``states._segment_sums`` then
+    conjugates z2 in place, forms the 5 products of ``_POINT_KEYS`` beyond
+    z1 and conj(z2) once over the batch into rows 2-5, and sums the 6 rows
+    of each error-block segment the batch overlaps in one call.  The task
+    returns those segment sums in batch order, and each block adds its
+    segments in that order.  The estimate inverts the compensated total of
+    the block sums (``states._product_means``, as for an exported record);
+    each block of >= 2 samples inverts its own mean.  Those 7 sums have the
+    bits they would have among all 15, so the values are those of the
+    15-key inversion.
     """
     keys = _POINT_KEYS
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
-    owned = threading.local()
 
-    def task_segments(batches):
-        if not hasattr(owned, "rows"):
-            owned.rows = np.empty((_row_count(keys), SAMPLE_BATCH), dtype=complex)
-            # the normals are spent once z1 and z2 hold the batch, so they
-            # are drawn into the rows the products go to
-            owned.normals = owned.rows[2:4].view(float).reshape(SAMPLE_BATCH, 4)
+    def share_segments(share):
+        block = np.empty((_row_count(keys), SAMPLE_BATCH), dtype=complex)
+        # the normals are spent once z1 and z2 hold the batch, so they are
+        # drawn into the rows the products go to
+        normals = block[2:4].view(float).reshape(SAMPLE_BATCH, 4)
         found = []
-        for index, lo, size in batches:
-            rows = owned.rows[:, :size]
-            draw(index, rows[0], rows[1], owned.normals[:size])
+        for index, lo, size in share:
+            rows = block[:, :size]
+            draw(index, rows[0], rows[1], normals[:size])
             segments = {
                 block: (max(a - lo, 0), min(b - lo, size))
                 for block, (a, b) in enumerate(blocks)
@@ -393,10 +391,8 @@ def _detect_point(
             found += zip(segments, sums)
         return found
 
-    layout = list(_batch_layout(count))
-    tasks = [layout[i : i + 2] for i in range(0, len(layout), 2)]
     sums = [dict.fromkeys(keys, 0j) for _ in blocks]
-    for segments in _map_on_cpus(task_segments, tasks):
+    for segments in _map_shares(share_segments, count):
         for block, segment in segments:
             for key, value in segment.items():
                 sums[block][key] += value

@@ -57,6 +57,7 @@ from .defaults import (
     SAMPLE_SYSTEM,
 )
 from .dualpath import (
+    ERROR_BATCHES,
     PlanckSweep,
     _detect_point,
     jpa_planck_fit,
@@ -173,6 +174,12 @@ def _require_fit_points(arg: str, points: int, model: VarianceLawModel) -> None:
         raise PipelineArgumentError(
             (arg,), f"must give at least {needed} points for the {model.value} fit, got {points}"
         )
+
+
+def _require_error_blocks(count: int) -> None:
+    """Reject a dual-path ``count`` too short to give every error block the 2 samples it needs."""
+    if count < 2 * ERROR_BATCHES:
+        raise PipelineArgumentError(("count",), f"must be at least {2 * ERROR_BATCHES}, got {count}")
 
 
 def ramsey_sweep(
@@ -298,6 +305,7 @@ def dualpath_sweep(
             float(effective_temperature(mode, n)) for n in np.geomspace(0.1, 1.5, 10)
         ]
     _require_fit_points("temperatures", len(temperatures), VarianceLawModel.PURE_QUADRATIC)
+    _require_error_blocks(count)
     rows = []
     for index, temp in enumerate(temperatures):
         n_true = bose_einstein(mode, float(temp))
@@ -502,6 +510,7 @@ def quadrature_check(
     seed: int = 0,
 ) -> dict:
     """Reconstructed quadrature variances of thermal states beside their model n/2 + 1/4."""
+    _require_error_blocks(count)
     rows = []
     for index, n in enumerate(occupations):
         n = float(n)

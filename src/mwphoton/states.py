@@ -168,29 +168,26 @@ def _row_count(keys) -> int:
     return 2 * top + len(mixed)
 
 
-def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys, rows=None, segments=None):
+def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys, rows, segments):
     """Sums of the products z1^m conj(z2)^n over segments of a span, for each (n, m) in ``keys``.
 
     ``keys`` is a tuple of (n, m) with n + m <= 4, and a segment's
     ``sums[(n, m)]`` is the complex sum of z1^m conj(z2)^n, in the order of
     ``keys``.  Every product is formed once over the whole span, into
     ``rows``: a complex array of ``_row_count(keys)`` rows as long as the
-    span, allocated here when not given.  z1 goes to row 0 (no copy when it
-    is row 0) and conj(z2) to row 1 (in place when z2 is row 1); then the
-    powers z1^k and conj(z2)^k are raised two rows per call, up to the
-    highest exponent a key names, and each mixed product a key names is
-    formed from them (:func:`_product_rows`).  The products are elementwise,
-    so none depends on where a segment starts or ends.  Each (a, b) of
-    ``segments`` is then summed in one ``rows[:, a:b].sum(axis=1)`` call,
-    whose row sums have the bits of each row's own ``sum()`` (a test pins
-    this), so a key's sum has the same bits whatever else ``keys`` holds
-    and wherever the segment bounds fall.  With z1 = z2 = z the sums are
-    those of conj(z)^n z^m.  Returns one dict per segment; without
-    ``segments``, the dict of the whole span.
+    span.  z1 goes to row 0 (no copy when it is row 0) and conj(z2) to
+    row 1 (in place when z2 is row 1); then the powers z1^k and conj(z2)^k
+    are raised two rows per call, up to the highest exponent a key names,
+    and each mixed product a key names is formed from them
+    (:func:`_product_rows`).  The products are elementwise, so none depends
+    on where a segment starts or ends.  Each (a, b) of ``segments`` is then
+    summed in one ``rows[:, a:b].sum(axis=1)`` call, whose row sums have the
+    bits of each row's own ``sum()`` (a test pins this), so a key's sum has
+    the same bits whatever else ``keys`` holds and wherever the segment
+    bounds fall.  With z1 = z2 = z the sums are those of conj(z)^n z^m.
+    Returns one dict per segment.
     """
     top, mixed, key_rows = _product_rows(keys)
-    if rows is None:
-        rows = np.empty((_row_count(keys), z1.size), dtype=complex)
     rows[0] = z1
     np.conjugate(z2, out=rows[1])
     for k in range(2, top + 1):
@@ -198,18 +195,21 @@ def _segment_sums(z1: np.ndarray, z2: np.ndarray, keys, rows=None, segments=None
     for row, power1, power2 in mixed:
         np.multiply(rows[power1], rows[power2], out=rows[row])
     sums = []
-    for a, b in ((0, rows.shape[1]),) if segments is None else segments:
+    for a, b in segments:
         totals = rows[:, a:b].sum(axis=1)
         sums.append(
             {key: complex(b - a if row is None else totals[row]) for key, row in key_rows.items()}
         )
-    return sums[0] if segments is None else sums
+    return sums
 
 
 def _span_sums(z1: np.ndarray, z2: np.ndarray, keys, bounds):
     """:func:`_segment_sums` of each (lo, hi) span of ``bounds``, all formed in one buffer."""
     rows = np.empty((_row_count(keys), max(hi - lo for lo, hi in bounds)), dtype=complex)
-    return [_segment_sums(z1[lo:hi], z2[lo:hi], keys, rows[:, : hi - lo]) for lo, hi in bounds]
+    sums = []
+    for lo, hi in bounds:
+        sums += _segment_sums(z1[lo:hi], z2[lo:hi], keys, rows[:, : hi - lo], [(0, hi - lo)])
+    return sums
 
 
 def _product_means(segment_sums, count: int) -> Dict[Tuple[int, int], complex]:
@@ -278,9 +278,6 @@ class MomentSet:
             return self.entries[(n, m)]
         except KeyError:
             raise ValueError(f"moment ({n}, {m}) not present in this set") from None
-
-    def is_complete(self) -> bool:
-        return all(k in self.entries for k in MOMENT_KEYS)
 
     def missing_keys(self):
         return [k for k in MOMENT_KEYS if k not in self.entries]
@@ -480,11 +477,9 @@ def ordering_convert(moments: MomentSet, target: Ordering) -> MomentSet:
 
     the :func:`_gaussian_shift` by +1/2; the inverse is the shift by -1/2.
     """
-    if not moments.is_complete():
-        raise ValueError(
-            "moment set incomplete up to order 4; missing entries: "
-            f"{moments.missing_keys()}"
-        )
+    missing = moments.missing_keys()
+    if missing:
+        raise ValueError(f"moment set incomplete up to order 4; missing entries: {missing}")
     if moments.ordering is target:
         return MomentSet(target, dict(moments.entries), moments.tolerance)
     shift = 0.5 if target is Ordering.SYMMETRIZED else -0.5

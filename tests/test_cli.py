@@ -9,6 +9,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from mwphoton.cli import (
     resolve_config,
 )
 from mwphoton.defaults import JPA_OPERATING_POINTS, SAMPLE_QUBIT, SAMPLE_RESONATOR
+from mwphoton.dualpath import ERROR_BATCHES
 from mwphoton.experiments import EXPERIMENTS, PipelineArgumentError
 from mwphoton.qubit import DispersiveSystem
 from mwphoton.states import StateKind
@@ -398,6 +400,24 @@ class TestRunCommand:
         # call with an unknown state meets the pipeline's check
         with pytest.raises(PipelineArgumentError, match="'state'"):
             EXPERIMENTS["ramsey_sweep"](state="vacuum")
+
+    @pytest.mark.parametrize("name", ["dualpath_sweep", "quadrature_check"])
+    def test_short_dualpath_count_is_named_before_any_point(self, monkeypatch, name):
+        # the config schema holds count >= 2 * ERROR_BATCHES for the CLI; a
+        # direct call meets the pipeline's own check, as a shorter count
+        # leaves error blocks too small for an error bar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            EXPERIMENTS[name](count=2 * ERROR_BATCHES)
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(experiments, "_detect_point", no_point)
+        for count in (21, 2 * ERROR_BATCHES - 1):
+            with pytest.raises(PipelineArgumentError, match="'count'") as raised:
+                EXPERIMENTS[name](count=count)
+            assert raised.value.arguments == ("count",)
 
     def test_value_error_inside_a_fit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

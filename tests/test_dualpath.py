@@ -174,10 +174,10 @@ class TestSimulateDetection:
     )
     @pytest.mark.parametrize("route", [simulate_detection, _detect_point])
     def test_bad_argument_named_before_any_draw(self, monkeypatch, route, argument, value):
-        def no_draw(fn, items):
+        def no_draw(fn, count):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(dualpath, "_map_on_cpus", no_draw)
+        monkeypatch.setattr(dualpath, "_map_shares", no_draw)
         with pytest.raises(ValueError, match=f"{argument} must be finite"):
             route(MicrowaveState.thermal(0.5), count=1000, seed=0, **{argument: value})
 

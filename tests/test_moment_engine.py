@@ -166,13 +166,19 @@ def test_point_keeps_the_bits_of_the_full_key_sums(monkeypatch, kind, count):
     assert errors == full_errors
 
 
+def _whole_span_sums(z1, z2, keys):
+    """:func:`_segment_sums` of one segment, the whole span, in a buffer of its own."""
+    rows = np.empty((_row_count(keys), z1.size), dtype=complex)
+    return _segment_sums(z1, z2, keys, rows, [(0, z1.size)])[0]
+
+
 def test_segment_sums_of_a_key_subset_keep_their_bits():
     rng = np.random.default_rng(8)
     z1, z2 = (rng.normal(size=(1001, 2)).view(complex)[:, 0] for _ in range(2))
-    full = _segment_sums(z1, z2, MOMENT_KEYS)
+    full = _whole_span_sums(z1, z2, MOMENT_KEYS)
     assert list(full) == list(MOMENT_KEYS)
     for keys in (_POINT_KEYS, ((1, 1),), ((0, 0),), ((3, 1), (0, 1), (2, 0)), MOMENT_KEYS[::-1]):
-        subset = _segment_sums(z1, z2, keys)
+        subset = _whole_span_sums(z1, z2, keys)
         assert list(subset) == list(keys)
         assert all(subset[key] == full[key] for key in keys), keys
 
@@ -186,7 +192,7 @@ def test_segments_of_one_span_keep_the_bits_of_separate_spans(keys):
     rows = np.empty((_row_count(keys), 2048), dtype=complex)[:, :1001]
     rows[0], rows[1] = z1, z2
     sums = _segment_sums(rows[0], rows[1], keys, rows, segments)
-    assert sums == [_segment_sums(z1[a:b], z2[a:b], keys) for a, b in segments]
+    assert sums == [_whole_span_sums(z1[a:b], z2[a:b], keys) for a, b in segments]
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 9, 127, 128, 129, 5_000, 16_383, 16_384, 50_000])

@@ -1,9 +1,9 @@
-"""Sample batches run on worker threads: results must not depend on the
-worker count, and no public function may run off the main thread.  Sweep
-points run one after another and build no record, so their memory does
-not grow with the sample count, and each worker draws and sums every batch
-it runs in the same arrays, so a point does not fault its memory back in
-batch after batch.
+"""Shares of sample batches run on worker threads: results must not depend
+on the worker count, and no public function may run off the main thread.
+Sweep points run one after another and build no record, so their memory
+does not grow with the sample count, and each share is drawn and summed
+in the same arrays, so a point does not fault its memory back in batch
+after batch.
 
 Instrumentation that wraps the public functions (those named in a
 module's ``__all__``) keeps one stack of open calls, which only holds
@@ -22,7 +22,7 @@ import pytest
 
 from mwphoton import dualpath, experiments
 from mwphoton.dualpath import simulate_detection
-from mwphoton.states import SAMPLE_BATCH, MicrowaveState, StateKind
+from mwphoton.states import SAMPLE_BATCH, MicrowaveState, StateKind, _batch_layout
 
 STATES = {
     "thermal": MicrowaveState.thermal(0.7),
@@ -48,12 +48,19 @@ def _per_worker_count(monkeypatch, run):
         sys.setswitchinterval(interval)
 
 
-def test_map_on_cpus_keeps_order_and_runs_on_worker_threads(monkeypatch):
-    def task(item):
-        return item, threading.current_thread() is threading.main_thread()
+@pytest.mark.parametrize("count", [1, SAMPLE_BATCH, 2 * SAMPLE_BATCH + 1, 40 * SAMPLE_BATCH + 7])
+def test_map_shares_cuts_the_layout_into_even_shares_on_worker_threads(monkeypatch, count):
+    def task(share):
+        return share, threading.current_thread() is threading.main_thread()
 
-    for result in _per_worker_count(monkeypatch, lambda: dualpath._map_on_cpus(task, range(40))):
-        assert result == [(item, False) for item in range(40)]
+    layout = list(_batch_layout(count))
+    runs = _per_worker_count(monkeypatch, lambda: dualpath._map_shares(task, count))
+    for workers, results in zip(WORKER_COUNTS, runs):
+        shares = [share for share, _ in results]
+        assert [batch for share in shares for batch in share] == layout
+        assert len(shares) == min(workers, len(layout))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        assert not any(on_main for _, on_main in results)
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
