@@ -5,14 +5,12 @@ chains.  Because the chains' added noise is independent and circular,
 averaged products of one path with the conjugate of the other are noise
 free, and the 15 cross-path product means E[z1^m conj(z2)^n], n + m <= 4,
 invert into the signal moments <(a^dag)^n a^m> at the splitter input.  The unnormalized
-correlation g2(0) = Var(n) - n + n^2 built from those moments lands on the
-thermal value 2 n^2.
+correlation g2(0) = <a^dag^2 a^2> among them lands on the thermal value 2 n^2.
 """
 
 from mwphoton import (
     MicrowaveState,
     cross_moments,
-    g2_unnormalized,
     reconstruct_signal_moments,
     simulate_detection,
 )
@@ -35,8 +33,6 @@ print(f"\nthermal n = 1 moment table (400k samples):")
 print(f"  <a^dag a>     = {n:.4f}            (1.0)")
 print(f"  <a^dag^2 a^2> = {moments.entry(2, 2).real:.4f}            (2 n^2 = 2.0)")
 print(f"  <a>           = {moments.entry(0, 1).real:+.4f}{moments.entry(0, 1).imag:+.4f}j  (0)")
-variance = moments.entry(2, 2).real + n - n * n
-print(f"  g2(0) = Var - n + n^2 = {g2_unnormalized(n, variance):.4f}   (2 n^2 = 2.0)")
 
 # --- temperature sweep: the quadratic law ---------------------------------------
 print("\ntemperature sweep through the receiver (10 points, 2e5 samples each):")

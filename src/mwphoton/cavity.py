@@ -74,8 +74,6 @@ def correlator(kind: StateKind, n_r: float, res: Resonator) -> Correlator:
 
     The memory is set by kappa_x alone; internal loss is left out.
     """
-    if n_r < 0:
-        raise ValueError("resonator population must be >= 0")
     return Correlator(photon_variance(kind, n_r), _memory_rate(kind, res))
 
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from ._constants import h as PLANCK_H, k as k_B
 from .analysis import NumericalError, _damped_gauss_newton, _linear_least_squares
-from .chains import g2_unnormalized, linear_to_db
+from .chains import linear_to_db
 from .states import (
     MOMENT_KEYS,
     SAMPLE_BATCH,
@@ -341,11 +341,8 @@ _POINT_KEYS = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (2, 2))
 
 
 def _point_values(moments) -> Dict[str, float]:
-    """Photon number, unnormalized g2 and quadrature variances of one estimate."""
-    n = moments.entry(1, 1).real
-    fourth = moments.entry(2, 2).real
-    variance = fourth + n - n * n
-    point = {"n": n, "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0))}
+    """n = <a^dag a>, g2 = g2_tilde(0) = <a^dag2 a^2> and quadrature variances, none clamped."""
+    point = {"n": moments.entry(1, 1).real, "g2": moments.entry(2, 2).real}
     point["var_p"], point["var_q"] = quadrature_variances(moments)
     return point
 
@@ -365,9 +362,10 @@ def _detect_point(
     returns those segment sums in batch order, and each block adds its
     segments in that order.  The estimate inverts the compensated total of
     the block sums (``states._product_means``, as for an exported record);
-    each block of >= 2 samples inverts its own mean.  Those 7 sums have the
-    bits they would have among all 15, so the values are those of the
-    15-key inversion.
+    each block inverts its own mean, and each error is the standard error
+    of the mean of one :func:`_point_values` entry over the blocks.  Those
+    7 sums have the bits they would have among all 15, so the values are
+    those of the 15-key inversion.
     """
     keys = _POINT_KEYS
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
@@ -383,8 +381,8 @@ def _detect_point(
             rows = block[:, :size]
             draw(index, rows[0], rows[1], normals[:size])
             segments = {
-                block: (max(a - lo, 0), min(b - lo, size))
-                for block, (a, b) in enumerate(blocks)
+                number: (max(a - lo, 0), min(b - lo, size))
+                for number, (a, b) in enumerate(blocks)
                 if a < lo + size and b > lo
             }
             sums = _segment_sums(rows[0], rows[1], keys, rows, list(segments.values()))
@@ -393,25 +391,22 @@ def _detect_point(
 
     sums = [dict.fromkeys(keys, 0j) for _ in blocks]
     for segments in _map_shares(share_segments, count):
-        for block, segment in segments:
+        for number, segment in segments:
             for key, value in segment.items():
-                sums[block][key] += value
-    moments = _moments_from_products(
-        _product_means(sums, count), gains, vacuum_port_photons, count
-    )
-    block_values = {"n": [], "g2": [], "var_p": [], "var_q": []}
+                sums[number][key] += value
+    moments = _moments_from_products(_product_means(sums, count), gains, vacuum_port_photons, count)
+    point = _point_values(moments)
+    block_points = []
     for (lo, hi), block_sums in zip(blocks, sums):
-        if hi - lo < 2:
-            continue
         means = {key: value / (hi - lo) for key, value in block_sums.items()}
-        block_moments = _moments_from_products(means, gains, vacuum_port_photons, hi - lo)
-        for key, value in _point_values(block_moments).items():
-            block_values[key].append(value)
-    errors = {
-        key: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        for key, vals in block_values.items()
-    }
-    return _point_values(moments), errors
+        block_points.append(
+            _point_values(_moments_from_products(means, gains, vacuum_port_photons, hi - lo))
+        )
+    errors = {}
+    for name in point:
+        scatter = np.std([values[name] for values in block_points], ddof=1)
+        errors[name] = float(scatter / math.sqrt(len(block_points)))
+    return point, errors
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +768,16 @@ def save_record_csv(rec: DetectionRecord, path) -> None:
 
 
 def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUENCY, seed=0) -> DetectionRecord:
+    """Read a :func:`save_record_csv` file; its index column must run 0, 1, ... in order."""
     with open(path, newline="") as handle:
         header = next(csv.reader([handle.readline()]), None)
         if header != _CSV_HEADER:
             raise ValueError(f"CSV header must be {_CSV_HEADER}, got {header}")
         # a header-only file loads as shape (0, 1)
         table = np.loadtxt(handle, delimiter=",", ndmin=2).reshape(-1, len(_CSV_HEADER))
+    bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"{path}: data row {row} has index {table[row, 0]:g}, expected {row}")
     pairs = table[:, 1:].view(complex)
     return DetectionRecord(pairs[:, 0], pairs[:, 1], tuple(chain_gains), if_frequency, seed)

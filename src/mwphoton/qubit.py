@@ -167,8 +167,6 @@ def dephasing_rate(kind: StateKind, n_r: float, sys: DispersiveSystem) -> float:
     (kappa_x / kappa_tilde) kappa_x theta0^2 Var(n_r), read from the
     variance and memory kappa_tilde of :func:`~mwphoton.cavity.correlator`.
     """
-    if n_r < 0:
-        raise ValueError("resonator population must be >= 0")
     return _rate_per_variance(kind, sys) * photon_variance(kind, n_r)
 
 

@@ -100,8 +100,8 @@ class MicrowaveState:
 
     def __post_init__(self):
         n = self.mean_photons
-        if not n >= 0:
-            raise ValueError(f"mean photon number must be >= 0, got {n}")
+        if not 0 <= n < math.inf:
+            raise ValueError(f"mean photon number must be finite and >= 0, got {n}")
         if self.kind is StateKind.COHERENT:
             if abs(abs(self.amplitude) ** 2 - n) > 1e-12 * max(1.0, n):
                 raise ValueError(
@@ -315,8 +315,10 @@ def photon_variance(kind: StateKind, n: float) -> float:
     """Photon-number variance Var(n) of a field of kind ``kind`` and mean occupation ``n``.
 
     Thermal fields are super-Poissonian (n^2 + n), coherent states and shot
-    noise Poissonian (n).
+    noise Poissonian (n).  Raises ``ValueError`` unless 0 <= n < inf.
     """
+    if not 0 <= n < math.inf:
+        raise ValueError(f"mean occupation n must be finite and >= 0, got {n}")
     if kind is StateKind.THERMAL:
         return n * n + n
     return n

@@ -8,9 +8,11 @@ runs each experiment at its defaults, ``ramsey_sweep`` once per state and
 stamped with the Python version, the numpy version and the SIMD extensions
 numpy found on this CPU.  ``tests/test_artifact_digests.py`` recomputes
 the digests and compares them under the same stamp.  Rewrite the file only
-for a change meant to move artifacts, and name each file that moved.  The
-script fails, naming the run, on a run whose report has a failed check;
-the scipy-free CI job runs it twice and compares the two files.
+for a change meant to move artifacts, and name each file that moved: under
+the committed stamp the script prints the files that moved, were added or
+were removed (:func:`changes`).  The script fails, naming the run, on a
+run whose report has a failed check; the scipy-free CI job runs it twice
+and compares the two files.
 """
 
 import contextlib
@@ -87,11 +89,28 @@ def digests(root: Path) -> dict:
     return found
 
 
+def changes(expected: dict, found: dict) -> dict:
+    """The file names on which two digest maps differ: ``"moved"`` (a new
+    digest), ``"added"`` (only in ``found``) and ``"removed"`` (only in
+    ``expected``), each sorted."""
+    return {
+        "moved": sorted(n for n in expected.keys() & found.keys() if expected[n] != found[n]),
+        "added": sorted(found.keys() - expected.keys()),
+        "removed": sorted(expected.keys() - found.keys()),
+    }
+
+
 def main() -> None:
+    recorded = json.loads(DIGESTS.read_text())
     with tempfile.TemporaryDirectory() as root:
         payload = {"stamp": stamp(), "digests": digests(Path(root))}
     DIGESTS.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(payload['digests'])} digests to {DIGESTS}", file=sys.stderr)
+    # digests written under another stamp may differ in every file
+    if recorded["stamp"] == payload["stamp"]:
+        for kind, names in changes(recorded["digests"], payload["digests"]).items():
+            if names:
+                print(f"{kind}: {', '.join(names)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

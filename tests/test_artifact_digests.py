@@ -22,15 +22,22 @@ def test_default_artifacts_keep_their_digests(tmp_path):
     here = artifact_digests.stamp()
     if recorded["stamp"] != here:
         pytest.skip(f"digests were written under {recorded['stamp']}; this is {here}")
-    found = artifact_digests.digests(tmp_path)
-    expected = recorded["digests"]
-    moved = sorted(
-        name for name in expected.keys() | found.keys() if expected.get(name) != found.get(name)
+    changes = artifact_digests.changes(recorded["digests"], artifact_digests.digests(tmp_path))
+    assert not any(changes.values()), (
+        f"these artifacts changed: {changes}; if that is meant, rerun tests/artifact_digests.py "
+        "and name each changed file in the change"
     )
-    assert not moved, (
-        f"these artifacts moved: {moved}; if that is meant, rerun tests/artifact_digests.py "
-        "and name each moved file in the change"
-    )
+
+
+def test_changes_name_moved_added_and_removed_files():
+    expected = {"a/x.csv": "1", "a/y.json": "2", "b/z.json": "3"}
+    found = {"a/x.csv": "1", "a/y.json": "9", "c/w.csv": "4"}
+    assert artifact_digests.changes(expected, found) == {
+        "moved": ["a/y.json"],
+        "added": ["c/w.csv"],
+        "removed": ["b/z.json"],
+    }
+    assert not any(artifact_digests.changes(expected, dict(expected)).values())
 
 
 def test_a_failed_report_check_names_its_run(tmp_path, monkeypatch):

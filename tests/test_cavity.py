@@ -78,6 +78,11 @@ class TestCorrelator:
         with pytest.raises(ValueError):
             correlator(StateKind.THERMAL, -0.1, resonator)
 
+    @pytest.mark.parametrize("n_r", [math.inf, math.nan])
+    def test_non_finite_population_rejected(self, resonator, n_r):
+        with pytest.raises(ValueError, match="occupation n must be finite and >= 0"):
+            correlator(StateKind.THERMAL, n_r, resonator)
+
 
 class TestCorrelatorValue:
     def test_equal_time_value(self):

@@ -10,10 +10,13 @@ from mwphoton.chains import compression_power, db_to_linear, linear_to_db, watts
 from mwphoton.defaults import JPA_METADATA, JPA_OPERATING_POINTS
 from mwphoton import dualpath
 from mwphoton.dualpath import (
+    _CSV_HEADER,
+    _POINT_KEYS,
     CrossMomentSet,
     DetectionRecord,
     PlanckSweep,
     _detect_point,
+    _point_values,
     cross_moments,
     hybrid_split,
     jpa_planck_fit,
@@ -35,6 +38,7 @@ from mwphoton.states import (
     SAMPLE_BATCH,
     MicrowaveState,
     ModeSpec,
+    MomentSet,
     Ordering,
     StateKind,
     analytic_moments,
@@ -396,6 +400,29 @@ class TestReconstruction:
             reconstruct_signal_moments(cm, (1.0, 1.0))
 
 
+class TestSweepPoint:
+    def test_negative_estimate_is_not_clamped(self):
+        # a noise-level-negative estimate keeps its sign, so block errors
+        # see the whole scatter
+        entries = dict.fromkeys(_POINT_KEYS, 0j)
+        entries.update({(0, 0): 1.0, (1, 1): -0.01, (2, 2): -0.02})
+        point = _point_values(MomentSet(Ordering.NORMAL, entries, tolerance=0.1))
+        assert point["n"] == -0.01
+        assert point["g2"] == -0.02
+
+    def test_g2_error_bars_match_the_scatter_of_g2(self):
+        # 300 points of 400 samples, seeds fixed in advance: a t statistic
+        # over 20 blocks has sd 1.06, and 1.20 adds three standard errors of
+        # a 300-pull sd; an exact 0.0 would be a clamped value
+        pulls = []
+        for seed in range(1000, 1100):
+            for n in (0.1, 0.5, 1.5):
+                point, errors = _detect_point(MicrowaveState.thermal(n), 400, seed, (1.0, 1.0))
+                assert point["g2"] != 0.0
+                pulls.append((point["g2"] - 2.0 * n * n) / errors["g2"])
+        assert np.std(pulls, ddof=1) <= 1.20
+
+
 class TestPlanckCalibration:
     GAIN = db_to_linear(145.0)
     BANDWIDTH = 400e3
@@ -666,6 +693,14 @@ class TestRecordIO:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            load_record_csv(path)
+
+    @pytest.mark.parametrize("indices, row", [((2, 0, 0), 0), ((0, 1, 1), 2), ((0, 2, 1), 1)])
+    def test_csv_index_column_enforced(self, tmp_path, indices, row):
+        path = tmp_path / "shuffled.csv"
+        lines = [",".join(_CSV_HEADER), *(f"{i},0.1,0.2,0.3,0.4" for i in indices)]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(ValueError, match=f"data row {row} has index {indices[row]}, expected {row}"):
             load_record_csv(path)
 
     def test_csv_without_rows_rejected(self, tmp_path):

@@ -34,7 +34,6 @@ import pytest
 
 import oracles
 from mwphoton import dualpath
-from mwphoton.chains import g2_unnormalized
 from mwphoton.dualpath import (
     _POINT_KEYS,
     CrossMomentSet,
@@ -89,12 +88,10 @@ def _per_key_cross_moments(rec):
 
 
 def _old_point(moments):
-    n = moments.entry(1, 1).real
-    variance = moments.entry(2, 2).real + n - n * n
     var_p, var_q = quadrature_variances(moments)
     return {
-        "n": n,
-        "g2": g2_unnormalized(max(n, 0.0), max(variance, 0.0)),
+        "n": moments.entry(1, 1).real,
+        "g2": moments.entry(2, 2).real,
         "var_p": var_p,
         "var_q": var_q,
     }

@@ -234,6 +234,5 @@ def test_public_calls_run_on_the_main_thread(monkeypatch):
         "experiments.quadrature_check",
         "dualpath.quadrature_variances",
         "states.bose_einstein",
-        "chains.g2_unnormalized",
     } <= names
     assert sorted({name for name, on_main in calls if not on_main}) == []

@@ -167,6 +167,12 @@ class TestDephasingRate:
     def test_zero_photons_zero_rate(self, kind, system):
         assert dephasing_rate(kind, 0.0, system) == 0.0
 
+    @pytest.mark.parametrize("n_r", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_population_outside_its_domain_rejected(self, kind, n_r, system):
+        with pytest.raises(ValueError, match="occupation n must be finite and >= 0"):
+            dephasing_rate(kind, n_r, system)
+
     @pytest.mark.parametrize("n_r", [0.1, 0.7, 1.5])
     def test_super_poissonian_excess(self, n_r, system):
         excess = dephasing_rate(StateKind.THERMAL, n_r, system) - dephasing_rate(
@@ -471,6 +477,12 @@ class TestSimulateRamsey:
     def test_empty_grid_rejected(self, system):
         with pytest.raises(ValueError):
             simulate_ramsey(system, StateKind.THERMAL, 0.4, [], shots=100, seed=0)
+
+    @pytest.mark.parametrize("form", list(EnvelopeForm))
+    def test_infinite_population_rejected(self, form, system):
+        taus = np.linspace(1e-9, 150e-9, 161)
+        with pytest.raises(ValueError, match="occupation n must be finite"):
+            simulate_ramsey(system, StateKind.THERMAL, math.inf, taus, shots=100, form=form)
 
     @pytest.mark.parametrize("taus", [[0.0], [0.0, 0.0]])
     def test_grid_without_positive_delay_rejected(self, taus, system):

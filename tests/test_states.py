@@ -105,6 +105,12 @@ class TestPhotonVariance:
     def test_vacuum(self):
         assert photon_variance(StateKind.THERMAL, 0.0) == 0.0
 
+    @pytest.mark.parametrize("n", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_occupation_outside_its_domain_rejected(self, kind, n):
+        with pytest.raises(ValueError, match="occupation n must be finite and >= 0"):
+            photon_variance(kind, n)
+
 
 class TestStateValidation:
     def test_coherent_amplitude_consistency(self):
@@ -114,6 +120,19 @@ class TestStateValidation:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             MicrowaveState.thermal(-0.1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MicrowaveState.thermal(math.inf),
+            lambda: MicrowaveState.shot_noise(math.nan),
+            lambda: MicrowaveState.coherent(complex(math.inf, 0.0)),
+        ],
+        ids=["thermal_inf", "shot_noise_nan", "coherent_inf"],
+    )
+    def test_non_finite_occupation_rejected(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
 
 
 class TestMomentKeys:
