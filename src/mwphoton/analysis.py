@@ -33,6 +33,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .states import _require_finite
+
 __all__ = [
     "NumericalError",
     "FitResult",
@@ -109,8 +111,7 @@ def _linear_least_squares(design: np.ndarray, y: np.ndarray, weights: Optional[n
     otherwise it is scaled by the reduced chi-square estimate.
     """
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be >= 0")
+    _require_finite("weights", w, ">= 0")
     scale = np.sqrt(np.sum(design * design * w[:, None], axis=0))
     if np.any(scale == 0):
         raise NumericalError("rank-deficient design matrix (zero column)")
@@ -154,7 +155,7 @@ def _solve_each(matrices: np.ndarray, rhs: np.ndarray):
     return solutions, solved
 
 
-def _require_finite(normal: np.ndarray, rows: np.ndarray) -> None:
+def _require_finite_normal(normal: np.ndarray, rows: np.ndarray) -> None:
     """Raise NumericalError naming the first of ``rows`` whose (p, p) normal matrix is not finite.
 
     A non-finite Jacobian entry makes its column's diagonal entry non-finite,
@@ -209,7 +210,7 @@ def _damped_gauss_newton(
         jac_t = jac.transpose(0, 2, 1)
         grad = jac_t @ r[searching][:, :, None]
         hess = jac_t @ jac
-        _require_finite(hess, searching)
+        _require_finite_normal(hess, searching)
         diag = np.zeros_like(hess)
         diag[:, diagonal, diagonal] = np.clip(hess[:, diagonal, diagonal], 1e-300, None)
         step = np.zeros((searching.size, size))
@@ -266,7 +267,7 @@ def _damped_gauss_newton(
     dof = max(r.shape[1] - size, 1)
     outer = scale[:, :, None] * scale[:, None, :]
     normal = jn.transpose(0, 2, 1) @ jn
-    _require_finite(normal, everyone)
+    _require_finite_normal(normal, everyone)
     cov = np.linalg.pinv(normal) / outer * cost[:, None, None] / dof
     return x, cov, converged, iterations
 
@@ -348,9 +349,8 @@ def fit_ramsey_traces(traces: np.ndarray) -> List[FitResult]:
             "Ramsey traces must be an (m, n >= 8, 2) stack of (tau, p_e) rows, "
             f"got shape {traces.shape}"
         )
-    for column, name in ((0, "delays tau"), (1, "populations p_e")):
-        if not np.all(np.isfinite(traces[:, :, column])):
-            raise ValueError(f"Ramsey {name} must be finite")
+    _require_finite("Ramsey delays tau", traces[:, :, 0])
+    _require_finite("Ramsey populations p_e", traces[:, :, 1])
     if np.any(np.diff(traces[:, :, 0], axis=1) <= 0):
         raise ValueError("Ramsey delays tau must be strictly increasing")
     tau = traces[:, :, 0]
@@ -455,11 +455,12 @@ def fit_variance_law(
     ``points`` holds (n, value) rows where value is a dephasing rate or a
     g2_tilde readout.  The models are linear in their coefficients, so the
     normal equations are exact; coefficients and covariance come back in
-    the input units.
+    the input units.  Points must be finite, of either sign, and weights >= 0.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, value) rows")
+    _require_finite("points", points)
     n = points[:, 0]
     y = points[:, 1]
     columns = _MODEL_COLUMNS[model]

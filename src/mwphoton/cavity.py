@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .states import StateKind, photon_variance
+from .states import StateKind, _require_finite, photon_variance
 
 __all__ = [
     "Resonator",
@@ -43,12 +43,9 @@ class Resonator:
     internal_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.resonance_frequency > 0:
-            raise ValueError("resonance frequency must be positive")
-        if not self.external_rate > 0:
-            raise ValueError("external coupling rate must be positive")
-        if self.internal_rate < 0:
-            raise ValueError("internal loss rate must be >= 0")
+        _require_finite("resonance_frequency", self.resonance_frequency, "> 0")
+        _require_finite("external_rate", self.external_rate, "> 0")
+        _require_finite("internal_rate", self.internal_rate, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,8 @@ class Correlator:
     decay_rate: float  # Hz
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("correlator variance must be >= 0")
-        if not self.decay_rate > 0:
-            raise ValueError("correlator decay rate must be positive")
+        _require_finite("variance", self.variance, ">= 0")
+        _require_finite("decay_rate", self.decay_rate, "> 0")
 
 
 def correlator(kind: StateKind, n_r: float, res: Resonator) -> Correlator:
@@ -90,8 +85,7 @@ def _memory_rate(kind: StateKind, res: Resonator) -> float:
 
 def correlator_value(c: Correlator, tau: float) -> float:
     """Evaluate C(tau); the stored Hz rate enters as an angular rate."""
-    if tau < 0:
-        raise ValueError("correlator delay must be >= 0")
+    _require_finite("delay tau", tau, ">= 0")
     return c.variance * math.exp(-2.0 * math.pi * c.decay_rate * tau)
 
 
@@ -117,7 +111,6 @@ def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:
 
         gamma_phi_n = kappa_x * theta0^2 * Var(n_r)        (in Hz).
     """
-    if var_n < 0:
-        raise ValueError("photon-number variance must be >= 0")
+    _require_finite("var_n", var_n, ">= 0")
     return res.external_rate * theta0 ** 2 * var_n
 

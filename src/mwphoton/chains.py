@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ._constants import k as k_B
-from .states import StateKind
+from .states import StateKind, _require_finite
 
 __all__ = [
     "BeamSplitterStage",
@@ -51,14 +51,12 @@ def db_to_linear(gain_db: float) -> float:
 
 
 def linear_to_db(gain: float) -> float:
-    if not gain > 0:
-        raise ValueError("gain must be positive to express in dB")
+    _require_finite("gain", gain, "> 0")
     return 10.0 * math.log10(gain)
 
 
 def watts_to_dbm(power: float) -> float:
-    if not power > 0:
-        raise ValueError("power must be positive to express in dBm")
+    _require_finite("power", power, "> 0")
     return 10.0 * math.log10(power / 1e-3)
 
 
@@ -72,8 +70,7 @@ class BeamSplitterStage:
     def __post_init__(self):
         if not 0.0 <= self.transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1], got {self.transmissivity}")
-        if self.background_photons < 0:
-            raise ValueError("background occupation must be >= 0")
+        _require_finite("background_photons", self.background_photons, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,10 @@ class JpaStage:
     added_noise_photons: float = 0.0
 
     def __post_init__(self):
+        _require_finite("gain", self.gain)
         if not self.gain >= 1.0:
             raise ValueError(f"amplifier gain must be >= 1 (linear), got {self.gain}")
-        if self.added_noise_photons < 0:
-            raise ValueError("added noise photons must be >= 0")
+        _require_finite("added_noise_photons", self.added_noise_photons, ">= 0")
 
     @classmethod
     def from_db(cls, gain_db: float, added_noise_photons: float = 0.0) -> "JpaStage":
@@ -120,8 +117,7 @@ def attenuate(kind: StateKind, n_b: float, stage: BeamSplitterStage) -> Tuple[fl
     For eta -> 1 the pure signal statistics survive, for eta -> 0 the pure
     background thermal statistics.
     """
-    if n_b < 0:
-        raise ValueError("signal occupation must be >= 0")
+    _require_finite("n_b", n_b, ">= 0")
     eta = stage.transmissivity
     n_n = stage.background_photons
     n_tot = eta * n_b + (1.0 - eta) * n_n
@@ -148,8 +144,7 @@ def amplify(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
         Var   = G^2 n_jpa^2 + G^2 n_jpa + G(G-1) n_jpa + 2 G(G-1) n_jpa n_n
                 + (G-1)^2 n_n^2 + (G-1)^2 n_n + G(G-1) n_n + G(G-1).
     """
-    if n_jpa < 0:
-        raise ValueError("input occupation must be >= 0")
+    _require_finite("n_jpa", n_jpa, ">= 0")
     g = stage.gain
     n_n = stage.added_noise_photons
     n_bs = g * n_jpa + (g - 1.0) * (n_n + 1.0)
@@ -179,8 +174,9 @@ def amplify_commutator_free(n_jpa: float, gain: float, noise_photons: float) -> 
     Kept alongside :func:`amplify` so the two noise conventions can be
     compared; it is not reachable through :class:`JpaStage`.
     """
-    if n_jpa < 0 or noise_photons < 0:
-        raise ValueError("occupations must be >= 0")
+    _require_finite("n_jpa", n_jpa, ">= 0")
+    _require_finite("gain", gain)
+    _require_finite("noise_photons", noise_photons, ">= 0")
     if not gain >= 1.0:
         raise ValueError("gain must be >= 1")
     g, n, n_n = gain, n_jpa, noise_photons
@@ -199,8 +195,8 @@ def amplify_commutator_free(n_jpa: float, gain: float, noise_photons: float) -> 
 
 def g2_unnormalized(n: float, variance: float) -> float:
     """g2_tilde(0) = n^2 g2(0) = Var(n) - n + n^2."""
-    if n < 0 or variance < 0:
-        raise ValueError("photon number and variance must be >= 0")
+    _require_finite("mean occupation n", n, ">= 0")
+    _require_finite("variance", variance, ">= 0")
     return variance - n + n * n
 
 
@@ -211,8 +207,7 @@ def g2_jpa_referred(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
     n_jpa-independent offset 2 n_n^2 + 4 n_n + 2, so that
     g2 - offset = 2 n_jpa^2 + (4 + 4 n_n) n_jpa.
     """
-    if n_jpa < 0:
-        raise ValueError("input occupation must be >= 0")
+    _require_finite("n_jpa", n_jpa, ">= 0")
     if stage.gain < 10.0:
         warnings.warn(
             f"g2_jpa_referred assumes strong gain; G = {stage.gain:.3g} (< 10, 10 dB)",
@@ -226,6 +221,6 @@ def g2_jpa_referred(n_jpa: float, stage: JpaStage) -> Tuple[float, float]:
 
 def compression_power(kappa_x: float, t_1db: float) -> float:
     """1 dB compression power P_1dB = kappa_x[Hz] * k_B * T_1dB, in watts."""
-    if not (kappa_x > 0 and t_1db > 0):
-        raise ValueError("kappa_x and T_1dB must be positive")
+    _require_finite("kappa_x", kappa_x, "> 0")
+    _require_finite("t_1db", t_1db, "> 0")
     return kappa_x * k_B * t_1db

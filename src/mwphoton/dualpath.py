@@ -80,6 +80,7 @@ from .states import (
     effective_temperature,
     _gaussian_shift,
     _product_means,
+    _require_finite,
     _row_count,
     _segment_sums,
     _span_sums,
@@ -137,7 +138,7 @@ class DetectionRecord:
             raise ValueError("the two envelope sequences must be 1-d and of equal length")
         if self.envelopes_1.size < 2:
             raise ValueError("a detection record needs at least 2 samples")
-        _require_finite("chain_gains", self.chain_gains, positive=True)
+        _require_finite("chain_gains", self.chain_gains, "> 0")
 
     @property
     def sample_count(self) -> int:
@@ -159,14 +160,6 @@ class CrossMomentSet:
         for key, value in self.entries.items():
             if not cmath.isfinite(value):
                 raise ValueError(f"non-finite cross moment at {key}")
-
-
-def _require_finite(name: str, values, positive: bool) -> None:
-    """Raise a ValueError naming ``name`` unless every value is finite and > 0 (or >= 0)."""
-    for value in values:
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-            bound = "> 0" if positive else ">= 0"
-            raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +285,9 @@ def _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_p
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
-    _require_finite("gains", gains, positive=True)
-    _require_finite("chain_noise_photons", chain_noise_photons, positive=False)
-    _require_finite("vacuum_port_photons", (vacuum_port_photons,), positive=False)
+    _require_finite("gains", gains, "> 0")
+    _require_finite("chain_noise_photons", chain_noise_photons, ">= 0")
+    _require_finite("vacuum_port_photons", vacuum_port_photons, ">= 0")
     carrier, random_phase, covariance = _record_model(
         state, chain_noise_photons, vacuum_port_photons
     )
@@ -453,8 +446,8 @@ def _moments_from_products(
     keys of ``products`` are inverted, so they must include (0, 0) and be
     closed under conjugation and under the shift's lower keys (n-k, m-k).
     """
-    _require_finite("gains", gains, positive=True)
-    _require_finite("vacuum_port_photons", (vacuum_port_photons,), positive=False)
+    _require_finite("gains", gains, "> 0")
+    _require_finite("vacuum_port_photons", vacuum_port_photons, ">= 0")
     g1, g2 = gains
     raw = {}
     for (n, m), product in products.items():
@@ -485,12 +478,11 @@ class PlanckSweep:
         self.powers = np.asarray(self.powers, dtype=float)
         if self.temperatures.shape != self.powers.shape or self.temperatures.ndim != 1:
             raise ValueError("temperatures and powers must be 1-d of equal length")
+        _require_finite("temperatures", self.temperatures, "> 0")
         if np.any(np.diff(self.temperatures) <= 0):
             raise ValueError("temperatures must be strictly increasing")
-        if np.any(self.powers <= 0):
-            raise ValueError("detected powers must be positive")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        _require_finite("powers", self.powers, "> 0")
+        _require_finite("bandwidth", self.bandwidth, "> 0")
 
 
 @dataclass
@@ -527,6 +519,8 @@ def planck_power(
     so the bracket stays dimensionless: the linear law of
     :func:`jpa_planck_power` with the chain as the only amplifier.
     """
+    _require_finite("chain_gain", chain_gain, "> 0")
+    _require_finite("chain_noise_temperature", chain_noise_temperature, ">= 0")
     n_chain = k_B * chain_noise_temperature / (PLANCK_H * mode.frequency)
     return jpa_planck_power(temperatures, mode, bandwidth, chain_gain, n_chain)
 
@@ -554,12 +548,16 @@ def jpa_planck_power(
     P_linear = P_sat (10^(m/10) - 1)^(1/m) while leaving powers well below
     the knee essentially untouched.
     """
+    _require_finite("bandwidth", bandwidth, "> 0")
+    _require_finite("gain", gain, "> 0")
+    _require_finite("added_photons", added_photons, ">= 0")
     temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
     quantum = PLANCK_H * mode.frequency
     occ = bose_einstein(mode, temps)
     linear = gain * bandwidth * quantum * (occ + 0.5 + added_photons)
     if saturation_power is None:
         return linear
+    _require_finite("saturation_power", saturation_power, "> 0")
     m = _SATURATION_SHARPNESS
     return linear / (1.0 + (linear / saturation_power) ** m) ** (1.0 / m)
 
@@ -572,6 +570,7 @@ def saturation_power_for_t1db(
     added_photons: float,
 ) -> float:
     """Saturation power placing the 1 dB compression point at ``t_1db``, at total gain ``gain``."""
+    _require_finite("t_1db", t_1db, "> 0")
     linear = jpa_planck_power([t_1db], mode, bandwidth, gain, added_photons)[0]
     return float(linear / _KNEE)
 
@@ -689,8 +688,7 @@ def wigner_gaussian_contour(n: float) -> float:
     Per-quadrature variance (2n + 1)/4 gives radius sqrt(n + 1/2); the
     thermal-to-vacuum contour ratio is sqrt(2n + 1).
     """
-    if n < 0:
-        raise ValueError("occupation must be >= 0")
+    _require_finite("mean occupation n", n, ">= 0")
     return math.sqrt(n + 0.5)
 
 
@@ -733,6 +731,7 @@ def load_record_binary(data_path) -> DetectionRecord:
         raise ValueError(
             f"binary record holds {raw.size} float64 values, expected {4 * count}"
         )
+    _require_finite(f"{data_path}: samples (I1, Q1, I2, Q2)", raw.reshape(count, 4))
     # a view does no arithmetic, so every part keeps its bits (and -0.0 its sign)
     pairs = raw.view("<c16").reshape(count, 2)
     return DetectionRecord(
@@ -768,7 +767,7 @@ def save_record_csv(rec: DetectionRecord, path) -> None:
 
 
 def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUENCY, seed=0) -> DetectionRecord:
-    """Read a :func:`save_record_csv` file; its index column must run 0, 1, ... in order."""
+    """Read a :func:`save_record_csv` file: indices 0, 1, ... in order, every sample finite."""
     with open(path, newline="") as handle:
         header = next(csv.reader([handle.readline()]), None)
         if header != _CSV_HEADER:
@@ -779,5 +778,6 @@ def load_record_csv(path, chain_gains=(1.0, 1.0), if_frequency=DEFAULT_IF_FREQUE
     if bad.size:
         row = int(bad[0])
         raise ValueError(f"{path}: data row {row} has index {table[row, 0]:g}, expected {row}")
+    _require_finite(f"{path}: samples (I1, Q1, I2, Q2)", table[:, 1:])
     pairs = table[:, 1:].view(complex)
     return DetectionRecord(pairs[:, 0], pairs[:, 1], tuple(chain_gains), if_frequency, seed)

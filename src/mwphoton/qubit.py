@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .cavity import Resonator, _memory_rate, correlator, dephasing_gaussian
-from .states import StateKind, photon_variance
+from .states import StateKind, _require_finite, photon_variance
 
 __all__ = [
     "QubitParams",
@@ -71,18 +71,18 @@ class QubitParams:
     intrinsic_dephasing: float
 
     def __post_init__(self):
-        if not self.coupling > 0:
-            raise ValueError("qubit-resonator coupling must be positive")
+        _require_finite("coupling", self.coupling, "> 0")
         if not self.anharmonicity < 0:
             raise ValueError("transmon anharmonicity must be negative")
-        if self.intrinsic_relaxation < 0 or self.intrinsic_dephasing < 0:
-            raise ValueError("intrinsic rates must be >= 0")
+        _require_finite("intrinsic_relaxation", self.intrinsic_relaxation, ">= 0")
+        _require_finite("intrinsic_dephasing", self.intrinsic_dephasing, ">= 0")
 
     def relaxation_rate(self, kind: StateKind, n_r: float) -> float:
         """Total energy decay rate gamma_1(n_r) = gamma_1 + gamma_1^d * n_r.
 
         Shot noise relaxes like a coherent tone.
         """
+        _require_finite("mean occupation n_r", n_r, ">= 0")
         if kind is StateKind.THERMAL:
             per_photon = self.thermal_relaxation_per_photon
         else:
@@ -137,15 +137,13 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
 
 def accumulated_phase(chi: float, kappa_x: float) -> float:
     """Phase theta0 = atan(2 chi / kappa_x) acquired per resonator photon."""
-    if not kappa_x > 0:
-        raise ValueError("kappa_x must be positive")
+    _require_finite("kappa_x", kappa_x, "> 0")
     return math.atan(2.0 * chi / kappa_x)
 
 
 def critical_photons(delta: float, g: float) -> float:
     """n_crit = delta^2 / (4 g^2), where the dispersive approximation breaks down."""
-    if not g > 0:
-        raise ValueError("coupling must be positive")
+    _require_finite("coupling g", g, "> 0")
     return delta * delta / (4.0 * g * g)
 
 
@@ -196,8 +194,7 @@ def ramsey_envelope(
     rate or correlator are evaluated once per call, not once per delay.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("Ramsey delay must be >= 0")
+    _require_finite("delay tau", tau, ">= 0")
     gamma1 = sys.qubit.relaxation_rate(kind, n_r)
     exponent = _TWO_PI * (gamma1 / 2.0 + sys.qubit.intrinsic_dephasing) * tau
     if form is EnvelopeForm.ASYMPTOTIC_RATE:
@@ -236,16 +233,10 @@ def simulate_ramsey(
     one binomial draw from a generator seeded with ``seed``.
     """
     taus = np.asarray(list(tau_grid), dtype=float)
-    if taus.size == 0:
-        raise ValueError("tau grid must not be empty")
     if shots < 1:
         raise ValueError("need at least one shot per point")
-    tau_max = float(np.max(taus))
-    if not tau_max > 0:
-        raise ValueError(
-            f"tau grid needs a positive largest delay for the fringe detuning "
-            f"5 / max(tau); got max(tau) = {tau_max}"
-        )
+    tau_max = float(np.max(taus)) if taus.size else 0.0  # an empty grid has no positive delay
+    _require_finite("max(tau) of the tau grid", tau_max, "> 0")  # sets the fringe detuning
     fringe_detuning = 5.0 / tau_max
     envelope = ramsey_envelope(sys, kind, n_r, taus, form=form)
     p = np.clip(0.5 * (1.0 + np.cos(_TWO_PI * fringe_detuning * taus) * envelope), 0.0, 1.0)

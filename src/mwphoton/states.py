@@ -8,6 +8,7 @@ noise (Poissonian intensity but no stable phase).  The vacuum is the
 n = 0 limit of each, written ``MicrowaveState.thermal(0.0)``.  This
 module owns
 
+* the one check of a physical input, finite with its sign (:func:`_require_finite`),
 * the Bose-Einstein occupation n(T) and its exact inverse,
 * the closed-form photon-number variance of each kind,
 * normally ordered field moments <(a^dag)^n a^m> up to total order 4,
@@ -82,8 +83,7 @@ class ModeSpec:
     frequency: float
 
     def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError(f"mode frequency must be positive, got {self.frequency}")
+        _require_finite("frequency", self.frequency, "> 0")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ class MicrowaveState:
 
     def __post_init__(self):
         n = self.mean_photons
-        if not 0 <= n < math.inf:
-            raise ValueError(f"mean photon number must be finite and >= 0, got {n}")
+        _require_finite("mean_photons", n, ">= 0")
         if self.kind is StateKind.COHERENT:
             if abs(abs(self.amplitude) ** 2 - n) > 1e-12 * max(1.0, n):
                 raise ValueError(
@@ -287,17 +286,39 @@ class MomentSet:
 # Closed-form statistics
 # ---------------------------------------------------------------------------
 
+_SIGNS = {None: lambda x: True, "> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0}
+
+
+def _require_finite(name: str, value, sign: str | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and obeys ``sign``.
+
+    ``sign`` is "> 0", ">= 0" or None for either sign.  One number costs
+    a ``math.isfinite`` and a comparison, an array (any sequence) one
+    vectorized test; the message quotes the first bad value and its index.
+    """
+    if isinstance(value, (int, float)) and math.isfinite(value) and _SIGNS[sign](value):
+        return  # one good number builds no array
+    values = np.asarray(value)  # not cast, so a string or None raises TypeError
+    good = np.isfinite(values)
+    if sign is not None:  # & True would cost more than the isfinite test
+        good &= _SIGNS[sign](values)
+    if good.all():
+        return
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(good), good.shape))
+    where = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+    rule = "finite" if sign is None else f"finite and {sign}"
+    raise ValueError(f"{name} must be {rule}, got {values[index]}{where}")
+
+
 def bose_einstein(mode: ModeSpec, temperature: float | np.ndarray) -> float | np.ndarray:
     """Mean thermal occupation n(T) = 1 / (exp(h f / k_B T) - 1).
 
     One temperature gives a float; a 1-d array of temperatures gives the
-    array of their occupations, each checked and computed on its own.
+    array of their occupations, each computed on its own.
     """
+    _require_finite("temperature", temperature, "> 0")
     occupations = []
-    for t in np.atleast_1d(temperature):
-        t = float(t)
-        if not t > 0:
-            raise ValueError(f"temperature must be positive, got {t}")
+    for t in np.atleast_1d(temperature).tolist():
         x = hbar * 2.0 * math.pi * mode.frequency / (k_B * t)
         # past x = 700 exp(x) overflows double precision; occupation is exp(-x) to 1e-300
         occupations.append(math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x))
@@ -306,8 +327,7 @@ def bose_einstein(mode: ModeSpec, temperature: float | np.ndarray) -> float | np
 
 def effective_temperature(mode: ModeSpec, n: float) -> float:
     """Exact inverse of :func:`bose_einstein`: temperature giving occupation ``n``."""
-    if not n > 0:
-        raise ValueError(f"occupation must be positive to define a temperature, got {n}")
+    _require_finite("mean occupation n", n, "> 0")
     return hbar * 2.0 * math.pi * mode.frequency / (k_B * math.log1p(1.0 / n))
 
 
@@ -317,8 +337,7 @@ def photon_variance(kind: StateKind, n: float) -> float:
     Thermal fields are super-Poissonian (n^2 + n), coherent states and shot
     noise Poissonian (n).  Raises ``ValueError`` unless 0 <= n < inf.
     """
-    if not 0 <= n < math.inf:
-        raise ValueError(f"mean occupation n must be finite and >= 0, got {n}")
+    _require_finite("mean occupation n", n, ">= 0")
     if kind is StateKind.THERMAL:
         return n * n + n
     return n

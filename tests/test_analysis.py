@@ -164,6 +164,29 @@ class TestFitVarianceLaw:
         with pytest.raises(ValueError):
             fit_variance_law(np.array([[0.1, 1.0], [0.2, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected_with_its_row(self, bad):
+        # a nan value once came back as rho = xi = nan, marked converged
+        points = [(0.1, 0.2), (0.5, 2.0), (1.0, bad)]
+        message = rf"points must be finite, got {bad} at index \(2, 1\)"
+        with pytest.raises(ValueError, match=message):
+            fit_variance_law(points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_weight_not_finite_and_non_negative_rejected_with_its_row(self, bad):
+        # a nan weight once raised numpy's "SVD did not converge"
+        points = [(0.1, 0.2), (0.5, 2.0), (1.0, 3.5)]
+        message = rf"weights must be finite and >= 0, got {bad} at index 1"
+        with pytest.raises(ValueError, match=message):
+            fit_variance_law(points, weights=[1.0, bad, 1.0])
+
+    def test_negative_points_are_fitted(self):
+        # negative dephasing extractions are statistical nulls and stay in the fit
+        n = np.array([0.1, 0.5, 1.0])
+        fit = fit_variance_law(np.column_stack([n, -2.0 * n * n - n]))
+        assert fit.converged
+        assert fit.parameters["rho"] == pytest.approx(-2.0, rel=1e-12)
+
     def test_consistent_under_abscissa_rescaling(self):
         # fitting in rescaled units and mapping the coefficients back changes
         # nothing beyond 1e-10

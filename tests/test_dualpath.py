@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -702,6 +703,29 @@ class TestRecordIO:
         path.write_text("\r\n".join(lines) + "\r\n")
         with pytest.raises(ValueError, match=f"data row {row} has index {indices[row]}, expected {row}"):
             load_record_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_sample_named_with_file_and_row(self, tmp_path, bad):
+        # cross_moments once met it as "non-finite cross moment at (0, 1)"
+        path = tmp_path / "bad.csv"
+        lines = [",".join(_CSV_HEADER), "0,0.1,0.2,0.3,0.4", f"1,1.0,0.0,{bad},0.0"]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        message = rf"{re.escape(str(path))}: samples \(I1, Q1, I2, Q2\) must be finite, got {bad}"
+        message += r" at index \(1, 2\)"
+        with pytest.raises(ValueError, match=message):
+            load_record_csv(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_binary_non_finite_sample_named_with_file_and_sample(self, tmp_path, bad):
+        rec = self._record()
+        z2 = rec.envelopes_2.copy()
+        z2[200] = complex(0.5, bad)
+        path = tmp_path / "record.bin"
+        save_record_binary(DetectionRecord(rec.envelopes_1, z2, rec.chain_gains), path)
+        message = rf"{re.escape(str(path))}: samples \(I1, Q1, I2, Q2\) must be finite, got {bad}"
+        message += r" at index \(200, 3\)"
+        with pytest.raises(ValueError, match=message):
+            load_record_binary(path)
 
     def test_csv_without_rows_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

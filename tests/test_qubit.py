@@ -141,6 +141,12 @@ class TestDispersiveSystem:
             StateKind.COHERENT, 0.7
         )
 
+    @pytest.mark.parametrize("n_r", [-5.0, math.nan, math.inf])
+    def test_relaxation_rate_rejects_an_occupation_outside_its_domain(self, n_r, system):
+        # -5 photons once gave a relaxation rate of -1e5 Hz, and nan gave nan
+        with pytest.raises(ValueError, match="mean occupation n_r must be finite and >= 0"):
+            system.qubit.relaxation_rate(StateKind.THERMAL, n_r)
+
     def test_anharmonicity_sign_enforced(self):
         with pytest.raises(ValueError):
             QubitParams(6.92e9, 67e6, +315e6, 3.9e6, 0.0, 0.0, 0.05e6)
@@ -481,7 +487,7 @@ class TestSimulateRamsey:
     @pytest.mark.parametrize("form", list(EnvelopeForm))
     def test_infinite_population_rejected(self, form, system):
         taus = np.linspace(1e-9, 150e-9, 161)
-        with pytest.raises(ValueError, match="occupation n must be finite"):
+        with pytest.raises(ValueError, match="occupation n_r must be finite"):
             simulate_ramsey(system, StateKind.THERMAL, math.inf, taus, shots=100, form=form)
 
     @pytest.mark.parametrize("taus", [[0.0], [0.0, 0.0]])

@@ -25,6 +25,7 @@ from mwphoton.states import (
     ordering_convert,
     photon_variance,
     sample_envelopes,
+    _require_finite,
 )
 
 MODE = ModeSpec(6.07e9)
@@ -61,8 +62,11 @@ class TestBoseEinstein:
         assert occ.tolist() == [bose_einstein(MODE, float(t)) for t in temps]
         assert type(bose_einstein(MODE, np.float64(0.143))) is float
 
-    @pytest.mark.parametrize("temperature", [0.0, -0.1, np.array([0.1, 0.0, 0.2])])
-    def test_rejects_nonpositive_temperature(self, temperature):
+    # an infinite temperature once made expm1(0) divide by zero
+    @pytest.mark.parametrize(
+        "temperature", [0.0, -0.1, np.array([0.1, 0.0, 0.2]), math.inf, np.array([0.1, math.inf])]
+    )
+    def test_rejects_temperature_outside_its_domain(self, temperature):
         with pytest.raises(ValueError):
             bose_einstein(MODE, temperature)
 
@@ -87,9 +91,10 @@ class TestEffectiveTemperature:
             n, rel=1e-12
         )
 
-    def test_rejects_nonpositive_occupation(self):
+    @pytest.mark.parametrize("n", [0.0, math.inf])  # log1p(1 / inf) = 0 once divided by zero
+    def test_rejects_occupation_outside_its_domain(self, n):
         with pytest.raises(ValueError):
-            effective_temperature(MODE, 0.0)
+            effective_temperature(MODE, n)
 
 
 class TestPhotonVariance:
@@ -110,6 +115,41 @@ class TestPhotonVariance:
     def test_occupation_outside_its_domain_rejected(self, kind, n):
         with pytest.raises(ValueError, match="occupation n must be finite and >= 0"):
             photon_variance(kind, n)
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize(
+        "value, sign",
+        [(0.0, ">= 0"), (0, ">= 0"), (1e-300, "> 0"), (-2.0, None), (np.float64(3.0), "> 0"),
+         (np.array([0.0, 1.0]), ">= 0"), ((1.0, 2.0), "> 0"), (np.array(-1.0), None), ([], "> 0")],
+    )
+    def test_accepts_finite_values_obeying_the_sign(self, value, sign):
+        _require_finite("x", value, sign)
+
+    @pytest.mark.parametrize(
+        "value, sign, message",
+        [
+            (math.nan, None, "x must be finite, got nan"),
+            (-math.inf, None, "x must be finite, got -inf"),
+            (0.0, "> 0", "x must be finite and > 0, got 0.0"),
+            (-1, ">= 0", "x must be finite and >= 0, got -1"),
+            (np.array(-1.0), ">= 0", "x must be finite and >= 0, got -1.0"),
+            ((1.0, math.inf, -1.0), "> 0", "x must be finite and > 0, got inf at index 1"),
+            (
+                np.array([[1.0, 2.0], [3.0, math.nan]]),
+                None,
+                "x must be finite, got nan at index (1, 1)",
+            ),
+        ],
+    )
+    def test_names_the_argument_and_its_first_bad_value(self, value, sign, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_finite("x", value, sign)
+
+    @pytest.mark.parametrize("value", ["1.0", None, ["1.0"]])
+    def test_a_value_that_is_not_a_number_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            _require_finite("x", value, "> 0")
 
 
 class TestStateValidation:
