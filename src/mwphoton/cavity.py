@@ -112,5 +112,6 @@ def dephasing_gaussian(var_n: float, res: Resonator, theta0: float) -> float:
         gamma_phi_n = kappa_x * theta0^2 * Var(n_r)        (in Hz).
     """
     _require_finite("var_n", var_n, ">= 0")
+    _require_finite("theta0", theta0)
     return res.external_rate * theta0 ** 2 * var_n
 

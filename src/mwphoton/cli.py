@@ -6,8 +6,10 @@ Subcommands:
   plot-ready CSV tables, a ``fits.json`` and a ``manifest.json``.  A
   pipeline's table is a list of rows, each a dict from column name to
   cell; its CSV header is the first row's keys.  Each number has one home.
-  The manifest's ``config`` holds every run key, the seed included, and
-  with the package version it reproduces a run bit-identically.
+  A pipeline returns JSON-ready values (see :mod:`mwphoton.experiments`),
+  and ``run`` writes them unconverted.  The manifest's ``config`` holds
+  every run key, the seed included, and with the package version it
+  reproduces a run bit-identically.
   ``fits.json`` holds the fit entries (parameters, standard errors,
   correlations) and a ``summary`` of derived numbers that restates no run
   key.
@@ -31,6 +33,9 @@ naming the field), and ``config.schema.json`` is generated from the same
 table, so the schema ``schema`` emits is the one ``run`` enforces, except
 for one rule across keys, which it only names: t_max_k / t_min_k must
 reach ``dualpath.PLANCK_MIN_SPAN``, the span the Planck fit needs.
+``_conform`` is the one conversion of a config value: a default (in config
+units), a config-file value and a ``--set`` or flag value all pass through
+it, as does the config ``report`` reads back from a manifest.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
@@ -59,8 +64,6 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional
-
-import numpy as np
 
 from . import __version__
 from .analysis import NumericalError
@@ -235,7 +238,7 @@ def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict
     config = {}
     for key, row in rows.items():
         value = _get(defaults[row.arg], row.part)
-        config[key] = value / row.scale if row.scale != 1 else _plain(value)
+        config[key] = _conform(key, value / row.scale if row.scale != 1 else value, row.schema)
     for source_name, source in (("config file", file_config), ("override", overrides)):
         for key, value in (source or {}).items():
             if key not in rows:
@@ -294,26 +297,12 @@ def _experiment_kwargs(experiment: str, config: dict) -> dict:
 # Output writing
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    return value
-
-
 def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dict) -> list:
     """Write the tables, ``fits.json`` and ``manifest.json``; return the names written, sorted.
 
     Each table is a list of rows, each a dict from column name to cell; the
-    first row's keys are the CSV header.  ValueError naming the table if it
+    first row's keys are the CSV header, and each cell is written as
+    ``str(cell)``, unconverted.  ValueError naming the table if it
     has no rows, or a row whose keys differ from the header's, in order too.
     """
     out_dir.mkdir()
@@ -322,8 +311,7 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
             raise ValueError(f"table {name!r} has no rows")
         header = list(rows[0])
         lines = [",".join(header)]
-        # one conversion per table; each cell then prints as str(_plain(cell))
-        for number, row in enumerate(_plain(rows), start=1):
+        for number, row in enumerate(rows, start=1):
             if list(row) != header:
                 raise ValueError(
                     f"table {name!r} row {number} has the columns {list(row)}, "
@@ -331,13 +319,7 @@ def _write_run_outputs(out_dir: Path, experiment: str, config: dict, result: dic
                 )
             lines.append(",".join(map(str, row.values())))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    fits_payload = _plain(
-        {
-            "experiment": experiment,
-            "fits": result["fits"],
-            "summary": result["summary"],
-        }
-    )
+    fits_payload = {"experiment": experiment, "fits": result["fits"], "summary": result["summary"]}
     (out_dir / "fits.json").write_text(
         json.dumps(fits_payload, indent=2, sort_keys=True) + "\n"
     )
@@ -637,10 +619,8 @@ def main(argv: Optional[list] = None) -> int:
             return _command_run(args)
         if args.command == "report":
             return _command_report(args)
-        if args.command == "schema":
-            _emit_schemas(args.out)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        _emit_schemas(args.out)  # the parser admits no other command
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

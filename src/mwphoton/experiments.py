@@ -5,7 +5,10 @@ scale: the variance comparison curves, Ramsey dephasing sweeps against
 photon number for each field flavour, the dual-path temperature sweep with
 moment reconstruction, the JPA-referred correlation table, the Planck
 calibrations, and the quadrature/no-squeezing check.  Each returns a dict
-of ``tables``, ``fits`` and ``summary`` that the CLI serializes.  A table
+of ``tables``, ``fits`` and ``summary`` of JSON-ready values, which the CLI
+writes as they are: every leaf is a ``str``, ``int``, ``float``, ``bool``
+or ``None`` (a ``np.float64`` is a float), inside dicts with string keys
+and lists, never a numpy integer, numpy bool, array or tuple.  A table
 is a list of rows, each a dict from column name to cell in column order,
 so each column is named beside its value and every reader picks cells by
 name; the CLI writes the first row's keys as the CSV header.  The summary

@@ -71,10 +71,14 @@ class QubitParams:
     intrinsic_dephasing: float
 
     def __post_init__(self):
+        _require_finite("max_frequency", self.max_frequency, "> 0")
         _require_finite("coupling", self.coupling, "> 0")
+        _require_finite("anharmonicity", self.anharmonicity)
         if not self.anharmonicity < 0:
             raise ValueError("transmon anharmonicity must be negative")
         _require_finite("intrinsic_relaxation", self.intrinsic_relaxation, ">= 0")
+        _require_finite("thermal_relaxation_per_photon", self.thermal_relaxation_per_photon)
+        _require_finite("coherent_relaxation_per_photon", self.coherent_relaxation_per_photon)
         _require_finite("intrinsic_dephasing", self.intrinsic_dephasing, ">= 0")
 
     def relaxation_rate(self, kind: StateKind, n_r: float) -> float:
@@ -125,6 +129,9 @@ class EnvelopeForm(Enum):
 
 def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     """Transmon dispersive shift chi = (g^2 / delta) * alpha / (delta + alpha)."""
+    _require_finite("coupling g", g, ">= 0")
+    _require_finite("detuning delta", delta)
+    _require_finite("anharmonicity alpha", alpha)
     if delta == 0:
         raise ZeroDivisionError("qubit on resonance with the resonator: delta = 0")
     if delta + alpha == 0:
@@ -137,18 +144,23 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
 
 def accumulated_phase(chi: float, kappa_x: float) -> float:
     """Phase theta0 = atan(2 chi / kappa_x) acquired per resonator photon."""
+    _require_finite("dispersive shift chi", chi)
     _require_finite("kappa_x", kappa_x, "> 0")
     return math.atan(2.0 * chi / kappa_x)
 
 
 def critical_photons(delta: float, g: float) -> float:
     """n_crit = delta^2 / (4 g^2), where the dispersive approximation breaks down."""
+    _require_finite("detuning delta", delta)
     _require_finite("coupling g", g, "> 0")
     return delta * delta / (4.0 * g * g)
 
 
 def purcell_rate(kappa_tot: float, g: float, delta: float) -> float:
     """Purcell decay gamma_P = kappa_tot g^2 / delta^2."""
+    _require_finite("kappa_tot", kappa_tot, ">= 0")
+    _require_finite("coupling g", g, ">= 0")
+    _require_finite("detuning delta", delta)
     if delta == 0:
         raise ZeroDivisionError("Purcell rate diverges at zero detuning")
     return kappa_tot * (g / delta) ** 2

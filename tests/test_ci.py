@@ -1,13 +1,14 @@
 """The CI workflow runs what the repository documents.
 
 `.github/workflows/tests.yml` is checked here against ROADMAP.md's tier-1
-command and the `requires-python` and numpy floors of pyproject.toml, and
-every ``mwphoton run`` line against the CLI's parser and config table, so
-that an edit to one of them cannot leave the workflow behind.  The
-scipy-free job runs one pipeline through the installed console script,
-then walks every default run of ``tests/artifact_digests.py`` twice, each
-walk failing on a failed report check, and compares the two digest files
-byte for byte.  The benchmark smoke job is held to the runs it must make
+command and the `requires-python` and numpy floors of pyproject.toml,
+every ``mwphoton`` line against the CLI's parser, and every ``mwphoton
+run`` line against the config table too, so that an edit to one of them
+cannot leave the workflow behind.  The scipy-free job runs one pipeline
+through the installed console script and reports on it, then walks
+every default run of ``tests/artifact_digests.py`` twice, each walk
+failing on a failed report check, and compares the two digest files byte
+for byte.  The benchmark smoke job is held to the runs it must make
 and to the check that fails it on any failed operation.
 """
 
@@ -71,6 +72,7 @@ def test_scipy_free_job_walks_the_default_runs_twice():
         ["python", "-m", "pip", "install", "-e", "."],
         ["python", "-c", 'import importlib.util; assert importlib.util.find_spec("scipy") is None'],
         ["mwphoton", "run", "variance_curves", "--out", "runs/variance_curves"],
+        ["mwphoton", "report", "runs/variance_curves"],
         ["python", "tests/artifact_digests.py"],
         ["cp", "tests/artifact_digests.json", "runs/first_walk.json"],
         ["python", "tests/artifact_digests.py"],
@@ -78,13 +80,28 @@ def test_scipy_free_job_walks_the_default_runs_twice():
     ]
 
 
-def test_every_run_line_parses_and_resolves():
-    runs = [
-        words
-        for job in WORKFLOW["jobs"]
-        for words in _commands(job)
-        if words[:2] == ["mwphoton", "run"]
+def _mwphoton_lines():
+    """(job, words) of each ``mwphoton`` line of the workflow, in order."""
+    return [
+        (job, words) for job in WORKFLOW["jobs"] for words in _commands(job) if words[0] == "mwphoton"
     ]
+
+
+def test_every_mwphoton_line_parses():
+    lines = _mwphoton_lines()
+    assert {words[1] for _, words in lines} == {"run", "report"}
+    written = set()
+    for job, words in lines:
+        # a removed command or flag raises ConfigError here
+        args = cli.build_parser().parse_args(words[1:])
+        if args.command == "run":
+            written.add((job, args.out))
+        else:
+            assert (job, args.run_dir) in written, f"{job} reports on a run it did not write"
+
+
+def test_every_run_line_parses_and_resolves():
+    runs = [words for _, words in _mwphoton_lines() if words[1] == "run"]
     assert runs
     for words in runs:
         # a removed flag or key raises ConfigError here

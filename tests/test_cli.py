@@ -1163,7 +1163,7 @@ def _result(experiment, config):
     """The tables and fits of one run through the CLI's config path."""
     kwargs = _experiment_kwargs(experiment, resolve_config(experiment, None, config))
     result = EXPERIMENTS[experiment](**kwargs)
-    return cli._plain({"tables": result["tables"], "fits": result["fits"]})
+    return {"tables": result["tables"], "fits": result["fits"]}
 
 
 def _leaves(value, path=()):
@@ -1291,10 +1291,10 @@ def _summary_run(experiment, config):
     """A run's summary leaves, its fits, and each run key's values in both units."""
     resolved = resolve_config(experiment, None, config)
     kwargs = _experiment_kwargs(experiment, resolved)
-    result = cli._plain(EXPERIMENTS[experiment](**kwargs))
+    result = EXPERIMENTS[experiment](**kwargs)
     values = {}
     for key, row in _rows(experiment).items():
-        both_units = [resolved[key], cli._plain(cli._get(kwargs[row.arg], row.part))]
+        both_units = [resolved[key], cli._get(kwargs[row.arg], row.part)]
         values[key] = [leaf for _, leaf in _scalars(both_units)]
     return dict(_scalars(result["summary"])), result["fits"], values
 
@@ -1314,7 +1314,7 @@ def _restated(experiment):
     moved = {}
     found = {}
     for path, leaf in summary.items():
-        sources = {name for name, number in numbers if type(leaf) is float and leaf == number}
+        sources = {name for name, number in numbers if isinstance(leaf, float) and leaf == number}
         numbers.append((f"summary.{'.'.join(map(str, path))}", leaf))
         for key in [key for key, keyed in values.items() if leaf in keyed]:
             if key not in moved:
@@ -1441,23 +1441,59 @@ class TestCliNamesNoExperiment:
         assert generate_report(base_runs[experiment])["checks"]
 
 
-def _old_csv(rows):
-    """A table's CSV as each cell printed through ``_plain`` on its own."""
-    lines = [",".join(rows[0])]
-    lines.extend(",".join(str(cli._plain(cell)) for cell in row.values()) for row in rows)
-    return "\n".join(lines) + "\n"
+# The result contract: a pipeline returns JSON-ready values, which ``run``
+# writes as they are.  Every leaf of a result's tables, fits and summary is a
+# str, int, float, bool or None inside dicts and lists; np.float64 passes,
+# since it is a float.
+JSON_SCALARS = (str, int, float, bool, type(None))
 
 
+def _foreign(value):
+    """(path, type name) of each leaf of ``value`` outside the result contract."""
+    return [
+        (path, type(leaf).__name__)
+        for path, leaf in _leaves(value)
+        if not isinstance(leaf, JSON_SCALARS)
+    ]
+
+
+class TestResultContract:
+    @pytest.mark.parametrize("experiment", sorted(BASE))
+    def test_result_holds_json_values_only(self, experiment):
+        kwargs = _experiment_kwargs(experiment, resolve_config(experiment, None, BASE[experiment]))
+        result = EXPERIMENTS[experiment](**kwargs)
+        assert _foreign({part: result[part] for part in ("tables", "fits", "summary")}) == []
+
+    def test_cli_imports_no_numpy(self):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(cli))))
+        modules = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+
+    def test_numpy_values_and_tuples_break_the_contract(self):
+        result = {
+            "rows": [{"n": np.int64(3), "ok": np.bool_(True), "g2": np.float64(0.5)}],
+            "fit": {"values": np.arange(2), "pair": (1.0, 2.0), "error": None},
+        }
+        assert [path for path, _ in _foreign(result)] == [
+            ("fit", "pair"), ("fit", "values"), ("rows", 0, "n"), ("rows", 0, "ok")
+        ]
+
+
+# One row of each cell type a pipeline returns: np.float64 is a float and prints as one.
 MIXED_ROWS = [
-    dict(zip(("state", "f64", "i64", "float", "int", "flag", "array"), cells))
+    dict(zip(("state", "f64", "float", "int", "flag"), cells))
     for cells in (
-        ("thermal", np.float64(0.1), np.int64(3), 0.30000000000000004, 7, True,
-         np.array([1.5, 2.0])),
-        ("coherent", np.float64(1e-300), np.int64(-2), float("inf"), 0, False, np.arange(2)),
-        ("shot_noise", np.float64(-0.0), np.int64(2**62), 1e22, -1, np.bool_(True),
-         np.array([])),
+        ("thermal", np.float64(0.1), 0.30000000000000004, 7, True),
+        ("coherent", np.float64(1e-300), float("inf"), 0, False),
+        ("shot_noise", np.float64(-0.0), 1e22, -1, True),
     )
 ]
+MIXED_CSV = """state,f64,float,int,flag
+thermal,0.1,0.30000000000000004,7,True
+coherent,1e-300,inf,0,False
+shot_noise,-0.0,1e+22,-1,True
+"""
 
 
 class TestTableWriter:
@@ -1467,7 +1503,7 @@ class TestTableWriter:
 
     def test_each_cell_prints_as_before(self, tmp_path):
         self._write(tmp_path, MIXED_ROWS)
-        assert (tmp_path / "run" / "mixed.csv").read_text() == _old_csv(MIXED_ROWS)
+        assert (tmp_path / "run" / "mixed.csv").read_text() == MIXED_CSV
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -1495,6 +1531,10 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "run" / "variance_curves.csv").exists()
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        assert run_cli("frobnicate") == 1
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_usage_error_maps_to_config_exit_code(self):
         result = subprocess.run(

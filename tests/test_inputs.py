@@ -8,7 +8,8 @@ literal 0 (``<``, ``<=``, ``>``, ``>=``), outside the helper.  The rules
 that are not "finite with a sign" stay where they are, each listed in
 ``DELIBERATE`` with its reason.  The second part feeds every checked
 argument nan, inf and, where it has a sign rule, a value of the wrong sign
-(0 where the rule is > 0), and expects a ValueError that names it.
+(0 where the rule is > 0), or -inf where it has none, and expects a
+ValueError that names it.
 """
 
 import ast
@@ -46,7 +47,14 @@ from mwphoton.dualpath import (
     simulate_detection,
     wigner_gaussian_contour,
 )
-from mwphoton.qubit import accumulated_phase, critical_photons, ramsey_envelope, simulate_ramsey
+from mwphoton.qubit import (
+    accumulated_phase,
+    critical_photons,
+    dispersive_shift,
+    purcell_rate,
+    ramsey_envelope,
+    simulate_ramsey,
+)
 from mwphoton.states import (
     MicrowaveState,
     ModeSpec,
@@ -185,12 +193,42 @@ SITES = [
     ("Correlator.decay_rate", lambda v: Correlator(1.0, v), "decay_rate", "> 0"),
     ("correlator_value", lambda v: correlator_value(Correlator(1.0, 1e6), v), "delay tau", ">= 0"),
     ("dephasing_gaussian", lambda v: dephasing_gaussian(v, SAMPLE_RESONATOR, 0.1), "var_n", ">= 0"),
+    (
+        "dephasing_gaussian.theta0",
+        lambda v: dephasing_gaussian(0.5, SAMPLE_RESONATOR, v),
+        "theta0",
+        None,
+    ),
+    (
+        "QubitParams.max_frequency",
+        lambda v: replace(SAMPLE_QUBIT, max_frequency=v),
+        "max_frequency",
+        "> 0",
+    ),
     ("QubitParams.coupling", lambda v: replace(SAMPLE_QUBIT, coupling=v), "coupling", "> 0"),
+    (
+        "QubitParams.anharmonicity",
+        lambda v: replace(SAMPLE_QUBIT, anharmonicity=v),
+        "anharmonicity",
+        None,
+    ),
     (
         "QubitParams.intrinsic_relaxation",
         lambda v: replace(SAMPLE_QUBIT, intrinsic_relaxation=v),
         "intrinsic_relaxation",
         ">= 0",
+    ),
+    (
+        "QubitParams.thermal_relaxation_per_photon",
+        lambda v: replace(SAMPLE_QUBIT, thermal_relaxation_per_photon=v),
+        "thermal_relaxation_per_photon",
+        None,
+    ),
+    (
+        "QubitParams.coherent_relaxation_per_photon",
+        lambda v: replace(SAMPLE_QUBIT, coherent_relaxation_per_photon=v),
+        "coherent_relaxation_per_photon",
+        None,
     ),
     (
         "QubitParams.intrinsic_dephasing",
@@ -222,8 +260,21 @@ SITES = [
         "max(tau) of the tau grid",
         "> 0",
     ),
+    ("dispersive_shift.g", lambda v: dispersive_shift(v, 850e6, -315e6), "coupling g", ">= 0"),
+    ("dispersive_shift.delta", lambda v: dispersive_shift(67e6, v, -315e6), "detuning delta", None),
+    (
+        "dispersive_shift.alpha",
+        lambda v: dispersive_shift(67e6, 850e6, v),
+        "anharmonicity alpha",
+        None,
+    ),
     ("accumulated_phase", lambda v: accumulated_phase(1e6, v), "kappa_x", "> 0"),
+    ("accumulated_phase.chi", lambda v: accumulated_phase(v, 8.5e6), "dispersive shift chi", None),
     ("critical_photons", lambda v: critical_photons(1e9, v), "coupling g", "> 0"),
+    ("critical_photons.delta", lambda v: critical_photons(v, 67e6), "detuning delta", None),
+    ("purcell_rate.kappa_tot", lambda v: purcell_rate(v, 67e6, 1e9), "kappa_tot", ">= 0"),
+    ("purcell_rate.g", lambda v: purcell_rate(8.5e6, v, 1e9), "coupling g", ">= 0"),
+    ("purcell_rate.delta", lambda v: purcell_rate(8.5e6, 67e6, v), "detuning delta", None),
     ("linear_to_db", lambda v: linear_to_db(v), "gain", "> 0"),
     ("watts_to_dbm", lambda v: watts_to_dbm(v), "power", "> 0"),
     (
@@ -365,7 +416,7 @@ WRONG_SIGN = {"> 0": 0.0, ">= 0": -0.5}
 CASES = [
     pytest.param(call, name, value, id=f"{site}-{value}")
     for site, call, name, sign in SITES
-    for value in (math.nan, math.inf, *([WRONG_SIGN[sign]] if sign else []))
+    for value in (math.nan, math.inf, WRONG_SIGN[sign] if sign else -math.inf)
 ]
 
 
