@@ -16,26 +16,25 @@ Subcommands:
 * ``report <run_dir>``: check a completed run against the reference
   expectations and write the pass/fail checks to ``report.json``, which
   restates no number of the run, plus a human-readable table on stdout.
-  The manifest's ``config`` must first pass the checks ``run`` applies to
-  each key, with exactly the experiment's keys; otherwise ``report`` exits
-  1 naming the key.  Each experiment's checks live beside its pipeline, in
-  ``experiments.CHECKS``; this module reads the run's files and names no
-  experiment, table, column or entry.
+  The manifest's fields must have the JSON types of its schema and its
+  ``config`` must pass ``run``'s config check; otherwise ``report`` exits
+  1 naming the field or key.  Each experiment's checks live beside its
+  pipeline, in ``experiments.CHECKS``; this module reads the run's files
+  and names no experiment, table, column or entry.
 * ``schema``: emit the JSON schemas the artifacts validate against.
 
 Configuration comes from an optional JSON file plus command-line
 overrides; overrides win.  Keys carry their units explicitly
 (``kappa_x_mhz``, ``t_chain_k``, ...).  One table, ``_TABLE``, holds
 every key: the pipeline argument it feeds, its unit scale and its JSON
-schema; defaults are read from the pipeline signatures.  ``run`` checks
-every value against that table (a mistyped or out-of-range value exits 1
-naming the field), and ``config.schema.json`` is generated from the same
-table, so the schema ``schema`` emits is the one ``run`` enforces, except
-for one rule across keys, which it only names: t_max_k / t_min_k must
-reach ``dualpath.PLANCK_MIN_SPAN``, the span the Planck fit needs.
-``_conform`` is the one conversion of a config value: a default (in config
-units), a config-file value and a ``--set`` or flag value all pass through
-it, as does the config ``report`` reads back from a manifest.
+schema; defaults are read from the pipeline signatures.  ``_checked``,
+the one config check of ``run`` and ``report``, reads that table alone:
+a mistyped or out-of-range value, or one that overflows in the pipeline's
+unit, exits 1 naming the field.  ``config.schema.json`` is generated from
+the same table, so it states exactly what ``run`` checks; a rule across
+keys is its pipeline's ``PipelineArgumentError``.  ``_conform`` is the one
+conversion of a config value, a default (in config units), a config-file
+value and a ``--set`` or flag value alike.
 
 Output defaults to ``$MWPHOTON_OUTPUT_ROOT/<experiment>``
 (``runs/<experiment>`` when the variable is unset) unless ``--out`` is
@@ -43,7 +42,7 @@ given.  ``run`` swaps its files in only once all are written; it replaces
 an empty directory or an earlier run (one holding ``manifest.json``) and
 refuses any other existing path.  Exit codes: 0 success, 1 configuration
 error (a pipeline's ``PipelineArgumentError`` included, reported with the
-config fields that feed the arguments it names), 2 numerical
+config fields that feed the arguments or dotted parts it names), 2 numerical
 failure (anything else a pipeline raises).  The parser is built once per
 process and shared; see :func:`build_parser`.
 """
@@ -68,7 +67,7 @@ from typing import Dict, NamedTuple, Optional
 from . import __version__
 from .analysis import NumericalError
 from .defaults import JPA_OPERATING_POINTS
-from .dualpath import ERROR_BATCHES, PLANCK_MIN_SPAN
+from .dualpath import ERROR_BATCHES
 from .experiments import CHECKS, EXPERIMENTS, PipelineArgumentError
 from .states import StateKind
 
@@ -110,9 +109,6 @@ def _integer(**bounds) -> dict:
 
 _POSITIVE = _number(exclusiveMinimum=0)
 _NON_NEGATIVE = _number(minimum=0)
-#: The rule ``run`` checks across keys (planck_fit's span); the schema names it only.
-_PLANCK_RANGE = f"t_max_k / t_min_k >= {PLANCK_MIN_SPAN:g}"
-_PLANCK_TEMPERATURE = {**_POSITIVE, "description": f"`run` also requires {_PLANCK_RANGE}."}
 
 _TABLE = {
     "seed": _Key("seed", _integer(minimum=0)),
@@ -148,8 +144,8 @@ _TABLE = {
     "t_chain_k": _Key("chain_noise_temperature", _POSITIVE),
     "bandwidth_khz": _Key("bandwidth", _POSITIVE, scale=1e3),
     "power_noise_fraction": _Key("power_noise_fraction", _NON_NEGATIVE),
-    "t_min_k": _Key("t_min", _PLANCK_TEMPERATURE),
-    "t_max_k": _Key("t_max", _PLANCK_TEMPERATURE),
+    "t_min_k": _Key("t_min", _POSITIVE),
+    "t_max_k": _Key("t_max", _POSITIVE),
     "n_temperatures": _Key("n_temperatures", _integer(minimum=4)),
     "occupations": _Key("occupations", {"type": "array", "items": _NON_NEGATIVE, "minItems": 1}),
 }
@@ -195,8 +191,9 @@ _BOUNDS = (
 )
 
 
-def _conform(key: str, value, schema: dict):
-    """``value`` in the schema's type; ConfigError naming ``key`` if it does not conform."""
+def _conform(key: str, value, schema: dict, scale: float = 1.0):
+    """``value`` in the schema's type; ConfigError naming ``key`` unless it conforms and stays
+    finite times ``scale``, in the pipeline's unit."""
     if "enum" in schema:
         if value not in schema["enum"]:
             raise ConfigError(
@@ -212,7 +209,7 @@ def _conform(key: str, value, schema: dict):
             raise ConfigError(
                 f"config field {key!r} must be an array of at least {least} items, got {value!r}"
             )
-        return [_conform(key, item, schema["items"]) for item in value]
+        return [_conform(key, item, schema["items"], scale) for item in value]
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -220,6 +217,11 @@ def _conform(key: str, value, schema: dict):
         or (kind == "integer" and value != int(value))
     ):
         raise ConfigError(f"config field {key!r} must be a finite {kind}, got {value!r}")
+    if not abs(value * scale) <= sys.float_info.max:
+        raise ConfigError(
+            f"config field {key!r} must be finite times {scale:g}, in the pipeline's unit, "
+            f"got {value!r}"
+        )
     value = int(value) if kind == "integer" else float(value)
     for bound, holds, sign in _BOUNDS:
         if bound in schema and not holds(value, schema[bound]):
@@ -238,16 +240,28 @@ def resolve_config(experiment: str, file_config: Optional[dict], overrides: dict
     config = {}
     for key, row in rows.items():
         value = _get(defaults[row.arg], row.part)
-        config[key] = _conform(key, value / row.scale if row.scale != 1 else value, row.schema)
+        config[key] = value / row.scale if row.scale != 1 else value
     for source_name, source in (("config file", file_config), ("override", overrides)):
-        for key, value in (source or {}).items():
+        for key in source or {}:
             if key not in rows:
                 raise ConfigError(
                     f"unknown {source_name} field {key!r} for experiment "
                     f"{experiment!r}; allowed: {sorted(rows)}"
                 )
-            config[key] = _conform(key, value, rows[key].schema)
-    return config
+        config.update(source or {})
+    return _checked(experiment, config)
+
+
+def _checked(experiment: str, config: dict) -> dict:
+    """``config`` conformed key by key; ConfigError unless it holds exactly the experiment's keys."""
+    rows = _rows(experiment)
+    unknown = {key: value for key, value in config.items() if key not in rows}
+    missing = [key for key in rows if key not in config]
+    if unknown or missing:
+        raise ConfigError(
+            f"config must hold exactly the {experiment} keys; unknown: {unknown}, missing: {missing}"
+        )
+    return {key: _conform(key, config[key], row.schema, row.scale) for key, row in rows.items()}
 
 
 def _config_schema() -> dict:
@@ -259,8 +273,8 @@ def _config_schema() -> dict:
         "description": (
             "JSON configuration accepted by `mwphoton run --config`. Keys carry explicit "
             "units in their names; any subset may be given and flag overrides win. "
-            "`run` enforces exactly these types and bounds, plus one rule across keys "
-            f"that this schema does not state: {_PLANCK_RANGE}."
+            "`run` checks exactly these types and bounds, and that each number stays "
+            "finite in its pipeline's unit."
         ),
         "type": "object",
         "additionalProperties": False,
@@ -269,27 +283,14 @@ def _config_schema() -> dict:
 
 
 def _experiment_kwargs(experiment: str, config: dict) -> dict:
-    """Translate unit-suffixed config keys into pipeline arguments.
-
-    Also checks what no single key's schema can: the Planck range must
-    span the fit's factor, and the finished system must have a finite chi.
-    """
-    if "t_min_k" in config and config["t_max_k"] / config["t_min_k"] < PLANCK_MIN_SPAN:
-        raise ConfigError(
-            f"config fields 't_min_k' and 't_max_k' must satisfy {_PLANCK_RANGE}, got "
-            f"{config['t_min_k']!r} and {config['t_max_k']!r}"
-        )
-    rows = _rows(experiment)
+    """Translate unit-suffixed config keys into pipeline arguments."""
     defaults = _PIPELINE_DEFAULTS[experiment]
     kwargs = {}
     for key, value in config.items():
-        row = rows[key]
+        row = _TABLE[key]
         if row.scale != 1:
             value = value * row.scale
         kwargs[row.arg] = _put(kwargs.get(row.arg, defaults[row.arg]), row.part, value)
-    if "system" in kwargs:
-        # raises ZeroDivisionError for a qubit on resonance or at the straddling point
-        _ = kwargs["system"].chi
     return kwargs
 
 
@@ -404,38 +405,40 @@ def generate_report(run_dir: Path) -> dict:
             f"run directory {run_dir} is missing artifacts: {missing}; expected "
             f"at least {expected} plus the CSV tables listed in the manifest"
         )
+    manifest_path = run_dir / "manifest.json"
     manifest = _read_json_object(
-        run_dir / "manifest.json", ("experiment", "config", "package_version")
+        manifest_path, ("experiment", "config", "package_version", "tables")
     )
+    experiment, tables = manifest["experiment"], manifest["tables"]
+    # the fields manifest.schema.json requires, in the JSON types it gives them
+    for field, shape, holds in (
+        ("experiment", "a string", isinstance(experiment, str)),
+        ("config", "a JSON object", isinstance(manifest["config"], dict)),
+        ("package_version", "a string", isinstance(manifest["package_version"], str)),
+        (
+            "tables",
+            "a list of strings",
+            isinstance(tables, list) and all(isinstance(name, str) for name in tables),
+        ),
+    ):
+        if not holds:
+            raise ConfigError(
+                f"{manifest_path} must hold its {field} as {shape}, got {manifest[field]!r}"
+            )
     fits_payload = _read_json_object(run_dir / "fits.json", ("fits", "summary"))
-    missing_tables = [
-        f"{name}.csv"
-        for name in manifest.get("tables", [])
-        if not (run_dir / f"{name}.csv").exists()
-    ]
+    missing_tables = [f"{name}.csv" for name in tables if not (run_dir / f"{name}.csv").exists()]
     if missing_tables:
         raise ConfigError(f"run directory {run_dir} is missing tables: {missing_tables}")
-    experiment, config = manifest["experiment"], manifest["config"]
-    if not isinstance(config, dict):
-        raise ConfigError(f"{run_dir / 'manifest.json'} must hold its config as a JSON object")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"run directory {run_dir} holds unknown experiment {experiment!r}; "
             f"choose one of {sorted(EXPERIMENTS)}"
         )
     # the checks read the config, so it must hold the keys and values run would write
-    rows = _rows(experiment)
-    unknown = {key: value for key, value in config.items() if key not in rows}
-    missing = [key for key in rows if key not in config]
-    if unknown or missing:
-        raise ConfigError(
-            f"{run_dir / 'manifest.json'} config must hold exactly the {experiment} keys; "
-            f"unknown: {unknown}, missing: {missing}"
-        )
     try:
-        config = {key: _conform(key, config[key], row.schema) for key, row in rows.items()}
+        config = _checked(experiment, manifest["config"])
     except ConfigError as exc:
-        raise ConfigError(f"{run_dir / 'manifest.json'}: {exc}") from exc
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
     entries = CHECKS[experiment](
         config,
         fits_payload["fits"],
@@ -574,10 +577,7 @@ def _command_run(args: argparse.Namespace) -> int:
     file_config = None if args.config is None else _read_json_object(args.config)
     overrides = _collect_overrides(args)
     config = resolve_config(args.experiment, file_config, overrides)
-    try:
-        kwargs = _experiment_kwargs(args.experiment, config)
-    except (ValueError, ZeroDivisionError) as exc:  # e.g. a qubit on resonance
-        raise ConfigError(str(exc)) from exc
+    kwargs = _experiment_kwargs(args.experiment, config)
     out_dir = args.out or Path(os.environ.get("MWPHOTON_OUTPUT_ROOT", "runs")) / args.experiment
     if out_dir.exists() and not (out_dir / "manifest.json").is_file():
         if out_dir.is_file() or any(out_dir.iterdir()):
@@ -585,8 +585,12 @@ def _command_run(args: argparse.Namespace) -> int:
     try:
         result = EXPERIMENTS[args.experiment](**kwargs)
     except PipelineArgumentError as exc:  # name the config fields that feed the arguments
-        rows = _rows(args.experiment)
-        keys = [key for arg in exc.arguments for key, row in rows.items() if row.arg == arg]
+        keys = [
+            key
+            for name in exc.arguments
+            for key, row in _rows(args.experiment).items()
+            if (row.arg, *map(str, row.part))[: name.count(".") + 1] == tuple(name.split("."))
+        ]
         raise ConfigError(f"{' and '.join(map(repr, keys))} {exc.requirement}") from exc
     except NumericalError:
         raise

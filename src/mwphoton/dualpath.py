@@ -340,10 +340,10 @@ def _point_values(moments) -> Dict[str, float]:
     return point
 
 
-def _detect_point(
-    state, count, seed, chain_noise_photons=(0.0, 0.0), gains=(1.0, 1.0), vacuum_port_photons=0.0
-):
+def _detect_point(state, count, seed, chain_noise_photons=(0.0, 0.0)):
     """Point values and block errors of one sweep point, built from no record.
+
+    The point is detected at unit gains behind a vacuum port.
 
     Each task allocates one ``(6, SAMPLE_BATCH)`` complex block and draws
     the batches of its share (:func:`_map_shares`) into it, one after the
@@ -361,6 +361,7 @@ def _detect_point(
     those of the 15-key inversion.
     """
     keys = _POINT_KEYS
+    gains, vacuum_port_photons = (1.0, 1.0), 0.0
     draw = _batch_sampler(state, chain_noise_photons, gains, count, seed, vacuum_port_photons)
     blocks = _error_blocks(count)
 

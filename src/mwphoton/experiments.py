@@ -14,9 +14,10 @@ so each column is named beside its value and every reader picks cells by
 name; the CLI writes the first row's keys as the CSV header.  The summary
 copies three fit numbers only, because ``benchmarks/workloads.py`` reads
 them there: ``dualpath_sweep``'s ``rho`` and ``ramsey_sweep``'s
-``slope_hz`` and ``slope_err_hz``.  The dual-path pipelines estimate each
-sweep point with ``dualpath._detect_point`` through this module's binding,
-which instrumentation may patch.
+``slope_hz`` and ``slope_err_hz``; the report checks read the fit
+entries.  The dual-path pipelines estimate each sweep point with
+``dualpath._detect_point`` through this module's binding, which
+instrumentation may patch.
 
 Below each pipeline sits the private generator of its report checks,
 which reads back what the pipeline wrote; ``CHECKS`` maps each name of
@@ -61,6 +62,7 @@ from .defaults import (
 )
 from .dualpath import (
     ERROR_BATCHES,
+    PLANCK_MIN_SPAN,
     PlanckSweep,
     _detect_point,
     jpa_planck_fit,
@@ -96,11 +98,12 @@ __all__ = [
 class PipelineArgumentError(ValueError):
     """Pipeline arguments that the pipeline rejects before any work.
 
-    ``arguments`` names them and ``requirement`` says what they must meet;
-    the message is the quoted names followed by the requirement.  The CLI
-    reports it as a configuration error naming the config fields that feed
-    those arguments; any other ``ValueError`` a pipeline raises comes from
-    inside its computation.
+    ``arguments`` names them, each an argument or a dotted part of one
+    (``system.qubit.anharmonicity``), and ``requirement`` says what they
+    must meet; the message is the quoted names followed by the requirement.
+    The CLI reports it as a configuration error naming the config fields
+    that feed those arguments or parts; any other ``ValueError`` a pipeline
+    raises comes from inside its computation.
     """
 
     def __init__(self, arguments: Tuple[str, ...], requirement: str):
@@ -220,6 +223,13 @@ def ramsey_sweep(
         raise PipelineArgumentError(
             ("n_min", "n_max"), f"must be in increasing order, got {n_min!r} >= {n_max!r}"
         )
+    try:
+        _ = system.chi
+    except ZeroDivisionError as exc:  # a qubit on resonance or at the straddling point
+        raise PipelineArgumentError(
+            ("system.qubit.max_frequency", "system.resonator.resonance_frequency", "system.qubit.anharmonicity"),
+            f"must give a finite dispersive shift: {exc}",
+        ) from None
     grid = [float(n_r) for n_r in np.geomspace(n_min, n_max, n_points)]
     gamma1s, truths, traces = [], [], []
     for index, n_r in enumerate(grid):
@@ -267,13 +277,14 @@ def ramsey_sweep(
 
 
 def _ramsey_sweep_checks(config, fits, summary, table):
+    law = fits["photon_statistics_law"]["parameters"]
+    slope = law["xi" if config["state"] == StateKind.THERMAL.value else "s"]
     yield (
         "photon_statistics_slope_vs_model",
-        summary["slope_hz"] / summary["expected_slope_hz"],
+        slope / summary["expected_slope_hz"],
         (0.9, 1.1),
         "slope / (kappa_x theta0^2 scale) = 1",
     )
-    law = fits["photon_statistics_law"]["parameters"]
     if law.get("xi"):  # thermal runs only
         yield ("thermal_rho_over_xi", law["rho"] / law["xi"], (0.95, 1.05), "n^2 + n law: rho = xi")
     converged = np.array(table("dephasing_vs_n")["fit_converged"], dtype=float)
@@ -337,7 +348,8 @@ def dualpath_sweep(
 
 
 def _dualpath_sweep_checks(config, fits, summary, table):
-    yield ("g2_quadratic_rho", summary["rho"], (1.9, 2.1), "thermal g2 = 2 n^2; measured comparator rho = 2.07")
+    rho = fits["g2_quadratic"]["parameters"]["rho"]
+    yield ("g2_quadratic_rho", rho, (1.9, 2.1), "thermal g2 = 2 n^2; measured comparator rho = 2.07")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,10 @@ def planck_calibration(
     temperature) are fitted whole in one :func:`jpa_planck_fit` call for
     the added photons, the compression temperature and power.
     """
+    if t_min > 0 and t_max / t_min < PLANCK_MIN_SPAN:  # a t_min <= 0 meets the sweep's own check
+        raise PipelineArgumentError(
+            ("t_min", "t_max"), f"must span t_max / t_min >= {PLANCK_MIN_SPAN:g}, got {t_min!r} and {t_max!r}"
+        )
     temps = np.linspace(t_min, t_max, n_temperatures)
     chain_gain = db_to_linear(chain_gain_db)
     rng = np.random.default_rng(seed)

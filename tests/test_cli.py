@@ -279,20 +279,47 @@ class TestConfigTable:
         for experiment in DEFAULTS:
             jsonschema.validate(resolve_config(experiment, None, {}), schema)
 
-    def test_schema_names_the_rule_across_keys(self, tmp_path):
-        # run rejects t_max_k / t_min_k < 3, a rule draft-07 cannot state
-        schema = _config_schema(tmp_path)
-        assert "one rule across keys" in schema["description"]
-        texts = [schema["description"]]
-        texts += [schema["properties"][key]["description"] for key in ("t_min_k", "t_max_k")]
-        for text in texts:
-            assert "t_max_k / t_min_k >= 3" in text
-        described = [key for key, fragment in schema["properties"].items() if "description" in fragment]
-        assert described == ["t_min_k", "t_max_k"]
+    def test_schema_states_each_key_by_type_and_bounds_only(self, tmp_path):
+        # a rule across keys is its pipeline's, so no key needs a description
+        properties = _config_schema(tmp_path)["properties"]
+        assert [key for key, fragment in properties.items() if "description" in fragment] == []
+
+    # Guard: a rule across keys is its pipeline's, so cli.py names a config
+    # key or a pipeline argument only in the key table and the flag tuple.
+    def test_cli_names_keys_and_arguments_only_in_its_table(self):
+        tree = ast.parse(inspect.getsource(cli))
+        tables = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] in (["_TABLE"], ["_FLAGS"])
+        ]
+        assert len(tables) == 2
+        inside = {id(node) for table in tables for node in ast.walk(table)}
+        names = set(cli._TABLE) | {row.arg for row in cli._TABLE.values()}
+        strays = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names and id(node) not in inside
+        }
+        assert sorted(strays) == []
 
     def test_schema_properties_are_the_accepted_keys(self, tmp_path):
         accepted = set().union(*(resolve_config(name, None, {}) for name in EXPERIMENTS))
         assert set(_config_schema(tmp_path)["properties"]) == accepted
+
+
+#: The parts of a ramsey_sweep ``system`` that set its dispersive shift chi.
+CHI_PARTS = (
+    "system.qubit.max_frequency",
+    "system.resonator.resonance_frequency",
+    "system.qubit.anharmonicity",
+)
+
+
+def _sample_system(**qubit):
+    """The sample system with the qubit fields ``qubit`` replaced."""
+    return DispersiveSystem(replace(SAMPLE_QUBIT, **qubit), SAMPLE_RESONATOR)
 
 
 class TestRunCommand:
@@ -384,6 +411,10 @@ class TestRunCommand:
             (("ramsey_sweep", "--n-points", "2"), ("n_points",)),
             (("jpa_sweep", "--n-points", "2"), ("n_points",)),
             (("dualpath_sweep", "--count", "40", "--set", "temperatures_k=[0.1]"), ("temperatures_k",)),
+            (("planck_calibration", "--set", "t_min_k=0.5", "--set", "t_max_k=1.0"), ("t_min_k", "t_max_k")),
+            (("planck_calibration", "--set", "t_min_k=1.0", "--set", "t_max_k=0.5"), ("t_min_k", "t_max_k")),
+            (("ramsey_sweep", "--set", "omega_q_ghz=6.07"), ("omega_q_ghz", "omega_r_ghz", "alpha_mhz")),
+            (("ramsey_sweep", "--set", "alpha_mhz=-850"), ("omega_q_ghz", "omega_r_ghz", "alpha_mhz")),
         ],
     )
     def test_unfittable_sweep_names_the_key(self, tmp_path, capsys, args, keys):
@@ -391,9 +422,35 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "configuration error" in err
-        for key in keys:
-            assert key in _rows(args[0]) and repr(key) in err, key
+        assert {key for key in _rows(args[0]) if repr(key) in err} == set(keys)
         assert not (tmp_path / "r").exists()
+
+    # the rules across keys, each raised by its pipeline before any work
+    @pytest.mark.parametrize(
+        "experiment, kwargs, work, arguments",
+        [
+            ("planck_calibration", {"t_min": 0.5, "t_max": 1.0}, "planck_power", ("t_min", "t_max")),
+            ("planck_calibration", {"t_min": 1.0, "t_max": 0.5}, "planck_power", ("t_min", "t_max")),
+            (
+                "ramsey_sweep",
+                {"system": _sample_system(max_frequency=SAMPLE_RESONATOR.resonance_frequency)},
+                "simulate_ramsey",
+                CHI_PARTS,
+            ),
+            # delta + alpha = 0
+            ("ramsey_sweep", {"system": _sample_system(anharmonicity=-850e6)}, "simulate_ramsey", CHI_PARTS),
+        ],
+    )
+    def test_rule_across_arguments_is_raised_before_any_work(
+        self, monkeypatch, experiment, kwargs, work, arguments
+    ):
+        def no_work(*args, **named):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(experiments, work, no_work)
+        with pytest.raises(PipelineArgumentError) as raised:
+            EXPERIMENTS[experiment](**kwargs)
+        assert raised.value.arguments == arguments
 
     def test_vacuum_sweep_names_the_state(self):
         # the vacuum is a thermal field at n = 0, not a state kind; a direct
@@ -536,12 +593,26 @@ class TestRunCommand:
         assert code == 1
         assert "temperatures_k" in capsys.readouterr().err
 
-    def test_integer_beyond_float_range_names_the_key(self, tmp_path, capsys):
-        huge = "1" + "0" * 400  # a JSON integer no float can hold
-        code = run_cli("run", "variance_curves", "--set", f"n_max={huge}", "--out", str(tmp_path))
+    # a JSON integer no float can hold, and numbers that a key's unit scale
+    # carries past the largest float
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_max", "1" + "0" * 400),
+            ("bandwidth_khz", "1e306"),
+            ("omega_q_ghz", "1e300"),
+            ("mode_ghz", "1e300"),
+            ("g_mhz", "1e303"),
+            ("alpha_mhz", "-1e303"),
+            ("gamma1_d_thermal_khz", "1e306"),
+        ],
+    )
+    def test_value_beyond_float_range_names_the_key(self, tmp_path, capsys, key, value):
+        code = run_cli("run", _taking(key), "--set", f"{key}={value}", "--out", str(tmp_path / "r"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err and "'n_max'" in err
+        assert "configuration error" in err and repr(key) in err
+        assert not (tmp_path / "r").exists()
 
     def test_qubit_on_resonance_is_a_configuration_error(self, tmp_path, capsys):
         code = run_cli(
@@ -897,7 +968,9 @@ class TestReportPhysicsChecks:
         _tamper(run / "dephasing_vs_n.csv", row, "fit_converged", lambda value: 0)
         assert _failed_checks(run) == ["ramsey_fits_converged"]
 
-    @pytest.mark.parametrize("entry, key", [("summary", "slope_hz"), ("fits", "photon_statistics_law")])
+    @pytest.mark.parametrize(
+        "entry, key", [("summary", "expected_slope_hz"), ("fits", "photon_statistics_law")]
+    )
     def test_missing_fits_entry_names_run_and_key(self, ramsey_run, tmp_path, capsys, entry, key):
         run = tmp_path / "run"
         shutil.copytree(ramsey_run, run)
@@ -1349,6 +1422,17 @@ class TestEverySummaryEntryHasOneHome:
     def test_deliberate_entry_is_still_a_copy(self, experiment, entry):
         assert entry in _restated(experiment), f"drop {experiment} {entry} from DELIBERATE"
 
+    # the report checks read each number from its fit entry, not from a copy
+    @pytest.mark.parametrize("experiment, entry", sorted(DELIBERATE))
+    def test_no_report_check_reads_a_deliberate_copy(self, base_runs, experiment, entry, tmp_path):
+        run = tmp_path / experiment
+        shutil.copytree(base_runs[experiment], run)
+        checks = generate_report(run)["checks"]
+        payload = json.loads((run / "fits.json").read_text())
+        payload["summary"][entry] = -1e6 * payload["summary"][entry]
+        (run / "fits.json").write_text(json.dumps(payload))
+        assert generate_report(run)["checks"] == checks
+
 
 @pytest.fixture(scope="module")
 def base_runs(tmp_path_factory):
@@ -1388,8 +1472,10 @@ def test_corrupted_fits_leaf_never_crashes_report(base_runs, experiment, corrupt
 # Guard: report holds a run's manifest config to the checks run applies to
 # each key.  Each key of a BASE run's config, one at a time, becomes a
 # string, null, true or an out-of-range number (inf for a key without
-# bounds), or is removed; an unknown key is added too.  report then exits 1
-# naming the key.  Null is skipped where the key's schema allows it.
+# bounds), or is removed; an unknown key is added too, and a key with a
+# unit scale gets the largest float, which overflows in the pipeline's unit.
+# report then exits 1 naming the key.  Null is skipped where the key's
+# schema allows it.
 REMOVED = object()
 
 
@@ -1405,6 +1491,8 @@ def test_corrupted_manifest_config_names_the_key(base_runs, experiment, tmp_path
         for value in ("abc", None, True, number, REMOVED):
             if not (value is None and "null" in row.schema.get("type", ())):
                 cases.append((key, value))
+        if row.scale != 1:  # finite, but not in the pipeline's unit
+            cases.append((key, math.copysign(sys.float_info.max, number)))
     for key, value in cases:
         config = {k: v for k, v in manifest["config"].items() if k != key}
         if value is not REMOVED:
@@ -1412,6 +1500,36 @@ def test_corrupted_manifest_config_names_the_key(base_runs, experiment, tmp_path
         (run / "manifest.json").write_text(json.dumps({**manifest, "config": config}))
         assert cli.main(["report", str(run)]) == 1, (key, value)
         assert repr(key) in capsys.readouterr().err, (key, value)
+
+
+# report holds the other manifest fields to the JSON types of
+# manifest.schema.json and exits 1 naming the file and the field.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tables", 5),
+        ("tables", None),
+        ("tables", "variance_curves"),
+        ("tables", [1]),
+        ("tables", REMOVED),
+        ("experiment", ["x"]),
+        ("experiment", None),
+        ("package_version", None),
+        ("package_version", 1),
+    ],
+)
+def test_malformed_manifest_field_names_the_field(base_runs, field, value, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(base_runs["variance_curves"], run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = {key: item for key, item in manifest.items() if key != field}
+    if value is not REMOVED:
+        manifest[field] = value
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["report", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(run / "manifest.json") in err and field in err
+    assert not (run / "report.json").exists()
 
 
 # Guard: the CLI names no experiment.  Each experiment's report checks live

@@ -122,16 +122,17 @@ def _old_reconstruct_with_errors(record, gains, block_count=20):
 
 @pytest.mark.parametrize("kind", ["thermal", "coherent", "shot_noise"])
 def test_single_pass_engine_matches_block_route(kind):
-    detection = dict(chain_noise_photons=(0.8, 1.9), gains=(1.7, 0.6))
-    point, errors = _detect_point(STATES[kind], 60_013, 11, **detection)
-    record = simulate_detection(STATES[kind], count=60_013, seed=11, **detection)
-    old_point, old_errors = _old_reconstruct_with_errors(record, detection["gains"])
+    # a sweep point detects at unit gains behind a vacuum port
+    noise = (0.8, 1.9)
+    point, errors = _detect_point(STATES[kind], 60_013, 11, noise)
+    record = simulate_detection(STATES[kind], noise, count=60_013, seed=11)
+    old_point, old_errors = _old_reconstruct_with_errors(record, (1.0, 1.0))
     for name in ("n", "g2", "var_p", "var_q"):
         assert point[name] == pytest.approx(old_point[name], rel=RTOL, abs=0.0), name
         assert errors[name] == pytest.approx(old_errors[name], rel=RTOL, abs=0.0), name
 
 
-FUSED = dict(chain_noise_photons=(0.4, 2.3), gains=(2.5, 0.8), vacuum_port_photons=0.15)
+FUSED = dict(chain_noise_photons=(0.4, 2.3))
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
@@ -143,9 +144,7 @@ def test_fused_moments_match_export_route(kind, count):
     # end in a short batch, and 1e6 + 7 puts block edges inside batches
     point, _ = _detect_point(STATES[kind], count, count + 3, **FUSED)
     record = simulate_detection(STATES[kind], count=count, seed=count + 3, **FUSED)
-    moments = reconstruct_signal_moments(
-        cross_moments(record), FUSED["gains"], FUSED["vacuum_port_photons"]
-    )
+    moments = reconstruct_signal_moments(cross_moments(record), (1.0, 1.0))
     exported = _point_values(moments)
     assert list(point) == list(exported)
     for name, old in exported.items():

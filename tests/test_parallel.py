@@ -93,14 +93,7 @@ def test_fused_sums_bytes_independent_of_worker_count(monkeypatch):
 
     def run():
         inverted.clear()
-        experiments._detect_point(
-            STATES["thermal"],
-            60_013,
-            11,
-            chain_noise_photons=(0.8, 1.9),
-            gains=(1.7, 0.6),
-            vacuum_port_photons=0.15,
-        )
+        experiments._detect_point(STATES["thermal"], 60_013, 11, chain_noise_photons=(0.8, 1.9))
         return list(inverted)
 
     first, *others = _per_worker_count(monkeypatch, run)

@@ -6,6 +6,7 @@ of ``.hypothesis/`` in the working directory.
 """
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from mwphoton.cli import _TABLE, ConfigError, _rows, resolve_config
+from mwphoton.cli import _TABLE, ConfigError, _experiment_kwargs, _rows, resolve_config
 import oracles
 from mwphoton.dualpath import _moments_from_products, reconstruct_signal_moments
 from mwphoton.experiments import EXPERIMENTS
@@ -52,8 +53,16 @@ def _taking(key):
 # resolve_config against the table
 # ---------------------------------------------------------------------------
 
-def _inside(schema):
-    """Values the schema accepts."""
+def _largest(scale):
+    """The largest float that stays finite times ``scale``."""
+    value = sys.float_info.max / scale
+    while math.isinf(value * scale):
+        value = math.nextafter(value, 0.0)
+    return value
+
+
+def _inside(schema, scale=1.0):
+    """Values the schema accepts, finite times ``scale`` (the key's unit scale)."""
     if "enum" in schema:
         return st.sampled_from(schema["enum"])
     kind = schema["type"]
@@ -65,8 +74,8 @@ def _inside(schema):
     if kind == "integer":
         return st.integers(min_value=low, max_value=None if high is None else high - 1)
     floats = st.floats(
-        min_value=low,
-        max_value=high,
+        min_value=-_largest(scale) if low is None else low,
+        max_value=_largest(scale) if high is None else high,
         exclude_min="exclusiveMinimum" in schema,
         exclude_max=high is not None,
         allow_nan=False,
@@ -80,8 +89,8 @@ def _inside(schema):
     return st.one_of(floats, integers)
 
 
-def _outside(schema):
-    """Values the schema rejects."""
+def _outside(schema, scale=1.0):
+    """Values the schema rejects, or that overflow times ``scale``."""
     if "enum" in schema:
         return WORDS.filter(lambda value: value not in schema["enum"])
     kind = schema["type"]
@@ -98,6 +107,9 @@ def _outside(schema):
         candidates.append(_floats_below(schema["exclusiveMinimum"]))
     if "exclusiveMaximum" in schema:
         candidates.append(st.floats(min_value=schema["exclusiveMaximum"], allow_infinity=False))
+    if scale != 1:
+        beyond = st.floats(min_value=_largest(scale), exclude_min=True, allow_infinity=False)
+        candidates.append(beyond.flatmap(lambda value: st.sampled_from([value, -value])))
     return st.one_of(candidates)
 
 
@@ -116,7 +128,7 @@ def _conforms(value, schema) -> bool:
 def test_value_inside_bounds_comes_back_in_schema_type(data):
     key = data.draw(st.sampled_from(sorted(_TABLE)))
     schema = _TABLE[key].schema
-    value = data.draw(_inside(schema))
+    value = data.draw(_inside(schema, _TABLE[key].scale))
     resolved = resolve_config(_taking(key), None, {key: value})[key]
     assert _conforms(resolved, schema)
     assert resolved == value
@@ -126,9 +138,19 @@ def test_value_inside_bounds_comes_back_in_schema_type(data):
 @given(st.data())
 def test_value_outside_bounds_is_rejected_naming_the_key(data):
     key = data.draw(st.sampled_from(sorted(_TABLE)))
-    value = data.draw(_outside(_TABLE[key].schema))
+    value = data.draw(_outside(_TABLE[key].schema, _TABLE[key].scale))
     with pytest.raises(ConfigError, match=key):
         resolve_config(_taking(key), None, {key: value})
+
+
+# every config the table accepts builds its pipeline arguments, so run
+# catches no error from building them
+@DETERMINISTIC
+@given(st.data())
+def test_every_accepted_config_builds_its_arguments(data):
+    experiment = data.draw(st.sampled_from(sorted(EXPERIMENTS)))
+    config = {key: data.draw(_inside(row.schema, row.scale)) for key, row in _rows(experiment).items()}
+    _experiment_kwargs(experiment, resolve_config(experiment, None, config))
 
 
 # ---------------------------------------------------------------------------
